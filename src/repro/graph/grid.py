@@ -120,6 +120,10 @@ _COMPACT_ENCODINGS = (ENCODING_COMPACT, ENCODING_COMPACT3)
 #: Little-endian unsigned dtypes by itemsize, the compact encoding's menu.
 _UINT_BY_ITEMSIZE = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4")}
 
+#: Bit budget of :meth:`GridStore.build`'s packed sort key: it must stay a
+#: non-negative ``int64`` for a value sort to order it.
+_KEY_BITS = 63
+
 
 def _narrowest_uint(max_value: int) -> np.dtype:
     """The narrowest little-endian unsigned dtype holding ``max_value``."""
@@ -129,6 +133,14 @@ def _narrowest_uint(max_value: int) -> np.dtype:
         return _UINT_BY_ITEMSIZE[2]
     require(max_value < (1 << 32), f"value {max_value} exceeds uint32")
     return _UINT_BY_ITEMSIZE[4]
+
+
+def _packed_record_dtype(dst_dtype: np.dtype, has_weights: bool) -> np.dtype:
+    """Packed ``(dst_local, [wgt])`` edge record of the compact encodings."""
+    fields = [("dst", dst_dtype)]
+    if has_weights:
+        fields.append(("wgt", np.dtype("<f4")))
+    return np.dtype(fields)
 
 
 class GridFormatError(ValueError):
@@ -185,6 +197,9 @@ class GridStore:
         self.has_weights = has_weights
         self.indexed = indexed
         self.encoding = encoding
+        #: Out-degree of every vertex, a by-product of :meth:`build`;
+        #: ``None`` on a store opened from disk.
+        self.out_degrees: Optional[np.ndarray] = None
 
         sizes = intervals.sizes()
         if encoding in _COMPACT_ENCODINGS:
@@ -235,21 +250,15 @@ class GridStore:
             # _index_start is in *file items*: entries for the int64
             # file, bytes for compact3's byte file.
             if encoding == ENCODING_COMPACT3:
-                self._idx_codes = np.empty((P, P), dtype=np.int64)
-                for i in range(P):
-                    for j in range(P):
-                        self._idx_codes[i, j] = _narrowest_uint(
-                            int(self.block_counts[i, j])
-                        ).itemsize
+                self._idx_codes = np.array(
+                    [[_narrowest_uint(int(c)).itemsize for c in row] for row in self.block_counts],
+                    dtype=np.int64,
+                )
             else:
                 self._idx_codes = None
-            idx_lens = np.empty(P * P, dtype=np.int64)
-            for j in range(P):
-                for i in range(P):
-                    entries = sizes[i] + 1
-                    if self._idx_codes is not None:
-                        entries *= self._idx_codes[i, j]
-                    idx_lens[j * P + i] = entries
+            idx_lens = np.tile(sizes + 1, P)  # storage (j, i) order
+            if self._idx_codes is not None:
+                idx_lens *= self._idx_codes.T.reshape(-1)
             idx_starts = np.concatenate(([0], np.cumsum(idx_lens)[:-1]))
             self._index_start = idx_starts.reshape(P, P).T.copy()  # [i, j]
             self._index_items_total = int(idx_lens.sum())
@@ -287,17 +296,11 @@ class GridStore:
 
     def _record_dtype(self, j: int) -> np.dtype:
         """Packed per-edge record dtype of column ``j`` (compact encoding)."""
-        fields = [("dst", self._dst_dtype(j))]
-        if self.has_weights:
-            fields.append(("wgt", np.dtype("<f4")))
-        return np.dtype(fields)
+        return _packed_record_dtype(self._dst_dtype(j), self.has_weights)
 
     def _record_dtype_at(self, i: int, j: int) -> np.dtype:
         """Packed per-edge record dtype of block ``(i, j)``."""
-        fields = [("dst", self._dst_dtype_at(i, j))]
-        if self.has_weights:
-            fields.append(("wgt", np.dtype("<f4")))
-        return np.dtype(fields)
+        return _packed_record_dtype(self._dst_dtype_at(i, j), self.has_weights)
 
     def _count_dtype(self, i: int, j: int) -> np.dtype:
         code = int(self._count_codes[i, j])
@@ -340,132 +343,123 @@ class GridStore:
             "intervals do not cover the edge list's vertex universe",
         )
         require(encoding in ENCODINGS, f"unknown grid encoding {encoding!r}")
-        if not sort_within_blocks:
-            indexed = False
+        indexed = indexed and sort_within_blocks
         require(
-            encoding not in _COMPACT_ENCODINGS or (indexed and sort_within_blocks),
+            encoding not in _COMPACT_ENCODINGS or indexed,
             "compact encoding requires sort_within_blocks=True and indexed=True",
         )
-        P = intervals.P
-        i_of = intervals.interval_of(edges.src).astype(np.int64)
-        j_of = intervals.interval_of(edges.dst).astype(np.int64)
-        key = j_of * P + i_of  # dst-major storage order
+        P, n, m = intervals.P, intervals.num_vertices, edges.num_edges
+        require(n <= 1 << 32, f"{n} vertices: ids exceed uint32, the on-disk id type")
+        bounds, sizes = intervals.boundaries, intervals.sizes()
+        # A |V|-entry lookup table turns "interval of this id" into one
+        # gather per edge instead of a searchsorted over the boundaries.
+        interval_of = np.repeat(np.arange(P, dtype=np.int64), sizes)
+        col = interval_of[edges.dst]
+        # table[j, v] = edges of source v in destination column j. Every
+        # other structure is a slice of it or of its running sum:
+        # in-block degrees (compact headers), CSR offsets, block counts
+        # and the out-degree vector. O(P * |V|) int64, like the raw .idx.
+        table = np.bincount(col * n + edges.src, minlength=P * n).reshape(P, n)
+        cum = np.zeros((P, n + 1), dtype=np.int64)
+        np.cumsum(table, axis=1, out=cum[:, 1:])
+        block_counts = (cum[:, bounds[1:]] - cum[:, bounds[:-1]]).T  # [i, j]
 
-        if sort_within_blocks:
-            perm = np.lexsort((edges.dst, edges.src, key))
+        # Storage order is (column, source, destination, input position);
+        # a source fixes its row, so rows need no key of their own.
+        vbits, pos_bits = max(n - 1, 0).bit_length(), max(m - 1, 0).bit_length()
+        perm = None
+        if not sort_within_blocks:
+            # Lumos: group by block, keep input order inside. The
+            # narrowest uint lets numpy's stable sort pick radix.
+            block_key = (col * P + interval_of[edges.src]).astype(_narrowest_uint(P * P - 1))
+            perm = np.argsort(block_key, kind="stable")
+        elif (P - 1).bit_length() + 2 * vbits + pos_bits > _KEY_BITS:
+            perm = np.lexsort((edges.dst, edges.src, col))
+        if perm is not None:
+            src, dst = edges.src[perm], edges.dst[perm]
         else:
-            perm = np.argsort(key, kind="stable")
-        src = edges.src[perm]
-        dst = edges.dst[perm]
+            # All four sort keys fit one non-negative int64, so one
+            # value sort orders the edges; the position bits reproduce
+            # lexsort's stable tie order and carry the permutation.
+            key = col  # packed in col's buffer: one int64 per edge in all
+            key <<= vbits
+            key |= edges.src
+            key <<= vbits
+            key |= edges.dst
+            key <<= pos_bits
+            key |= np.arange(m, dtype=np.int64)
+            key.sort()
+            if edges.has_weights:
+                perm = key & ((1 << pos_bits) - 1)
+            key >>= pos_bits
+            dst = (key & ((1 << vbits) - 1)).astype(VERTEX_DTYPE)
+            src = (key >> vbits & ((1 << vbits) - 1)).astype(VERTEX_DTYPE)
         wgt = edges.weights[perm] if edges.has_weights else None
 
-        counts_by_key = np.bincount(key, minlength=P * P).astype(np.int64)
-        block_counts = counts_by_key.reshape(P, P).T.copy()  # [i, j]
-
+        count_codes = dst_codes = None
         if encoding in _COMPACT_ENCODINGS:
             count_codes = np.zeros((P, P), dtype=np.int64)
             dst_codes = np.ones((P, P), dtype=np.int64)  # empty blocks: uint8
-            payload_parts: List[np.ndarray] = []
-            # First pass: per-block header (and, for compact3, dst)
-            # dtypes — needs per-vertex degrees / actual local maxima.
+            parts = [np.empty(0, dtype=BYTE_DTYPE)]
             pos = 0
             for j in range(P):
-                lo_j, _hi_j = intervals.bounds(j)
+                lo_j, hi_j = intervals.bounds(j)
+                column_dtype = _narrowest_uint(max(0, hi_j - lo_j - 1))
                 for i in range(P):
                     cnt = int(block_counts[i, j])
                     if cnt == 0:
                         continue
-                    lo_i, hi_i = intervals.bounds(i)
-                    vcounts = np.bincount(
-                        src[pos : pos + cnt].astype(np.int64) - lo_i,
-                        minlength=hi_i - lo_i,
-                    )
-                    count_codes[i, j] = _narrowest_uint(int(vcounts.max())).itemsize
-                    dst_codes[i, j] = _narrowest_uint(
-                        int(dst[pos : pos + cnt].max()) - lo_j
-                    ).itemsize
-                    pos += cnt
-            store = cls(
-                device,
-                prefix,
-                intervals,
-                block_counts,
-                edges.has_weights,
-                indexed,
-                encoding=encoding,
-                count_codes=count_codes,
-                dst_codes=dst_codes if encoding == ENCODING_COMPACT3 else None,
-            )
-            pos = 0
-            for j in range(P):
-                lo_j, _hi_j = intervals.bounds(j)
-                for i in range(P):
-                    cnt = int(block_counts[i, j])
-                    if cnt == 0:
-                        continue
-                    rec_dtype = store._record_dtype_at(i, j)
-                    lo_i, hi_i = intervals.bounds(i)
-                    vcounts = np.bincount(
-                        src[pos : pos + cnt].astype(np.int64) - lo_i,
-                        minlength=hi_i - lo_i,
-                    )
-                    header = vcounts.astype(store._count_dtype(i, j))
-                    records = np.empty(cnt, dtype=rec_dtype)
-                    records["dst"] = (
-                        dst[pos : pos + cnt].astype(np.int64) - lo_j
-                    ).astype(rec_dtype["dst"])
+                    runs = table[j, bounds[i] : bounds[i + 1]]
+                    header = runs.astype(_narrowest_uint(int(runs.max())))
+                    local = dst[pos : pos + cnt] - VERTEX_DTYPE.type(lo_j)
+                    block_dtype = _narrowest_uint(int(local.max()))
+                    count_codes[i, j] = header.dtype.itemsize
+                    dst_codes[i, j] = block_dtype.itemsize
+                    dst_dtype = block_dtype if encoding == ENCODING_COMPACT3 else column_dtype
+                    records = np.empty(cnt, _packed_record_dtype(dst_dtype, edges.has_weights))
+                    records["dst"] = local
                     if edges.has_weights:
                         records["wgt"] = wgt[pos : pos + cnt]
-                    payload_parts.append(np.frombuffer(header.tobytes(), dtype=BYTE_DTYPE))
-                    payload_parts.append(np.frombuffer(records.tobytes(), dtype=BYTE_DTYPE))
+                    parts += [header.view(BYTE_DTYPE), records.view(BYTE_DTYPE)]
                     pos += cnt
-            payload = (
-                np.concatenate(payload_parts)
-                if payload_parts
-                else np.empty(0, dtype=BYTE_DTYPE)
-            )
-            require(
-                payload.shape[0] == int(store._block_bytes.sum()),
-                "compact encoder produced inconsistent byte counts",
-            )
-            store._edges_file.write(payload)
+            data = np.concatenate(parts)
         else:
-            store = cls(
-                device, prefix, intervals, block_counts, edges.has_weights, indexed
+            data = np.empty(
+                m, dtype=EDGE_WEIGHTED_DTYPE if edges.has_weights else EDGE_UNWEIGHTED_DTYPE
             )
-            records = np.empty(src.shape[0], dtype=store._edges_file.dtype)
-            records["src"] = src
-            records["dst"] = dst
+            data["src"] = src
+            data["dst"] = dst
             if edges.has_weights:
-                records["wgt"] = wgt
-            store._edges_file.write(records)
+                data["wgt"] = wgt
+        store = cls(
+            device, prefix, intervals, block_counts, edges.has_weights, indexed,
+            encoding=encoding, count_codes=count_codes, dst_codes=dst_codes,
+        )
+        require(data.nbytes == store.total_edge_bytes, "encoder produced inconsistent byte counts")
+        store._edges_file.write(data)
 
         if indexed:
-            idx_parts = []
-            pos = 0
-            for j in range(P):
-                for i in range(P):
-                    cnt = int(block_counts[i, j])
-                    lo, hi = intervals.bounds(i)
-                    block_src = src[pos : pos + cnt]
-                    offsets = np.searchsorted(
-                        block_src, np.arange(lo, hi + 1, dtype=np.int64)
-                    ).astype(INDEX_DTYPE)
-                    if encoding == ENCODING_COMPACT3:
-                        # Narrowest-uint per block: offsets are block-
-                        # relative, so the block's edge count bounds them.
-                        packed = offsets.astype(store._idx_dtype(i, j))
-                        idx_parts.append(
-                            np.frombuffer(packed.tobytes(), dtype=BYTE_DTYPE)
-                        )
-                    else:
-                        idx_parts.append(offsets)
-                    pos += cnt
-            empty_dtype = BYTE_DTYPE if encoding == ENCODING_COMPACT3 else INDEX_DTYPE
-            store._idx_file.write(
-                np.concatenate(idx_parts) if idx_parts else np.empty(0, dtype=empty_dtype)
-            )
+            # Block (i, j)'s CSR offsets: column j's running degree sum
+            # over interval i, closing entry included, re-based at the
+            # interval's first vertex. One column is |V| + P entries.
+            vertex = np.arange(n + P, dtype=np.int64)
+            vertex -= np.repeat(np.arange(P, dtype=np.int64), sizes + 1)
+            offsets = np.take(cum, vertex, axis=1)  # C order, unlike cum[:, vertex]
+            offsets -= np.take(cum, np.repeat(bounds[:-1], sizes + 1), axis=1)
+            offsets = offsets.ravel()
+            if encoding == ENCODING_COMPACT3:
+                # Narrowest-uint per block: offsets are block-relative,
+                # so the block's edge count bounds them.
+                parts, pos = [], 0
+                for i, j in store.iter_blocks_dst_major():
+                    end = pos + int(sizes[i]) + 1
+                    packed = offsets[pos:end].astype(store._idx_dtype(i, j))
+                    parts.append(packed.view(BYTE_DTYPE))
+                    pos = end
+                offsets = np.concatenate(parts)
+            store._idx_file.write(offsets)
 
+        store.out_degrees = table.sum(axis=0)
         store._write_meta()
         return store
 
@@ -894,10 +888,10 @@ class GridStore:
         """Full integrity check of the on-disk representation.
 
         Verifies, for every sub-block: edge endpoints fall in the
-        block's (source, destination) intervals, edges are source-sorted
-        (when sorted), metadata counts match the data (including the
-        compact run-length headers), and — when indexed — the CSR
-        offsets reproduce each vertex's edge range exactly. Raises
+        block's (source, destination) intervals, metadata counts match
+        the data (including the compact run-length headers), and — when
+        indexed — edges are in ``(src, dst)`` order and the CSR offsets
+        reproduce each vertex's edge range exactly. Raises
         :class:`ValueError` on the first inconsistency. Intended for
         post-preprocessing sanity checks and fsck-style debugging of
         copied representations.
@@ -924,9 +918,15 @@ class GridStore:
                 f"block ({i},{j}): destination id outside interval {j}",
             )
             if self.indexed:
+                src_step = np.diff(block.src.astype(np.int64))
                 require(
-                    bool(np.all(np.diff(block.src.astype(np.int64)) >= 0)),
+                    bool(np.all(src_step >= 0)),
                     f"block ({i},{j}): edges not sorted by source",
+                )
+                dst_step = np.diff(block.dst.astype(np.int64))
+                require(
+                    bool(np.all((src_step > 0) | (dst_step >= 0))),
+                    f"block ({i},{j}): edges of one source not sorted by destination",
                 )
                 offsets = self.read_block_index(i, j)
                 require(

@@ -49,7 +49,8 @@ class PreprocessResult:
     intervals: VertexIntervals
     breakdown: TimeBreakdown
     wall_seconds: float
-    #: Out-degrees computed during the (already charged) partition pass.
+    #: Out-degrees from the primary store's build (its degree table's
+    #: column sum, part of the already charged partition pass).
     #: Pass :attr:`context` to the engine so it does not re-derive them
     #: with a second charged full-graph scan.
     out_degrees: Optional[np.ndarray] = None
@@ -111,13 +112,12 @@ def _run(
         "preprocess", cat="preprocess", system=system, edges=edges.num_edges
     ):
         stores = build()
-        # Degrees fall out of the partition pass (each edge's source is
-        # examined anyway), so no extra time is charged; carrying them
-        # saves every engine the fallback charged scan.
-        degrees = np.bincount(edges.src, minlength=edges.num_vertices).astype(np.int64)
     breakdown = device.disk.clock.snapshot() - before
+    # The primary build's degree table already holds the out-degrees;
+    # carrying them saves every engine the fallback charged scan.
     return PreprocessResult(
-        system, stores, intervals, breakdown, wall.elapsed, out_degrees=degrees
+        system, stores, intervals, breakdown, wall.elapsed,
+        out_degrees=stores[0].out_degrees,
     )
 
 
@@ -139,11 +139,13 @@ def preprocess_graphsd(
 ) -> PreprocessResult:
     """GraphSD pipeline: one sorted, indexed grid copy.
 
-    ``encoding`` selects the on-disk sub-block layout ("raw" or
-    "compact"); the compact encoder's extra per-block passes are in the
+    ``encoding`` selects the on-disk sub-block layout ("raw", "compact"
+    or "compact3"); the compact encoders' per-block packing is in the
     same regime as the sort passes already charged, so preprocessing
     cost is modeled identically — what changes is the representation's
-    size, and with it every later read.
+    size, and with it every later read. The result's ``out_degrees`` are
+    the column sum of the build's per-(column, vertex) degree table, not
+    a separate pass over the edge list.
     """
     intervals = _resolve_intervals(edges, P, intervals)
 

@@ -52,3 +52,19 @@ def test_detects_index_corruption(rng, tmp_path):
     idx.tofile(store._idx_file.path)
     with pytest.raises(ValueError):
         store.validate()
+
+
+def test_detects_destination_order_corruption(rng, tmp_path):
+    store = build_store(random_edgelist(rng, 30, 900), tmp_path, P=2, name="c4")
+    records = np.fromfile(store._edges_file.path, dtype=store._edges_file.dtype)
+    # Two neighbours of one source run with distinct destinations in the
+    # same interval: swapping them keeps every count and offset intact.
+    same_run = (records["src"][1:] == records["src"][:-1]) & (
+        records["dst"][1:] != records["dst"][:-1]
+    )
+    same_block = np.diff(store.intervals.interval_of(records["dst"])) == 0
+    k = int(np.flatnonzero(same_run & same_block)[0])
+    records["dst"][[k, k + 1]] = records["dst"][[k + 1, k]]
+    records.tofile(store._edges_file.path)
+    with pytest.raises(ValueError, match="not sorted by destination"):
+        store.validate()
