@@ -22,8 +22,9 @@ GraphSD        yes                yes               yes
    includes the block-grain skip, its actual published behaviour.
 
 :class:`StreamingEngineBase` implements the plain synchronous
-full-stream round (no cross-iteration machinery) with two hooks:
-:meth:`_column_source_range` chooses which blocks of a column to read,
+full-stream round (no cross-iteration machinery) as one
+:meth:`~repro.core.engine_base.EngineBase.sweep_columns` with two hooks:
+:meth:`_column_source_ranges` chooses which blocks of a column to read,
 and :meth:`_post_column`/:meth:`_post_sweep` let subclasses charge extra
 traffic (edge writebacks, update streams).
 """
@@ -64,9 +65,14 @@ class StreamingEngineBase(EngineBase):
     def _post_sweep(self, edges_processed: int, active_edges: int) -> None:
         """Hook: extra per-iteration I/O charges."""
 
+    def _load_column(self, j: int) -> List[EdgeBlock]:
+        blocks: List[EdgeBlock] = []
+        for i_lo, i_hi in self._column_source_ranges(j):
+            blocks.extend(self.store.load_block_range(j, i_lo, i_hi))
+        return blocks
+
     def _run_round(self) -> VertexSubset:
         program = self.program
-        store = self.store
         n = self.ctx.num_vertices
         frontier = self.frontier
 
@@ -75,24 +81,20 @@ class StreamingEngineBase(EngineBase):
         gate = None if program.all_active else frontier.mask
         acc, touched = self.fresh_accumulator()
         activated_mask = np.zeros(n, dtype=bool)
-
-        edges_processed = 0
         active_edges = 0
-        for j in range(store.P):
-            column_blocks: List[EdgeBlock] = []
-            for i_lo, i_hi in self._column_source_ranges(j):
-                column_blocks.extend(store.load_block_range(j, i_lo, i_hi))
-            for block in column_blocks:
-                contrib, edge_mask = self.gather_block(prev, block, gate_mask=gate)
-                self.combine_block(acc, touched, block, contrib, edge_mask)
-                edges_processed += block.count
-                if gate is not None:
-                    active_edges += int(np.count_nonzero(gate[block.src]))
-                else:
-                    active_edges += block.count
-            self.apply_interval(j, acc, touched, activated_mask)
-            self._post_column(j, column_blocks)
 
+        def after_column(j: int, blocks: List[EdgeBlock]) -> None:
+            nonlocal active_edges
+            active_edges += sum(
+                b.count if gate is None else int(np.count_nonzero(gate[b.src]))
+                for b in blocks
+            )
+            self._post_column(j, blocks)
+
+        edges_processed, _blocks = self.sweep_columns(
+            range(self.store.P), self._load_column, prev, gate, acc, touched,
+            activated_mask, after_column=after_column,
+        )
         self._post_sweep(edges_processed, active_edges)
         self._store_state()
         self.end_iteration(

@@ -18,7 +18,7 @@ Runs the paper's headline workloads on the simulated N-worker cluster
 runs a small R-MAT graph through a 4-worker cluster with an injected
 mid-superstep crash and a dropped-message plan and exits nonzero unless
 the result is bit-identical to the single-worker run — the CI guard for
-the cluster layer (the ``cluster-smoke`` job).
+the cluster layer (the ``bench-smoke`` job).
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def smoke(
     P: int = 4,
     trace_out: Optional[str] = None,
 ) -> int:
-    """CI guard (the ``cluster-smoke`` job): crash + dropped messages.
+    """CI guard (the ``bench-smoke`` job): crash + dropped messages.
 
     Runs PageRank and SSSP on a small R-MAT graph through a 4-worker
     cluster with a mid-superstep worker crash and a dropped-message

@@ -106,7 +106,6 @@ def _graphsd_engine(
         pipeline: bool = False,
         prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
         gather_lanes: int = 1,
-        buffer_serves_selective: Optional[bool] = None,
         tuned_profile: Optional["TunedProfile"] = None,
     ) -> EngineBase:
         from dataclasses import replace
@@ -119,8 +118,6 @@ def _graphsd_engine(
             gather_lanes=gather_lanes,
             tuned_profile=tuned_profile,
         )
-        if buffer_serves_selective is not None:
-            cfg = replace(cfg, buffer_serves_selective=buffer_serves_selective)
         return engine_cls(store, machine, config=cfg, ctx=ctx, label=label)
 
     return make
@@ -134,17 +131,12 @@ def _simple_engine(cls):
         pipeline: bool = False,
         prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
         gather_lanes: int = 1,
-        buffer_serves_selective: Optional[bool] = None,
         tuned_profile: Optional["TunedProfile"] = None,
     ) -> EngineBase:
         # Baseline engines model strictly serial systems; the pipeline
         # and gather knobs do not apply to them.
         require(not pipeline, f"{cls.__name__} does not support --pipeline")
         require(gather_lanes == 1, f"{cls.__name__} does not support --gather-lanes")
-        require(
-            buffer_serves_selective is None,
-            f"{cls.__name__} does not support --buffer-serves-selective",
-        )
         require(tuned_profile is None, f"{cls.__name__} does not support --autotune")
         return cls(store, machine, ctx=ctx)
 
@@ -175,13 +167,6 @@ SYSTEMS: Dict[str, SystemSpec] = {
         "graphsd",
         _graphsd_engine(GraphSDConfig.no_buffering(), "graphsd-nobuffer"),
     ),
-    "graphsd-bufsel": SystemSpec(
-        "graphsd-bufsel",
-        "graphsd",
-        _graphsd_engine(
-            GraphSDConfig(buffer_serves_selective=True), "graphsd-bufsel"
-        ),
-    ),
     "husgraph": SystemSpec("husgraph", "husgraph", _simple_engine(HUSGraphEngine)),
     "lumos": SystemSpec("lumos", "lumos", _simple_engine(LumosEngine)),
     "gridgraph": SystemSpec("gridgraph", "lumos", _simple_engine(GridGraphEngine)),
@@ -209,7 +194,6 @@ class Harness:
         pipeline: bool = False,
         prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
         gather_lanes: int = 1,
-        buffer_serves_selective: Optional[bool] = None,
         tuned_profile: Optional[TunedProfile] = None,
         encoding: str = ENCODING_RAW,
         trace_dir: Optional[str] = None,
@@ -233,9 +217,6 @@ class Harness:
         #: Modeled disk-lane concurrency for SCIU's selective gathers
         #: (K=1 is the serial, bit-identical default).
         self.gather_lanes = gather_lanes
-        #: ``None`` leaves each system's own config untouched; True/False
-        #: overrides ``buffer_serves_selective`` on graphsd engines.
-        self.buffer_serves_selective = buffer_serves_selective
         #: Fitted cost-model profile fed into graphsd's scheduler
         #: (``graphsd tune`` output; see docs/TUNING.md).
         self.tuned_profile = tuned_profile
@@ -324,7 +305,6 @@ class Harness:
         pipeline: Optional[bool] = None,
         prefetch_depth: Optional[int] = None,
         gather_lanes: Optional[int] = None,
-        buffer_serves_selective: Optional[bool] = None,
         trace_path: Optional[str] = None,
         async_mode: Optional[bool] = None,
     ) -> RunResult:
@@ -336,8 +316,8 @@ class Harness:
         the paper's evaluation does) pay for each cell once.
 
         ``pipeline``/``prefetch_depth`` resolve per call → per workload →
-        harness default; ``gather_lanes``/``buffer_serves_selective``
-        resolve per call → harness default. Cells with different knob
+        harness default; ``gather_lanes`` resolves per call → harness
+        default. Cells with different knob
         settings are cached separately (they produce identical values
         but different modeled times/counters).
 
@@ -359,8 +339,6 @@ class Harness:
             )
         if gather_lanes is None:
             gather_lanes = self.gather_lanes
-        if buffer_serves_selective is None:
-            buffer_serves_selective = self.buffer_serves_selective
         if async_mode is None:
             async_mode = self.async_mode
         if async_mode:
@@ -374,7 +352,7 @@ class Harness:
             system = "graphsd-async"
         key = (
             system, workload_key, dataset, bool(pipeline), int(prefetch_depth),
-            int(gather_lanes), buffer_serves_selective,
+            int(gather_lanes),
         )
         if use_cache and key in self._run_cache:
             return self._run_cache[key]
@@ -392,7 +370,6 @@ class Harness:
             pipeline=pipeline,
             prefetch_depth=prefetch_depth,
             gather_lanes=gather_lanes,
-            buffer_serves_selective=buffer_serves_selective,
             tuned_profile=self.tuned_profile,
         )
         if trace_path is None and self.trace_dir is not None:

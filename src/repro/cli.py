@@ -133,7 +133,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         pipeline=args.pipeline,
         prefetch_depth=prefetch_depth,
         gather_lanes=gather_lanes,
-        buffer_serves_selective=args.buffer_serves_selective,
         tuned_profile=tuned,
         encoding=args.encoding,
     )
@@ -180,14 +179,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            if (
-                gather_lanes != 1
-                or args.buffer_serves_selective is not None
-                or tuned is not None
-            ):
+            if gather_lanes != 1 or tuned is not None:
                 print(
-                    "error: --gather-lanes/--buffer-serves-selective/--autotune "
-                    "apply to single-process graphsd runs, not --workers",
+                    "error: --gather-lanes/--autotune apply to single-process "
+                    "graphsd runs, not --workers",
                     file=sys.stderr,
                 )
                 return 2
@@ -557,13 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="modeled concurrent disk lanes for SCIU's selective gathers "
         "(default 1 = serial; results stay bit-identical for any K, only "
         "modeled time changes; see docs/PERFORMANCE.md)",
-    )
-    p.add_argument(
-        "--buffer-serves-selective",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="let the in-memory block buffer satisfy SCIU's selective "
-        "gathers directly (buffer hits skip the gather lanes entirely)",
     )
     p.add_argument(
         "--autotune",

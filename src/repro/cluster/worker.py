@@ -18,12 +18,13 @@ each guarded by a done-marker so a superstep can be *re-entered* after a
 crash recovery: workers that already finished a phase skip it, and only
 the rolled-back worker re-executes.
 
-Bit-identity invariant: a column is computed by gathering its blocks in
-ascending source-interval order and reducing with the same
-:func:`~repro.algorithms.base.scatter_combine` dispatch as the
-single-node engines, against a full-length accumulator. The order and
-the dispatch depend only on the grid — never on ownership — so any
-worker computing any column produces the same bits.
+Bit-identity invariant: the compute phase is the single-node engines'
+own column sweep (:meth:`~repro.core.engine_base.EngineBase.sweep_columns`
+on a plain :class:`~repro.core.engine_base.EngineBase` bound to this
+worker's store, disk and clock) restricted to the owned columns: blocks
+in ascending source-interval order, reduced against a full-length
+accumulator. The order and the kernels depend only on the grid — never
+on ownership — so any worker computing any column produces the same bits.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import GraphContext, State, VertexProgram, scatter_combine
+from repro.algorithms.base import GraphContext, State, VertexProgram
 from repro.cluster.interconnect import Interconnect, channel_name
 from repro.cluster.messages import Inbox, ValueMessage, apply_messages
 from repro.core.checkpoint import CheckpointManager
+from repro.core.engine_base import EngineBase
 from repro.graph.grid import GridStore
 from repro.graph.vertexdata import VertexArrayStore
 from repro.obs import NULL_TRACER, TracerLike
@@ -44,7 +46,7 @@ from repro.storage.blockfile import Device
 from repro.storage.disk import MachineProfile, SimulatedDisk
 from repro.storage.faults import FaultInjector
 from repro.utils.bitset import VertexSubset
-from repro.utils.timers import COMPUTE, SimClock
+from repro.utils.timers import SimClock
 from repro.utils.validation import require
 
 WATERMARK_DTYPE = np.int64
@@ -86,9 +88,10 @@ class ClusterWorker:
         # Populated by start():
         self.program: Optional[VertexProgram] = None
         self.ctx: Optional[GraphContext] = None
+        #: The execution core, bound to this worker's store/disk/clock.
+        self.engine: Optional[EngineBase] = None
         self.columns: List[int] = []
         self.state: State = {}
-        self.prev: State = {}
         self.frontier: Optional[VertexSubset] = None
         self._activated: Optional[np.ndarray] = None
         self._value_stores: Dict[str, VertexArrayStore] = {}
@@ -202,6 +205,8 @@ class ClusterWorker:
         ):
             self.program = program
             self.ctx = ctx
+            self.engine = EngineBase(self.store, self.machine, ctx)
+            self.engine.program = program
             self.columns = sorted(columns)
             self.state = program.init_state(ctx)
             self.frontier = program.initial_frontier(ctx)
@@ -234,34 +239,19 @@ class ClusterWorker:
         ):
             self._poll_crash("pre-compute")
             self._load_owned_state()
-            self.prev = self.program.copy_state(self.state)
-            gate = self.frontier.mask
-            n = self.ctx.num_vertices
-            acc = self.program.acc_array(n)
-            touched = np.zeros(n, dtype=bool)
-            edges = 0
-            neutral = self.program.combine.identity
-            for j in self.columns:
-                for block in self.store.load_column(j):
-                    if block.count == 0:
-                        continue
-                    contrib = self.program.gather(self.prev, block.src, block.wgt)
-                    edge_mask = gate[block.src]
-                    contrib = np.where(edge_mask, contrib, neutral)
-                    self.clock.charge(
-                        COMPUTE, self.machine.edge_compute_time(block.count)
-                    )
-                    scatter_combine(self.program.combine, acc, block.dst, contrib)
-                    touched[block.dst[edge_mask]] = True
-                    edges += block.count
-            self._activated = np.zeros(n, dtype=bool)
-            for j in self.columns:
-                lo, hi = self._bounds(j)
-                act = self.program.apply(
-                    self.state, lo, hi, acc[lo:hi], touched[lo:hi]
-                )
-                self.clock.charge(COMPUTE, self.machine.vertex_compute_time(hi - lo))
-                self._activated[lo:hi] = act
+            engine = self.engine
+            engine.state = self.state  # start()/restore() rebind it
+            acc, touched = engine.fresh_accumulator()
+            self._activated = np.zeros(self.ctx.num_vertices, dtype=bool)
+            edges, _blocks = engine.sweep_columns(
+                self.columns,
+                self.store.load_column,
+                self.program.copy_state(self.state),
+                None if self.program.all_active else self.frontier.mask,
+                acc,
+                touched,
+                self._activated,
+            )
             self._store_owned_state()
             self.edges_processed += edges
             self._computed = superstep

@@ -65,15 +65,16 @@ granularity: per source interval the index access mode comes from
 each sub-block independently chooses a selective gather (only the
 pending sources' edges) or a full streamed load (gated to the pending
 mask — the MIN identity makes gating an exact no-op) by comparing their
-modeled disk costs. Loads flow through the engine's
-:class:`~repro.storage.gatherpool.GatherPool` inside a clock
-:class:`~repro.utils.timers.OverlapRegion`, so pipelined prefetch and
-K-lane gather credits compose with the priority order unchanged.
+modeled disk costs. A pop's loads are one plan of ``(thunk, gate)``
+entries consumed by
+:meth:`~repro.core.engine_base.EngineBase.consume_plan` — the same
+consumer as an SCIU scatter — so pipelined prefetch and K-lane gather
+credits compose with the priority order unchanged.
 
 Faults: transient I/O faults are absorbed by the storage retry layer as
-usual. If a pop's gather exhausts its retry budget, the pop degrades to
-gated full streaming of the same column — safe without rollback because
-MIN-combining a contribution twice is idempotent.
+usual. If a pop's gather exhausts its retry budget, the pop is re-planned
+as gated full loads of the same rows and consumed again — safe without
+rollback because MIN-combining a contribution twice is idempotent.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep layering acyclic
 from repro.algorithms.base import Combine, VertexProgram
 from repro.core.convergence import require_async_capable
 from repro.core.engine import GraphSDEngine
+from repro.core.engine_base import PlanEntry
 from repro.core.result import RunResult
 from repro.core.sciu import _make_load_task
 from repro.graph.grid import EdgeBlock
@@ -232,13 +234,12 @@ class AsyncGraphSDEngine(GraphSDEngine):
 
     def _pop_plan(
         self, j: int, subset: VertexSubset, pend_mask: np.ndarray
-    ) -> Tuple[List[Tuple[int, Optional[EdgeBlock], bool]], List[Callable[[], EdgeBlock]], int, int]:
+    ) -> Dict[int, PlanEntry]:
         """Plan one pop: per-row index modes, per-block full-vs-selective.
 
-        Returns ``(plan, tasks, selective_blocks, full_blocks)`` where
-        ``plan`` holds ``(row, resolved-or-None, is_full)`` entries in
-        consume order and ``tasks`` the load thunks for the unresolved
-        entries, in the same order.
+        Returns one plan entry per source row, in consume order — a full
+        streamed load gated to ``pend_mask``, or an ungated selective
+        gather of just the pending sources' edges.
         """
         store = self.store
         disk = self.machine.disk
@@ -247,25 +248,13 @@ class AsyncGraphSDEngine(GraphSDEngine):
         adj_bytes = store.adjacency_bytes_per_edge
         out_degrees = self.ctx.require_out_degrees()
 
-        plan: List[Tuple[int, Optional[EdgeBlock], bool]] = []
-        tasks: List[Callable[[], EdgeBlock]] = []
-        n_selective = 0
-        n_full = 0
+        plan: Dict[int, PlanEntry] = {}
         for i in range(store.P):
             a = int(index_plan.active_per_row[i])
             if a == 0 or store.block_edge_count(i, j) == 0:
                 continue
             lo, hi = intervals.bounds(i)
             ids = subset.interval_indices(lo, hi)
-            local = ids - lo
-            mode = int(index_plan.mode[i])
-            lo_l = int(index_plan.lo_local[i])
-            hi_l = int(index_plan.hi_local[i])
-            buffered = self.selective_from_buffer(i, j, ids)
-            if buffered is not None:
-                plan.append((i, buffered, False))
-                n_selective += 1
-                continue
             # §4.1 at sub-block granularity: price the selective gather
             # (the pending sources' share of the row's adjacency, read
             # randomly) against streaming the block in one extent.
@@ -273,82 +262,20 @@ class AsyncGraphSDEngine(GraphSDEngine):
             sel_cost = disk.ran_read_time(sel_bytes, requests=a)
             full_cost = disk.seq_read_time(store.block_nbytes(i, j), requests=1)
             if full_cost < sel_cost:
-                tasks.append(self._make_full_task(i, j))
-                plan.append((i, None, True))
-                n_full += 1
+                plan[i] = (self._make_full_task(i, j), pend_mask)
             else:
-                tasks.append(_make_load_task(self, i, j, ids, local, mode, lo_l, hi_l))
-                plan.append((i, None, False))
-                n_selective += 1
-        return plan, tasks, n_selective, n_full
+                task = _make_load_task(
+                    self, i, j, ids, ids - lo, int(index_plan.mode[i]),
+                    int(index_plan.lo_local[i]), int(index_plan.hi_local[i]),
+                )
+                plan[i] = (task, None)
+        return plan
 
     def _make_full_task(self, i: int, j: int) -> Callable[[], EdgeBlock]:
         def task() -> EdgeBlock:
             return self.store.load_block(i, j)
 
         return task
-
-    def _consume_pop(
-        self,
-        j: int,
-        pend_mask: np.ndarray,
-        plan: List[Tuple[int, Optional[EdgeBlock], bool]],
-        tasks: List[Callable[[], EdgeBlock]],
-        acc: np.ndarray,
-        touched: np.ndarray,
-    ) -> Tuple[int, Optional[EdgeBlock]]:
-        """Gather/combine one pop's blocks from the live state.
-
-        Returns ``(edges processed, retained diagonal block)`` — when the
-        plan full-loaded the diagonal sub-block ``(j, j)``, the complete
-        block is handed back so the diagonal chase can re-gather from
-        memory instead of re-reading it. On an unrecoverable gather
-        fault, degrades to gated full streaming of the rows in the plan
-        — MIN-combining is idempotent, so re-combining blocks that
-        already landed needs no rollback.
-        """
-        edges = 0
-        diagonal: Optional[EdgeBlock] = None
-        pool = self.make_gather_pool()
-        try:
-            with self.overlap_region() as region:
-                if region is not None and tasks:
-                    tasks[0] = region.measure_fill(tasks[0])
-                stream = pool.run(tasks)
-                try:
-                    for i, buffered, is_full in plan:
-                        self._crash_point("mid-scatter")
-                        block = buffered if buffered is not None else next(stream)
-                        if i == j and is_full:
-                            diagonal = block
-                        if block.count == 0:
-                            continue
-                        gate = pend_mask if is_full else None
-                        contrib, edge_mask = self.gather_block(
-                            self.state, block, gate_mask=gate
-                        )
-                        self.combine_block(acc, touched, block, contrib, edge_mask)
-                        edges += block.count
-                finally:
-                    stream.close()
-                pool.finish(region)
-        except FaultError as exc:
-            self.record_fault_event(
-                f"sweep {(self._sweeps_done or 0) + 1}: async gather for interval "
-                f"{j} failed ({exc}); degraded pop to gated full streaming"
-            )
-            for i, _buffered, _is_full in plan:
-                if self.store.block_edge_count(i, j) == 0:
-                    continue
-                block = self.store.load_block(i, j)
-                if i == j:
-                    diagonal = block
-                contrib, edge_mask = self.gather_block(
-                    self.state, block, gate_mask=pend_mask
-                )
-                self.combine_block(acc, touched, block, contrib, edge_mask)
-                edges += block.count
-        return edges, diagonal
 
     def _apply_measured(
         self,
@@ -421,12 +348,8 @@ class AsyncGraphSDEngine(GraphSDEngine):
         while chase.any():
             local = np.flatnonzero(chase)
             blocks += 1
-            gate: Optional[np.ndarray] = None
-            if diagonal is not None:
-                block = diagonal  # retained in memory: no disk charge
-                gate = np.zeros(self.ctx.num_vertices, dtype=bool)
-                gate[lo:hi] = chase
-            else:
+            block: Optional[EdgeBlock] = None
+            if diagonal is None:
                 ids = local + lo
                 sel_bytes = (
                     float(out_degrees[ids].sum()) * adj_bytes / store.P
@@ -438,9 +361,6 @@ class AsyncGraphSDEngine(GraphSDEngine):
                 try:
                     if full_cost < sel_cost:
                         diagonal = store.load_block(j, j)
-                        block = diagonal
-                        gate = np.zeros(self.ctx.num_vertices, dtype=bool)
-                        gate[lo:hi] = chase
                     else:
                         pairs = store.read_index_entries(j, j, local)
                         block = self.load_selective(j, j, ids, pairs)
@@ -451,15 +371,15 @@ class AsyncGraphSDEngine(GraphSDEngine):
                         "to a gated full load"
                     )
                     diagonal = store.load_block(j, j)
-                    block = diagonal
-                    gate = np.zeros(self.ctx.num_vertices, dtype=bool)
-                    gate[lo:hi] = chase
+            gate: Optional[np.ndarray] = None
+            if block is None:
+                assert diagonal is not None  # handed in by the pop or loaded above
+                block = diagonal  # retained in memory: re-gathers cost no disk
+                gate = np.zeros(self.ctx.num_vertices, dtype=bool)
+                gate[lo:hi] = chase
             if block.count == 0:
                 break
-            contrib, edge_mask = self.gather_block(
-                self.state, block, gate_mask=gate
-            )
-            self.combine_block(acc, touched, block, contrib, edge_mask)
+            self.push_block(self.state, block, acc, touched, gate)
             edges += block.count
             act, n_act = self._apply_measured(
                 j, lo, hi, acc, touched, value, scratch
@@ -484,7 +404,7 @@ class AsyncGraphSDEngine(GraphSDEngine):
         token = self.begin_iteration()
         frontier_size = self.frontier.count
         acc, touched = self.fresh_accumulator()
-        identity = 0.0 if self.program.combine is Combine.ADD else np.inf
+        identity = self.program.combine.identity
         activated_sweep = np.zeros(n, dtype=bool)
         scratch = np.zeros(n, dtype=bool)
         edges_processed = 0
@@ -520,16 +440,38 @@ class AsyncGraphSDEngine(GraphSDEngine):
                 lo, hi = store.intervals.bounds(j)
                 acc[lo:hi] = identity
                 touched[lo:hi] = False
-                plan, tasks, n_sel, n_full = self._pop_plan(j, subset, pend_mask)
+                plan = self._pop_plan(j, subset, pend_mask)
+                full_rows = {i for i, (_task, gate) in plan.items() if gate is not None}
+                n_full = len(full_rows)
                 chase_blocks = 0
                 with self.tracer.span(
                     "async.pop", cat="phase", interval=j, rank=rank,
                     blocks=len(plan),
                 ):
-                    pop_edges, diagonal = self._consume_pop(
-                        j, pend_mask, plan, tasks, acc, touched
+                    try:
+                        consumed = self.consume_plan(
+                            list(plan.values()), self.state, acc, touched
+                        )
+                    except FaultError as exc:
+                        # Re-plan the same rows as gated full loads. No
+                        # rollback: MIN-combining is idempotent, so blocks
+                        # that already landed may be combined again.
+                        self.record_fault_event(
+                            f"sweep {sweep_no}: async gather for interval "
+                            f"{j} failed ({exc}); degraded pop to gated full streaming"
+                        )
+                        full_rows = set(plan)
+                        consumed = self.consume_plan(
+                            [(self._make_full_task(i, j), pend_mask) for i in plan],
+                            self.state, acc, touched,
+                        )
+                    # A full-loaded diagonal stays in memory for the chase.
+                    diagonal = (
+                        next((b for b in consumed if b.i == j), None)
+                        if j in full_rows
+                        else None
                     )
-                    edges_processed += pop_edges
+                    edges_processed += sum(block.count for block in consumed)
                     blocks_processed += len(plan)
                     act, n_act = self._apply_measured(
                         j, lo, hi, acc, touched, value, scratch
@@ -562,7 +504,7 @@ class AsyncGraphSDEngine(GraphSDEngine):
                     candidates=len(candidates),
                     pending_vertices=pend_count,
                     new_activations=n_act,
-                    selective_blocks=n_sel + chase_blocks,
+                    selective_blocks=len(plan) - n_full + chase_blocks,
                     full_blocks=n_full,
                 )
                 self.priority_decisions.append(decision)

@@ -68,6 +68,10 @@ class SubBlockBuffer:
         """The byte size a resident block is accounted at (None if absent)."""
         return self._sizes.get(key)
 
+    def peek(self, key: BlockKey) -> Optional[EdgeBlock]:
+        """The resident block under ``key`` without recording a hit or miss."""
+        return self._blocks.get(key)
+
     # -- cache operations ----------------------------------------------
 
     def get(self, key: BlockKey) -> Optional[EdgeBlock]:

@@ -29,9 +29,8 @@ no-buffer   ``enable_buffering=False`` (Fig. 12)
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, ContextManager, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,11 +52,9 @@ from repro.graph.grid import EdgeBlock, GridStore
 from repro.obs import Tracer
 from repro.storage.faults import GatherFault
 from repro.storage.disk import MachineProfile, DEFAULT_MACHINE
-from repro.storage.gatherpool import GatherPool
-from repro.storage.prefetch import BlockPrefetcher
 from repro.tune.profile import TunedProfile
 from repro.utils.bitset import VertexSubset
-from repro.utils.timers import COMPUTE, SCHEDULING, OverlapRegion
+from repro.utils.timers import SCHEDULING
 from repro.utils.validation import check_nonneg, require
 
 #: Default lookahead of the prefetch pipeline (completed block loads
@@ -81,11 +78,6 @@ class GraphSDConfig:
     buffer_bytes: Optional[int] = None
     buffer_fraction: float = DEFAULT_BUFFER_FRACTION
     seq_run_threshold_bytes: int = DEFAULT_SEQ_RUN_THRESHOLD
-    #: Extension beyond the paper (§4.3 buffers only serve FCIU): let
-    #: SCIU's selective loads hit blocks already resident in the
-    #: sub-block buffer, filtering the active edges in memory instead of
-    #: touching disk. Off by default to stay faithful.
-    buffer_serves_selective: bool = False
     #: Overlap I/O and compute: run block loads on a background prefetch
     #: thread and charge scatter stretches as ``max(io, compute) + fill``
     #: on the dual-timeline clock. Results are bit-identical to serial
@@ -213,42 +205,12 @@ class GraphSDEngine(EngineBase):
     # -- prefetch pipeline ---------------------------------------------------
 
     @property
-    def pipeline_enabled(self) -> bool:
-        return self.config.pipeline
+    def prefetch_depth(self) -> int:
+        return self.config.prefetch_depth if self.config.pipeline else 0
 
-    def make_prefetcher(self) -> BlockPrefetcher:
-        """A prefetcher for one round's block plan.
-
-        In serial mode the depth is 0 (every thunk runs inline at its
-        consumption point), so serial and pipelined rounds execute the
-        same plan-then-consume code path.
-        """
-        depth = self.config.prefetch_depth if self.pipeline_enabled else 0
-        return BlockPrefetcher(depth, stats=self.disk.stats, tracer=self.tracer)
-
-    def make_gather_pool(self) -> GatherPool:
-        """A K-lane gather pool for one SCIU round's selective loads.
-
-        Executes the plan's thunks through the same single-worker,
-        in-plan-order discipline as :meth:`make_prefetcher` (so fault
-        ordinals and disk-op streams are unchanged); with
-        ``config.gather_lanes > 1`` it additionally credits the DISK
-        time hidden by modeled lane concurrency.
-        """
-        depth = self.config.prefetch_depth if self.pipeline_enabled else 0
-        return GatherPool(
-            self.config.gather_lanes,
-            depth,
-            clock=self.clock,
-            stats=self.disk.stats,
-            tracer=self.tracer,
-        )
-
-    def overlap_region(self) -> "ContextManager[Optional[OverlapRegion]]":
-        """A clock overlap region when pipelining, else a null context."""
-        if self.pipeline_enabled:
-            return self.clock.overlap_region()
-        return nullcontext(None)
+    @property
+    def gather_lanes(self) -> int:
+        return self.config.gather_lanes
 
     def _has_pending_work(self) -> bool:
         return self.touched_next is not None and bool(self.touched_next.any())
@@ -299,32 +261,6 @@ class GraphSDEngine(EngineBase):
             active_ids,
             offsets_pairs,
             seq_threshold_bytes=self.config.seq_run_threshold_bytes,
-        )
-
-    def selective_from_buffer(
-        self, i: int, j: int, active_ids: np.ndarray
-    ) -> Optional[EdgeBlock]:
-        """Serve a selective load from the sub-block buffer if resident.
-
-        Extension feature (``config.buffer_serves_selective``): filters
-        the cached block's edges to the active sources in memory —
-        charged as compute, zero disk traffic. Returns ``None`` on miss
-        or when the feature is disabled.
-        """
-        if not (self.config.buffer_serves_selective and self.buffer_enabled):
-            return None
-        cached = self.buffer.get((i, j))
-        if cached is None:
-            return None
-        self.disk.stats.buffer_hit_bytes += self.buffer.size_of((i, j))
-        keep = np.isin(cached.src, active_ids)
-        self.clock.charge(COMPUTE, self.machine.vertex_compute_time(cached.count))
-        return EdgeBlock(
-            i,
-            j,
-            cached.src[keep],
-            cached.dst[keep],
-            None if cached.wgt is None else cached.wgt[keep],
         )
 
     # -- model selection + dispatch (Algorithm 1) ---------------------------

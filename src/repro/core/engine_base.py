@@ -12,6 +12,13 @@ they share:
   paper's cost model);
 * vectorized gather / combine / apply helpers with modeled compute
   charging and frontier gating;
+* the **execution core** — the only two block consumers in the
+  repository. :meth:`EngineBase.sweep_columns` streams ordered
+  destination columns (one load thunk per column, applied at the end of
+  the column); :meth:`EngineBase.consume_plan` streams an ordered plan
+  of ``(load thunk, source gate)`` entries. Both sit on
+  :meth:`EngineBase.push_block`, the one place ``gather_block`` and
+  ``combine_block`` are paired;
 * the run loop skeleton and per-iteration metric capture.
 
 Subclasses implement :meth:`EngineBase._run_round`, which executes one
@@ -21,7 +28,18 @@ returns the next frontier.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from contextlib import nullcontext
+from functools import partial
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    ContextManager,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -29,7 +47,6 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep layering acyclic
     from repro.core.checkpoint import CheckpointManager
 
 from repro.algorithms.base import (
-    Combine,
     GraphContext,
     State,
     VertexProgram,
@@ -40,10 +57,18 @@ from repro.graph.grid import EdgeBlock, GridStore
 from repro.graph.vertexdata import VertexArrayStore
 from repro.obs import NULL_TRACER, TracerLike
 from repro.storage.disk import MachineProfile, DEFAULT_MACHINE
+from repro.storage.gatherpool import GatherPool
 from repro.storage.iostats import IOStats
+from repro.storage.prefetch import BlockPrefetcher
 from repro.utils.bitset import VertexSubset
-from repro.utils.timers import COMPUTE, TimeBreakdown, WallTimer
+from repro.utils.timers import COMPUTE, OverlapRegion, TimeBreakdown, WallTimer
 from repro.utils.validation import require
+
+#: One deferred column load: every block of one destination column.
+ColumnTask = Callable[[], List[EdgeBlock]]
+#: One plan entry: a deferred block load and the per-vertex source gate
+#: its contributions pass through (``None`` = ungated).
+PlanEntry = Tuple[Callable[[], EdgeBlock], Optional[np.ndarray]]
 
 
 class EngineBase:
@@ -180,8 +205,7 @@ class EngineBase:
         edge_mask: Optional[np.ndarray] = None
         if gate_mask is not None:
             edge_mask = gate_mask[block.src]
-            neutral = 0.0 if self.program.combine is Combine.ADD else np.inf
-            contrib = np.where(edge_mask, contrib, neutral)
+            contrib = np.where(edge_mask, contrib, self.program.combine.identity)
         self.clock.charge(COMPUTE, self.machine.edge_compute_time(block.count))
         return contrib, edge_mask
 
@@ -228,6 +252,126 @@ class EngineBase:
         """A (acc, touched) pair filled with the combine identity."""
         n = self.ctx.num_vertices
         return self.program.acc_array(n), np.zeros(n, dtype=bool)
+
+    # -- the execution core: one block step, two consumers -------------------
+
+    @property
+    def prefetch_depth(self) -> int:
+        """Lookahead of this engine's block plans; 0 runs every load
+        thunk inline at its consumption point (serial execution)."""
+        return 0
+
+    @property
+    def gather_lanes(self) -> int:
+        """Modeled disk lanes for :meth:`consume_plan`'s loads."""
+        return 1
+
+    def make_prefetcher(self) -> BlockPrefetcher:
+        """A prefetcher for one column plan (see :meth:`prefetch_depth`)."""
+        return BlockPrefetcher(self.prefetch_depth, stats=self.disk.stats, tracer=self.tracer)
+
+    def overlap_region(self) -> "ContextManager[Optional[OverlapRegion]]":
+        """A clock overlap region when pipelining, else a null context."""
+        if self.prefetch_depth:
+            return self.clock.overlap_region()
+        return nullcontext(None)
+
+    def push_block(
+        self,
+        snapshot: State,
+        block: EdgeBlock,
+        acc: np.ndarray,
+        touched: np.ndarray,
+        gate_mask: Optional[np.ndarray] = None,
+    ) -> None:
+        """Gather ``block`` from ``snapshot`` and combine it into ``acc``."""
+        contrib, edge_mask = self.gather_block(snapshot, block, gate_mask)
+        self.combine_block(acc, touched, block, contrib, edge_mask)
+
+    def sweep_columns(
+        self,
+        columns: Sequence[int],
+        load: Callable[[int], List[EdgeBlock]],
+        snapshot: State,
+        gate_mask: Optional[np.ndarray],
+        acc: np.ndarray,
+        touched: np.ndarray,
+        activated_mask: np.ndarray,
+        after_column: Optional[Callable[[int, List[EdgeBlock]], None]] = None,
+    ) -> Tuple[int, int]:
+        """Consume destination ``columns`` in order; apply each at its end.
+
+        ``load(j)`` reads every block of column ``j``; one such thunk
+        per column runs through a :class:`BlockPrefetcher` (inline when
+        serial) inside :meth:`overlap_region`. Per block: poll the
+        ``mid-scatter`` crash point, then :meth:`push_block` from
+        ``snapshot`` through ``gate_mask``. ``after_column(j, blocks)``
+        runs after interval ``j``'s apply. Returns ``(edges, blocks)``
+        consumed.
+        """
+        tasks: List[ColumnTask] = [partial(load, j) for j in columns]
+        edges = blocks = 0
+        with self.overlap_region() as region:
+            if region is not None and tasks:
+                tasks[0] = region.measure_fill(tasks[0])
+            stream = self.make_prefetcher().run(tasks)
+            try:
+                for j in columns:
+                    column = next(stream)
+                    for block in column:
+                        self._crash_point("mid-scatter")
+                        self.push_block(snapshot, block, acc, touched, gate_mask)
+                        edges += block.count
+                    blocks += len(column)
+                    self.apply_interval(j, acc, touched, activated_mask)
+                    if after_column is not None:
+                        after_column(j, column)
+            finally:
+                stream.close()
+        return edges, blocks
+
+    def consume_plan(
+        self,
+        plan: Sequence[PlanEntry],
+        snapshot: State,
+        acc: np.ndarray,
+        touched: np.ndarray,
+    ) -> List[EdgeBlock]:
+        """Consume an ordered plan of gated block loads; no apply.
+
+        The thunks stream through a K-lane :class:`GatherPool` (same
+        single in-order worker as :meth:`sweep_columns`, so fault
+        ordinals and the disk-op stream are the serial ones) inside
+        :meth:`overlap_region`. Per entry: poll ``mid-scatter``, take the
+        block, :meth:`push_block` it through the entry's gate. Only a
+        cleanly consumed plan earns the pool's lane credit; a fault or
+        crash propagates with the raw serial charges. Returns the
+        non-empty blocks in plan order.
+        """
+        tasks = [task for task, _gate in plan]
+        pool = GatherPool(
+            self.gather_lanes,
+            self.prefetch_depth,
+            clock=self.clock,
+            stats=self.disk.stats,
+            tracer=self.tracer,
+        )
+        consumed: List[EdgeBlock] = []
+        with self.overlap_region() as region:
+            if region is not None and tasks:
+                tasks[0] = region.measure_fill(tasks[0])
+            stream = pool.run(tasks)
+            try:
+                for _task, gate in plan:
+                    self._crash_point("mid-scatter")
+                    block = next(stream)
+                    if block.count:
+                        self.push_block(snapshot, block, acc, touched, gate)
+                        consumed.append(block)
+            finally:
+                stream.close()
+            pool.finish(region)
+        return consumed
 
     # -- iteration metric capture ----------------------------------------
 

@@ -27,13 +27,19 @@ plain full-I/O iteration.
 
 Plan-then-consume execution
 ---------------------------
-Both phases run as a *block plan* (one load thunk per destination
-column) consumed through the engine's
-:class:`~repro.storage.prefetch.BlockPrefetcher`: with pipelining
-enabled, column ``j+1`` loads on a background thread while column ``j``
-gathers and applies, inside a clock
-:class:`~repro.utils.timers.OverlapRegion`. Two invariants keep
-pipelined execution bit-identical to serial:
+Both phases run as a *column plan* (one load thunk per destination
+column) through a :class:`~repro.storage.prefetch.BlockPrefetcher`: with
+pipelining enabled, column ``j+1`` loads on a background thread while
+column ``j`` gathers and applies, inside a clock
+:class:`~repro.utils.timers.OverlapRegion`. Phase 2 is exactly
+:meth:`~repro.core.engine_base.EngineBase.sweep_columns`. Phase 1 keeps
+its own column loop — cross pushes read the state its own applies are
+writing, the diagonal is held across the apply, and the buffer is
+admitted to and re-ranked around each column — on the same per-block
+step (:meth:`~repro.core.engine_base.EngineBase.push_block`). A round
+without cross pushes is that same loop: it shares the admissions,
+re-ranking and gating, none of which the plain sweep knows about. Two
+invariants keep pipelined execution bit-identical to serial:
 
 * the single worker executes columns strictly in sweep order, so the
   disk-operation stream (charges, page-cache state, injected faults) is
@@ -48,34 +54,29 @@ pipelined execution bit-identical to serial:
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Dict, List
 
 import numpy as np
 
 if TYPE_CHECKING:  # engine.py imports this module; import only for types
     from repro.core.engine import GraphSDEngine
 
+from repro.core.engine_base import ColumnTask
 from repro.graph.grid import EdgeBlock
-from repro.storage.prefetch import BlockPrefetcher
 from repro.utils.bitset import VertexSubset
 from repro.utils.timers import COMPUTE
 
-#: A deferred column load: returns ``(i, block, from_cache)`` triples.
-_ColumnTask = Callable[[], List[Tuple[int, EdgeBlock, bool]]]
 
-
-def _load_column_buffered(
-    engine: "GraphSDEngine", j: int, i_lo: int
-) -> List[Tuple[int, EdgeBlock, bool]]:
+def _load_column_buffered(engine: "GraphSDEngine", j: int, i_lo: int) -> List[EdgeBlock]:
     """Load blocks ``(i_lo.., j)``, serving from the buffer when possible.
 
     Uncached blocks are fetched in contiguous runs (one sequential read
-    per run per column file). Returns ``(i, block, from_cache)`` triples
-    in ascending ``i``.
+    per run per column file). Returns the blocks in ascending ``i``.
     """
     store = engine.store
     P = store.P
-    cached = {}
+    cached: Dict[int, EdgeBlock] = {}
     if engine.buffer_enabled:
         for i in range(i_lo, P):
             if store.block_edge_count(i, j) == 0:
@@ -85,29 +86,17 @@ def _load_column_buffered(
                 cached[i] = block
                 engine.disk.stats.buffer_hit_bytes += engine.buffer.size_of((i, j))
 
-    out: List[Tuple[int, EdgeBlock, bool]] = []
+    out: List[EdgeBlock] = []
     run_start = None
-    loaded = {}
-
-    def flush(run_end: int) -> None:
-        nonlocal run_start
-        if run_start is not None:
-            for blk in store.load_block_range(j, run_start, run_end):
-                loaded[blk.i] = blk
-            run_start = None
-
-    for i in range(i_lo, P):
-        if i in cached:
-            flush(i)
+    for i in range(i_lo, P + 1):
+        if i == P or i in cached:
+            if run_start is not None:
+                out.extend(store.load_block_range(j, run_start, i))
+                run_start = None
+            if i < P:
+                out.append(cached[i])
         elif run_start is None:
             run_start = i
-    flush(P)
-
-    for i in range(i_lo, P):
-        if i in cached:
-            out.append((i, cached[i], True))
-        elif i in loaded:
-            out.append((i, loaded[i], False))
     return out
 
 
@@ -120,30 +109,25 @@ def _count_active_edges(
     return count
 
 
-def _column_tasks(
-    engine: "GraphSDEngine",
-    prefetcher: "BlockPrefetcher",
-    i_lo_of: Callable[[int], int],
-    gates: Optional[List[threading.Event]] = None,
-) -> List[_ColumnTask]:
-    """One load thunk per destination column, gated when requested.
+def _admit_column(
+    engine: "GraphSDEngine", j: int, column: List[EdgeBlock], priority_mask: np.ndarray
+) -> None:
+    """Offer column ``j``'s freshly read secondary blocks to the buffer.
 
-    ``gates[j]`` (when given) must be set before the worker may start
-    column ``j + 1`` — FCIU phase 1 sets it once column ``j``'s buffer
-    admissions are complete, so the worker's residency checks always see
-    the same buffer state as a serial sweep.
+    Admission is budgeted in *encoded* (on-disk) bytes: what buffering
+    saves is the block's re-read, so a compact store's buffer fits more
+    secondary blocks per byte of budget.
     """
-    P = engine.store.P
-
-    def make_task(j: int) -> _ColumnTask:
-        def task() -> List[Tuple[int, EdgeBlock, bool]]:
-            if gates is not None and j > 0:
-                prefetcher.wait_gate(gates[j - 1])
-            return _load_column_buffered(engine, j, i_lo_of(j))
-
-        return task
-
-    return [make_task(j) for j in range(P)]
+    buffer = engine.buffer
+    # Only admissions change residency and column j's have not started,
+    # so "resident now" is exactly "served from the buffer by the load".
+    fresh = [b for b in column if b.i > j and (b.i, j) not in buffer]
+    for block in fresh:
+        stored_bytes = engine.store.block_nbytes(block.i, j)
+        if stored_bytes <= buffer.capacity_bytes:
+            priority = _count_active_edges(engine, block, priority_mask)
+            buffer.put((block.i, j), block, priority, nbytes=stored_bytes)
+    engine.tracer.metrics.set_gauge("buffer.occupancy_bytes", buffer.used_bytes)
 
 
 def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
@@ -167,8 +151,17 @@ def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
     blocks1 = 0
     prefetcher = engine.make_prefetcher()
     admit = engine.buffer_enabled
-    gates = [threading.Event() for _ in range(P)] if admit else None
-    tasks = _column_tasks(engine, prefetcher, lambda j: 0, gates=gates)
+    priority_mask = frontier.mask if gate is not None else np.ones(n, dtype=bool)
+    gates = [threading.Event() for _ in range(P)]
+
+    def gated_load(j: int) -> List[EdgeBlock]:
+        # The residency check for column j must see column j-1's
+        # admissions, exactly as a serial sweep would.
+        if admit and j > 0:
+            prefetcher.wait_gate(gates[j - 1])
+        return _load_column_buffered(engine, j, 0)
+
+    tasks: List[ColumnTask] = [partial(gated_load, j) for j in range(P)]
     phase1_span = engine.tracer.span(
         "fciu.phase1", cat="phase", cross=do_cross, columns=P
     )
@@ -185,63 +178,41 @@ def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
                     # (nothing between column start and each put touches
                     # the buffer), and opening the gate here lets the
                     # worker check column j+1's residency safely.
-                    for i, block, from_cache in column:
-                        # Admission is budgeted in *encoded* (on-disk)
-                        # bytes: what buffering saves is the block's
-                        # re-read, so a compact store's buffer fits more
-                        # secondary blocks per byte of budget.
-                        stored_bytes = store.block_nbytes(i, j)
-                        if (
-                            i > j
-                            and not from_cache
-                            and stored_bytes <= engine.buffer.capacity_bytes
-                        ):
-                            priority = _count_active_edges(
-                                engine,
-                                block,
-                                frontier.mask if gate is not None else np.ones(n, bool),
-                            )
-                            engine.buffer.put((i, j), block, priority, nbytes=stored_bytes)
+                    _admit_column(engine, j, column, priority_mask)
                     gates[j].set()
-                    engine.tracer.metrics.set_gauge(
-                        "buffer.occupancy_bytes", engine.buffer.used_bytes
-                    )
 
                 diag_block = None
-                for i, block, _from_cache in column:
+                for block in column:
                     engine._crash_point("mid-scatter")
-                    contrib, edge_mask = engine.gather_block(prev, block, gate_mask=gate)
-                    engine.combine_block(acc, touched, block, contrib, edge_mask)
+                    engine.push_block(prev, block, acc, touched, gate)
                     edges1 += block.count
-                    blocks1 += 1
-                    if do_cross and i < j:
+                    if do_cross and block.i < j:
                         # Sources in interval i are final for iteration t:
                         # push their t+1 contributions now (Algorithm 3,
                         # lines 7-11).
-                        contrib2, mask2 = engine.gather_block(
-                            engine.state, block, gate_mask=activated_mask
+                        engine.push_block(
+                            engine.state, block, acc_next, touched_next, activated_mask
                         )
-                        engine.combine_block(acc_next, touched_next, block, contrib2, mask2)
-                    if i == j:
+                    if block.i == j:
                         diag_block = block  # held in memory (Algorithm 3, line 13)
+                blocks1 += len(column)
 
                 engine.apply_interval(j, acc, touched, activated_mask)
 
                 if do_cross and diag_block is not None and diag_block.count:
                     # Interval j just finished updating; its diagonal block
                     # can now cross-push (Algorithm 3, lines 13-16).
-                    contrib, edge_mask = engine.gather_block(
-                        engine.state, diag_block, gate_mask=activated_mask
+                    engine.push_block(
+                        engine.state, diag_block, acc_next, touched_next, activated_mask
                     )
-                    engine.combine_block(acc_next, touched_next, diag_block, contrib, edge_mask)
 
-                if engine.buffer_enabled:
+                if admit:
                     # Interval j's activations are now known; re-rank the
                     # cached secondary blocks whose sources live in interval
                     # j (§4.3: "the priority ... automatically updated after
                     # the processing of this secondary sub-block").
                     for jj in range(j):
-                        resident = engine.buffer._blocks.get((j, jj))
+                        resident = engine.buffer.peek((j, jj))
                         if resident is not None:
                             engine.buffer.update_priority(
                                 (j, jj), _count_active_edges(engine, resident, activated_mask)
@@ -278,30 +249,19 @@ def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
     prev2 = program.copy_state(engine.state)
     gate2 = None if program.all_active else activated_mask
     acc2, touched2 = engine.take_carried_accumulator()
-
     new_activated = np.zeros(n, dtype=bool)
-    edges2 = 0
-    blocks2 = 0
-    prefetcher2 = engine.make_prefetcher()
     # No gating: phase 2 never mutates the buffer, so lookahead residency
     # checks are race-free.
-    tasks2 = _column_tasks(engine, prefetcher2, lambda j: j + 1)
-    phase2_span = engine.tracer.span("fciu.phase2", cat="phase", columns=P)
-    with phase2_span, engine.overlap_region() as region2:
-        if region2 is not None:
-            tasks2[0] = region2.measure_fill(tasks2[0])
-        stream2 = prefetcher2.run(tasks2)
-        try:
-            for j in range(P):
-                for i, block, _from_cache in next(stream2):
-                    engine._crash_point("mid-scatter")
-                    contrib, edge_mask = engine.gather_block(prev2, block, gate_mask=gate2)
-                    engine.combine_block(acc2, touched2, block, contrib, edge_mask)
-                    edges2 += block.count
-                    blocks2 += 1
-                engine.apply_interval(j, acc2, touched2, new_activated)
-        finally:
-            stream2.close()
+    with engine.tracer.span("fciu.phase2", cat="phase", columns=P):
+        edges2, blocks2 = engine.sweep_columns(
+            range(P),
+            lambda j: _load_column_buffered(engine, j, j + 1),
+            prev2,
+            gate2,
+            acc2,
+            touched2,
+            new_activated,
+        )
 
     engine._store_state()
     engine.end_iteration(

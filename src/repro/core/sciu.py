@@ -26,11 +26,11 @@ apply, the state trajectory stays per-iteration identical to strict BSP
 Plan-then-consume execution
 ---------------------------
 The scatter phase first builds a *block plan* on the consuming thread:
-sub-block buffer hits are resolved immediately (residency is static
-during a round), and every remaining ``(i, j)`` pair becomes one load
-thunk (index access + selective edge load). The thunks then stream
-through the engine's :class:`~repro.storage.gatherpool.GatherPool`
-(which delegates execution to a single in-order
+every ``(i, j)`` pair with active sources becomes one ungated plan
+entry whose load thunk does the index access + selective edge load.
+:meth:`~repro.core.engine_base.EngineBase.consume_plan` then streams the
+thunks through a :class:`~repro.storage.gatherpool.GatherPool` (which
+delegates execution to a single in-order
 :class:`~repro.storage.prefetch.BlockPrefetcher` worker) inside a clock
 :class:`~repro.utils.timers.OverlapRegion` — with pipelining enabled,
 block ``k+1``'s index reads and gather-loads overlap with block ``k``'s
@@ -44,13 +44,14 @@ exhausted → rolled back → full streaming) works unchanged.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Tuple
+from typing import TYPE_CHECKING, Callable, List
 
 import numpy as np
 
 if TYPE_CHECKING:  # engine.py imports this module; import only for types
     from repro.core.engine import GraphSDEngine
 
+from repro.core.engine_base import PlanEntry
 from repro.core.scheduler import INDEX_GATHER, INDEX_SPAN
 from repro.graph.grid import EdgeBlock
 from repro.storage.faults import FaultError, GatherFault
@@ -106,12 +107,8 @@ def run_sciu_round(engine: "GraphSDEngine") -> VertexSubset:
             index_plan = engine.scheduler.plan_index_access(frontier)
         active_per_row = index_plan.active_per_row
 
-        # ---- plan: resolve buffer hits, thunk everything else ----------
-        # Buffer residency is static during an SCIU round, so hits can be
-        # resolved here on the consuming thread; each miss becomes one
-        # load thunk executed (in plan order) by the prefetch worker.
-        plan: List[Tuple[int, int, EdgeBlock]] = []  # (i, j, resolved block or None)
-        tasks: List[Callable[[], EdgeBlock]] = []
+        # ---- plan: one selective-load thunk per active (i, j) -----------
+        plan: List[PlanEntry] = []
         for i in range(store.P):
             if active_per_row[i] == 0:
                 continue
@@ -122,44 +119,17 @@ def run_sciu_round(engine: "GraphSDEngine") -> VertexSubset:
             lo_l = int(index_plan.lo_local[i])
             hi_l = int(index_plan.hi_local[i])
             for j in range(store.P):
-                if store.block_edge_count(i, j) == 0:
-                    continue
-                buffered = engine.selective_from_buffer(i, j, ids)
-                plan.append((i, j, buffered))
-                if buffered is None:
-                    tasks.append(
-                        _make_load_task(engine, i, j, ids, local, mode, lo_l, hi_l)
+                if store.block_edge_count(i, j):
+                    plan.append(
+                        (_make_load_task(engine, i, j, ids, local, mode, lo_l, hi_l), None)
                     )
 
         # ---- consume: gather/combine in plan order ---------------------
-        # Buffer hits were resolved at plan time, so they never occupy a
-        # gather lane — only the miss thunks flow through the pool.
-        retained: List[EdgeBlock] = []
-        edges_processed = 0
-        pool = engine.make_gather_pool()
         with engine.tracer.span(
-            "sciu.scatter", cat="phase", blocks=len(plan), tasks=len(tasks),
-            lanes=pool.lanes,
+            "sciu.scatter", cat="phase", blocks=len(plan), lanes=engine.gather_lanes
         ):
-            with engine.overlap_region() as region:
-                if region is not None and tasks:
-                    tasks[0] = region.measure_fill(tasks[0])
-                stream = pool.run(tasks)
-                try:
-                    for _i, _j, buffered in plan:
-                        engine._crash_point("mid-scatter")
-                        block = buffered if buffered is not None else next(stream)
-                        if block.count == 0:
-                            continue
-                        contrib, edge_mask = engine.gather_block(prev, block)
-                        engine.combine_block(acc, touched, block, contrib, edge_mask)
-                        retained.append(block)
-                        edges_processed += block.count
-                finally:
-                    stream.close()
-                # Only a cleanly consumed round earns the K-lane credit;
-                # faulted/crashed rounds keep their raw serial charges.
-                pool.finish(region)
+            retained = engine.consume_plan(plan, prev, acc, touched)
+        edges_processed = sum(block.count for block in retained)
     except FaultError as exc:
         if carried_backup is not None:
             engine.acc_next, engine.touched_next = carried_backup
@@ -197,8 +167,7 @@ def run_sciu_round(engine: "GraphSDEngine") -> VertexSubset:
                         block.dst[keep],
                         None if block.wgt is None else block.wgt[keep],
                     )
-                    contrib, edge_mask = engine.gather_block(engine.state, sub)
-                    engine.combine_block(acc_next, touched_next, sub, contrib, edge_mask)
+                    engine.push_block(engine.state, sub, acc_next, touched_next)
             # Cross-pushed vertices leave Out: their edges need not be
             # loaded next iteration (Algorithm 2, line 17).
             activated_mask &= ~candidates

@@ -36,14 +36,22 @@ class EdgeList:
         weights: Optional[np.ndarray] = None,
     ) -> None:
         require(num_vertices >= 0, "num_vertices must be >= 0")
+        # Range-check the incoming ids: the uint32 cast below would wrap
+        # a negative or >= 2**32 id into a valid-looking one.
+        limit = min(int(num_vertices), 2**32)
+        src, dst = np.asarray(src), np.asarray(dst)
+        for ids in (src, dst):
+            if ids.size:
+                lo, hi = int(ids.min()), int(ids.max())
+                require(lo >= 0, f"edge endpoint id {lo} is negative")
+                require(
+                    hi < limit,
+                    f"edge endpoint id {hi} >= num_vertices ({num_vertices}) "
+                    "or the 2**32 id space",
+                )
         src = np.ascontiguousarray(src, dtype=VERTEX_DTYPE)
         dst = np.ascontiguousarray(dst, dtype=VERTEX_DTYPE)
         check_same_length("src", src, "dst", dst)
-        if src.size:
-            require(
-                int(src.max()) < num_vertices and int(dst.max()) < num_vertices,
-                "edge endpoint id >= num_vertices",
-            )
         if weights is not None:
             weights = np.ascontiguousarray(weights, dtype=WEIGHT_DTYPE)
             check_same_length("src", src, "weights", weights)

@@ -65,7 +65,7 @@ rejected there.
 
 Validation here is structural (types and required keys), deliberately
 dependency-free — no jsonschema package — and strict about unknown event
-types so schema drift fails loudly in CI's trace-smoke job.
+types so schema drift fails loudly in CI's bench-smoke job.
 """
 
 from __future__ import annotations

@@ -92,7 +92,7 @@ class GatherPool:
 
     ``lanes`` is the modeled concurrency (K >= 1); ``depth`` is the
     lookahead of the underlying prefetcher (0 = inline/serial execution,
-    as in :meth:`~repro.core.engine.GraphSDEngine.make_prefetcher`).
+    as in :meth:`~repro.core.engine_base.EngineBase.make_prefetcher`).
     ``stats`` receives the ``gather_*`` observability counters — pass
     the simulated disk's :class:`IOStats` so they surface in results.
     """

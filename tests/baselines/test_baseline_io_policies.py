@@ -109,3 +109,40 @@ def test_lumos_pays_future_value_overhead(edges, tmp_path):
     ).run(PageRank(iterations=4))
     assert np.allclose(lumos.values, plain.values)
     assert lumos.io_traffic > plain.io_traffic
+
+
+#: (values_sha256 prefix, iterations, edges processed, bytes read,
+#: bytes written, read requests, write requests) per baseline × program,
+#: recorded before the baselines moved onto the shared column sweep.
+SWEEP_GOLDEN = {
+    ("graphchi", "pr"): ("7d1bedff2e9dceb2", 3, 9000, 115200, 45600, 51, 16),
+    ("graphchi", "sssp"): ("9a386ee00c08497a", 14, 42000, 537600, 204000, 238, 71),
+    ("gridgraph", "pr"): ("7d1bedff2e9dceb2", 3, 9000, 115200, 9600, 15, 4),
+    ("gridgraph", "sssp"): ("9a386ee00c08497a", 14, 33761, 438732, 36000, 70, 15),
+    ("xstream", "pr"): ("7d1bedff2e9dceb2", 3, 9000, 223200, 117600, 27, 16),
+    ("xstream", "sssp"): ("9a386ee00c08497a", 14, 42000, 668424, 166824, 126, 71),
+}
+_SWEEP_ENGINES = {
+    "graphchi": GraphChiEngine, "gridgraph": GridGraphEngine, "xstream": XStreamEngine,
+}
+_SWEEP_PROGRAMS = {"pr": lambda: PageRank(iterations=3), "sssp": lambda: SSSP(source=0)}
+
+
+@pytest.mark.parametrize("system,program", sorted(SWEEP_GOLDEN))
+def test_streaming_baselines_unchanged_through_shared_sweep(edges, tmp_path, system, program):
+    """Same values, same traffic, request for request: each policy's
+    hooks (block ranges, writeback, update stream) ride the one sweep."""
+    store = build_store(edges, tmp_path, name="sw",
+                        indexed=False, sort_within_blocks=False)
+    result = _SWEEP_ENGINES[system](store).run(_SWEEP_PROGRAMS[program]())
+    io = result.io
+    assert (
+        result.values_sha256()[:16],
+        result.iterations,
+        sum(r.edges_processed for r in result.per_iteration),
+        io.bytes_read_seq,
+        io.bytes_written_seq,
+        io.read_requests_seq,
+        io.write_requests_seq,
+    ) == SWEEP_GOLDEN[(system, program)]
+    assert io.bytes_read_ran == 0 and io.read_requests_ran == 0

@@ -74,6 +74,34 @@ def cluster(tmp_path_factory):
     return run
 
 
+def test_shard_compute_runs_the_shared_execution_core(cluster, monkeypatch):
+    """A worker has no kernel loop of its own: its compute phase is the
+    engines' column sweep, so it goes through the same three entry points
+    (and shows up in the same per-layer measurements) as one worker."""
+    from repro.core.engine_base import EngineBase
+
+    calls = {"gather_block": 0, "combine_block": 0, "apply_interval": 0}
+
+    def counted(name):
+        inner = getattr(EngineBase, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return inner(self, *args, **kwargs)
+
+        return wrapper
+
+    single = cluster.baseline("pr")
+    for name in calls:
+        monkeypatch.setattr(EngineBase, name, counted(name))
+    two = cluster(2, algo="pr")
+    assert np.array_equal(two.values, single.values)
+    assert two.iterations == single.iterations
+    # Every superstep gathers every block once and applies every interval once.
+    assert calls["apply_interval"] == P * two.iterations
+    assert calls["gather_block"] == calls["combine_block"] == P * P * two.iterations
+
+
 @pytest.mark.parametrize("algo", sorted(_PROGRAMS))
 def test_values_identical_for_any_worker_count(cluster, algo):
     single = cluster.baseline(algo)

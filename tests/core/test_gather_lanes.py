@@ -198,24 +198,3 @@ def test_injected_crash_fires_at_same_point_across_lanes(tmp_path):
     assert one.bytes_read_seq == four.bytes_read_seq
     assert one.bytes_read_ran == four.bytes_read_ran
     assert one.bytes_written_seq == four.bytes_written_seq
-
-
-def test_buffer_hits_never_occupy_a_gather_lane(tmp_path):
-    """With --buffer-serves-selective, buffered blocks are resolved at
-    plan time and issue no gather runs: the run counter must drop while
-    the answers stay correct."""
-    from repro.baselines import BSPReference
-
-    rng = np.random.default_rng(17)
-    edges = random_edgelist(rng, 400, 4000)
-    ref = BSPReference(edges).run(PROGRAMS["cc"]())
-    runs = {}
-    for flag in (False, True):
-        store = build_store(edges, tmp_path, P=4, name=f"bufsel{flag}")
-        cfg = GraphSDConfig(
-            buffer_serves_selective=flag, buffer_bytes=1 << 30, gather_lanes=4
-        )
-        runs[flag] = GraphSDEngine(store, config=cfg).run(PROGRAMS["cc"]())
-        assert np.allclose(ref.values, runs[flag].values, equal_nan=True)
-    assert runs[True].buffer_hit_bytes > 0
-    assert runs[True].gather_runs_issued < runs[False].gather_runs_issued

@@ -24,6 +24,27 @@ def test_endpoint_range_checked():
         EdgeList(3, [0], [1, 2])  # length mismatch
 
 
+def test_out_of_range_ids_are_rejected_not_wrapped(tmp_path):
+    """The uint32 cast must never turn a bad id into a valid-looking one."""
+    with pytest.raises(ValueError, match=str(2**32 + 1)):
+        EdgeList.from_pairs([(2**32 + 1, 3), (0, 1)])  # would wrap to src == [1, 0]
+    with pytest.raises(ValueError, match="-1 is negative"):
+        EdgeList.from_pairs([(-1, 3)], num_vertices=2**32)  # would wrap to 2**32 - 1
+    with pytest.raises(ValueError, match="-2 is negative"):
+        EdgeList(5, [0, 1], np.array([1, -2], dtype=np.int64))
+    with pytest.raises(ValueError, match=str(2**32)):
+        EdgeList(2**33, [0], [2**32])
+    path = tmp_path / "bad.txt"
+    path.write_text(f"0 1\n{2**32 + 1} 3\n")
+    with pytest.raises(ValueError, match=str(2**32 + 1)):
+        EdgeList.from_text(path)
+    path.write_text("0 1\n-1 3\n")
+    with pytest.raises(ValueError, match="-1 is negative"):
+        EdgeList.from_text(path, num_vertices=2**32)
+    # The largest representable id is still accepted.
+    assert EdgeList(2**32, [2**32 - 1], [0]).src[0] == 2**32 - 1
+
+
 def test_nbytes_on_disk_matches_table2_notation():
     el = EdgeList(4, [0, 1], [1, 2])
     assert el.nbytes_on_disk == 2 * EDGE_STRUCT_BYTES
