@@ -54,12 +54,17 @@ class Combine(enum.Enum):
         return 0.0 if self is Combine.ADD else np.inf
 
 
-#: ADD blocks with fewer than ``acc.size / SPARSE_ADD_RATIO`` edges take
-#: the ``np.add.at`` path: bincount allocates and scans a full
-#: accumulator-length array per call, which dominates when a block
-#: touches a handful of destinations (late SCIU iterations, tiny
-#: frontiers). Dense blocks keep bincount's single C pass.
+#: ADD blocks with fewer than ``|V| / SPARSE_ADD_RATIO`` edges take the
+#: ``np.add.at`` path, which adds straight into the accumulator; denser
+#: blocks sum per destination with one ``np.bincount`` pass first. The
+#: two group the float additions differently, so which one a block takes
+#: is part of every recorded ADD result (see :func:`add_is_dense`).
 SPARSE_ADD_RATIO = 8
+
+
+def add_is_dense(num_edges: int, num_vertices: int) -> bool:
+    """Whether an ADD block of ``num_edges`` takes the bincount path."""
+    return num_edges * SPARSE_ADD_RATIO >= num_vertices
 
 
 def scatter_combine(
@@ -67,22 +72,33 @@ def scatter_combine(
     acc: np.ndarray,
     dst_local: np.ndarray,
     contributions: np.ndarray,
+    dense_add: Optional[bool] = None,
 ) -> None:
     """Reduce per-edge ``contributions`` into ``acc`` at ``dst_local``.
 
-    ``ADD`` uses :func:`numpy.bincount` (a single C pass) for dense
-    blocks and the ufunc ``at`` reduction below the density threshold;
-    ``MIN`` always uses ``at``. All paths tolerate repeated
-    destinations. The ADD dispatch depends only on sizes, so identical
-    block streams reduce identically regardless of execution mode.
+    ``dst_local`` indexes ``acc``: engines pass one destination
+    interval's slice of the accumulator and ids local to it, so the work
+    is proportional to the edges and (on the dense ADD path) the
+    interval, never to ``|V|``; an oracle may equally pass the whole
+    accumulator and global ids. All paths tolerate repeated
+    destinations.
+
+    ``MIN`` always uses the ufunc ``at`` reduction. ``ADD`` uses
+    :func:`numpy.bincount` when ``dense_add`` and ``np.add.at``
+    otherwise; left ``None`` the choice is :func:`add_is_dense` of the
+    sizes passed. Engines decide it from the *loaded* block and ``|V|``
+    instead, so that neither gating a block nor slicing the accumulator
+    changes how a block's additions are grouped.
     """
     if dst_local.size == 0:
         return
     if combine is Combine.ADD:
-        if dst_local.size * SPARSE_ADD_RATIO < acc.shape[0]:
-            np.add.at(acc, dst_local, contributions)
-        else:
+        if dense_add is None:
+            dense_add = add_is_dense(dst_local.size, acc.shape[0])
+        if dense_add:
             acc += np.bincount(dst_local, weights=contributions, minlength=acc.shape[0])
+        else:
+            np.add.at(acc, dst_local, contributions)
     else:
         np.minimum.at(acc, dst_local, contributions)
 
@@ -156,12 +172,6 @@ class VertexProgram:
     all_active: bool = False
     max_iterations: Optional[int] = None
     monotonic: bool = False
-    #: state arrays whose entries must be neutralized (set to the given
-    #: value) for *inactive* vertices before a full-scan gather. Needed
-    #: by delta-accumulating programs (PR-Delta), where an inactive
-    #: vertex's delta has already been propagated. Pairs of
-    #: ``(array_name, neutral_value)``.
-    gated_arrays: tuple = ()
 
     # -- lifecycle hooks ---------------------------------------------------
 

@@ -13,17 +13,17 @@ fixpoint as plain PR. A vertex joins the next frontier iff
 :math:`|\\Delta_v| > tol`, so the frontier shrinks geometrically — the
 workload regime where GraphSD's selective model shines.
 
-The ``delta`` array is *frontier-gated*: engines must neutralize the
-deltas of inactive sources before a full-scan gather, because an
-inactive vertex's delta was already propagated in the iteration it was
-produced (see :attr:`VertexProgram.gated_arrays` handling in the
-engines). Push-style selective execution consumes deltas implicitly by
-only pushing frontier vertices.
+The ``delta`` array is *frontier-gated*: an inactive vertex's delta was
+already propagated in the iteration it was produced, so a full scan
+must not push it again. Engines guarantee that per edge — the block
+step gathers only edges whose source is in the frontier
+(:meth:`~repro.core.engine_base.EngineBase.push_block`) — and
+push-style selective execution only ever loads frontier vertices' edges.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -38,10 +38,6 @@ class PageRankDelta(VertexProgram):
     needs_weights = False
     all_active = False
     monotonic = True  # residual deltas only refine the result toward the fixpoint
-
-    #: state arrays that must read as "no contribution" for inactive
-    #: sources in full-scan gathers: array name -> neutral value.
-    gated_arrays: Tuple[Tuple[str, float], ...] = (("delta", 0.0),)
 
     def __init__(self, damping: float = 0.85, tol: float = 2e-2, iterations: int = 20) -> None:
         check_in_range(damping, 0.0, 1.0, "damping")

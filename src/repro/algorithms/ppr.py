@@ -15,7 +15,7 @@ stress for the state-aware scheduler (frontier grows, then decays).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -30,8 +30,6 @@ class PersonalizedPageRank(VertexProgram):
     needs_weights = False
     all_active = False
     monotonic = True  # residual deltas only refine the result toward the fixpoint
-
-    gated_arrays: Tuple[Tuple[str, float], ...] = (("delta", 0.0),)
 
     def __init__(
         self,

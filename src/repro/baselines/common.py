@@ -85,8 +85,9 @@ class StreamingEngineBase(EngineBase):
 
         def after_column(j: int, blocks: List[EdgeBlock]) -> None:
             nonlocal active_edges
+            bounds = self.store.intervals.bounds
             active_edges += sum(
-                b.count if gate is None else int(np.count_nonzero(gate[b.src]))
+                b.count if gate is None else b.count_active(gate, *bounds(b.i))
                 for b in blocks
             )
             self._post_column(j, blocks)

@@ -330,7 +330,8 @@ class AsyncGraphSDEngine(GraphSDEngine):
         and otherwise the first chase round makes the §4.1 cost choice —
         a selective gather of just the chase set's edges, or one full
         streamed load that is then retained, so every later round is
-        pure in-memory compute (a gated gather of the cached block).
+        pure in-memory compute proportional to the chase set (its edges
+        are cut out of the cached block by source offsets).
         Returns ``(activated-union, edges, blocks)``.
         """
         union = act.copy()
@@ -371,15 +372,14 @@ class AsyncGraphSDEngine(GraphSDEngine):
                         "to a gated full load"
                     )
                     diagonal = store.load_block(j, j)
-            gate: Optional[np.ndarray] = None
+            active: Optional[np.ndarray] = None
             if block is None:
                 assert diagonal is not None  # handed in by the pop or loaded above
                 block = diagonal  # retained in memory: re-gathers cost no disk
-                gate = np.zeros(self.ctx.num_vertices, dtype=bool)
-                gate[lo:hi] = chase
+                active = local  # cut the chase set's edges out of it
             if block.count == 0:
                 break
-            self.push_block(self.state, block, acc, touched, gate)
+            self.push_block(self.state, block, acc, touched, active=active)
             edges += block.count
             act, n_act = self._apply_measured(
                 j, lo, hi, acc, touched, value, scratch

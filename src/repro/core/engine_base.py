@@ -10,8 +10,7 @@ they share:
 * per-iteration state persistence (vertex values are re-read from and
   written back to disk every iteration, the ``|V| x N / B`` terms of the
   paper's cost model);
-* vectorized gather / combine / apply helpers with modeled compute
-  charging and frontier gating;
+* vectorized gather / combine / apply helpers;
 * the **execution core** — the only two block consumers in the
   repository. :meth:`EngineBase.sweep_columns` streams ordered
   destination columns (one load thunk per column, applied at the end of
@@ -50,6 +49,7 @@ from repro.algorithms.base import (
     GraphContext,
     State,
     VertexProgram,
+    add_is_dense,
     scatter_combine,
 )
 from repro.core.result import IterationRecord, RunResult
@@ -63,6 +63,12 @@ from repro.storage.prefetch import BlockPrefetcher
 from repro.utils.bitset import VertexSubset
 from repro.utils.timers import COMPUTE, OverlapRegion, TimeBreakdown, WallTimer
 from repro.utils.validation import require
+
+#: Active share of a source interval above which a gated push gathers the
+#: whole block and neutralizes the inactive edges instead of cutting the
+#: active ones out (see :meth:`EngineBase.push_block`). Measured once,
+#: docs/PERFORMANCE.md "Block-proportional kernels"; not a setting.
+DENSE_GATE = 0.5
 
 #: One deferred column load: every block of one destination column.
 ColumnTask = Callable[[], List[EdgeBlock]]
@@ -182,7 +188,7 @@ class EngineBase:
         """Per-vertex state footprint (``N`` in the cost model)."""
         return self.program.state_value_bytes(self.state)
 
-    # -- vectorized kernels with compute charging ---------------------------
+    # -- vectorized kernels ------------------------------------------------
 
     def gather_block(
         self,
@@ -192,21 +198,23 @@ class EngineBase:
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Per-edge contributions of ``block`` computed from ``snapshot``.
 
-        ``gate_mask`` (a per-vertex bool array) neutralizes contributions
-        whose source is outside the mask — engines gate full scans to the
-        frontier so inactive sources contribute the combine identity.
-        Returns ``(contributions, edge_mask)``: ``edge_mask`` marks the
+        :meth:`push_block` hands over the edges worth gathering, so
+        ``gate_mask`` is normally ``None``. It is set for a mostly-active
+        gate only: every edge is gathered and the contributions whose
+        source is outside the mask become the combine identity. Returns
+        ``(contributions, edge_mask)``: ``edge_mask`` marks the
         non-neutralized edges (``None`` when ungated) and must be passed
         through to :meth:`combine_block`.
         """
         if self.program.needs_weights:
             require(block.wgt is not None, f"{self.program.name} requires edge weights")
-        contrib = self.program.gather(snapshot, block.src, block.wgt)
+        # Widened once here instead of once per fancy-index in the program.
+        src = block.src.astype(np.intp, copy=False)
+        contrib = self.program.gather(snapshot, src, block.wgt)
         edge_mask: Optional[np.ndarray] = None
         if gate_mask is not None:
-            edge_mask = gate_mask[block.src]
+            edge_mask = gate_mask[src]
             contrib = np.where(edge_mask, contrib, self.program.combine.identity)
-        self.clock.charge(COMPUTE, self.machine.edge_compute_time(block.count))
         return contrib, edge_mask
 
     def combine_block(
@@ -216,18 +224,24 @@ class EngineBase:
         block: EdgeBlock,
         contrib: np.ndarray,
         edge_mask: Optional[np.ndarray] = None,
+        dense_add: Optional[bool] = None,
     ) -> None:
-        """Reduce ``contrib`` into the global accumulator at block.dst.
+        """Reduce ``contrib`` into destination interval ``block.j``.
 
-        Only destinations of edges selected by ``edge_mask`` (all edges
-        when ``None``) are marked touched — neutralized contributions
-        must not create phantom activity or phantom pending work.
+        ``acc``/``touched`` are the global arrays; only interval ``j``'s
+        slices are read or written, through ids local to it. Only
+        destinations of edges selected by ``edge_mask`` (all edges when
+        ``None``) are marked touched — neutralized contributions must
+        not create phantom activity or phantom pending work.
+        ``dense_add`` is :func:`~repro.algorithms.base.scatter_combine`'s.
         """
-        scatter_combine(self.program.combine, acc, block.dst, contrib)
-        if edge_mask is None:
-            touched[block.dst] = True
-        else:
-            touched[block.dst[edge_mask]] = True
+        lo, hi = self.store.intervals.bounds(block.j)
+        dst = block.dst.astype(np.intp)
+        dst -= lo
+        scatter_combine(self.program.combine, acc[lo:hi], dst, contrib, dense_add)
+        if edge_mask is not None:
+            dst = dst[edge_mask]
+        touched[lo:hi][dst] = True
 
     def apply_interval(
         self,
@@ -283,10 +297,42 @@ class EngineBase:
         acc: np.ndarray,
         touched: np.ndarray,
         gate_mask: Optional[np.ndarray] = None,
+        active: Optional[np.ndarray] = None,
     ) -> None:
-        """Gather ``block`` from ``snapshot`` and combine it into ``acc``."""
+        """Gather ``block`` from ``snapshot`` and combine it into ``acc``.
+
+        Only edges whose source passes the gate contribute: ``gate_mask``
+        is a per-vertex bool array, ``active`` the same set as ascending
+        ids local to source interval ``block.i`` for a caller that has
+        them already; neither = every edge. The gate is applied *before*
+        the gather — :meth:`EdgeBlock.select
+        <repro.graph.grid.EdgeBlock.select>` cuts the active sources'
+        edges out in block order — so the wall work is proportional to
+        the edges that contribute, while the modeled COMPUTE charge stays
+        that of the whole loaded block. Two gates skip the cut, decided
+        per push from the interval's active count: an all-active
+        interval is ungated, and one above :data:`DENSE_GATE` gathers
+        every edge and neutralizes the inactive ones (:meth:`gather_block`).
+        All three produce the same bits.
+        """
+        self.clock.charge(COMPUTE, self.machine.edge_compute_time(block.count))
+        # Keyed on the loaded block so gating never regroups ADD's sums.
+        dense_add = add_is_dense(block.count, acc.shape[0])
+        if gate_mask is not None or active is not None:
+            lo, hi = self.store.intervals.bounds(block.i)
+            if active is None and gate_mask is not None:
+                gate = gate_mask[lo:hi]
+                n_active = int(np.count_nonzero(gate))
+                if n_active == hi - lo:
+                    gate_mask = None
+                elif n_active <= DENSE_GATE * (hi - lo):
+                    active = np.flatnonzero(gate)
+            if active is not None:
+                block, gate_mask = block.select(active, lo, hi), None
+                if block.count == 0:
+                    return
         contrib, edge_mask = self.gather_block(snapshot, block, gate_mask)
-        self.combine_block(acc, touched, block, contrib, edge_mask)
+        self.combine_block(acc, touched, block, contrib, edge_mask, dense_add)
 
     def sweep_columns(
         self,

@@ -104,7 +104,7 @@ def _count_active_edges(
     engine: "GraphSDEngine", block: EdgeBlock, mask: np.ndarray
 ) -> int:
     """Number of edges whose source is in ``mask`` (the buffer priority)."""
-    count = int(np.count_nonzero(mask[block.src]))
+    count = block.count_active(mask, *engine.store.intervals.bounds(block.i))
     engine.clock.charge(COMPUTE, engine.machine.vertex_compute_time(block.count))
     return count
 

@@ -84,7 +84,7 @@ error instead of a garbage decode.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -92,6 +92,7 @@ import numpy as np
 from repro.graph.edgelist import EdgeList, VERTEX_DTYPE
 from repro.graph.partition import VertexIntervals
 from repro.storage.blockfile import BYTE_DTYPE, Device
+from repro.utils.runs import merge_runs, run_positions
 from repro.utils.validation import require
 
 INDEX_DTYPE = np.dtype(np.int64)
@@ -149,13 +150,23 @@ class GridFormatError(ValueError):
 
 @dataclass
 class EdgeBlock:
-    """An in-memory sub-block: the edges of grid cell ``(i, j)``."""
+    """An in-memory sub-block: the edges of grid cell ``(i, j)``.
+
+    ``source_sorted`` is set by stores whose blocks are sorted by source
+    (every indexed store); it lets :meth:`select` and :meth:`count_active`
+    reach the active sources' edges through per-source offsets instead
+    of a pass over the block. ``runs`` is the compact decoder's
+    run-length header (per-source in-block degrees) when it had one.
+    """
 
     i: int
     j: int
     src: np.ndarray
     dst: np.ndarray
     wgt: Optional[np.ndarray] = None
+    source_sorted: bool = False
+    runs: Optional[np.ndarray] = field(default=None, repr=False)
+    _offsets: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     @property
     def count(self) -> int:
@@ -167,6 +178,55 @@ class EdgeBlock:
         if self.wgt is not None:
             n += self.wgt.nbytes
         return n
+
+    def source_offsets(self, lo: int, hi: int) -> np.ndarray:
+        """CSR offsets of source interval ``[lo, hi)`` into this block.
+
+        Vertex ``v``'s edges sit at positions ``offsets[v - lo]`` up to
+        ``offsets[v - lo + 1]``. Requires ``source_sorted``. Derived once
+        — a running sum of the run-length header, else of a count of the
+        sources — and cached on the block in the narrowest unsigned
+        dtype that holds ``count``: at most 4 bytes per source, freed
+        with the block.
+        """
+        if self._offsets is None:
+            runs = self.runs
+            if runs is None:
+                runs = np.bincount(self.src - VERTEX_DTYPE.type(lo), minlength=hi - lo)
+            offsets = np.zeros(hi - lo + 1, dtype=_narrowest_uint(self.count))
+            np.cumsum(runs, dtype=offsets.dtype, out=offsets[1:])
+            self._offsets, self.runs = offsets, None
+        return self._offsets
+
+    def select(self, active: np.ndarray, lo: int, hi: int) -> "EdgeBlock":
+        """The edges of the ``active`` sources, in block order.
+
+        ``active`` holds ascending ids local to source interval
+        ``[lo, hi)``. A source-sorted block is cut through
+        :meth:`source_offsets` in ``O(active sources + their edges)``; a
+        block of unknown order falls back to one mask lookup per edge.
+        """
+        if self.source_sorted:
+            offsets = self.source_offsets(lo, hi)
+            starts = offsets[active].astype(np.intp)
+            positions = run_positions(starts, offsets[active + 1] - starts)
+        else:
+            mask = np.zeros(hi - lo, dtype=bool)
+            mask[active] = True
+            positions = np.flatnonzero(mask[self.src - VERTEX_DTYPE.type(lo)])
+        wgt = None if self.wgt is None else self.wgt[positions]
+        return EdgeBlock(self.i, self.j, self.src[positions], self.dst[positions], wgt)
+
+    def count_active(self, mask: np.ndarray, lo: int, hi: int) -> int:
+        """Number of edges whose source is set in the per-vertex ``mask``."""
+        if not self.source_sorted:
+            return int(np.count_nonzero(mask[self.src]))
+        gate = mask[lo:hi]
+        if gate.all():
+            return self.count
+        active = np.flatnonzero(gate)
+        offsets = self.source_offsets(lo, hi)
+        return int(offsets[active + 1].sum() - offsets[active].sum())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EdgeBlock(({self.i},{self.j}), edges={self.count})"
@@ -669,7 +729,10 @@ class GridStore:
 
     def _records_to_block(self, i: int, j: int, records: np.ndarray) -> EdgeBlock:
         wgt = records["wgt"].copy() if self.has_weights else None
-        return EdgeBlock(i, j, records["src"].copy(), records["dst"].copy(), wgt)
+        return EdgeBlock(
+            i, j, records["src"].copy(), records["dst"].copy(), wgt,
+            source_sorted=self.indexed,
+        )
 
     def _empty_block(self, i: int, j: int) -> EdgeBlock:
         wgt = np.empty(0, dtype=np.float32) if self.has_weights else None
@@ -696,17 +759,19 @@ class GridStore:
             f"block ({i},{j}): expected {self.block_nbytes(i, j)} encoded bytes, "
             f"got {payload.shape[0]}",
         )
-        vcounts = payload[:header_bytes].view(self._count_dtype(i, j)).astype(np.int64)
+        # A copy, not a view: the block keeps it and must not pin the
+        # whole column payload it was sliced from.
+        runs = payload[:header_bytes].view(self._count_dtype(i, j)).copy()
         require(
-            int(vcounts.sum()) == cnt,
+            int(runs.sum()) == cnt,
             f"block ({i},{j}): corrupt compact header (run lengths sum to "
-            f"{int(vcounts.sum())}, metadata says {cnt} edges)",
+            f"{int(runs.sum())}, metadata says {cnt} edges)",
         )
         records = payload[header_bytes:].view(self._record_dtype_at(i, j))
-        src = np.repeat(np.arange(lo_i, hi_i, dtype=VERTEX_DTYPE), vcounts)
+        src = np.repeat(np.arange(lo_i, hi_i, dtype=VERTEX_DTYPE), runs)
         dst = records["dst"].astype(VERTEX_DTYPE) + VERTEX_DTYPE.type(lo_j)
         wgt = records["wgt"].astype(np.float32) if self.has_weights else None
-        return EdgeBlock(i, j, src, dst, wgt)
+        return EdgeBlock(i, j, src, dst, wgt, source_sorted=True, runs=runs)
 
     def load_block(self, i: int, j: int) -> EdgeBlock:
         """Sequentially read all edges of sub-block ``(i, j)``."""
@@ -843,8 +908,6 @@ class GridStore:
         (``M + W`` raw, the packed local record compact), exactly the
         cost-model's on-demand term.
         """
-        from repro.utils.runs import merge_runs
-
         active_global_ids = np.asarray(active_global_ids, dtype=np.int64)
         require(
             offsets_pairs.shape == (active_global_ids.shape[0], 2),
@@ -872,7 +935,7 @@ class GridStore:
             src = np.repeat(active_global_ids.astype(VERTEX_DTYPE), per_vertex)
             dst = records["dst"].astype(VERTEX_DTYPE) + VERTEX_DTYPE.type(lo_j)
             wgt = records["wgt"].astype(np.float32) if self.has_weights else None
-            return EdgeBlock(i, j, src, dst, wgt)
+            return EdgeBlock(i, j, src, dst, wgt, source_sorted=True)
 
         base = int(self._block_start[i, j])
         starts = base + offsets_pairs[:, 0]

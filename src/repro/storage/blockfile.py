@@ -46,6 +46,7 @@ import numpy as np
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import ChecksumError, SimulatedCrash, TransientIOError
 from repro.storage.pagecache import PageCache
+from repro.utils.runs import run_positions
 from repro.utils.validation import require
 
 PathLike = Union[str, os.PathLike]
@@ -275,7 +276,11 @@ class ArrayFile:
 
     @property
     def nbytes(self) -> int:
-        return self.path.stat().st_size if self.exists else 0
+        """On-disk size, 0 for a missing file; one ``stat`` per call."""
+        try:
+            return os.stat(self.path).st_size
+        except FileNotFoundError:
+            return 0
 
     @property
     def item_count(self) -> int:
@@ -394,15 +399,9 @@ class ArrayFile:
                 touched.update(range(lo // chunk_bytes, hi // chunk_bytes + 1))
             self._verify_chunks(touched)
 
-        # Vectorized multi-run gather: positions[r] enumerates each run's
-        # item indices back to back, then one fancy-index on the memmap.
-        cum = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        positions = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(cum, counts)
-            + np.repeat(starts, counts)
-        )
-        data = np.asarray(self._get_mmap()[positions])
+        # Vectorized multi-run gather: each run's item indices back to
+        # back, then one fancy-index on the memmap.
+        data = np.asarray(self._get_mmap(total_items)[run_positions(starts, counts)])
 
         nonempty = counts > 0
         if seq_run_mask is None:
@@ -443,8 +442,10 @@ class ArrayFile:
         self._crc_table = None
         self._crc_loaded = False
 
-    def _get_mmap(self) -> np.memmap:
-        if self._mmap is None or self._mmap.shape[0] != self.item_count:
+    def _get_mmap(self, item_count: int) -> np.memmap:
+        """The read mapping, remapped when the file is no longer the
+        ``item_count`` items the caller just measured on disk."""
+        if self._mmap is None or self._mmap.shape[0] != item_count:
             self._mmap = np.memmap(self.path, dtype=self.dtype, mode="r")
         return self._mmap
 

@@ -42,6 +42,46 @@ def test_scatter_combine_empty_is_noop():
     assert acc.tolist() == [1.0, 1.0, 1.0]
 
 
+@pytest.mark.parametrize("combine", [Combine.ADD, Combine.MIN])
+@pytest.mark.parametrize("dense_add", [None, True, False])
+def test_scatter_combine_into_an_interval_slice(combine, dense_add):
+    """The engines' call: one interval's slice of the accumulator, ids
+    local to it. It writes through the view, and only inside it."""
+    lo, hi = 4, 9
+    start = 1.0 if combine is Combine.ADD else 6.0
+    acc = np.full(12, start)
+    local = np.array([0, 4, 4, 2])  # vertices 4, 8, 8, 6
+    contrib = np.array([5.0, 1.0, 2.0, 9.0])
+    scatter_combine(combine, acc[lo:hi], local, contrib, dense_add)
+    whole = np.full(12, start)
+    scatter_combine(combine, whole, local + lo, contrib, dense_add)
+    assert np.array_equal(acc, whole)
+    if combine is Combine.ADD:
+        assert acc.tolist() == [1, 1, 1, 1, 6, 1, 10, 1, 4, 1, 1, 1]
+    else:
+        assert acc.tolist() == [6, 6, 6, 6, 5, 6, 6, 6, 1, 6, 6, 6]
+
+
+def test_scatter_combine_dense_add_picks_the_grouping():
+    """``dense_add`` chooses how ADD groups its float additions — sum per
+    destination first (bincount) or add one by one (``at``) — and, left
+    unset, follows the sizes passed. Engines pin it to the loaded block
+    and |V| so slicing the accumulator cannot regroup a recorded sum."""
+    half_ulp = 2.0**-53  # 1.0 + half_ulp rounds back to 1.0
+    dst, contrib = np.zeros(2, dtype=np.intp), np.full(2, half_ulp)
+
+    def combined(size, dense_add=None):
+        acc = np.ones(size)
+        scatter_combine(Combine.ADD, acc, dst, contrib, dense_add)
+        return acc[0]
+
+    assert combined(4, dense_add=False) == 1.0  # (1 + h) + h
+    assert combined(4, dense_add=True) == 1.0 + 2 * half_ulp  # 1 + (h + h)
+    # By size: 2 edges are dense for 16 vertices, sparse for 17.
+    assert combined(16) == combined(16, dense_add=True)
+    assert combined(17) == combined(17, dense_add=False)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(1, 20),

@@ -46,10 +46,6 @@ def test_converges_and_stops_before_cap():
     assert np.allclose(result.values, 1.0, atol=1e-2)
 
 
-def test_delta_array_is_gated():
-    assert PageRankDelta.gated_arrays == (("delta", 0.0),)
-
-
 def test_initial_state_shape(rng):
     from repro.algorithms import GraphContext
     from repro.graph.degree import out_degrees

@@ -156,6 +156,39 @@ def test_column_load_is_one_sequential_request(rng, tmp_path):
     assert diff.read_requests_ran == 0
 
 
+@pytest.mark.parametrize("layout", ["raw", "compact3", "unsorted"])
+def test_in_memory_selection_equals_a_mask_over_the_block(rng, tmp_path, layout):
+    """``EdgeBlock.select``/``count_active`` cut the active sources'
+    edges out of a loaded block: by the on-disk index's offsets
+    (re-derived in memory, from the compact header when there is one),
+    or — a store without source order — by one mask lookup per edge."""
+    el = random_edgelist(rng, 90, 700)
+    store = build_store(
+        el, tmp_path, P=3, name=layout, sort_within_blocks=layout != "unsorted",
+        encoding="raw" if layout == "unsorted" else layout,
+    )
+    for (i, j) in store.iter_blocks_dst_major():
+        block = store.load_block(i, j)
+        assert block.source_sorted == (layout != "unsorted")
+        lo, hi = store.intervals.bounds(i)
+        gate = np.zeros(el.num_vertices, dtype=bool)
+        gate[rng.choice(el.num_vertices, 25, replace=False)] = True
+        keep = gate[block.src]
+        assert block.count_active(gate, lo, hi) == np.count_nonzero(keep)
+        sub = block.select(np.flatnonzero(gate[lo:hi]), lo, hi)
+        assert (sub.i, sub.j) == (i, j)
+        assert np.array_equal(sub.src, block.src[keep])  # block order kept
+        assert np.array_equal(sub.dst, block.dst[keep])
+        assert np.array_equal(sub.wgt, block.wgt[keep])
+        assert block.select(np.empty(0, dtype=np.intp), lo, hi).count == 0
+        if block.source_sorted and block.count:
+            offsets = block.source_offsets(lo, hi)
+            assert np.array_equal(offsets, store.read_block_index(i, j))
+            # The cache is the whole per-block cost: <= 4 bytes a source,
+            # and the header it was summed from is not kept beside it.
+            assert offsets.dtype.itemsize <= 4 and block.runs is None
+
+
 def test_unindexed_store_rejects_selective_access(rng, tmp_path):
     el = random_edgelist(rng, 30, 100)
     store = build_store(el, tmp_path, indexed=False, name="ni")

@@ -1,5 +1,7 @@
 """ArrayFile / Device: real file round trips + charging behaviour."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,31 @@ def test_device_total_bytes_and_purge(dev):
     assert sorted(dev.file_names()) == ["a.bin", "b.bin"]
     dev.purge()
     assert dev.total_bytes() == 0
+
+
+def test_gather_sees_truncation_between_two_gathers(dev, monkeypatch):
+    """The mapping an earlier gather left behind must not outlive the
+    file's size: every gather measures the file (once) before it reads."""
+    f = dev.array_file("t.bin", np.int64)
+    f.write(np.arange(100, dtype=np.int64))
+    assert f.read_gather(np.array([90]), np.array([5])).tolist() == [90, 91, 92, 93, 94]
+    os.truncate(f.path, 50 * 8)  # behind the handle's back
+    with pytest.raises(ValueError, match="beyond end of file"):
+        f.read_gather(np.array([90]), np.array([5]))
+
+    # A run inside the shorter file is served from a fresh mapping.
+    assert f.read_gather(np.array([40]), np.array([3])).tolist() == [40, 41, 42]
+
+    stats = []
+    real_stat = os.stat
+    monkeypatch.setattr(os, "stat", lambda *a, **k: stats.append(a) or real_stat(*a, **k))
+    assert f.read_gather(np.array([47]), np.array([3])).tolist() == [47, 48, 49]
+    assert len(stats) == 1  # the bounds check and the staleness check share it
+
+
+def test_missing_file_has_zero_bytes(dev):
+    f = dev.array_file("never-written.bin", np.int64)
+    assert f.nbytes == 0 and f.item_count == 0 and not f.exists
 
 
 def test_mismatched_file_size_detected(dev):
