@@ -1,13 +1,13 @@
 """Perf-regression sentinel over the committed ``BENCH_*.json`` history.
 
 Every bench record in the repo (BENCH_2 overlap, BENCH_3 encoding,
-BENCH_4 cluster scaling, BENCH_6 async execution) carries exact
-simulated figures — times, I/O traffic, iteration counts, result
-hashes. This module re-runs a representative subset of each record's
-cells on the current code and compares fresh against recorded with
-explicit tolerances, so ``graphsd bench check`` (and CI's
-``bench-check`` job) turns a silent perf regression into a nonzero
-exit.
+BENCH_4 cluster scaling, BENCH_5 K-lane selective gathers, BENCH_6 async
+execution) carries exact simulated figures — times, I/O traffic,
+iteration counts, result hashes. This module re-runs a representative
+subset of each record's cells on the current code and compares fresh
+against recorded with explicit tolerances, so ``graphsd bench check``
+(and CI's ``bench-check`` job) turns a silent perf regression into a
+nonzero exit.
 
 Tolerance policy (each :class:`Comparison` names the rule it applied):
 
@@ -22,9 +22,8 @@ Tolerance policy (each :class:`Comparison` names the rule it applied):
   algorithm's behavior changed and the record must be regenerated
   deliberately.
 
-Bench ids without a reproducer here (e.g. BENCH_5's K-lane grid, whose
-record already embeds its own invariant checks) are listed as skipped,
-never silently passed.
+Bench ids without a reproducer here are listed as skipped, never
+silently passed.
 """
 
 from __future__ import annotations
@@ -215,6 +214,51 @@ def _check_bench4(record: Mapping[str, Any], smoke: bool, out: List[Comparison])
                 )
 
 
+def _check_bench5(record: Mapping[str, Any], smoke: bool, out: List[Comparison]) -> None:
+    """Re-run BENCH_5 K-lane selective-gather cells (graphsd-b4: every
+    round on-demand, both compact formats); smoke runs sssp on compact3
+    at K=1 and K=4."""
+    from repro.bench.harness import Harness
+    from repro.bench.selective import RECORD_ENCODINGS, RECORD_SYSTEM, _lane_diff
+
+    cells = _Cells(str(record["bench_id"]), out)
+    workloads: Mapping[str, Any] = record["workloads"]
+    algos = ["sssp"] if smoke else sorted(workloads)
+    encodings = ["compact3"] if smoke else list(RECORD_ENCODINGS)
+    dataset = str(record["dataset"])
+    harnesses = {enc: Harness(P=int(record["partitions"]), encoding=enc) for enc in encodings}
+    try:
+        for algo in algos:
+            rec = workloads.get(algo)
+            if rec is None:
+                continue
+            hashes = {}
+            for encoding, harness in harnesses.items():
+                base = harness.run(RECORD_SYSTEM, algo, dataset, gather_lanes=1)
+                hashes[encoding] = base.values_sha256()
+                for name, cell_rec in sorted(rec[encoding].items()):
+                    lanes = int(cell_rec["lanes"])
+                    if smoke and lanes not in (1, 4):
+                        continue
+                    run = harness.run(RECORD_SYSTEM, algo, dataset, gather_lanes=lanes)
+                    cell = f"workloads.{algo}.{encoding}.{name}"
+                    cells.time(cell, "sim_seconds", cell_rec["sim_seconds"], run.sim_seconds)
+                    cells.bytes(cell, "io_bytes", cell_rec["io_bytes"], run.io_traffic)
+                    for metric, fresh in (
+                        ("gather_runs_issued", run.gather_runs_issued),
+                        ("identical_results", not _lane_diff(base, run)),
+                    ):
+                        cells.exact(cell, metric, cell_rec[metric], fresh)
+            if len(hashes) == 2:
+                cells.exact(
+                    f"workloads.{algo}", "formats_agree", rec["formats_agree"],
+                    len(set(hashes.values())) == 1,
+                )
+    finally:
+        for harness in harnesses.values():
+            harness.cleanup()
+
+
 def _check_bench6(record: Mapping[str, Any], smoke: bool, out: List[Comparison]) -> None:
     """Re-run BENCH_6 sync vs async (serial K=1 config) cells."""
     from repro.bench.harness import Harness
@@ -246,6 +290,7 @@ _CHECKERS: Dict[str, Callable[[Mapping[str, Any], bool, List[Comparison]], None]
     "BENCH_2": _check_bench2,
     "BENCH_3": _check_bench3,
     "BENCH_4": _check_bench4,
+    "BENCH_5": _check_bench5,
     "BENCH_6": _check_bench6,
 }
 

@@ -106,12 +106,6 @@ class ClusterWorker:
 
     # -- helpers -----------------------------------------------------------
 
-    def _poll_crash(self, point: str) -> None:
-        """Poll a named crash point against this worker's fault plan."""
-        inj = self.disk.injector
-        if inj is not None:
-            inj.crash_point(point)
-
     def _trace_send(self, msg: ValueMessage, dst: int, status: str) -> None:
         """Emit one causal send edge (ValueMessage identity = sender, seq)."""
         if self.tracer.enabled:
@@ -237,7 +231,7 @@ class ClusterWorker:
         with self.tracer.span(
             "compute", cat="superstep", superstep=superstep, worker=self.wid
         ):
-            self._poll_crash("pre-compute")
+            self.engine._crash_point("pre-compute")
             self._load_owned_state()
             engine = self.engine
             engine.state = self.state  # start()/restore() rebind it
@@ -255,7 +249,7 @@ class ClusterWorker:
             self._store_owned_state()
             self.edges_processed += edges
             self._computed = superstep
-            self._poll_crash("post-compute")
+            self.engine._crash_point("post-compute")
 
     def broadcast(
         self, superstep: int, peers: List["ClusterWorker"], net: Interconnect
@@ -276,7 +270,7 @@ class ClusterWorker:
                     status = net.send(self.clock, channel, msg, peer.inbox)
                     self._trace_send(msg, peer.wid, status)
             self._broadcast = superstep
-            self._poll_crash("post-broadcast")
+            self.engine._crash_point("post-broadcast")
 
     def absorb(self, superstep: int) -> None:
         """Phase C: merge peers' slices and build the next frontier."""
@@ -296,7 +290,7 @@ class ClusterWorker:
             apply_messages(msgs, self.state, self._activated)
             self.frontier = VertexSubset(self.ctx.num_vertices, self._activated)
             self._absorbed = superstep
-            self._poll_crash("post-absorb")
+            self.engine._crash_point("post-absorb")
 
     def checkpoint(self, superstep: int) -> None:
         """Phase D: persist the consistent cut for ``superstep``."""
@@ -305,7 +299,7 @@ class ClusterWorker:
         with self.tracer.span(
             "checkpoint", cat="superstep", superstep=superstep, worker=self.wid
         ):
-            self._poll_crash("pre-checkpoint")
+            self.engine._crash_point("pre-checkpoint")
             watermarks = np.full(self.num_workers, -1, dtype=WATERMARK_DTYPE)
             for sender in range(self.num_workers):
                 watermarks[sender] = self.inbox.watermark(sender)
@@ -323,7 +317,7 @@ class ClusterWorker:
                 fingerprint=self._fingerprint(),
             )
             self._checkpointed = superstep
-            self._poll_crash("post-checkpoint")
+            self.engine._crash_point("post-checkpoint")
 
     def release_logs(self, superstep: int) -> None:
         """Drop outbound logs and inbox copies of supersteps ``<= superstep``

@@ -68,8 +68,9 @@ mask — the MIN identity makes gating an exact no-op) by comparing their
 modeled disk costs. A pop's loads are one plan of ``(thunk, gate)``
 entries consumed by
 :meth:`~repro.core.engine_base.EngineBase.consume_plan` — the same
-consumer as an SCIU scatter — so pipelined prefetch and K-lane gather
-credits compose with the priority order unchanged.
+consumer as an SCIU scatter, its selective gathers read by the same
+batched pass — so pipelined prefetch and K-lane gather credits compose
+with the priority order unchanged.
 
 Faults: transient I/O faults are absorbed by the storage retry layer as
 usual. If a pop's gather exhausts its retry budget, the pop is re-planned
@@ -91,8 +92,7 @@ from repro.core.convergence import require_async_capable
 from repro.core.engine import GraphSDEngine
 from repro.core.engine_base import PlanEntry
 from repro.core.result import RunResult
-from repro.core.sciu import _make_load_task
-from repro.graph.grid import EdgeBlock
+from repro.graph.grid import INDEX_GATHER, EdgeBlock, SelectiveEntry
 from repro.obs.audit import PriorityDecision
 from repro.storage.faults import FaultError
 from repro.utils.bitset import VertexSubset
@@ -239,7 +239,8 @@ class AsyncGraphSDEngine(GraphSDEngine):
 
         Returns one plan entry per source row, in consume order — a full
         streamed load gated to ``pend_mask``, or an ungated selective
-        gather of just the pending sources' edges.
+        gather of just the pending sources' edges (all of the pop's
+        selective gathers read in one pass by :meth:`read_selective`).
         """
         store = self.store
         disk = self.machine.disk
@@ -248,7 +249,8 @@ class AsyncGraphSDEngine(GraphSDEngine):
         adj_bytes = store.adjacency_bytes_per_edge
         out_degrees = self.ctx.require_out_degrees()
 
-        plan: Dict[int, PlanEntry] = {}
+        full: Dict[int, bool] = {}  # row -> full load? in consume order
+        selective: List[SelectiveEntry] = []
         for i in range(store.P):
             a = int(index_plan.active_per_row[i])
             if a == 0 or store.block_edge_count(i, j) == 0:
@@ -261,15 +263,14 @@ class AsyncGraphSDEngine(GraphSDEngine):
             sel_bytes = float(out_degrees[ids].sum()) * adj_bytes / store.P
             sel_cost = disk.ran_read_time(sel_bytes, requests=a)
             full_cost = disk.seq_read_time(store.block_nbytes(i, j), requests=1)
-            if full_cost < sel_cost:
-                plan[i] = (self._make_full_task(i, j), pend_mask)
-            else:
-                task = _make_load_task(
-                    self, i, j, ids, ids - lo, int(index_plan.mode[i]),
-                    int(index_plan.lo_local[i]), int(index_plan.hi_local[i]),
-                )
-                plan[i] = (task, None)
-        return plan
+            full[i] = full_cost < sel_cost
+            if not full[i]:
+                selective.append((i, j, ids, int(index_plan.mode[i])))
+        loads = iter(self.read_selective(selective))
+        return {
+            i: (self._make_full_task(i, j), pend_mask) if is_full else (next(loads), None)
+            for i, is_full in full.items()
+        }
 
     def _make_full_task(self, i: int, j: int) -> Callable[[], EdgeBlock]:
         def task() -> EdgeBlock:
@@ -363,8 +364,8 @@ class AsyncGraphSDEngine(GraphSDEngine):
                     if full_cost < sel_cost:
                         diagonal = store.load_block(j, j)
                     else:
-                        pairs = store.read_index_entries(j, j, local)
-                        block = self.load_selective(j, j, ids, pairs)
+                        (load,) = self.read_selective([(j, j, ids, INDEX_GATHER)])
+                        block = load()
                 except FaultError as exc:
                     self.record_fault_event(
                         f"sweep {(self._sweeps_done or 0) + 1}: diagonal "

@@ -30,7 +30,7 @@ no-buffer   ``enable_buffering=False`` (Fig. 12)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from repro.core.scheduler import (
     StateAwareScheduler,
 )
 from repro.core.sciu import run_sciu_round
-from repro.graph.grid import EdgeBlock, GridStore
+from repro.graph.grid import GridStore, SelectiveEntry, SelectiveLoad
 from repro.obs import Tracer
 from repro.storage.faults import GatherFault
 from repro.storage.disk import MachineProfile, DEFAULT_MACHINE
@@ -251,17 +251,22 @@ class GraphSDEngine(EngineBase):
         this to charge its secondary-partition traffic.
         """
 
-    def load_selective(
-        self, i: int, j: int, active_ids: np.ndarray, offsets_pairs: np.ndarray
-    ) -> EdgeBlock:
-        """On-demand edge load for SCIU with the configured run threshold."""
-        return self.store.load_active_edges(
-            i,
-            j,
-            active_ids,
-            offsets_pairs,
-            seq_threshold_bytes=self.config.seq_run_threshold_bytes,
-        )
+    def read_selective(self, entries: Sequence[SelectiveEntry]) -> List[SelectiveLoad]:
+        """The on-demand model's block reads: one data pass over
+        ``entries`` (:meth:`GridStore.read_selective` at the configured
+        run threshold). Each returned load is a plan thunk that charges
+        its own index and edge reads when called. Traced, the pass is one
+        ``grid.read_selective`` span and ``selective.*`` counters."""
+        with self.tracer.span("grid.read_selective", cat="io", entries=len(entries)) as span:
+            loads = self.store.read_selective(entries, self.config.seq_run_threshold_bytes)
+            if self.tracer.enabled:
+                edges = sum(load.block.count for load in loads)
+                nbytes = sum(load.nbytes for load in loads)
+                span.annotate(edges=edges, bytes=nbytes)
+                self.tracer.metrics.inc("selective.entries", len(loads))
+                self.tracer.metrics.inc("selective.edges", edges)
+                self.tracer.metrics.inc("selective.bytes", nbytes)
+        return loads
 
     # -- model selection + dispatch (Algorithm 1) ---------------------------
 

@@ -41,7 +41,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.graph.grid import GridStore
+from repro.graph.grid import INDEX_GATHER, INDEX_SCAN, INDEX_SPAN, GridStore
 from repro.storage.disk import MachineProfile
 from repro.tune.profile import TunedProfile
 from repro.utils.bitset import VertexSubset
@@ -88,12 +88,6 @@ class CostEstimate:
             "index_bytes": self.index_bytes,
             "chosen": self.chosen.value,
         }
-
-
-#: Index access modes, decided per source interval (row).
-INDEX_SCAN = 0  #: sequentially read the row's full offset arrays
-INDEX_SPAN = 1  #: sequentially read the contiguous slice covering the actives
-INDEX_GATHER = 2  #: randomly gather one (offset, next) pair per active vertex
 
 
 @dataclass

@@ -26,58 +26,38 @@ apply, the state trajectory stays per-iteration identical to strict BSP
 Plan-then-consume execution
 ---------------------------
 The scatter phase first builds a *block plan* on the consuming thread:
-every ``(i, j)`` pair with active sources becomes one ungated plan
-entry whose load thunk does the index access + selective edge load.
+every ``(i, j)`` pair with active sources becomes one entry of a single
+batched read (:meth:`~repro.core.engine.GraphSDEngine.read_selective`),
+which reads all their index entries and edges in one data pass and hands
+back one ungated plan thunk per block that charges that block's index
+read and selective edge read.
 :meth:`~repro.core.engine_base.EngineBase.consume_plan` then streams the
 thunks through a :class:`~repro.storage.gatherpool.GatherPool` (which
 delegates execution to a single in-order
 :class:`~repro.storage.prefetch.BlockPrefetcher` worker) inside a clock
 :class:`~repro.utils.timers.OverlapRegion` — with pipelining enabled,
 block ``k+1``'s index reads and gather-loads overlap with block ``k``'s
-gather/combine compute, and with ``gather_lanes > 1`` the pool
-additionally credits the DISK time hidden by spreading the independent
-loads over K modeled lanes. The single in-order worker reproduces the
-serial disk-operation stream exactly, so injected faults fire
-identically and the existing GatherFault degradation path (retry budget
-exhausted → rolled back → full streaming) works unchanged.
+gather/combine compute on the simulated clock, and with
+``gather_lanes > 1`` the pool additionally credits the DISK time hidden
+by spreading the independent loads over K modeled lanes. The single
+in-order worker replays the serial disk-operation stream exactly, so
+injected faults fire identically and the existing GatherFault
+degradation path (retry budget exhausted → rolled back → full
+streaming) works unchanged.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List
+from typing import TYPE_CHECKING, List
 
 import numpy as np
 
 if TYPE_CHECKING:  # engine.py imports this module; import only for types
     from repro.core.engine import GraphSDEngine
 
-from repro.core.engine_base import PlanEntry
-from repro.core.scheduler import INDEX_GATHER, INDEX_SPAN
-from repro.graph.grid import EdgeBlock
+from repro.graph.grid import EdgeBlock, SelectiveEntry
 from repro.storage.faults import FaultError, GatherFault
 from repro.utils.bitset import VertexSubset
-
-
-def _make_load_task(
-    engine: "GraphSDEngine", i: int, j: int, ids: np.ndarray, local: np.ndarray, mode: int,
-    lo_l: int, hi_l: int
-) -> Callable[[], EdgeBlock]:
-    """One plan entry: index access + selective load for block (i, j)."""
-    store = engine.store
-
-    def task() -> EdgeBlock:
-        if mode == INDEX_GATHER:
-            pairs = store.read_index_entries(i, j, local)
-        elif mode == INDEX_SPAN:
-            offsets = store.read_index_span(i, j, lo_l, hi_l + 1)
-            rel = local - lo_l
-            pairs = np.stack([offsets[rel], offsets[rel + 1]], axis=1)
-        else:
-            offsets = store.read_block_index(i, j)
-            pairs = np.stack([offsets[local], offsets[local + 1]], axis=1)
-        return engine.load_selective(i, j, ids, pairs)
-
-    return task
 
 
 def run_sciu_round(engine: "GraphSDEngine") -> VertexSubset:
@@ -107,22 +87,16 @@ def run_sciu_round(engine: "GraphSDEngine") -> VertexSubset:
             index_plan = engine.scheduler.plan_index_access(frontier)
         active_per_row = index_plan.active_per_row
 
-        # ---- plan: one selective-load thunk per active (i, j) -----------
-        plan: List[PlanEntry] = []
+        # ---- plan: one selective read per active (i, j), one data pass ----
+        entries: List[SelectiveEntry] = []
         for i in range(store.P):
             if active_per_row[i] == 0:
                 continue
             lo, hi = intervals.bounds(i)
             ids = frontier.interval_indices(lo, hi)
-            local = ids - lo
             mode = int(index_plan.mode[i])
-            lo_l = int(index_plan.lo_local[i])
-            hi_l = int(index_plan.hi_local[i])
-            for j in range(store.P):
-                if store.block_edge_count(i, j):
-                    plan.append(
-                        (_make_load_task(engine, i, j, ids, local, mode, lo_l, hi_l), None)
-                    )
+            entries += [(i, j, ids, mode) for j in range(store.P) if store.block_edge_count(i, j)]
+        plan = [(load, None) for load in engine.read_selective(entries)]
 
         # ---- consume: gather/combine in plan order ---------------------
         with engine.tracer.span(

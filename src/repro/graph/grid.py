@@ -85,7 +85,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,6 +125,27 @@ _UINT_BY_ITEMSIZE = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4")}
 #: non-negative ``int64`` for a value sort to order it.
 _KEY_BITS = 63
 
+#: How a selective read of block ``(i, j)`` reads the active sources'
+#: offsets, decided per source interval by the scheduler
+#: (:meth:`~repro.core.scheduler.StateAwareScheduler.plan_index_access`).
+INDEX_SCAN = 0  #: sequentially read the row's full offset arrays
+INDEX_SPAN = 1  #: sequentially read the contiguous slice covering the actives
+INDEX_GATHER = 2  #: randomly gather one (offset, next) pair per active vertex
+
+#: One entry of :meth:`GridStore.read_selective`: block ``(i, j)``, the
+#: active sources' global ids (ascending, non-empty, inside interval
+#: ``i``) and the ``INDEX_*`` mode whose read the entry charges.
+SelectiveEntry = Tuple[int, int, np.ndarray, int]
+
+#: Where a selective read finds block ``(i, j)``: the first vertex of
+#: intervals ``i`` and ``j``; the block's first offset in the index file
+#: and the file items per offset; its first edge record in the edges file
+#: (compact: behind the run-length header) and the file items per record;
+#: the byte width of a compact record's local destination.
+_GEOMETRY_DTYPE = np.dtype(
+    [(name, np.int64) for name in ("lo_i", "lo_j", "index", "unit", "records", "rec", "width")]
+)
+
 
 def _narrowest_uint(max_value: int) -> np.dtype:
     """The narrowest little-endian unsigned dtype holding ``max_value``."""
@@ -134,6 +155,16 @@ def _narrowest_uint(max_value: int) -> np.dtype:
         return _UINT_BY_ITEMSIZE[2]
     require(max_value < (1 << 32), f"value {max_value} exceeds uint32")
     return _UINT_BY_ITEMSIZE[4]
+
+
+def _read_le(buf: np.ndarray, byte_pos: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The little-endian ``dtype`` values at byte offsets ``byte_pos`` of
+    the byte array ``buf`` — one fancy index through an overlapping view
+    whose element ``k`` starts at byte ``k``, so no alignment is needed."""
+    if byte_pos.size == 0:
+        return np.empty(byte_pos.shape, dtype=dtype)
+    window = np.ndarray((buf.shape[0] - dtype.itemsize + 1,), dtype, buffer=buf, strides=(1,))
+    return window[byte_pos]
 
 
 def _packed_record_dtype(dst_dtype: np.dtype, has_weights: bool) -> np.dtype:
@@ -232,6 +263,63 @@ class EdgeBlock:
         return f"EdgeBlock(({self.i},{self.j}), edges={self.count})"
 
 
+class SelectiveLoad:
+    """One block of :meth:`GridStore.read_selective`: its edges, already
+    read, and the accounting of reading them, not yet run.
+
+    Calling it runs :meth:`charge` and returns :attr:`block`, so it is a
+    plan thunk as it stands.
+    """
+
+    __slots__ = ("store", "block", "index", "_negative", "_bounds", "_runs", "_totals")
+
+    def __init__(
+        self,
+        store: "GridStore",
+        block: EdgeBlock,
+        negative: bool,
+        bounds: Tuple[int, int, int],
+        runs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+        totals: Tuple[Tuple[int, int], Tuple[int, int]],
+    ) -> None:
+        self.store = store
+        self.block = block
+        #: ``(INDEX_* mode, ascending local ids)`` of the index read this
+        #: entry charges first; ``None`` when the caller read the offsets.
+        self.index: Optional[Tuple[int, np.ndarray]] = None
+        self._negative = negative
+        self._bounds = bounds  # lowest start, smallest run, highest end
+        self._runs = runs  # merged (starts, counts, sequential?); None: no edges
+        self._totals = totals
+
+    @property
+    def nbytes(self) -> int:
+        """Edge bytes the entry's read charges before any page cache."""
+        (seq_bytes, _), (ran_bytes, _) = self._totals
+        return seq_bytes + ran_bytes
+
+    def charge(self) -> None:
+        """The entry's accounting, in the order its single reads run it.
+
+        First the index read, then the edge read: the negative-count and
+        bounds checks, and — unless the entry has no edges — the fault
+        poll, CRC verification, page-cache filter and seq/ran charges.
+        Raises what those reads raise; every entry the data pass left
+        unread raises here.
+        """
+        store = self.store
+        if self.index is not None:
+            store._charge_index(self.block.i, self.block.j, *self.index)
+        require(not self._negative, "corrupt index: negative edge counts")
+        store._edges_file.check_runs(*self._bounds)
+        if self._runs is not None:
+            store._edges_file.charge_runs(*self._runs, totals=self._totals)
+
+    def __call__(self) -> EdgeBlock:
+        self.charge()
+        return self.block
+
+
 class GridStore:
     """Reader/writer for the on-disk grid representation."""
 
@@ -262,6 +350,8 @@ class GridStore:
         self.out_degrees: Optional[np.ndarray] = None
 
         sizes = intervals.sizes()
+        #: Active ids per chunk of :meth:`read_selective`: one interval's worth.
+        self._chunk_ids = int(sizes.max())
         if encoding in _COMPACT_ENCODINGS:
             require(indexed, "compact encoding requires an indexed (source-sorted) grid")
             require(count_codes is not None, "compact encoding requires count_codes")
@@ -322,6 +412,24 @@ class GridStore:
             idx_starts = np.concatenate(([0], np.cumsum(idx_lens)[:-1]))
             self._index_start = idx_starts.reshape(P, P).T.copy()  # [i, j]
             self._index_items_total = int(idx_lens.sum())
+
+            # Block (i, j)'s row i * P + j: what read_selective needs to
+            # find its offsets and records, gathered once per chunk.
+            geometry = np.zeros((P, P), dtype=_GEOMETRY_DTYPE)
+            geometry["lo_i"] = intervals.boundaries[:-1, None]
+            geometry["lo_j"] = intervals.boundaries[None, :-1]
+            geometry["index"] = self._index_start
+            geometry["unit"] = 1 if self._idx_codes is None else self._idx_codes
+            if encoding in _COMPACT_ENCODINGS:  # records behind the header
+                geometry["records"] = self._block_byte_start + header
+                geometry["rec"] = rec_sizes
+                geometry["width"] = [
+                    [self._dst_dtype_at(i, j).itemsize for j in range(P)] for i in range(P)
+                ]
+            else:
+                geometry["records"] = self._block_start
+                geometry["rec"] = 1
+            self._geometry = geometry.ravel()
         else:
             self._idx_codes = None
             self._index_start = None
@@ -825,6 +933,30 @@ class GridStore:
 
     # -- selective loads (the on-demand I/O model) ------------------------
 
+    def _index_unit(self, i: int, j: int) -> int:
+        """Index-file items per offset of block ``(i, j)``: one ``int64``
+        through format 2, the block's offset width in compact3's bytes."""
+        return 1 if self._idx_codes is None else int(self._idx_codes[i, j])
+
+    def _index_slice(self, i: int, j: int, first: int, last: int) -> Tuple[int, int]:
+        """``(start item, item count)`` of offsets ``first..last`` of block
+        ``(i, j)``'s index."""
+        unit = self._index_unit(i, j)
+        return int(self._index_start[i, j]) + first * unit, (last - first + 1) * unit
+
+    def _index_runs(self, i: int, j: int, local_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One ``(start item, item count)`` run per local id: its
+        ``(offset, next_offset)`` pair in block ``(i, j)``'s index."""
+        unit = self._index_unit(i, j)
+        starts = int(self._index_start[i, j]) + local_ids * unit
+        return starts, np.full(local_ids.shape, 2 * unit, dtype=np.int64)
+
+    def _widen_offsets(self, i: int, j: int, payload: np.ndarray) -> np.ndarray:
+        """Offsets read from block ``(i, j)``'s index as ``int64``."""
+        if self._idx_codes is None:
+            return payload
+        return payload.view(self._idx_dtype(i, j)).astype(INDEX_DTYPE)
+
     def read_block_index(self, i: int, j: int) -> np.ndarray:
         """Sequentially read the full offset index of sub-block ``(i, j)``.
 
@@ -833,13 +965,8 @@ class GridStore:
         identical values in every format.
         """
         self._require_indexed()
-        start = int(self._index_start[i, j])
-        entries = self.intervals.size(i) + 1
-        if self._idx_codes is not None:
-            code = int(self._idx_codes[i, j])
-            payload = self._idx_file.read_slice(start, entries * code, sequential=True)
-            return payload.view(self._idx_dtype(i, j)).astype(INDEX_DTYPE)
-        return self._idx_file.read_slice(start, entries, sequential=True)
+        start, count = self._index_slice(i, j, 0, self.intervals.size(i))
+        return self._widen_offsets(i, j, self._idx_file.read_slice(start, count, sequential=True))
 
     def read_index_span(self, i: int, j: int, lo_local: int, hi_local: int) -> np.ndarray:
         """Sequentially read index entries ``[lo_local, hi_local]`` (inclusive
@@ -851,17 +978,9 @@ class GridStore:
         covers all their offsets.
         """
         self._require_indexed()
-        size = self.intervals.size(i)
-        require(0 <= lo_local <= hi_local <= size, "bad index span")
-        if self._idx_codes is not None:
-            code = int(self._idx_codes[i, j])
-            start = int(self._index_start[i, j]) + lo_local * code
-            payload = self._idx_file.read_slice(
-                start, (hi_local - lo_local + 1) * code, sequential=True
-            )
-            return payload.view(self._idx_dtype(i, j)).astype(INDEX_DTYPE)
-        start = int(self._index_start[i, j]) + lo_local
-        return self._idx_file.read_slice(start, hi_local - lo_local + 1, sequential=True)
+        require(0 <= lo_local <= hi_local <= self.intervals.size(i), "bad index span")
+        start, count = self._index_slice(i, j, lo_local, hi_local)
+        return self._widen_offsets(i, j, self._idx_file.read_slice(start, count, sequential=True))
 
     def read_index_entries(self, i: int, j: int, local_ids: np.ndarray) -> np.ndarray:
         """Randomly gather ``(offset, next_offset)`` pairs for ``local_ids``.
@@ -873,19 +992,197 @@ class GridStore:
         local_ids = np.asarray(local_ids, dtype=np.int64)
         if local_ids.size == 0:
             return np.empty((0, 2), dtype=INDEX_DTYPE)
-        start = int(self._index_start[i, j])
-        if self._idx_codes is not None:
-            code = int(self._idx_codes[i, j])
-            payload = self._idx_file.read_gather(
-                start + local_ids * code,
-                np.full(local_ids.shape, 2 * code, dtype=np.int64),
-            )
-            pairs = payload.view(self._idx_dtype(i, j)).astype(INDEX_DTYPE)
-            return pairs.reshape(-1, 2)
-        pairs = self._idx_file.read_gather(
-            start + local_ids, np.full(local_ids.shape, 2, dtype=np.int64)
+        payload = self._idx_file.read_gather(*self._index_runs(i, j, local_ids))
+        return self._widen_offsets(i, j, payload).reshape(-1, 2)
+
+    def _charge_index(self, i: int, j: int, mode: int, local_ids: np.ndarray) -> None:
+        """The accounting half of the index read ``mode`` makes for the
+        ascending, non-empty ``local_ids`` of block ``(i, j)``: what
+        :meth:`read_index_entries`, :meth:`read_index_span` over the ids'
+        range, or :meth:`read_block_index` would charge."""
+        if mode == INDEX_GATHER:
+            starts, counts = self._index_runs(i, j, local_ids)
+            pair, n = int(counts[0]), counts.size
+            self._idx_file.check_runs(int(starts[0]), pair, int(starts[-1]) + pair)
+            nbytes = n * pair * self._idx_file.dtype.itemsize
+            self._idx_file.charge_runs(starts, counts, totals=((0, 0), (nbytes, n)))
+            return
+        if mode == INDEX_SPAN:
+            first, last = int(local_ids[0]), int(local_ids[-1]) + 1
+        else:
+            first, last = 0, self.intervals.size(i)
+        self._idx_file.charge_slice(*self._index_slice(i, j, first, last), sequential=True)
+
+    def read_selective(
+        self,
+        entries: Sequence[SelectiveEntry],
+        seq_threshold_bytes: Optional[int] = None,
+    ) -> List["SelectiveLoad"]:
+        """Read many blocks' active edges in one data pass; charge each later.
+
+        Every entry's ``(offset, next_offset)`` pairs and the edges they
+        delimit are read through the mapped ``.idx`` and ``.edges`` files
+        in a few vectorized numpy calls — nothing is charged and nothing
+        raises here. Each entry comes back as a :class:`SelectiveLoad`
+        holding its :class:`EdgeBlock` (a slice of the pass's arrays,
+        equal to what :meth:`load_active_edges` returns for the entry's
+        offsets) and a :meth:`~SelectiveLoad.charge` that runs exactly
+        the accounting of the entry's own index read (by its mode) and
+        :meth:`load_active_edges`, in that order. An entry whose offsets
+        fall outside the index, decrease, or point outside the edges file
+        is left unread, and its ``charge()`` raises the error those
+        single reads raise.
+
+        Entries are read in chunks of at most one source interval's worth
+        of active ids, which bounds the pass's transient arrays.
+        """
+        self._require_indexed()
+        if not entries:
+            return []
+        index, edges = self._idx_file.mapped(), self._edges_file.mapped()
+        loads: List[SelectiveLoad] = []
+        chunk: List[SelectiveEntry] = []
+        width = 0
+        for entry in entries:
+            if chunk and width + len(entry[2]) > self._chunk_ids:
+                loads += self._read_chunk(chunk, index, edges, seq_threshold_bytes)
+                chunk, width = [], 0
+            chunk.append(entry)
+            width += len(entry[2])
+        loads += self._read_chunk(chunk, index, edges, seq_threshold_bytes)
+        return loads
+
+    def _read_chunk(
+        self,
+        chunk: Sequence[SelectiveEntry],
+        index: np.ndarray,
+        edges: np.ndarray,
+        seq_threshold_bytes: Optional[int],
+    ) -> List["SelectiveLoad"]:
+        """:meth:`read_selective` for one chunk: the index pass, then the
+        edge pass."""
+        blocks = [entry[0] * self.P + entry[1] for entry in chunk]
+        geom = self._geometry[blocks]
+        sizes = [len(entry[2]) for entry in chunk]
+        owner = np.repeat(np.arange(len(chunk), dtype=np.intp), sizes)
+        active = np.concatenate([entry[2] for entry in chunk]).astype(np.int64)
+        local = active - geom["lo_i"][owner]
+        unit = geom["unit"][owner]
+        pos = geom["index"][owner] + local * unit
+        inside = (pos >= 0) & (pos + 2 * unit <= index.shape[0])
+        offsets = np.zeros((2, owner.size), dtype=INDEX_DTYPE)
+        if self._idx_codes is None:  # int64 offsets
+            offsets[:, inside] = index[pos[inside] + np.arange(2, dtype=np.int64)[:, None]]
+        else:  # each block's offsets in its own uint width
+            for width in set(geom["unit"].tolist()):
+                sel = inside & (unit == width)
+                at = pos[sel] + np.arange(2, dtype=np.int64)[:, None] * width
+                offsets[:, sel] = _read_le(index, at, _UINT_BY_ITEMSIZE[width])
+        bounds = np.cumsum([0] + sizes)
+        readable = np.logical_and.reduceat(inside, bounds[:-1])
+        loads = self._select_edges(
+            blocks, geom, bounds, owner, active, offsets, readable, edges, seq_threshold_bytes
         )
-        return pairs.reshape(-1, 2)
+        for e, (load, entry) in enumerate(zip(loads, chunk)):
+            load.index = (int(entry[3]), local[bounds[e] : bounds[e + 1]])
+        return loads
+
+    def _select_edges(
+        self,
+        blocks: List[int],
+        geom: np.ndarray,
+        bounds: np.ndarray,
+        owner: np.ndarray,
+        active: np.ndarray,
+        offsets: np.ndarray,
+        readable: np.ndarray,
+        edges: np.ndarray,
+        seq_threshold_bytes: Optional[int],
+    ) -> List["SelectiveLoad"]:
+        """The edge pass of :meth:`read_selective` and :meth:`load_active_edges`.
+
+        Entry ``e`` is block ``blocks[e]`` (``i * P + j``, geometry
+        ``geom[e]``); its active ids ``active[bounds[e]:bounds[e + 1]]``
+        (ascending; ``owner`` maps each to ``e``) own the edges
+        ``offsets[0, k]`` up to ``offsets[1, k]``. An entry not
+        ``readable`` (its offsets could not be read) or ruled out by the
+        bounds gets an empty block; its accounting raises.
+        """
+        firsts = bounds[:-1]
+        rec = geom["rec"]
+        per_vertex = offsets[1] - offsets[0]
+        starts = geom["records"][owner] + offsets[0] * rec[owner]
+        counts = per_vertex * rec[owner]
+        ends = starts + counts
+        negative = np.logical_or.reduceat(per_vertex < 0, firsts)
+        min_start = np.minimum.reduceat(starts, firsts)
+        max_end = np.maximum.reduceat(ends, firsts)
+        valid = readable & ~negative & (min_start >= 0) & (max_end <= edges.shape[0])
+
+        # Adjacent extents of one entry merge into one run (one request).
+        m_starts, m_counts, group_ids = merge_runs(starts, counts, firsts)
+        entry_runs = np.append(group_ids[firsts], m_starts.size)
+        itemsize = self._edges_file.dtype.itemsize
+        nonempty = m_counts > 0
+        seq = np.zeros(m_counts.size, dtype=bool)
+        if seq_threshold_bytes is not None:
+            seq = nonempty & (m_counts * itemsize >= int(seq_threshold_bytes))
+        firsts_run = entry_runs[:-1]
+        items = np.add.reduceat(m_counts, firsts_run)
+        seq_items = np.add.reduceat(m_counts * seq, firsts_run)
+        runs = np.add.reduceat(nonempty, firsts_run, dtype=np.int64)
+        seq_runs = np.add.reduceat(seq, firsts_run, dtype=np.int64)
+
+        take = valid[owner] & (per_vertex > 0)
+        taken = per_vertex[take]
+        if self.encoding in _COMPACT_ENCODINGS:
+            edge_owner = owner[take].repeat(taken)
+            at = run_positions(offsets[0][take], taken) * rec[edge_owner]
+            at += geom["records"][edge_owner]
+            widths = geom["width"][edge_owner]
+            local = np.empty(at.size, dtype=VERTEX_DTYPE)
+            for width in set(geom["width"].tolist()):
+                sel = widths == width
+                local[sel] = _read_le(edges, at[sel], _UINT_BY_ITEMSIZE[width])
+            src = active[take].astype(VERTEX_DTYPE).repeat(taken)
+            dst = local + geom["lo_j"].astype(VERTEX_DTYPE)[edge_owner]
+            wgt = _read_le(edges, at + widths, np.dtype("<f4")) if self.has_weights else None
+        else:
+            records = edges[run_positions(starts[take], counts[take])]
+            src, dst = records["src"].copy(), records["dst"].copy()
+            wgt = records["wgt"].copy() if self.has_weights else None
+        edge_bounds = np.cumsum(np.where(valid, items // rec, 0)).tolist()
+
+        loads = []
+        a = r0 = 0
+        for block, b, r1, bad, lo, hi, n_items, n_seq_items, n_runs, n_seq_runs in zip(
+            blocks, edge_bounds, entry_runs[1:].tolist(), negative.tolist(),
+            min_start.tolist(), max_end.tolist(), items.tolist(), seq_items.tolist(),
+            runs.tolist(), seq_runs.tolist(),
+        ):
+            block_i, block_j = divmod(block, self.P)
+            edge_block = EdgeBlock(
+                block_i, block_j, src[a:b], dst[a:b], None if wgt is None else wgt[a:b],
+                source_sorted=True,
+            )
+            totals = (
+                (n_seq_items * itemsize, n_seq_runs),
+                ((n_items - n_seq_items) * itemsize, n_runs - n_seq_runs),
+            )
+            loads.append(
+                SelectiveLoad(
+                    self,
+                    edge_block,
+                    negative=bad,
+                    # An entry's merged runs are sums of its per-vertex
+                    # extents, never negative once the count check passed.
+                    bounds=(lo, 0, hi),
+                    runs=(m_starts[r0:r1], m_counts[r0:r1], seq[r0:r1]) if n_items else None,
+                    totals=totals,
+                )
+            )
+            a, r0 = b, r1
+        return loads
 
     def load_active_edges(
         self,
@@ -906,46 +1203,28 @@ class GridStore:
         the concrete realization of the paper's ``S_seq``/``S_ran``
         split. Per-edge read volume is the encoding's per-record payload
         (``M + W`` raw, the packed local record compact), exactly the
-        cost-model's on-demand term.
+        cost-model's on-demand term. The one-entry case of
+        :meth:`read_selective`'s edge pass, charged before it returns.
         """
         active_global_ids = np.asarray(active_global_ids, dtype=np.int64)
-        require(
-            offsets_pairs.shape == (active_global_ids.shape[0], 2),
-            "offsets_pairs shape mismatch",
+        n = active_global_ids.shape[0]
+        require(offsets_pairs.shape == (n, 2), "offsets_pairs shape mismatch")
+        if n == 0:
+            return self._empty_block(i, j)
+        self._require_indexed()
+        block = i * self.P + j
+        (load,) = self._select_edges(
+            [block],
+            self._geometry[[block]],
+            np.array([0, n], dtype=np.intp),
+            np.zeros(n, dtype=np.intp),
+            active_global_ids,
+            np.asarray(offsets_pairs, dtype=INDEX_DTYPE).T,
+            np.ones(1, dtype=bool),
+            self._edges_file.mapped(),
+            seq_threshold_bytes,
         )
-        per_vertex = offsets_pairs[:, 1] - offsets_pairs[:, 0]
-        require(bool(np.all(per_vertex >= 0)), "corrupt index: negative edge counts")
-
-        if self.encoding in _COMPACT_ENCODINGS:
-            lo_i, hi_i = self.intervals.bounds(i)
-            lo_j, _ = self.intervals.bounds(j)
-            rec_dtype = self._record_dtype_at(i, j)
-            rec_size = rec_dtype.itemsize
-            base = int(self._block_byte_start[i, j]) + (hi_i - lo_i) * int(
-                self._count_codes[i, j]
-            )
-            starts = base + offsets_pairs[:, 0] * rec_size
-            m_starts, m_counts, _ = merge_runs(starts, per_vertex * rec_size)
-            if seq_threshold_bytes is not None:
-                seq_mask = m_counts >= int(seq_threshold_bytes)
-            else:
-                seq_mask = None
-            payload = self._edges_file.read_gather(m_starts, m_counts, seq_run_mask=seq_mask)
-            records = payload.view(rec_dtype)
-            src = np.repeat(active_global_ids.astype(VERTEX_DTYPE), per_vertex)
-            dst = records["dst"].astype(VERTEX_DTYPE) + VERTEX_DTYPE.type(lo_j)
-            wgt = records["wgt"].astype(np.float32) if self.has_weights else None
-            return EdgeBlock(i, j, src, dst, wgt, source_sorted=True)
-
-        base = int(self._block_start[i, j])
-        starts = base + offsets_pairs[:, 0]
-        m_starts, m_counts, _ = merge_runs(starts, per_vertex)
-        if seq_threshold_bytes is not None:
-            seq_mask = m_counts * self.edge_record_bytes >= int(seq_threshold_bytes)
-        else:
-            seq_mask = None
-        records = self._edges_file.read_gather(m_starts, m_counts, seq_run_mask=seq_mask)
-        return self._records_to_block(i, j, records)
+        return load()
 
     def validate(self) -> None:
         """Full integrity check of the on-disk representation.

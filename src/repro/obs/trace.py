@@ -95,6 +95,10 @@ class Span:
             "sim_cpu": float(sim_cpu),
         }
 
+    def annotate(self, **attrs: Any) -> None:
+        """Add attributes known only once the span's work is done."""
+        self.attrs.update(attrs)
+
 
 class _NullSpan:
     """Reusable no-op context manager returned by :class:`NullTracer`."""
@@ -108,6 +112,9 @@ class _NullSpan:
         return None
 
     def override_sim(self, sim_dur: float, sim_disk: float, sim_cpu: float) -> None:
+        return None
+
+    def annotate(self, **attrs: Any) -> None:
         return None
 
 

@@ -16,6 +16,13 @@ Design notes
   Python-level per-run loop — and charge each run as one request,
   split into sequential/random classes by the caller-provided mask
   (the scheduler's ``S_seq``/``S_ran`` split, §4.1 of the paper).
+* Every read is an *accounting half* — bounds check, fault poll, CRC
+  verification, page-cache filter, charge (:meth:`ArrayFile.charge_slice`,
+  :meth:`ArrayFile.check_runs` + :meth:`ArrayFile.charge_runs`) — and a
+  *data half*. A batched reader (``GridStore.read_selective``) takes the
+  data of many reads in one pass through :meth:`ArrayFile.mapped` and
+  runs each read's accounting half later, in the order the reads would
+  have run; the single reads run both halves back to back.
 
 Robustness (see ``docs/ROBUSTNESS.md``)
 ---------------------------------------
@@ -39,7 +46,7 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -294,14 +301,24 @@ class ArrayFile:
     # -- writes ----------------------------------------------------------
 
     def write(self, array: np.ndarray) -> None:
-        """Replace the file contents with ``array`` (sequential write)."""
+        """Replace the file contents with ``array`` (sequential write).
+
+        A file that already holds exactly ``array``'s bytes (the
+        per-iteration state store) is overwritten in place instead of
+        truncated and re-allocated; bytes, charge and checksum sidecar
+        are the same either way.
+        """
         data = np.ascontiguousarray(array, dtype=self.dtype)
         self._invalidate_mmap()
         if self.cache is not None:
             self.cache.invalidate_file(self.path.name)  # contents replaced
         self._maybe_fault(write=True)
         self._maybe_torn_write(data, 0, mode="replace")
-        data.tofile(self.path)
+        if data.nbytes and self.nbytes == data.nbytes:
+            with open(self.path, "r+b") as f:
+                data.tofile(f)
+        else:
+            data.tofile(self.path)
         self._charge_write(0, data.nbytes, sequential=True)
         self._crc_update_range(0, data.nbytes)
 
@@ -351,17 +368,28 @@ class ArrayFile:
 
     def read_slice(self, start_item: int, count: int, sequential: bool = True) -> np.ndarray:
         """Read ``count`` items starting at ``start_item``."""
-        require(start_item >= 0 and count >= 0, "negative offset or count")
-        if count == 0:
+        if not self.charge_slice(start_item, count, sequential):
             return np.empty(0, dtype=self.dtype)
-        require(start_item + count <= self.item_count, "read_slice beyond end of file")
-        self._maybe_fault(write=False)
-        self._verify_range(start_item * self._itemsize, count * self._itemsize)
-        data = np.fromfile(
+        return np.fromfile(
             self.path, dtype=self.dtype, count=count, offset=start_item * self._itemsize
         )
-        self._charge_read(start_item * self._itemsize, data.nbytes, sequential)
-        return data
+
+    def charge_slice(self, start_item: int, count: int, sequential: bool = True) -> bool:
+        """The accounting half of :meth:`read_slice`.
+
+        Bounds check, fault poll, CRC verification of the chunks the
+        slice covers, then the (page-cache filtered) charge. Returns
+        ``False`` for an empty slice, which is neither read nor charged.
+        """
+        require(start_item >= 0 and count >= 0, "negative offset or count")
+        if count == 0:
+            return False
+        require(start_item + count <= self.item_count, "read_slice beyond end of file")
+        self._maybe_fault(write=False)
+        offset, nbytes = start_item * self._itemsize, count * self._itemsize
+        self._verify_range(offset, nbytes)
+        self._charge_read(offset, nbytes, sequential)
+        return True
 
     def read_gather(
         self,
@@ -379,16 +407,47 @@ class ArrayFile:
         starts = np.asarray(starts, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
         require(starts.shape == counts.shape, "starts/counts shape mismatch")
+        if seq_run_mask is not None:
+            seq_run_mask = np.asarray(seq_run_mask, dtype=bool)
+            require(seq_run_mask.shape == starts.shape, "seq_run_mask shape mismatch")
         if starts.size == 0:
             return np.empty(0, dtype=self.dtype)
-        require(counts.min() >= 0 and starts.min() >= 0, "negative start or count")
-        total_items = self.item_count
-        require(int((starts + counts).max()) <= total_items, "gather run beyond end of file")
-
-        total = int(counts.sum())
-        if total == 0:
+        total_items = self.check_runs(
+            int(starts.min()), int(counts.min()), int((starts + counts).max())
+        )
+        if not counts.any():
             return np.empty(0, dtype=self.dtype)
+        self.charge_runs(starts, counts, seq_run_mask)
+        # Vectorized multi-run gather: each run's item indices back to
+        # back, then one fancy-index on the memmap.
+        return np.asarray(self._get_mmap(total_items)[run_positions(starts, counts)])
 
+    def check_runs(self, min_start: int, min_count: int, max_end: int) -> int:
+        """The bounds check of :meth:`read_gather`, from the runs' lowest
+        start, smallest count and highest end; returns the item count."""
+        require(min_count >= 0 and min_start >= 0, "negative start or count")
+        total_items = self.item_count
+        require(max_end <= total_items, "gather run beyond end of file")
+        return total_items
+
+    def charge_runs(
+        self,
+        starts: np.ndarray,
+        counts: np.ndarray,
+        seq_run_mask: Optional[np.ndarray] = None,
+        totals: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None,
+    ) -> None:
+        """The accounting half of :meth:`read_gather`, after
+        :meth:`check_runs` and for runs that are not all empty.
+
+        Fault poll, CRC verification of the chunks the non-empty runs
+        touch, then one request per non-empty run: through the page
+        cache run by run when one is attached, else one sequential and
+        one random charge. ``totals`` — ``((bytes, requests) sequential,
+        (bytes, requests) random)`` of the non-empty runs — is derived
+        from the runs unless a caller that sized many reads at once
+        passes it.
+        """
         self._maybe_fault(write=False)
         if self.checksums and self._crc_load() is not None:
             chunk_bytes = int(self._crc_table["chunk_bytes"])
@@ -398,35 +457,41 @@ class ArrayFile:
                 hi = lo + int(counts[k]) * self._itemsize - 1
                 touched.update(range(lo // chunk_bytes, hi // chunk_bytes + 1))
             self._verify_chunks(touched)
-
-        # Vectorized multi-run gather: each run's item indices back to
-        # back, then one fancy-index on the memmap.
-        data = np.asarray(self._get_mmap(total_items)[run_positions(starts, counts)])
-
-        nonempty = counts > 0
-        if seq_run_mask is None:
-            seq_run_mask = np.zeros_like(nonempty)
-        else:
-            seq_run_mask = np.asarray(seq_run_mask, dtype=bool)
-            require(seq_run_mask.shape == starts.shape, "seq_run_mask shape mismatch")
         if self.cache is not None:
             # Per-run cache filtering (runs are few after merging).
-            for k in np.flatnonzero(nonempty):
+            for k in np.flatnonzero(counts > 0):
                 self._charge_read(
                     int(starts[k]) * self._itemsize,
                     int(counts[k]) * self._itemsize,
-                    sequential=bool(seq_run_mask[k]),
+                    sequential=seq_run_mask is not None and bool(seq_run_mask[k]),
                 )
-            return data
-        seq_runs = nonempty & seq_run_mask
-        ran_runs = nonempty & ~seq_run_mask
-        seq_bytes = int(counts[seq_runs].sum()) * self._itemsize
-        ran_bytes = int(counts[ran_runs].sum()) * self._itemsize
-        if seq_bytes or int(seq_runs.sum()):
-            self.disk.charge_read_sequential(seq_bytes, requests=int(seq_runs.sum()))
-        if ran_bytes or int(ran_runs.sum()):
-            self.disk.charge_read_random(ran_bytes, requests=int(ran_runs.sum()))
-        return data
+            return
+        if totals is None:
+            nonempty = counts > 0
+            seq = np.zeros_like(nonempty) if seq_run_mask is None else nonempty & seq_run_mask
+            ran = nonempty & ~seq
+            totals = (
+                (int(counts[seq].sum()) * self._itemsize, int(seq.sum())),
+                (int(counts[ran].sum()) * self._itemsize, int(ran.sum())),
+            )
+        (seq_bytes, seq_requests), (ran_bytes, ran_requests) = totals
+        if seq_bytes or seq_requests:
+            self.disk.charge_read_sequential(seq_bytes, requests=seq_requests)
+        if ran_bytes or ran_requests:
+            self.disk.charge_read_random(ran_bytes, requests=ran_requests)
+
+    def mapped(self) -> np.ndarray:
+        """Every whole item of the file through its read mapping, uncharged.
+
+        The data half of a batched reader, which runs each read's
+        accounting half itself. Never raises: a missing or empty file is
+        an empty array, and a trailing partial item is left out (the
+        accounting half's :attr:`item_count` rejects such a file).
+        """
+        items = self.nbytes // self._itemsize
+        if items == 0:
+            return np.empty(0, dtype=self.dtype)
+        return self._get_mmap(items).view(np.ndarray)  # plain indexing, no memmap wrapping
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -446,7 +511,7 @@ class ArrayFile:
         """The read mapping, remapped when the file is no longer the
         ``item_count`` items the caller just measured on disk."""
         if self._mmap is None or self._mmap.shape[0] != item_count:
-            self._mmap = np.memmap(self.path, dtype=self.dtype, mode="r")
+            self._mmap = np.memmap(self.path, dtype=self.dtype, mode="r", shape=(item_count,))
         return self._mmap
 
     def _invalidate_mmap(self) -> None:

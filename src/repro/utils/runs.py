@@ -9,7 +9,7 @@ bandwidth — the effect the paper's ``S_seq``/``S_ran`` split models.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from repro.utils.validation import require
 
 
 def merge_runs(
-    starts: np.ndarray, counts: np.ndarray
+    starts: np.ndarray, counts: np.ndarray, firsts: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coalesce adjacent (start, count) runs.
 
@@ -26,7 +26,9 @@ def merge_runs(
     ``group_ids[k]`` maps input run ``k`` to its merged run. Zero-length
     runs merge into their neighbours. Input runs must be position-sorted
     for meaningful merging (callers pass per-vertex extents in id order,
-    which the CSR layout keeps position-sorted).
+    which the CSR layout keeps position-sorted). The runs at positions
+    ``firsts`` always start a merged run: several reads laid end to end
+    merge each within itself only.
     """
     starts = np.asarray(starts, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
@@ -37,10 +39,11 @@ def merge_runs(
     breaks = np.empty(n, dtype=bool)
     breaks[0] = True
     breaks[1:] = starts[1:] != starts[:-1] + counts[:-1]
+    if firsts is not None:
+        breaks[firsts] = True
     group_ids = np.cumsum(breaks) - 1
-    merged_starts = starts[breaks]
-    merged_counts = np.bincount(group_ids, weights=counts).astype(np.int64)
-    return merged_starts, merged_counts, group_ids
+    heads = np.flatnonzero(breaks)
+    return starts[heads], np.add.reduceat(counts, heads), group_ids
 
 
 def run_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -69,11 +69,11 @@ def test_report_render_names_regressions():
             Comparison("B", "c", "m", 1, 1, "exact", True),
             Comparison("B", "c", "n", 1, 2, "exact", False),
         ],
-        skipped=["BENCH_5: no reproducer"],
+        skipped=["BENCH_9: no reproducer"],
     )
     text = report.render()
     assert "REGRESSIONS: 1" in text
-    assert "skip BENCH_5" in text
+    assert "skip BENCH_9" in text
     assert len(report.failures()) == 1
     clean = CheckReport(comparisons=[Comparison("B", "c", "m", 1, 1, "exact", True)])
     assert "no regressions" in clean.render()
@@ -105,12 +105,15 @@ def test_smoke_skips_bench3(tmp_path):
     assert report.skipped == ["BENCH_3: full mode only"]
 
 
-@pytest.fixture(scope="module")
-def repo_bench_2():
+def _repo_record(name):
     from pathlib import Path
 
-    path = Path(__file__).resolve().parents[2] / "BENCH_2.json"
-    return json.loads(path.read_text())
+    return json.loads((Path(__file__).resolve().parents[2] / name).read_text())
+
+
+@pytest.fixture(scope="module")
+def repo_bench_2():
+    return _repo_record("BENCH_2.json")
 
 
 def test_doctored_regression_fails_and_exits_nonzero(
@@ -147,3 +150,31 @@ def test_clean_record_passes_through_the_cli(tmp_path, repo_bench_2, capsys):
 def test_missing_bench_dir_is_a_usage_error(tmp_path):
     rc = main(["bench", "check", "--bench-dir", str(tmp_path / "nowhere")])
     assert rc == 2
+
+
+def test_bench5_is_gated_not_skipped(tmp_path):
+    """The K-lane selective-gather record has a reproducer: the smoke
+    cells (sssp, compact3, K=1 and K=4) are compared, not skipped."""
+    (tmp_path / "BENCH_5.json").write_text(json.dumps(_repo_record("BENCH_5.json")))
+    report = check_history(tmp_path, smoke=True)
+    assert report.skipped == []
+    cells = {c.cell for c in report.comparisons}
+    assert cells == {"workloads.sssp.compact3.K1", "workloads.sssp.compact3.K4"}
+    rules = {c.metric: c.rule for c in report.comparisons}
+    assert rules == {
+        "sim_seconds": "time",
+        "io_bytes": "bytes",
+        "gather_runs_issued": "exact",
+        "identical_results": "exact",
+    }
+    assert report.failures() == []
+
+
+def test_bench5_gather_runs_are_exact(tmp_path):
+    doctored = _repo_record("BENCH_5.json")
+    doctored["workloads"]["sssp"]["compact3"]["K4"]["gather_runs_issued"] += 1
+    (tmp_path / "BENCH_5.json").write_text(json.dumps(doctored))
+    failures = check_history(tmp_path, smoke=True).failures()
+    assert [(f.cell, f.metric) for f in failures] == [
+        ("workloads.sssp.compact3.K4", "gather_runs_issued")
+    ]

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.storage import blockfile
 from repro.storage.blockfile import Device
 from repro.storage.disk import DiskProfile, SimulatedDisk
+from repro.storage.faults import FaultInjector, FaultPlan, FaultSpec, SimulatedCrash
 
 
 @pytest.fixture
@@ -157,6 +159,73 @@ def test_gather_sees_truncation_between_two_gathers(dev, monkeypatch):
     monkeypatch.setattr(os, "stat", lambda *a, **k: stats.append(a) or real_stat(*a, **k))
     assert f.read_gather(np.array([47]), np.array([3])).tolist() == [47, 48, 49]
     assert len(stats) == 1  # the bounds check and the staleness check share it
+
+
+# -- write(): same-size rewrites land in place ---------------------------------
+
+
+@pytest.fixture
+def open_modes(monkeypatch):
+    """The modes ``blockfile`` opens files with (``tofile(path)`` truncates
+    without going through ``open``)."""
+    modes = []
+
+    def spy(path, mode="r", *args, **kwargs):
+        modes.append(mode)
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(blockfile, "open", spy, raising=False)
+    return modes
+
+
+def test_same_size_rewrite_is_in_place_with_identical_bytes_and_sidecar(
+    tmp_path, disk, open_modes
+):
+    dev = Device(tmp_path / "d", disk, checksums=True)
+    f = dev.array_file("s.bin", np.float64)
+    f.write(np.zeros(20_000))  # three 64 KiB CRC chunks
+    assert "r+b" not in open_modes
+    before = disk.stats.snapshot()
+    values = np.random.default_rng(0).random(20_000)
+    f.write(values)
+
+    assert "r+b" in open_modes
+    assert f.path.read_bytes() == values.tobytes()
+    assert (disk.stats - before).bytes_written_seq == values.nbytes
+    # A fresh handle verifies every chunk against the rewritten sidecar.
+    fresh = Device(tmp_path / "d", SimulatedDisk(), checksums=True).array_file("s.bin", np.float64)
+    assert np.array_equal(fresh.read_all(), values)
+
+
+def test_shorter_rewrite_truncates(dev, open_modes):
+    f = dev.array_file("s.bin", np.int32)
+    f.write(np.arange(100, dtype=np.int32))
+    f.write(np.arange(10, dtype=np.int32))
+    assert f.nbytes == 40
+    assert np.array_equal(f.read_all(), np.arange(10, dtype=np.int32))
+    f.write(np.empty(0, dtype=np.int32))
+    assert f.nbytes == 0
+    f.write(np.arange(3, dtype=np.int32))  # and grows again
+    assert np.array_equal(f.read_all(), np.arange(3, dtype=np.int32))
+    assert "r+b" not in open_modes
+
+
+def test_empty_write_creates_a_missing_file(dev):
+    f = dev.array_file("new.bin", np.int64)
+    f.write(np.empty(0, dtype=np.int64))
+    assert f.exists and f.nbytes == 0
+
+
+def test_torn_same_size_rewrite_leaves_a_prefix_and_crashes(tmp_path, disk):
+    disk.injector = FaultInjector(
+        FaultPlan(specs=(FaultSpec("torn-write", "s.bin", at_op=2, fraction=0.25),))
+    )
+    f = Device(tmp_path / "d", disk).array_file("s.bin", np.int64)
+    f.write(np.zeros(64, dtype=np.int64))
+    with pytest.raises(SimulatedCrash):
+        f.write(np.arange(64, dtype=np.int64))
+    # The torn write replaces the file with the prefix that reached disk.
+    assert np.array_equal(np.fromfile(f.path, dtype=np.int64), np.arange(16))
 
 
 def test_missing_file_has_zero_bytes(dev):
