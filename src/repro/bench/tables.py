@@ -1,0 +1,766 @@
+"""BENCH_2–6 as run tables: the paper-extension records, declared as data.
+
+Every table is run by :mod:`repro.bench.runner` — ``graphsd bench
+write`` regenerates the committed ``BENCH_*.json`` from it and
+``graphsd bench check [--smoke]`` re-runs its gated cells against the
+record. What each record claims:
+
+* **BENCH_2** — serial vs. pipelined (async sub-block prefetch). The
+  pipeline's single in-order worker reproduces the serial disk stream,
+  so both modes agree bit-for-bit on results, traffic and per-component
+  time; only the total differs (overlap hides ``min(io, compute)``).
+* **BENCH_3** — raw vs. compact sub-block encoding across the adaptive
+  scheduler and the FCIU-/SCIU-pinned ablations, serial and pipelined:
+  bit-identical values everywhere, identical model schedules for the
+  pinned ablations, ≥ 1.8x fewer unweighted edge bytes.
+* **BENCH_4** — sharded scaling at N ∈ {1, 2, 4} workers (N=4 ≥ 1.6x
+  faster on PageRank) and an N=4 fault matrix (crashes, message faults,
+  a degraded straggler), every cell bit-identical to the clean run.
+* **BENCH_5** — K-lane selective gathers on the SCIU-pinned
+  ``graphsd-b4`` across both compact formats: every K bit-identical to
+  K=1 on values, iterations and every I/O counter but the lane schedule,
+  strictly faster for K ≥ 2; compact3's ``.idx`` ≥ 2x smaller.
+* **BENCH_6** — priority-driven async sweeps vs. BSP: bitwise-identical
+  fixed points under every (pipeline, lanes) configuration, and on
+  ≥ 3 MIN-combine workloads ≥ 1.2x less work with lower simulated time.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import Any, Dict, List, Mapping, Optional, Sequence
+
+import numpy as np
+
+from repro.bench.harness import Harness, WORKLOADS
+from repro.bench.reporting import ExperimentReport, compare_times
+from repro.bench.runner import (
+    Bench,
+    Entry,
+    Gated,
+    Levels,
+    Row,
+    RunTable,
+    Section,
+    Subset,
+    build_record,
+)
+from repro.core import RunResult
+from repro.core.convergence import fixed_point_diff
+from repro.storage import FaultPlan, FaultSpec
+from repro.storage.iostats import WALL_CLOCK_DEPENDENT_FIELDS
+
+DATASET = "twitter2010"
+HDD = "default (HDD profile)"
+#: Preprocessing-only cells measure the unweighted and weighted grids.
+GRAPHS = {"unweighted": WORKLOADS["pr"], "weighted": WORKLOADS["sssp"]}
+
+
+def _preprocess(b: Bench, c: Levels) -> Any:
+    store, _ = b.harness(c["encoding"]).preprocess(
+        "graphsd", b.dataset, GRAPHS[c["graph"]]
+    )
+    return store
+
+
+def _same_values(a: RunResult, b: RunResult) -> bool:
+    return bool(np.array_equal(a.values, b.values, equal_nan=True))
+
+
+# -- BENCH_2: I/O-compute overlap ------------------------------------------
+
+
+def _overlap_run(b: Bench, c: Levels) -> RunResult:
+    # A fresh harness per run keeps the clock snapshots independent, so
+    # per-component totals compare bit-for-bit across the two modes (a
+    # shared store leaves ~1e-16 subtraction artifacts in the second).
+    with Harness(P=b.P) as harness:
+        return harness.run(
+            "graphsd", c["algo"], b.dataset,
+            pipeline=c["mode"] == "pipelined",
+            prefetch_depth=int(b.header["prefetch_depth"]),
+            trace_path=b.trace_path(c),
+        )
+
+
+def _overlap_side(r: Row) -> Dict[str, Any]:
+    run = r.run
+    return {
+        "sim_seconds": run.sim_seconds,
+        "io_seconds": run.io_seconds,
+        "compute_seconds": run.compute_seconds,
+        "overlap_saved_seconds": run.overlap_saved_seconds,
+        "wall_seconds": run.wall_seconds,
+        "io_traffic_bytes": run.io_traffic,
+        "iterations": run.iterations,
+        "prefetch_issued": run.prefetch_issued,
+        "prefetch_hits": run.prefetch_hits,
+        "prefetch_wasted": run.prefetch_wasted,
+        "buffer_hit_bytes": run.buffer_hit_bytes,
+    }
+
+
+def _overlap_pair(r: Row) -> Dict[str, Any]:
+    serial, piped = r.base, r.run
+    cmp = compare_times(
+        serial.sim_seconds, piped.sim_seconds, serial.wall_seconds, piped.wall_seconds
+    )
+    return {
+        "speedup": cmp.sim_speedup,
+        "wall_speedup": cmp.wall_speedup,
+        "wall_delta_seconds": cmp.wall_delta_seconds,
+        "wall_regressed": cmp.wall_regressed,
+        # Bit-identical results + traces + per-component time and traffic.
+        "identical_results": (
+            _same_values(serial, piped)
+            and serial.iterations == piped.iterations
+            and serial.model_history == piped.model_history
+            and serial.frontier_history == piped.frontier_history
+            and serial.io_traffic == piped.io_traffic
+            and serial.io_seconds == piped.io_seconds
+            and serial.compute_seconds == piped.compute_seconds
+        ),
+    }
+
+
+def _overlap_gates(record: Mapping[str, Any]) -> List[str]:
+    failures = []
+    for algo, e in record.get("workloads", {}).items():
+        if e["pipelined"]["sim_seconds"] > e["serial"]["sim_seconds"]:
+            failures.append(f"{algo}: pipelined total exceeds serial")
+        if not e["identical_results"]:
+            failures.append(f"{algo}: serial and pipelined runs are not bit-identical")
+    return failures
+
+
+BENCH_2 = RunTable(
+    "BENCH_2",
+    header={
+        "description": "serial vs. pipelined (async sub-block prefetch) execution",
+        "dataset": DATASET,
+        "partitions": 8,
+        "prefetch_depth": 2,
+        "machine": HDD,
+    },
+    sections=[
+        Section(
+            factors={"algo": ("pr", "pr-d", "cc", "sssp"), "mode": ("serial", "pipelined")},
+            measure=_overlap_run,
+            baseline=lambda c: {**c, "mode": "serial"},
+            entries=[
+                Entry("workloads.{algo}.{mode}", _overlap_side),
+                Entry("workloads.{algo}", _overlap_pair, when={"mode": "pipelined"}),
+            ],
+        )
+    ],
+    gated=[
+        Gated("workloads.{algo}.{mode}", "sim_seconds", "time"),
+        Gated("workloads.{algo}.{mode}", "io_traffic_bytes", "bytes"),
+        Gated("workloads.{algo}.{mode}", "iterations", "exact"),
+        Gated("workloads.{algo}", "identical_results", "exact"),
+    ],
+    accept=_overlap_gates,
+    smoke={"algo": ("pr",)},
+)
+
+
+def overlap_report(harness: Harness, subset: Optional[Subset] = None) -> ExperimentReport:
+    """BENCH_2's table rendered as the ``bench --experiment overlap`` figure,
+    at the harness's partition count and prefetch depth."""
+    record = build_record(
+        BENCH_2,
+        subset,
+        trace_dir=str(harness.trace_dir) if harness.trace_dir else None,
+        header={"partitions": harness.P, "prefetch_depth": harness.prefetch_depth},
+    )
+    report = ExperimentReport(
+        "overlap",
+        f"I/O-compute overlap on {DATASET} (prefetch depth {harness.prefetch_depth})",
+        ["algorithm", "serial (s)", "pipelined (s)", "saved (s)", "sim speedup", "wall speedup"],
+    )
+    speedups = {}
+    for algo, e in record["workloads"].items():
+        serial, piped = e["serial"], e["pipelined"]
+        speedups[algo] = e["speedup"]
+        report.add_row(
+            algo.upper(), serial["sim_seconds"], piped["sim_seconds"],
+            piped["overlap_saved_seconds"], f"{e['speedup']:.2f}x",
+            f"{e['wall_speedup']:.2f}x",
+        )
+        if e["wall_regressed"]:
+            report.add_note(
+                f"WALL REGRESSION: {algo} pipelined wall time "
+                f"{piped['wall_seconds']:.4f}s vs serial {serial['wall_seconds']:.4f}s "
+                f"({e['wall_delta_seconds']:+.4f}s) — the model improves but the "
+                "implementation pays more than the overlap saves at this scale"
+            )
+        if not e["identical_results"]:
+            report.add_note(
+                f"WARNING: {algo} serial and pipelined runs are not bit-identical "
+                "(values, model/frontier history, traffic or per-component time)"
+            )
+    geo = float(np.exp(np.mean(np.log(list(speedups.values())))))
+    report.add_note(
+        f"geo-mean sim speedup {geo:.2f}x "
+        "(results bit-identical; only overlap-hidden time differs)"
+    )
+    report.data["speedups"] = speedups
+    return report
+
+
+# -- BENCH_3: raw vs. compact encoding ---------------------------------------
+
+
+def _encoding_cell(r: Row) -> Dict[str, Any]:
+    raw, comp = r.base, r.run
+    cmp = compare_times(raw.sim_seconds, comp.sim_seconds, raw.wall_seconds, comp.wall_seconds)
+    # Byte-dependent quantities legitimately differ between encodings.
+    # The pinned ablations must also replay the exact model schedule;
+    # the adaptive scheduler's full-vs-on-demand crossover legitimately
+    # moves when the byte model shrinks full sweeps more than gathers.
+    same_models = r.cell["system"] == "graphsd" or (
+        raw.model_history == comp.model_history
+        and raw.frontier_history == comp.frontier_history
+    )
+    return {
+        "raw_sim_seconds": raw.sim_seconds,
+        "compact_sim_seconds": comp.sim_seconds,
+        "raw_io_bytes": raw.io_traffic,
+        "compact_io_bytes": comp.io_traffic,
+        "sim_speedup": cmp.sim_speedup,
+        "wall_speedup": cmp.wall_speedup,
+        "wall_delta_seconds": cmp.wall_delta_seconds,
+        "wall_regressed": cmp.wall_regressed,
+        "identical_results": (
+            _same_values(raw, comp) and raw.iterations == comp.iterations and same_models
+        ),
+        "same_model_choices": raw.model_history == comp.model_history,
+    }
+
+
+def _encoding_gates(record: Mapping[str, Any]) -> List[str]:
+    failures = []
+    unweighted = record.get("on_disk_bytes", {}).get("unweighted", {})
+    if "reduction" in unweighted and unweighted["reduction"] < 1.8:
+        failures.append(f"unweighted edge-byte reduction {unweighted['reduction']:.2f}x < 1.8x")
+    for algo, entry in record.get("workloads", {}).items():
+        for config, cell in entry.items():
+            if not cell["identical_results"]:
+                failures.append(f"{algo}/{config}: results differ between encodings")
+    return failures
+
+
+BENCH_3 = RunTable(
+    "BENCH_3",
+    header={
+        "description": "raw vs. compact (CSR-style local-ID) sub-block encoding",
+        "dataset": DATASET,
+        "partitions": 8,
+        "machine": HDD,
+    },
+    sections=[
+        Section(
+            factors={"graph": tuple(GRAPHS), "encoding": ("raw", "compact")},
+            measure=_preprocess,
+            baseline=lambda c: {**c, "encoding": "raw"},
+            entries=[
+                Entry(
+                    "on_disk_bytes.{graph}",
+                    lambda r: {"raw_edge_bytes": r.run.total_edge_bytes},
+                    when={"encoding": "raw"},
+                ),
+                Entry(
+                    "on_disk_bytes.{graph}",
+                    lambda r: {
+                        "compact_edge_bytes": r.run.total_edge_bytes,
+                        "reduction": r.base.total_edge_bytes / r.run.total_edge_bytes,
+                        "edges": r.base.total_edges,
+                    },
+                    when={"encoding": "compact"},
+                ),
+            ],
+        ),
+        Section(
+            # The encoding must be invisible to all seven workloads, on
+            # every load path: adaptive, full streams + buffer (b3) and
+            # selective index-range gathers (b4), serial and pipelined.
+            factors={
+                "algo": ("pr", "pr-d", "cc", "sssp", "bfs", "sswp", "ppr"),
+                "system": ("graphsd", "graphsd-b3", "graphsd-b4"),
+                "pipeline": ("", "+pipeline"),
+                "encoding": ("raw", "compact"),
+            },
+            measure=lambda b, c: b.harness(c["encoding"]).run(
+                c["system"], c["algo"], b.dataset,
+                pipeline=bool(c["pipeline"]), trace_path=b.trace_path(c),
+            ),
+            baseline=lambda c: {**c, "encoding": "raw"},
+            entries=[
+                Entry(
+                    "workloads.{algo}.{system}{pipeline}",
+                    _encoding_cell,
+                    when={"encoding": "compact"},
+                )
+            ],
+        ),
+    ],
+    gated=[
+        Gated("on_disk_bytes.{graph}", metric, "exact")
+        for metric in ("raw_edge_bytes", "compact_edge_bytes", "edges")
+    ],
+    accept=_encoding_gates,
+    # Only the preprocessing cells are gated: the byte layout is exact.
+    check={"algo": ()},
+    smoke={"algo": ()},
+)
+
+
+# -- BENCH_4: cluster scaling + fault matrix ---------------------------------
+
+#: The robustness matrix, run at N=FAULT_WORKERS: run_cluster knobs,
+#: then the recovery counters each plan must at least reach.
+FAULT_MATRIX: Dict[str, Sequence[Dict[str, Any]]] = {
+    "crash-mid-superstep": (
+        {"fault_plan": FaultPlan(crash_points={"w1:post-compute": 2})},
+        {"worker_recoveries": 1},
+    ),
+    "crash-mid-checkpoint": (
+        {"fault_plan": FaultPlan(crash_points={"w2:mid-checkpoint": 3})},
+        {"worker_recoveries": 1},
+    ),
+    "message-faults": (
+        {
+            "fault_plan": FaultPlan(
+                specs=(
+                    FaultSpec(kind="msg-drop", pattern="w0->w2", at_op=4, count=2),
+                    FaultSpec(kind="msg-corrupt", pattern="w1->*", at_op=7, count=1),
+                    FaultSpec(kind="msg-dup", pattern="*", at_op=9, count=3),
+                )
+            )
+        },
+        {"msgs_dropped": 2, "msgs_corrupted": 1, "msgs_duplicated": 3},
+    ),
+    "straggler": (
+        {"worker_disk_factors": {3: 0.05}},
+        {"stragglers_degraded": 1, "workers_final": 3},
+    ),
+}
+FAULT_WORKERS = 4
+#: The scaling floor the record is checked against (N=4 vs N=1).
+MIN_SCALING_N4 = 1.6
+
+
+def _cluster_run(b: Bench, c: Levels) -> RunResult:
+    knobs = FAULT_MATRIX[c["fault"]][0] if "fault" in c else {}
+    trace = b.trace_path(c)
+    result = b.harness().run_cluster(
+        c["algo"], b.dataset, workers=c.get("workers", FAULT_WORKERS),
+        interconnect=str(b.header["interconnect"]), trace_path=trace, **knobs,
+    )
+    if trace is not None:
+        # The merged distributed trace's Perfetto export and critical
+        # path (analyze_file replays the timeline algebra and raises on
+        # any violation).
+        from repro.obs import analyze_file, export_file
+
+        stem = trace[: -len(".trace.jsonl")]
+        export_file(trace, stem + ".perfetto.json")
+        # charged-io-ok: host-side trace artifact, not simulated graph I/O
+        Path(stem + ".critical-path.txt").write_text(analyze_file(trace).render() + "\n")
+    return result
+
+
+def _cluster_identical(a: RunResult, b: RunResult) -> bool:
+    return _same_values(a, b) and a.iterations == b.iterations and a.converged == b.converged
+
+
+def _fault_cell(r: Row) -> Dict[str, Any]:
+    expected = FAULT_MATRIX[r.cell["fault"]][1]
+    rec = r.run.recovery
+    return {
+        "identical_to_clean_run": _cluster_identical(r.base, r.run),
+        "fault_events": list(r.run.fault_events),
+        "recovery": {k: v for k, v in rec.items() if not isinstance(v, float)},
+        "expected_counters_met": all(rec.get(k, 0) >= v for k, v in expected.items()),
+    }
+
+
+def _cluster_gates(record: Mapping[str, Any]) -> List[str]:
+    failures = []
+    for algo, entry in record.get("workloads", {}).items():
+        scaling = entry.get("scaling_n4")
+        if scaling is not None and algo == "pr" and scaling < MIN_SCALING_N4:
+            failures.append(f"{algo}: N=4 scaling {scaling:.2f}x below {MIN_SCALING_N4}x")
+        for n, cell in entry["by_workers"].items():
+            if not cell["identical_to_single_worker"]:
+                failures.append(f"{algo}: N={n} values differ from single-worker")
+    for name, cells in record.get("fault_matrix", {}).items():
+        for algo, cell in cells.items():
+            if not cell["identical_to_clean_run"]:
+                failures.append(f"{name}/{algo}: values differ from the clean run")
+            if not cell["expected_counters_met"]:
+                failures.append(f"{name}/{algo}: expected recovery counters not met")
+    return failures
+
+
+_CLUSTER_ALGOS = ("pr", "cc", "sssp")
+
+BENCH_4 = RunTable(
+    "BENCH_4",
+    header={
+        "description": "sharded multi-worker scaling + fault-matrix bit-identity",
+        "dataset": DATASET,
+        "partitions": 8,
+        "interconnect": "eth10",
+        "machine": "default (HDD profile per worker)",
+    },
+    sections=[
+        Section(
+            factors={"algo": _CLUSTER_ALGOS, "workers": (1, 2, 4)},
+            measure=_cluster_run,
+            baseline=lambda c: {**c, "workers": 1},
+            entries=[
+                Entry(
+                    "workloads.{algo}.by_workers.{workers}",
+                    lambda r: {
+                        "sim_seconds": r.run.sim_seconds,
+                        "overlap_saved_seconds": r.run.overlap_saved_seconds,
+                        "io_bytes": r.run.io_traffic,
+                        "messages_sent": r.run.recovery.get("messages_sent", 0),
+                        "network_bytes": r.run.recovery.get("bytes_sent", 0),
+                        "iterations": r.run.iterations,
+                        "identical_to_single_worker": _cluster_identical(r.base, r.run),
+                    },
+                ),
+                Entry(
+                    "workloads.{algo}",
+                    lambda r: {
+                        "scaling_n4": r.base.sim_seconds / r.run.sim_seconds,
+                        "values_sha256": r.base.values_sha256(),
+                    },
+                    when={"workers": 4},
+                ),
+            ],
+        ),
+        Section(
+            factors={"fault": tuple(FAULT_MATRIX), "algo": _CLUSTER_ALGOS},
+            measure=_cluster_run,
+            baseline=lambda c: {"algo": c["algo"], "workers": 1},
+            entries=[Entry("fault_matrix.{fault}.{algo}", _fault_cell)],
+        ),
+    ],
+    gated=[
+        *(
+            Gated("workloads.{algo}.by_workers.{workers}", metric, rule)
+            for metric, rule in (
+                ("sim_seconds", "time"),
+                ("io_bytes", "bytes"),
+                ("messages_sent", "exact"),
+                ("network_bytes", "exact"),
+                ("iterations", "exact"),
+            )
+        ),
+        Gated("workloads.{algo}", "values_sha256", "exact"),
+        Gated("workloads.{algo}.by_workers.4", "identical_to_single_worker", "exact"),
+    ],
+    accept=_cluster_gates,
+    check={"workers": (1, 4), "fault": ()},
+    # A crash and dropped messages at N=4: with --trace these yield the
+    # merged distributed traces CI uploads.
+    smoke={
+        "algo": ("pr", "sssp"),
+        "workers": (1, 4),
+        "fault": ("crash-mid-superstep", "message-faults"),
+    },
+)
+
+
+# -- BENCH_5: K-lane selective gathers x index metadata ----------------------
+
+#: IOStats counters that legitimately depend on the lane count: the
+#: greedy lane assignment changes per-lane queue depths, and the busy
+#: total is the same task durations summed in lane order (equal
+#: mathematically; float addition drifts in the last ulp).
+GATHER_SCHEDULE_FIELDS: Sequence[str] = ("gather_queue_peak", "gather_lane_busy_seconds")
+
+
+def _lane_diff(base: RunResult, run: RunResult) -> List[str]:
+    """What differs between the K=1 baseline and a K-lane run but must not.
+
+    Modeled *times* are excluded: lane concurrency exists to change them.
+    """
+    diffs: List[str] = []
+    if base.values_sha256() != run.values_sha256():
+        diffs.append("values")
+    if base.iterations != run.iterations:
+        diffs.append("iterations")
+    if base.model_history != run.model_history:
+        diffs.append("model_history")
+    io_a, io_b = base.io.to_dict(), run.io.to_dict()
+    for name in io_a:
+        if name in WALL_CLOCK_DEPENDENT_FIELDS or name in GATHER_SCHEDULE_FIELDS:
+            continue
+        if io_a[name] != io_b[name]:
+            diffs.append(f"io.{name}: {io_a[name]} != {io_b[name]}")
+    return diffs
+
+
+def _lane_cell(r: Row) -> Dict[str, Any]:
+    run = r.run
+    diffs = _lane_diff(r.base, run)
+    return {
+        "lanes": r.cell["lanes"],
+        "sim_seconds": run.sim_seconds,
+        "io_seconds": run.io_seconds,
+        "io_bytes": run.io_traffic,
+        "gather_runs_issued": run.gather_runs_issued,
+        "gather_lane_busy_seconds": run.gather_lane_busy_seconds,
+        "gather_queue_peak": run.gather_queue_peak,
+        "identical_results": not diffs,
+        "diffs": diffs,
+        "sim_speedup": r.base.sim_seconds / run.sim_seconds,
+    }
+
+
+def _formats_agree(r: Row) -> Dict[str, Any]:
+    other = r.get(encoding="compact")
+    if other is None:  # only one format ran
+        return {}
+    return {"formats_agree": other.values_sha256() == r.run.values_sha256()}
+
+
+def _selective_gates(record: Mapping[str, Any]) -> List[str]:
+    failures = []
+    for label, entry in record.get("index_bytes", {}).items():
+        if entry["reduction"] < 2.0:
+            failures.append(f"index bytes ({label}): reduction {entry['reduction']:.2f}x < 2x")
+    for algo, algo_entry in record.get("workloads", {}).items():
+        if not algo_entry.get("formats_agree", True):
+            failures.append(f"{algo}: compact and compact3 values differ")
+        for encoding in ("compact", "compact3"):
+            cells = algo_entry.get(encoding, {})
+            for name, cell in cells.items():
+                if not cell["identical_results"]:
+                    failures.append(
+                        f"{algo}/{encoding}/{name}: not lane-invariant: {cell['diffs']}"
+                    )
+                base_sim = cells["K1"]["sim_seconds"]
+                if cell["lanes"] >= 2 and not cell["sim_seconds"] < base_sim:
+                    failures.append(
+                        f"{algo}/{encoding}/{name}: sim {cell['sim_seconds']:.3f}s "
+                        f"not strictly below K=1 {base_sim:.3f}s"
+                    )
+    return failures
+
+
+BENCH_5 = RunTable(
+    "BENCH_5",
+    header={
+        "description": "K-lane selective gathers x compact index metadata",
+        "dataset": DATASET,
+        "system": "graphsd-b4",  # SCIU pinned: every round gathers
+        "partitions": 8,
+        "machine": HDD,
+    },
+    sections=[
+        Section(
+            factors={"graph": tuple(GRAPHS), "encoding": ("compact", "compact3")},
+            measure=_preprocess,
+            baseline=lambda c: {**c, "encoding": "compact"},
+            entries=[
+                Entry(
+                    "index_bytes.{graph}",
+                    lambda r: {"compact_index_bytes": r.run.index_total_bytes},
+                    when={"encoding": "compact"},
+                ),
+                Entry(
+                    "index_bytes.{graph}",
+                    lambda r: {
+                        "compact3_index_bytes": r.run.index_total_bytes,
+                        "reduction": r.base.index_total_bytes / r.run.index_total_bytes,
+                    },
+                    when={"encoding": "compact3"},
+                ),
+            ],
+        ),
+        Section(
+            factors={
+                "algo": ("pr-d", "sssp", "ppr"),
+                "encoding": ("compact", "compact3"),
+                "lanes": (1, 2, 4, 8),
+            },
+            measure=lambda b, c: b.harness(c["encoding"]).run(
+                str(b.header["system"]), c["algo"], b.dataset,
+                gather_lanes=c["lanes"], trace_path=b.trace_path(c),
+            ),
+            baseline=lambda c: {**c, "lanes": 1},
+            entries=[
+                Entry("workloads.{algo}.{encoding}.K{lanes}", _lane_cell),
+                Entry(
+                    "workloads.{algo}",
+                    _formats_agree,
+                    when={"encoding": "compact3", "lanes": 1},
+                ),
+            ],
+        ),
+    ],
+    gated=[
+        Gated("workloads.{algo}.{encoding}.K{lanes}", "sim_seconds", "time"),
+        Gated("workloads.{algo}.{encoding}.K{lanes}", "io_bytes", "bytes"),
+        Gated("workloads.{algo}.{encoding}.K{lanes}", "gather_runs_issued", "exact"),
+        Gated("workloads.{algo}.{encoding}.K{lanes}", "identical_results", "exact"),
+        Gated("workloads.{algo}", "formats_agree", "exact"),
+    ],
+    accept=_selective_gates,
+    # Re-run in the record's key order (runs share each format's store).
+    check={"algo": ("ppr", "pr-d", "sssp")},
+    smoke={"algo": ("sssp",), "encoding": ("compact3",), "lanes": (1, 4)},
+)
+
+
+# -- BENCH_6: async priority sweeps vs. BSP ----------------------------------
+
+#: MIN-combine workloads: bitwise order-independent fixed points, where
+#: async sweeps genuinely reorder and batch the propagation.
+ASYNC_MIN: Sequence[str] = ("sssp", "cc", "sswp", "bfs")
+#: ADD-combine monotonic workloads: async keeps the classic schedule.
+#: Their bits depend on the merge schedule, and gather_lanes feeds the
+#: scheduler's cost model, so their reference is a synchronous run under
+#: the *same* I/O configuration; MIN references are the default sync run.
+ASYNC_ADD: Sequence[str] = ("pr-d",)
+#: (pipeline, gather_lanes) composition grid every workload runs under.
+ASYNC_CONFIGS: Dict[str, tuple] = {
+    "serial-K1": (False, 1),
+    "pipelined-K1": (True, 1),
+    "serial-K4": (False, 4),
+    "pipelined-K4": (True, 4),
+}
+#: Required work reduction (sweeps or sub-block gathers) ...
+REDUCTION_GATE = 1.2
+#: ... on at least this many MIN-combine workloads.
+MIN_ALGOS_REQUIRED = 3
+
+
+def _schedule_run(b: Bench, c: Levels) -> RunResult:
+    pipeline, lanes = ASYNC_CONFIGS[c["config"]]
+    return b.harness().run(
+        "graphsd", c["algo"], b.dataset,
+        async_mode=c["schedule"] == "async", pipeline=pipeline,
+        gather_lanes=lanes, trace_path=b.trace_path(c),
+    )
+
+
+def _run_entry(r: Row) -> Dict[str, Any]:
+    run = r.run
+    return {
+        "iterations": run.iterations,
+        "sweeps": run.sweeps,
+        "subblocks_processed": run.subblocks_processed,
+        "sim_seconds": run.sim_seconds,
+        "io_seconds": run.io_seconds,
+        "io_bytes": run.io_traffic,
+        "values_sha256": run.values_sha256(),
+    }
+
+
+def _async_summary(r: Row) -> Dict[str, Any]:
+    sync, a = r.base, r.run
+    return {
+        "identical_fixed_point": not fixed_point_diff(a, sync),
+        "sweep_reduction": sync.iterations / max(1, a.sweeps or a.iterations),
+        "gather_reduction": sync.subblocks_processed / max(1, a.subblocks_processed),
+        "sim_speedup": sync.sim_seconds / a.sim_seconds,
+    }
+
+
+def _async_config(r: Row) -> Dict[str, Any]:
+    diffs = fixed_point_diff(r.run, r.base)
+    return dict(
+        _run_entry(r),
+        identical_fixed_point=not diffs,
+        diffs=diffs,
+        sim_speedup=r.base.sim_seconds / r.run.sim_seconds,
+    )
+
+
+def _async_gates(record: Mapping[str, Any]) -> List[str]:
+    failures: List[str] = []
+    passing = present = 0
+    for algo, entry in record.get("workloads", {}).items():
+        if not entry["identical_fixed_point"]:
+            failures.append(f"{algo}: async fixed point differs from BSP")
+        for name, cell in entry["configs"].items():
+            if not cell["identical_fixed_point"]:
+                failures.append(f"{algo}/{name}: fixed point differs: {cell['diffs']}")
+        if algo in ASYNC_MIN:
+            present += 1
+            reduction = max(entry["sweep_reduction"], entry["gather_reduction"])
+            faster = entry["async"]["sim_seconds"] < entry["sync"]["sim_seconds"]
+            passing += reduction >= REDUCTION_GATE and faster
+    # A partial record (the smoke cells) holds every MIN workload it has.
+    required = min(MIN_ALGOS_REQUIRED, present)
+    if passing < required:
+        failures.append(
+            f"only {passing} MIN workloads cleared the >= {REDUCTION_GATE}x work "
+            f"reduction with lower simulated time (need {required})"
+        )
+    return failures
+
+
+_ASYNC_BASE: Dict[str, Any] = {"schedule": "async", "config": "serial-K1"}
+
+BENCH_6 = RunTable(
+    "BENCH_6",
+    header={
+        "description": "priority-driven async sweeps vs BSP iterations",
+        "dataset": DATASET,
+        "partitions": 8,
+        "machine": HDD,
+        "reduction_gate": REDUCTION_GATE,
+        "min_algorithms_required": MIN_ALGOS_REQUIRED,
+    },
+    sections=[
+        Section(
+            factors={
+                "algo": (*ASYNC_MIN, *ASYNC_ADD),
+                "config": tuple(ASYNC_CONFIGS),
+                "schedule": ("sync", "async"),
+            },
+            # The synchronous reference runs under the default config;
+            # ADD references under other configs are baselines.
+            where=lambda c: c["schedule"] == "async" or c["config"] == "serial-K1",
+            measure=_schedule_run,
+            baseline=lambda c: {
+                **c,
+                "schedule": "sync",
+                "config": c["config"] if c["algo"] in ASYNC_ADD else "serial-K1",
+            },
+            entries=[
+                Entry("workloads.{algo}.sync", _run_entry, when={"schedule": "sync"}),
+                Entry("workloads.{algo}.async", _run_entry, when=_ASYNC_BASE),
+                Entry("workloads.{algo}", _async_summary, when=_ASYNC_BASE),
+                Entry(
+                    "workloads.{algo}.configs.{config}",
+                    _async_config,
+                    when={"schedule": "async"},
+                ),
+            ],
+        )
+    ],
+    gated=[
+        Gated("workloads.{algo}.{schedule}", "sim_seconds", "time"),
+        Gated("workloads.{algo}.{schedule}", "io_bytes", "bytes"),
+        Gated("workloads.{algo}.{schedule}", "iterations", "exact"),
+        Gated("workloads.{algo}.{schedule}", "values_sha256", "exact"),
+    ],
+    accept=_async_gates,
+    # Re-run in the record's key order (the workloads share one harness).
+    check={"algo": ("bfs", "cc", "pr-d", "sssp", "sswp"), "config": ("serial-K1",)},
+    # Two MIN workloads under every I/O configuration.
+    smoke={"algo": ("cc", "sssp")},
+)
+
+
+TABLES: Dict[str, RunTable] = {
+    t.bench_id: t for t in (BENCH_2, BENCH_3, BENCH_4, BENCH_5, BENCH_6)
+}

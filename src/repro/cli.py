@@ -12,8 +12,10 @@ Subcommands
     run summary plus the per-iteration trace.
 ``bench``
     Regenerate one of the paper's tables/figures (or ``all``); ``bench
-    check`` re-runs representative cells against the committed
-    ``BENCH_*.json`` baselines and exits 1 on a perf regression.
+    write`` regenerates the committed ``BENCH_*.json`` records from their
+    run tables, and ``bench check`` re-runs each table's gated cells
+    against them and exits 1 on a perf regression (see
+    :mod:`repro.bench.runner`).
 ``trace``
     Inspect structured trace files written by ``run --trace PATH`` or
     ``bench --trace DIR``: ``trace report`` prints the per-iteration and
@@ -51,8 +53,7 @@ from repro.bench import (
     run_table1_features,
     run_table4_fig5,
 )
-from repro.bench.overlap import run_overlap_benchmark
-from repro.bench.reporting import format_table
+from repro.bench.reporting import ExperimentReport, format_table
 from repro.cluster import INTERCONNECT_PROFILES
 from repro.core import DEFAULT_PREFETCH_DEPTH
 from repro.datasets import list_datasets, load_dataset, table3_rows
@@ -269,6 +270,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _overlap(harness: Harness) -> List[ExperimentReport]:
+    # Imported on use: the run tables stay off the ``graphsd run`` path.
+    from repro.bench.tables import overlap_report
+
+    return [overlap_report(harness)]
+
+
 _EXPERIMENTS = {
     "table1": lambda h: [run_table1_features()],
     "table4": lambda h: list(run_table4_fig5(h)),
@@ -280,7 +288,7 @@ _EXPERIMENTS = {
     "fig10": lambda h: [run_fig10_scheduler(h)],
     "fig11": lambda h: [run_fig11_overhead(h)],
     "fig12": lambda h: [run_fig12_buffering(h)],
-    "overlap": lambda h: [run_overlap_benchmark(h)],
+    "overlap": _overlap,
 }
 
 
@@ -413,13 +421,25 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_bench_check(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.bench.history import check_history
+    from repro.bench.runner import check_history
 
     report = check_history(
-        Path(args.bench_dir), smoke=args.smoke, only=args.only or None
+        Path(args.bench_dir),
+        smoke=args.smoke,
+        only=args.only or None,
+        trace_dir=args.trace,
     )
     print(report.render(), end="")
-    return 1 if report.failures() else 0
+    return 0 if report.ok else 1
+
+
+def _cmd_bench_write(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from repro.bench.runner import write_records
+
+    failures = write_records(Path(args.bench_dir), only=args.only or None)
+    return 1 if failures else 0
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
@@ -658,28 +678,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_bench)
     bsub = p.add_subparsers(dest="bench_command", required=False)
-    b = bsub.add_parser(
-        "check",
-        help="compare fresh runs against the committed BENCH_*.json "
-        "baselines; exit 1 on regression",
-    )
-    b.add_argument(
-        "--smoke",
-        action="store_true",
-        help="cheapest representative cell per record (CI budget)",
-    )
-    b.add_argument(
+    records = argparse.ArgumentParser(add_help=False)
+    records.add_argument(
         "--bench-dir",
         default=".",
         metavar="DIR",
         help="directory holding BENCH_*.json records (default: cwd)",
     )
-    b.add_argument(
+    records.add_argument(
         "--only",
         action="append",
         default=None,
         metavar="BENCH_ID",
         help="restrict to one bench id (repeatable)",
+    )
+    b = bsub.add_parser(
+        "write",
+        parents=[records],
+        help="measure every run table and write its BENCH_*.json record; "
+        "exit 1 if an acceptance gate fails",
+    )
+    b.set_defaults(func=_cmd_bench_write)
+    b = bsub.add_parser(
+        "check",
+        parents=[records],
+        help="re-run each table's gated cells against the committed "
+        "BENCH_*.json records; exit 1 on a regression or failed gate",
+    )
+    b.add_argument(
+        "--smoke",
+        action="store_true",
+        help="re-run each table's smoke cells only (CI budget)",
+    )
+    b.add_argument(
+        "--trace",
+        default=None,
+        metavar="DIR",
+        help="write a structured JSONL trace per executed cell into DIR "
+        "(cluster cells add the Perfetto export and critical path)",
     )
     b.set_defaults(func=_cmd_bench_check)
 

@@ -1,66 +1,64 @@
 """The perf-regression sentinel: tolerance rules and the check loop.
 
 The rule layer is tested in isolation (no benchmark runs); the doctored
-BENCH_2 record exercises the real reproducer end to end and pins the
-CLI contract — a 10% simulated-time slip must turn into exit code 1.
+records exercise every run table's smoke cells end to end and pin the
+CLI contract — one doctored gated field must turn into exactly one
+failed comparison and exit code 1.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.bench.history import (
+from repro.bench.runner import (
     BYTES_REL_TOL,
     CheckReport,
     Comparison,
     SIM_REL_TOL,
-    _Cells,
+    build_record,
     check_history,
+    compare,
     load_records,
 )
+from repro.bench.tables import BENCH_2, TABLES
 from repro.cli import main
+from repro.storage.iostats import WALL_CLOCK_DEPENDENT_FIELDS
+
+REPO = Path(__file__).resolve().parents[2]
 
 
-@pytest.fixture()
-def cells():
-    out = []
-    return _Cells("BENCH_X", out), out
+def _rule(rule, recorded, fresh):
+    return compare("BENCH_X", "cell", "metric", rule, recorded, fresh)
 
 
-def test_time_rule_tolerates_float_fold_drift(cells):
-    c, out = cells
-    c.time("cell", "sim_seconds", 0.3081409201074223, 0.30814092010742233)
-    assert out[-1].ok and out[-1].rule == "time"
+def test_time_rule_tolerates_float_fold_drift():
+    c = _rule("time", 0.3081409201074223, 0.30814092010742233)
+    assert c.ok and c.rule == "time"
 
 
-def test_time_rule_fails_a_ten_percent_regression(cells):
-    c, out = cells
-    c.time("cell", "sim_seconds", 1.0, 1.10)
-    assert not out[-1].ok
+def test_time_rule_fails_a_ten_percent_regression():
+    assert not _rule("time", 1.0, 1.10).ok
     assert 0.10 > SIM_REL_TOL
 
 
-def test_time_rule_reports_improvement_without_failing(cells):
-    c, out = cells
-    c.time("cell", "sim_seconds", 1.0, 0.80)
-    assert out[-1].ok and out[-1].note == "improved"
+def test_time_rule_reports_improvement_without_failing():
+    c = _rule("time", 1.0, 0.80)
+    assert c.ok and c.note == "improved"
 
 
-def test_bytes_rule_is_tight(cells):
-    c, out = cells
-    c.bytes("cell", "io_bytes", 1000, 1005)
-    assert out[-1].ok
-    c.bytes("cell", "io_bytes", 1000, 1020)
-    assert not out[-1].ok
+def test_bytes_rule_is_tight():
+    assert _rule("bytes", 1000, 1005).ok
+    assert not _rule("bytes", 1000, 1020).ok
     assert 0.02 > BYTES_REL_TOL
 
 
-def test_exact_rule_rejects_any_change(cells):
-    c, out = cells
-    c.exact("cell", "values_sha256", "abc", "abc")
-    assert out[-1].ok
-    c.exact("cell", "iterations", 5, 6)
-    assert not out[-1].ok
+def test_exact_rule_rejects_any_change():
+    assert _rule("exact", "abc", "abc").ok
+    assert not _rule("exact", 5, 6).ok
 
 
 def test_report_render_names_regressions():
@@ -97,54 +95,106 @@ def test_unknown_bench_ids_are_skipped_not_passed(tmp_path):
     assert report.comparisons == []
 
 
-def test_smoke_skips_bench3(tmp_path):
-    (tmp_path / "BENCH_3.json").write_text(
-        json.dumps({"bench_id": "BENCH_3", "dataset": "x", "partitions": 8})
-    )
-    report = check_history(tmp_path, smoke=True, only=["BENCH_3"])
-    assert report.skipped == ["BENCH_3: full mode only"]
-
-
 def _repo_record(name):
-    from pathlib import Path
-
-    return json.loads((Path(__file__).resolve().parents[2] / name).read_text())
+    return json.loads((REPO / f"{name}.json").read_text())
 
 
-@pytest.fixture(scope="module")
-def repo_bench_2():
-    return _repo_record("BENCH_2.json")
+def _write(tmp_path, record):
+    (tmp_path / f"{record['bench_id']}.json").write_text(json.dumps(record))
 
 
-def test_doctored_regression_fails_and_exits_nonzero(
-    tmp_path, repo_bench_2, capsys
-):
-    doctored = json.loads(json.dumps(repo_bench_2))
+def test_clean_record_passes_through_the_cli(capsys):
+    """Every committed record is compared under --smoke: none skipped."""
+    rc = main(["bench", "check", "--smoke", "--bench-dir", str(REPO)])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "no regressions" in out
+    assert "skip" not in out
+    compared = {line.split()[1] for line in out.splitlines() if line.startswith("  ok")}
+    assert compared == set(TABLES)
+
+
+def _scale(factor):
+    return lambda v: type(v)(v * factor)
+
+
+#: bench id -> (record path of one gated field of a smoke cell, metric,
+#: the doctoring, the rule it must trip).
+DOCTORED = {
     # Record a sim time 10% *below* what the code produces: the fresh
-    # run then reads as a 10% regression and must trip the gate.
-    doctored["workloads"]["pr"]["serial"]["sim_seconds"] /= 1.10
-    (tmp_path / "BENCH_2.json").write_text(json.dumps(doctored))
+    # run then reads as a 10% regression.
+    "BENCH_2": ("workloads.pr.serial", "sim_seconds", _scale(1 / 1.10), "time"),
+    "BENCH_3": ("on_disk_bytes.unweighted", "raw_edge_bytes", lambda v: v + 1, "exact"),
+    "BENCH_4": ("workloads.pr.by_workers.4", "messages_sent", lambda v: v + 1, "exact"),
+    "BENCH_5": ("workloads.sssp.compact3.K4", "gather_runs_issued", lambda v: v + 1, "exact"),
+    "BENCH_6": ("workloads.sssp.async", "io_bytes", _scale(0.5), "bytes"),
+}
 
-    report = check_history(tmp_path, smoke=True, only=["BENCH_2"])
-    failures = report.failures()
-    assert len(failures) == 1
-    assert failures[0].metric == "sim_seconds"
-    assert failures[0].rule == "time"
+
+@pytest.mark.parametrize("bench_id", sorted(DOCTORED))
+def test_doctored_smoke_field_fails_exactly_once(bench_id, tmp_path, capsys):
+    path, metric, doctor, rule = DOCTORED[bench_id]
+    record = _repo_record(bench_id)
+    node = record
+    for key in path.split("."):
+        node = node[key]
+    node[metric] = doctor(node[metric])
+    _write(tmp_path, record)
 
     rc = main(
-        ["bench", "check", "--smoke", "--bench-dir", str(tmp_path), "--only", "BENCH_2"]
+        ["bench", "check", "--smoke", "--bench-dir", str(tmp_path), "--only", bench_id]
     )
+    out = capsys.readouterr().out
     assert rc == 1
-    assert "REGRESSIONS: 1" in capsys.readouterr().out
+    failed = [line for line in out.splitlines() if line.startswith("  FAIL")]
+    assert len(failed) == 1, out
+    assert f" {bench_id} {path}.{metric} [{rule}]:" in failed[0]
+    assert "REGRESSIONS: 1" in out
 
 
-def test_clean_record_passes_through_the_cli(tmp_path, repo_bench_2, capsys):
-    (tmp_path / "BENCH_2.json").write_text(json.dumps(repo_bench_2))
-    rc = main(
-        ["bench", "check", "--smoke", "--bench-dir", str(tmp_path), "--only", "BENCH_2"]
-    )
-    assert rc == 0
-    assert "no regressions" in capsys.readouterr().out
+def test_missing_recorded_cell_fails_instead_of_passing(tmp_path):
+    record = _repo_record("BENCH_2")
+    del record["workloads"]["pr"]
+    _write(tmp_path, record)
+    report = check_history(tmp_path, smoke=True)
+    failures = report.failures()
+    assert failures and len(failures) == len(report.comparisons)
+    assert {(f.rule, f.note) for f in failures} == {("exact", "missing from record")}
+    assert {f.cell for f in failures} == {
+        "workloads.pr",
+        "workloads.pr.serial",
+        "workloads.pr.pipelined",
+    }
+
+
+def test_smoke_checks_bench3_layout(tmp_path):
+    """BENCH_3's smoke cells are its preprocessing-only byte layouts."""
+    _write(tmp_path, _repo_record("BENCH_3"))
+    report = check_history(tmp_path, smoke=True)
+    assert report.skipped == []
+    assert {c.cell for c in report.comparisons} == {
+        "on_disk_bytes.unweighted",
+        "on_disk_bytes.weighted",
+    }
+    assert report.ok
+
+
+def _deterministic(node):
+    if not isinstance(node, dict):
+        return node
+    return {
+        k: _deterministic(v)
+        for k, v in node.items()
+        if not k.startswith("wall_") and k not in WALL_CLOCK_DEPENDENT_FIELDS
+    }
+
+
+def test_smoke_cell_is_deterministic():
+    """Two runs of one smoke cell agree on every non-wall-clock field."""
+    first, second = (build_record(BENCH_2, BENCH_2.smoke) for _ in range(2))
+    assert "pr" in first["workloads"]
+    assert _deterministic(first) == _deterministic(second)
+    assert "wall_seconds" in first["workloads"]["pr"]["serial"]
 
 
 def test_missing_bench_dir_is_a_usage_error(tmp_path):
@@ -155,7 +205,7 @@ def test_missing_bench_dir_is_a_usage_error(tmp_path):
 def test_bench5_is_gated_not_skipped(tmp_path):
     """The K-lane selective-gather record has a reproducer: the smoke
     cells (sssp, compact3, K=1 and K=4) are compared, not skipped."""
-    (tmp_path / "BENCH_5.json").write_text(json.dumps(_repo_record("BENCH_5.json")))
+    _write(tmp_path, _repo_record("BENCH_5"))
     report = check_history(tmp_path, smoke=True)
     assert report.skipped == []
     cells = {c.cell for c in report.comparisons}
@@ -167,14 +217,21 @@ def test_bench5_is_gated_not_skipped(tmp_path):
         "gather_runs_issued": "exact",
         "identical_results": "exact",
     }
-    assert report.failures() == []
+    assert report.ok
 
 
-def test_bench5_gather_runs_are_exact(tmp_path):
-    doctored = _repo_record("BENCH_5.json")
-    doctored["workloads"]["sssp"]["compact3"]["K4"]["gather_runs_issued"] += 1
-    (tmp_path / "BENCH_5.json").write_text(json.dumps(doctored))
-    failures = check_history(tmp_path, smoke=True).failures()
-    assert [(f.cell, f.metric) for f in failures] == [
-        ("workloads.sssp.compact3.K4", "gather_runs_issued")
-    ]
+def test_cli_import_leaves_the_runner_unloaded():
+    """``graphsd run``'s import path carries no run table."""
+    code = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.bench.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    ).stdout
+    assert "repro.bench.tables" not in out
+    assert "repro.bench.runner" not in out

@@ -1,16 +1,19 @@
-"""The overlap benchmark: report shape, record schema, smoke guard."""
+"""The overlap run table (BENCH_2): report shape, record schema, gates."""
 
 import json
+from pathlib import Path
 
 from repro.bench import Harness
-from repro.bench.overlap import build_record, run_overlap_benchmark, smoke, main
+from repro.bench.runner import build_record, check_table
+from repro.bench.tables import BENCH_2, overlap_report
+from repro.cli import main
+
+PR_ONLY = {"algo": ("pr",)}
 
 
-def test_overlap_report(tmp_path):
+def test_overlap_report():
     with Harness(P=4) as harness:
-        report = run_overlap_benchmark(
-            harness, dataset="twitter2010", algorithms=("pr",)
-        )
+        report = overlap_report(harness, PR_ONLY)
     assert report.experiment_id == "overlap"
     assert len(report.rows) == 1
     assert "pr" in report.data["speedups"]
@@ -18,8 +21,9 @@ def test_overlap_report(tmp_path):
 
 
 def test_bench_record_schema_and_invariants():
-    record = build_record(algorithms=("pr",), P=4)
+    record = build_record(BENCH_2, PR_ONLY, header={"partitions": 4})
     assert record["bench_id"] == "BENCH_2"
+    assert record["partitions"] == 4
     entry = record["workloads"]["pr"]
     assert entry["identical_results"] is True
     for side in ("serial", "pipelined"):
@@ -43,13 +47,26 @@ def test_bench_record_schema_and_invariants():
     assert entry["serial"]["compute_seconds"] == entry["pipelined"]["compute_seconds"]
 
 
-def test_smoke_guard_passes(capsys):
-    assert smoke(P=4) == 0
-    assert "OK" in capsys.readouterr().out
+def test_smoke_guard_passes():
+    recorded = json.loads(
+        (Path(__file__).resolve().parents[2] / "BENCH_2.json").read_text()
+    )
+    comparisons, gate_failures = check_table(BENCH_2, recorded, smoke=True)
+    assert comparisons and all(c.ok for c in comparisons)
+    assert gate_failures == []
+    # The acceptance gates catch what the smoke cells must never show.
+    entry = recorded["workloads"]["pr"]
+    entry["pipelined"]["sim_seconds"] = 2 * entry["serial"]["sim_seconds"]
+    entry["identical_results"] = False
+    assert BENCH_2.accept({"workloads": {"pr": entry}}) == [
+        "pr: pipelined total exceeds serial",
+        "pr: serial and pipelined runs are not bit-identical",
+    ]
 
 
 def test_main_writes_record(tmp_path, capsys):
-    out = tmp_path / "BENCH_2.json"
-    assert main(["--out", str(out), "-P", "4"]) == 0
-    payload = json.loads(out.read_text())
+    rc = main(["bench", "write", "--only", "BENCH_2", "--bench-dir", str(tmp_path)])
+    assert rc == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_2.json"]
+    payload = json.loads((tmp_path / "BENCH_2.json").read_text())
     assert set(payload["workloads"]) == {"pr", "pr-d", "cc", "sssp"}
