@@ -30,10 +30,7 @@ def run_sweep(tmp_root):
     )
     times = []
     for fraction in FRACTIONS:
-        if fraction == 0.0:
-            config = GraphSDConfig.no_buffering()
-        else:
-            config = GraphSDConfig(buffer_fraction=fraction)
+        config = GraphSDConfig(buffer_bytes=int(fraction * store.logical_edge_bytes))
         result = GraphSDEngine(store, config=config).run(PageRank(iterations=6))
         times.append(result.sim_seconds)
         report.add_row(

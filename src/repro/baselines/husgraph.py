@@ -16,8 +16,6 @@ same dual-sorted representation its preprocessing pipeline builds
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.engine import GraphSDConfig, GraphSDEngine
 from repro.graph.grid import GridStore
 from repro.storage.disk import MachineProfile, DEFAULT_MACHINE
@@ -33,15 +31,7 @@ class HUSGraphEngine(GraphSDEngine):
         store: GridStore,
         machine: MachineProfile = DEFAULT_MACHINE,
         ctx=None,
-        seq_run_threshold_bytes: Optional[int] = None,
     ) -> None:
-        kwargs = {}
-        if seq_run_threshold_bytes is not None:
-            kwargs["seq_run_threshold_bytes"] = seq_run_threshold_bytes
-        config = GraphSDConfig(
-            enable_cross_iteration=False,
-            enable_buffering=False,
-            **kwargs,
-        )
+        config = GraphSDConfig(enable_cross_iteration=False, buffer_bytes=0)
         super().__init__(store, machine, config=config, ctx=ctx)
         self.engine_name = "husgraph"

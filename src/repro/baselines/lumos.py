@@ -28,6 +28,7 @@ wins the preprocessing comparison (Fig. 8) despite losing at runtime.
 from __future__ import annotations
 
 from repro.core.engine import GraphSDConfig, GraphSDEngine
+from repro.core.scheduler import IOModel
 from repro.graph.grid import GridStore
 from repro.storage.disk import MachineProfile, DEFAULT_MACHINE
 
@@ -43,7 +44,7 @@ class LumosEngine(GraphSDEngine):
         machine: MachineProfile = DEFAULT_MACHINE,
         ctx=None,
     ) -> None:
-        config = GraphSDConfig(enable_selective=False, enable_buffering=False)
+        config = GraphSDConfig(force_model=IOModel.FULL, buffer_bytes=0)
         super().__init__(store, machine, config=config, ctx=ctx)
         self.engine_name = "lumos"
 

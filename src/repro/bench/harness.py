@@ -62,10 +62,6 @@ class Workload:
     params: Dict[str, object] = field(default_factory=dict)
     weighted: bool = False
     symmetrize: bool = False
-    #: Optional per-workload pipeline overrides; ``None`` defers to the
-    #: harness (whose own default is serial execution).
-    pipeline: Optional[bool] = None
-    prefetch_depth: Optional[int] = None
 
     def make_program(self) -> VertexProgram:
         return make_program(self.algorithm, **self.params)
@@ -153,9 +149,6 @@ SYSTEMS: Dict[str, SystemSpec] = {
     "graphsd-b1": SystemSpec(
         "graphsd-b1", "graphsd", _graphsd_engine(GraphSDConfig.baseline_b1(), "graphsd-b1")
     ),
-    "graphsd-b2": SystemSpec(
-        "graphsd-b2", "graphsd", _graphsd_engine(GraphSDConfig.baseline_b2(), "graphsd-b2")
-    ),
     "graphsd-b3": SystemSpec(
         "graphsd-b3", "graphsd", _graphsd_engine(GraphSDConfig.baseline_b3(), "graphsd-b3")
     ),
@@ -191,13 +184,9 @@ class Harness:
         P: int = 8,
         verify: bool = False,
         checksums: bool = False,
-        pipeline: bool = False,
-        prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
-        gather_lanes: int = 1,
         tuned_profile: Optional[TunedProfile] = None,
         encoding: str = ENCODING_RAW,
         trace_dir: Optional[str] = None,
-        async_mode: bool = False,
     ) -> None:
         if workspace is None:
             self._tmpdir = tempfile.mkdtemp(prefix="graphsd-bench-")
@@ -212,11 +201,6 @@ class Harness:
         self.P = P
         self.verify = verify
         self.checksums = checksums
-        self.pipeline = pipeline
-        self.prefetch_depth = prefetch_depth
-        #: Modeled disk-lane concurrency for SCIU's selective gathers
-        #: (K=1 is the serial, bit-identical default).
-        self.gather_lanes = gather_lanes
         #: Fitted cost-model profile fed into graphsd's scheduler
         #: (``graphsd tune`` output; see docs/TUNING.md).
         self.tuned_profile = tuned_profile
@@ -224,10 +208,6 @@ class Harness:
         #: representations (lumos, husgraph) always build raw grids —
         #: the compared systems do not have the compact layout.
         self.encoding = encoding
-        #: Route ``graphsd`` runs through the asynchronous priority-driven
-        #: engine (monotonic programs only; see
-        #: :mod:`repro.core.async_engine`). Baselines never run async.
-        self.async_mode = async_mode
         #: When set, every *executed* run writes a structured trace
         #: (docs/OBSERVABILITY.md) into this directory, named after its
         #: cell. Memoized cells execute once, so each unique cell yields
@@ -302,11 +282,10 @@ class Harness:
         workload_key: str,
         dataset: str,
         use_cache: bool = True,
-        pipeline: Optional[bool] = None,
-        prefetch_depth: Optional[int] = None,
-        gather_lanes: Optional[int] = None,
+        pipeline: bool = False,
+        prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
+        gather_lanes: int = 1,
         trace_path: Optional[str] = None,
-        async_mode: Optional[bool] = None,
     ) -> RunResult:
         """Execute one (system, workload, dataset) cell.
 
@@ -315,11 +294,11 @@ class Harness:
         (Table 4 / Fig. 5 / Fig. 6 / Fig. 7 all reuse the same runs, as
         the paper's evaluation does) pay for each cell once.
 
-        ``pipeline``/``prefetch_depth`` resolve per call → per workload →
-        harness default; ``gather_lanes`` resolves per call → harness
-        default. Cells with different knob
-        settings are cached separately (they produce identical values
-        but different modeled times/counters).
+        Cells with different ``pipeline``/``prefetch_depth``/
+        ``gather_lanes`` settings are cached separately (they produce
+        identical values but different modeled times/counters).
+        ``graphsd-async`` is the asynchronous priority-driven engine
+        (monotonic programs only; see :mod:`repro.core.async_engine`).
 
         ``trace_path`` (or the harness-level ``trace_dir``) attaches a
         structured tracer to the engine — every engine, baselines
@@ -329,27 +308,6 @@ class Harness:
         cache hit.
         """
         workload = WORKLOADS[workload_key]
-        if pipeline is None:
-            pipeline = workload.pipeline if workload.pipeline is not None else self.pipeline
-        if prefetch_depth is None:
-            prefetch_depth = (
-                workload.prefetch_depth
-                if workload.prefetch_depth is not None
-                else self.prefetch_depth
-            )
-        if gather_lanes is None:
-            gather_lanes = self.gather_lanes
-        if async_mode is None:
-            async_mode = self.async_mode
-        if async_mode:
-            # ``--async`` routes the flagship system through the
-            # asynchronous engine; the ablation and baseline systems
-            # model synchronous designs and have no async counterpart.
-            require(
-                system in ("graphsd", "graphsd-async"),
-                f"{system} does not support async mode",
-            )
-            system = "graphsd-async"
         key = (
             system, workload_key, dataset, bool(pipeline), int(prefetch_depth),
             int(gather_lanes),

@@ -70,13 +70,6 @@ def _cmd_datasets(_args: argparse.Namespace) -> int:
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
-    edges = load_dataset(args.dataset, weighted=args.weighted, symmetrize=args.symmetrize)
-    device = Device(args.out, checksums=args.checksums)
-    pipeline = {
-        "graphsd": preprocess_graphsd,
-        "husgraph": preprocess_husgraph,
-        "lumos": preprocess_lumos,
-    }[args.system]
     if args.encoding != ENCODING_RAW and args.system != "graphsd":
         print(
             f"error: --encoding {args.encoding} is only supported by the "
@@ -84,6 +77,13 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    edges = load_dataset(args.dataset, weighted=args.weighted, symmetrize=args.symmetrize)
+    device = Device(args.out, checksums=args.checksums)
+    pipeline = {
+        "graphsd": preprocess_graphsd,
+        "husgraph": preprocess_husgraph,
+        "lumos": preprocess_lumos,
+    }[args.system]
     kwargs = {"encoding": args.encoding} if args.system == "graphsd" else {}
     result = pipeline(edges, device, P=args.partitions, **kwargs)
     print(
@@ -131,13 +131,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         P=args.partitions,
         verify=args.verify,
         checksums=args.checksums,
-        pipeline=args.pipeline,
-        prefetch_depth=prefetch_depth,
-        gather_lanes=gather_lanes,
         tuned_profile=tuned,
         encoding=args.encoding,
     )
     trace_path = args.trace if isinstance(args.trace, str) else None
+    system = args.system
     if args.async_mode:
         from repro.algorithms import get_spec
 
@@ -164,6 +162,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+        system = "graphsd-async"
     try:
         if args.workers is not None:
             if args.system != "graphsd":
@@ -196,11 +195,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         else:
             result = harness.run(
-                args.system,
+                system,
                 args.algorithm,
                 args.dataset,
+                pipeline=args.pipeline,
+                prefetch_depth=prefetch_depth,
+                gather_lanes=gather_lanes,
                 trace_path=trace_path,
-                async_mode=args.async_mode,
             )
     finally:
         if args.workspace is None:

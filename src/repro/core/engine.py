@@ -18,13 +18,14 @@ iterations.
 
 Ablation variants (§5.4) are configuration flags:
 
-=========== ===========================================================
-GraphSD-b1  ``enable_cross_iteration=False`` — no future-value pushes
-GraphSD-b2  ``enable_selective=False`` — every round uses the full model
-GraphSD-b3  ``force_model=IOModel.FULL`` — scheduler bypassed, full I/O
-GraphSD-b4  ``force_model=IOModel.ON_DEMAND`` — always on-demand I/O
-no-buffer   ``enable_buffering=False`` (Fig. 12)
-=========== ===========================================================
+=============== =======================================================
+GraphSD-b1      ``enable_cross_iteration=False`` — no future-value pushes
+GraphSD-b2, -b3 ``force_model=IOModel.FULL`` — scheduler bypassed, every
+                round uses the full model (the paper's b2 "no selective
+                update" and b3 "full model pinned" are one run here)
+GraphSD-b4      ``force_model=IOModel.ON_DEMAND`` — always on-demand I/O
+no-buffer       ``buffer_bytes=0`` (Fig. 12)
+=============== =======================================================
 """
 
 from __future__ import annotations
@@ -41,15 +42,9 @@ from repro.algorithms.base import GraphContext
 from repro.core.buffer import SubBlockBuffer
 from repro.core.engine_base import EngineBase
 from repro.core.fciu import run_fciu_round
-from repro.core.scheduler import (
-    CostEstimate,
-    DEFAULT_SEQ_RUN_THRESHOLD,
-    IOModel,
-    StateAwareScheduler,
-)
+from repro.core.scheduler import CostEstimate, IOModel, StateAwareScheduler
 from repro.core.sciu import run_sciu_round
 from repro.graph.grid import GridStore, SelectiveEntry, SelectiveLoad
-from repro.obs import Tracer
 from repro.storage.faults import GatherFault
 from repro.storage.disk import MachineProfile, DEFAULT_MACHINE
 from repro.tune.profile import TunedProfile
@@ -71,13 +66,11 @@ DEFAULT_BUFFER_FRACTION = 0.05
 class GraphSDConfig:
     """Feature switches of the GraphSD engine (see module docstring)."""
 
-    enable_selective: bool = True
     enable_cross_iteration: bool = True
-    enable_buffering: bool = True
     force_model: Optional[IOModel] = None
+    #: Sub-block buffer capacity; ``None`` sizes it at
+    #: ``DEFAULT_BUFFER_FRACTION`` of the graph, 0 disables buffering.
     buffer_bytes: Optional[int] = None
-    buffer_fraction: float = DEFAULT_BUFFER_FRACTION
-    seq_run_threshold_bytes: int = DEFAULT_SEQ_RUN_THRESHOLD
     #: Overlap I/O and compute: run block loads on a background prefetch
     #: thread and charge scatter stretches as ``max(io, compute) + fill``
     #: on the dual-timeline clock. Results are bit-identical to serial
@@ -97,15 +90,8 @@ class GraphSDConfig:
     #: ``graphsd tune`` (see :mod:`repro.tune`). ``None`` leaves the
     #: analytic §4.1 predictions untouched.
     tuned_profile: Optional[TunedProfile] = None
-    #: Observability: when set, the engine records a full dual-timeline
-    #: trace (spans, per-iteration records, scheduler audit — see
-    #: :mod:`repro.obs`) and writes it to this JSONL path when the run
-    #: completes. ``None`` (default) attaches the no-op tracer: results
-    #: and IOStats are bit-identical either way.
-    trace: Optional[str] = None
 
     def __post_init__(self) -> None:
-        check_nonneg(self.buffer_fraction, "buffer_fraction")
         if self.buffer_bytes is not None:
             check_nonneg(self.buffer_bytes, "buffer_bytes")
         check_nonneg(self.prefetch_depth, "prefetch_depth")
@@ -123,13 +109,9 @@ class GraphSDConfig:
         return cls(enable_cross_iteration=False, **kw)
 
     @classmethod
-    def baseline_b2(cls, **kw: Any) -> "GraphSDConfig":
-        """GraphSD-b2: selective vertex update disabled (always full I/O)."""
-        return cls(enable_selective=False, **kw)
-
-    @classmethod
     def baseline_b3(cls, **kw: Any) -> "GraphSDConfig":
-        """GraphSD-b3: the full I/O model pinned for all iterations."""
+        """GraphSD-b3: the full I/O model pinned for all iterations (also
+        the paper's b2, selective vertex update disabled)."""
         return cls(force_model=IOModel.FULL, **kw)
 
     @classmethod
@@ -140,7 +122,7 @@ class GraphSDConfig:
     @classmethod
     def no_buffering(cls, **kw: Any) -> "GraphSDConfig":
         """Fig. 12's 'without buffering scheme' variant."""
-        return cls(enable_buffering=False, **kw)
+        return cls(buffer_bytes=0, **kw)
 
 
 class GraphSDEngine(EngineBase):
@@ -160,7 +142,7 @@ class GraphSDEngine(EngineBase):
         self.config = config if config is not None else GraphSDConfig()
         if label is not None:
             self.engine_name = label
-        if self.config.enable_selective or self.config.force_model is IOModel.ON_DEMAND:
+        if self.config.force_model is not IOModel.FULL:
             store._require_indexed()
 
         self.scheduler: Optional[StateAwareScheduler] = None
@@ -168,8 +150,6 @@ class GraphSDEngine(EngineBase):
         self.acc_next: Optional[np.ndarray] = None
         self.touched_next: Optional[np.ndarray] = None
         self.cost_estimates: List[CostEstimate] = []
-        if self.config.trace is not None:
-            self.attach_tracer(Tracer(), path=self.config.trace)
 
     # -- run setup ---------------------------------------------------------
 
@@ -179,21 +159,17 @@ class GraphSDEngine(EngineBase):
             self.ctx.require_out_degrees(),
             self.machine,
             value_bytes_per_vertex=self.state_value_bytes,
-            seq_run_threshold_bytes=self.config.seq_run_threshold_bytes,
             pipelined=self.config.pipeline,
             gather_lanes=self.config.gather_lanes,
             tuned=self.config.tuned_profile,
         )
-        if self.config.enable_buffering:
-            capacity = self.config.buffer_bytes
-            if capacity is None:
-                # The budget models available RAM, so it is sized from the
-                # encoding-independent logical graph size; admission then
-                # accounts blocks at their *encoded* size, so a compact
-                # store fits more secondary sub-blocks per byte (§4.3).
-                capacity = int(self.config.buffer_fraction * self.store.logical_edge_bytes)
-        else:
-            capacity = 0
+        capacity = self.config.buffer_bytes
+        if capacity is None:
+            # The budget models available RAM, so it is sized from the
+            # encoding-independent logical graph size; admission then
+            # accounts blocks at their *encoded* size, so a compact
+            # store fits more secondary sub-blocks per byte (§4.3).
+            capacity = int(DEFAULT_BUFFER_FRACTION * self.store.logical_edge_bytes)
         self.buffer = SubBlockBuffer(capacity, disk=self.disk)
         self.acc_next, self.touched_next = self.fresh_accumulator()
         self.cost_estimates = []
@@ -253,12 +229,13 @@ class GraphSDEngine(EngineBase):
 
     def read_selective(self, entries: Sequence[SelectiveEntry]) -> List[SelectiveLoad]:
         """The on-demand model's block reads: one data pass over
-        ``entries`` (:meth:`GridStore.read_selective` at the configured
-        run threshold). Each returned load is a plan thunk that charges
+        ``entries`` (:meth:`GridStore.read_selective` at the scheduler's
+        run threshold, so reads are charged at the threshold they were
+        priced at). Each returned load is a plan thunk that charges
         its own index and edge reads when called. Traced, the pass is one
         ``grid.read_selective`` span and ``selective.*`` counters."""
         with self.tracer.span("grid.read_selective", cat="io", entries=len(entries)) as span:
-            loads = self.store.read_selective(entries, self.config.seq_run_threshold_bytes)
+            loads = self.store.read_selective(entries, self.scheduler.seq_run_threshold_bytes)
             if self.tracer.enabled:
                 edges = sum(load.block.count for load in loads)
                 nbytes = sum(load.nbytes for load in loads)
@@ -274,7 +251,7 @@ class GraphSDEngine(EngineBase):
         """Pick this round's I/O access model (charging evaluation time)."""
         if self.config.force_model is not None:
             return self.config.force_model
-        if self.program.all_active or not self.config.enable_selective:
+        if self.program.all_active:
             return IOModel.FULL
         with self.tracer.span("select_model", cat="scheduler"):
             before = self.scheduler.eval_seconds

@@ -28,9 +28,9 @@ better I/O access model in all iterations").
 One deliberate deviation from the paper's formula: the paper charges a
 flat ``2 |V| N / B_sr`` for reading the index plus vertex values. Our
 on-disk index is the real per-sub-block CSR offset array, and the engine
-can either scan a row's full index or gather just the active entries;
-the scheduler prices whichever access the engine will actually perform
-(:meth:`StateAwareScheduler.plan_index_access`).
+either reads the slice covering a row's active entries or gathers just
+those entries; the scheduler prices whichever access the engine will
+actually perform (:meth:`StateAwareScheduler.plan_index_access`).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.graph.grid import INDEX_GATHER, INDEX_SCAN, INDEX_SPAN, GridStore
+from repro.graph.grid import INDEX_GATHER, INDEX_SPAN, GridStore
 from repro.storage.disk import MachineProfile
 from repro.tune.profile import TunedProfile
 from repro.utils.bitset import VertexSubset
@@ -95,7 +95,7 @@ class IndexPlan:
     """Per-interval index access decision for the on-demand model.
 
     All arrays have one entry per source interval. ``mode`` picks the
-    cheapest of the three access patterns for that row given where its
+    cheaper of the two access patterns for that row given where its
     active vertices sit; ``lo_local``/``hi_local`` bound them (valid for
     rows with actives).
     """
@@ -188,16 +188,16 @@ class StateAwareScheduler:
     def plan_index_access(self, frontier: VertexSubset) -> IndexPlan:
         """Choose the cheapest index access pattern per source interval.
 
-        Candidates: scan the whole row (sequential), read the contiguous
-        span covering the active ids (sequential — wins when the
-        frontier is a wave of nearby ids), or gather one entry pair per
-        active vertex (random — wins for a handful of scattered ids).
+        Candidates: read the contiguous span covering the active ids
+        (sequential — wins ties, and wins when the frontier is a wave of
+        nearby ids), or gather one entry pair per active vertex (random —
+        wins for a handful of scattered ids). A scan of the whole row is
+        never a candidate: the span is never wider than the row.
         Returns the plan plus its total estimated disk cost.
         """
         store = self.store
         disk = self.machine.disk
         P = store.P
-        sizes = store.intervals.sizes()
         boundaries = store.intervals.boundaries
         active = frontier.indices()
         positions = np.searchsorted(active, boundaries)
@@ -218,17 +218,14 @@ class StateAwareScheduler:
             lo_local[i] = int(active[positions[i]]) - int(boundaries[i])
             hi_local[i] = int(active[positions[i + 1] - 1]) - int(boundaries[i])
             span = int(hi_local[i] - lo_local[i]) + 1
-            scan_cost = disk.seq_read_time((int(sizes[i]) + 1) * item, requests=1) * P
             span_cost = disk.seq_read_time((span + 1) * item, requests=1) * P
             gather_cost = disk.ran_read_time(a * 2 * item, requests=a) * P
-            best = min(scan_cost, span_cost, gather_cost)
-            if best == span_cost:
+            if span_cost <= gather_cost:
                 mode[i] = INDEX_SPAN
-            elif best == gather_cost:
-                mode[i] = INDEX_GATHER
+                total_cost += span_cost
             else:
-                mode[i] = INDEX_SCAN
-            total_cost += best
+                mode[i] = INDEX_GATHER
+                total_cost += gather_cost
         return IndexPlan(
             mode=mode,
             active_per_row=active_per_row,
@@ -269,7 +266,7 @@ class StateAwareScheduler:
             seq_requests = ran_requests = 0
 
         # Index access per source interval that has active vertices: the
-        # plan prices the cheapest of scan / span / gather per row.
+        # plan prices the cheaper of span / gather per row.
         plan = self.plan_index_access(frontier)
         index_cost = plan.est_cost
         # Rough byte figure for reporting (cost is what decides).

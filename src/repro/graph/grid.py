@@ -128,7 +128,6 @@ _KEY_BITS = 63
 #: How a selective read of block ``(i, j)`` reads the active sources'
 #: offsets, decided per source interval by the scheduler
 #: (:meth:`~repro.core.scheduler.StateAwareScheduler.plan_index_access`).
-INDEX_SCAN = 0  #: sequentially read the row's full offset arrays
 INDEX_SPAN = 1  #: sequentially read the contiguous slice covering the actives
 INDEX_GATHER = 2  #: randomly gather one (offset, next) pair per active vertex
 
@@ -972,10 +971,9 @@ class GridStore:
         """Sequentially read index entries ``[lo_local, hi_local]`` (inclusive
         of the trailing offset) of sub-block ``(i, j)``.
 
-        The cheap middle ground between a full row scan and per-vertex
-        gathers: when the active vertices of interval ``i`` cluster in a
-        narrow id range (e.g. a frontier wave), one contiguous slice
-        covers all their offsets.
+        The on-demand model's sequential index read: when the active
+        vertices of interval ``i`` cluster in a narrow id range (e.g. a
+        frontier wave), one contiguous slice covers all their offsets.
         """
         self._require_indexed()
         require(0 <= lo_local <= hi_local <= self.intervals.size(i), "bad index span")
@@ -985,8 +983,9 @@ class GridStore:
     def read_index_entries(self, i: int, j: int, local_ids: np.ndarray) -> np.ndarray:
         """Randomly gather ``(offset, next_offset)`` pairs for ``local_ids``.
 
-        Cheaper than :meth:`read_block_index` when few vertices of
-        interval ``i`` are active. Returns an ``(n, 2)`` array.
+        Cheaper than :meth:`read_index_span` when a few vertices of
+        interval ``i`` are active and far apart. Returns an ``(n, 2)``
+        array.
         """
         self._require_indexed()
         local_ids = np.asarray(local_ids, dtype=np.int64)
@@ -998,8 +997,8 @@ class GridStore:
     def _charge_index(self, i: int, j: int, mode: int, local_ids: np.ndarray) -> None:
         """The accounting half of the index read ``mode`` makes for the
         ascending, non-empty ``local_ids`` of block ``(i, j)``: what
-        :meth:`read_index_entries`, :meth:`read_index_span` over the ids'
-        range, or :meth:`read_block_index` would charge."""
+        :meth:`read_index_entries` or :meth:`read_index_span` over the
+        ids' range would charge."""
         if mode == INDEX_GATHER:
             starts, counts = self._index_runs(i, j, local_ids)
             pair, n = int(counts[0]), counts.size
@@ -1007,10 +1006,7 @@ class GridStore:
             nbytes = n * pair * self._idx_file.dtype.itemsize
             self._idx_file.charge_runs(starts, counts, totals=((0, 0), (nbytes, n)))
             return
-        if mode == INDEX_SPAN:
-            first, last = int(local_ids[0]), int(local_ids[-1]) + 1
-        else:
-            first, last = 0, self.intervals.size(i)
+        first, last = int(local_ids[0]), int(local_ids[-1]) + 1
         self._idx_file.charge_slice(*self._index_slice(i, j, first, last), sequential=True)
 
     def read_selective(

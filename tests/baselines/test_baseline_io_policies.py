@@ -96,7 +96,7 @@ def test_baseline_traffic_ordering_on_frontier_workload(edges, tmp_path):
 def test_lumos_pays_future_value_overhead(edges, tmp_path):
     """Lumos's secondary partitions + extra value versions cost real
     traffic relative to an otherwise-identical engine."""
-    from repro.core import GraphSDConfig
+    from repro.core import GraphSDConfig, IOModel
 
     lumos_store = build_store(edges, tmp_path, name="lv",
                               indexed=False, sort_within_blocks=False)
@@ -105,7 +105,7 @@ def test_lumos_pays_future_value_overhead(edges, tmp_path):
     lumos = LumosEngine(lumos_store).run(PageRank(iterations=4))
     plain = GraphSDEngine(
         plain_store,
-        config=GraphSDConfig(enable_selective=False, enable_buffering=False),
+        config=GraphSDConfig(force_model=IOModel.FULL, buffer_bytes=0),
     ).run(PageRank(iterations=4))
     assert np.allclose(lumos.values, plain.values)
     assert lumos.io_traffic > plain.io_traffic

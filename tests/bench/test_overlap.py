@@ -18,6 +18,18 @@ def test_overlap_report():
     assert len(report.rows) == 1
     assert "pr" in report.data["speedups"]
     assert "WARNING" not in report.render()
+    assert report.notes[-1].endswith("(results bit-identical; only overlap-hidden time differs)")
+
+
+def test_overlap_report_tells_model_choices_from_values():
+    """At P=4 the pipelined scheduler prices the overlapped cost and picks
+    SCIU where serial picks FCIU: the values stay bit-identical, but the
+    traffic moves, so the row is not identical and nothing claims it is."""
+    with Harness(P=4) as harness:
+        report = overlap_report(harness, {"algo": ("cc",)})
+    (row_note,) = [n for n in report.notes if n.startswith(("NOTE", "WARNING"))]
+    assert row_note.startswith("NOTE: cc values are bit-identical, but the pipelined scheduler")
+    assert report.notes[-1].endswith("(not every row is bit-identical; see the notes above)")
 
 
 def test_bench_record_schema_and_invariants():

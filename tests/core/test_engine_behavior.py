@@ -126,7 +126,7 @@ def test_selective_requires_indexed_store(rng, tmp_path):
     with pytest.raises(RuntimeError):
         GraphSDEngine(store)  # default config wants selective access
     # but a full-only configuration is fine
-    engine = GraphSDEngine(store, config=GraphSDConfig(enable_selective=False))
+    engine = GraphSDEngine(store, config=GraphSDConfig.baseline_b3())
     result = engine.run(ConnectedComponents())
     assert result.converged
 

@@ -26,7 +26,7 @@ def test_full_iteration_reads_exactly_the_edge_file_plus_state(edges, tmp_path):
         store,
         config=GraphSDConfig(
             enable_cross_iteration=False,
-            enable_buffering=False,
+            buffer_bytes=0,
             force_model=IOModel.FULL,
         ),
     )

@@ -36,7 +36,7 @@ def test_full_model_prediction_matches_charged_io(store):
         store,
         config=GraphSDConfig(
             enable_cross_iteration=False,
-            enable_buffering=False,
+            buffer_bytes=0,
             force_model=IOModel.FULL,
         ),
     )
@@ -120,7 +120,7 @@ def test_full_model_prediction_matches_charged_time_both_modes(
         store,
         config=GraphSDConfig(
             enable_cross_iteration=False,
-            enable_buffering=False,
+            buffer_bytes=0,
             force_model=IOModel.FULL,
             pipeline=pipeline,
         ),

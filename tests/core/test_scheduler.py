@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.scheduler import (
-    INDEX_GATHER,
-    INDEX_SCAN,
-    INDEX_SPAN,
-    IOModel,
-    StateAwareScheduler,
-)
+from repro.core.scheduler import INDEX_GATHER, INDEX_SPAN, IOModel, StateAwareScheduler
 from repro.graph.grid import INDEX_DTYPE
 from repro.storage.disk import MachineProfile, HDD_PROFILE
 from repro.utils.bitset import VertexSubset
@@ -143,12 +137,13 @@ def test_index_plan_modes(store, scheduler):
     width = max(2, (hi - lo) // 8)
     wave = VertexSubset.from_indices(n, np.arange(lo, lo + width))
     plan = scheduler.plan_index_access(wave)
-    assert plan.mode[0] in (INDEX_SPAN, INDEX_SCAN)
+    assert plan.mode[0] == INDEX_SPAN
     assert plan.lo_local[0] == 0
     assert plan.hi_local[0] == width - 1
-    # Everything active: scanning the row is never worse than spanning it.
+    # Everything active: every row reads its whole index as one span.
     plan = scheduler.plan_index_access(VertexSubset.full(n))
-    assert all(m in (INDEX_SCAN, INDEX_SPAN) for m in plan.mode)
+    assert all(m == INDEX_SPAN for m in plan.mode)
+    assert np.array_equal(plan.hi_local, store.intervals.sizes() - 1)
 
 
 def test_index_plan_cost_is_cheapest_choice(store, scheduler):
@@ -164,6 +159,7 @@ def test_index_plan_cost_is_cheapest_choice(store, scheduler):
         if a == 0:
             continue
         span = int(plan.hi_local[i] - plan.lo_local[i]) + 1
+        # A scan of the whole row is priced too: it never beats the span.
         options = [
             disk.seq_read_time((int(sizes[i]) + 1) * item) * store.P,
             disk.seq_read_time((span + 1) * item) * store.P,

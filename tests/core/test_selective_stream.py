@@ -23,12 +23,7 @@ import pytest
 
 from repro.algorithms import ConnectedComponents, PageRankDelta, SSSP
 from repro.core import AsyncGraphSDEngine, GraphSDConfig, GraphSDEngine
-from repro.core.scheduler import (
-    INDEX_GATHER,
-    INDEX_SCAN,
-    INDEX_SPAN,
-    StateAwareScheduler,
-)
+from repro.core.scheduler import INDEX_GATHER, INDEX_SPAN, StateAwareScheduler
 from repro.datasets.rmat import WEB, rmat_edges
 from repro.graph import EdgeList, GridStore, make_intervals
 from repro.storage import Device, HDD_PROFILE, PageCache, SimulatedDisk
@@ -51,7 +46,7 @@ PROGRAMS = {
 
 def _edges(weighted: bool, scale: int) -> EdgeList:
     """Web R-MAT plus ``v -> v+1`` chains broken every 32 ids: wide early
-    frontiers (row scans), chain waves (spans) and a tail of a few
+    frontiers (full-row spans), chain waves (spans) and a tail of a few
     scattered vertices (entry gathers)."""
     base = rmat_edges(scale, 8, WEB, seed=3)
     n = base.num_vertices
@@ -219,29 +214,18 @@ GRID_GOLDEN = {
 }
 
 
-@pytest.fixture(autouse=True)
+@pytest.fixture
 def index_modes(monkeypatch):
-    """Relabel every full-row index span as a row scan; record the modes.
-
-    The scheduler never picks ``INDEX_SCAN`` itself: a span is never wider
-    than its row, so it never costs more than the scan and wins the tie.
-    A span covering the whole row reads exactly the scan's extent (same
-    first entry, same entry count), so relabelling it leaves the recorded
-    stream unchanged and puts the scan path under the goldens too.
-    """
+    """The index access modes the scheduler plans, as a growing set."""
     seen = set()
     real = StateAwareScheduler.plan_index_access
 
-    def relabel(self, frontier):
+    def record(self, frontier):
         plan = real(self, frontier)
-        rows = plan.active_per_row > 0
-        last = self.store.intervals.sizes() - 1
-        full_row = rows & (plan.lo_local == 0) & (plan.hi_local == last)
-        plan.mode[full_row & (plan.mode == INDEX_SPAN)] = INDEX_SCAN
-        seen.update(int(m) for m in plan.mode[rows])
+        seen.update(int(m) for m in plan.mode[plan.active_per_row > 0])
         return plan
 
-    monkeypatch.setattr(StateAwareScheduler, "plan_index_access", relabel)
+    monkeypatch.setattr(StateAwareScheduler, "plan_index_access", record)
     return seen
 
 
@@ -252,10 +236,10 @@ def test_selective_stream_matches_the_golden(tmp_path, case):
 
 
 def test_the_grid_reads_the_index_in_every_mode(tmp_path, index_modes):
-    """Row scans, spans and entry gathers all feed the recorded stream."""
+    """Index spans and entry gathers both feed the recorded stream."""
     for algo in ("sssp", "cc"):
         run_grid_case(tmp_path / algo, "graphsd-b4", "raw", algo, 1, False)
-    assert index_modes == {INDEX_SCAN, INDEX_SPAN, INDEX_GATHER}
+    assert index_modes == {INDEX_SPAN, INDEX_GATHER}
 
 
 # -- transient read faults -------------------------------------------------------

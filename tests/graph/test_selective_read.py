@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import GridStore, make_intervals
-from repro.graph.grid import INDEX_GATHER, INDEX_SCAN, INDEX_SPAN
+from repro.graph.grid import INDEX_GATHER, INDEX_SPAN
 from repro.storage import Device, HDD_PROFILE, PageCache, SimulatedDisk
 from repro.storage.faults import ChecksumError
 from tests.conftest import random_edgelist
 
-MODES = (INDEX_SCAN, INDEX_SPAN, INDEX_GATHER)
+MODES = (INDEX_SPAN, INDEX_GATHER)
 
 
 def _twin_stores(tmp_path, edges, P, encoding, cache, checksums):
@@ -44,13 +44,10 @@ def _single_read(store, i, j, ids, mode, threshold):
     local = ids - store.intervals.bounds(i)[0]
     if mode == INDEX_GATHER:
         pairs = store.read_index_entries(i, j, local)
-    elif mode == INDEX_SPAN:
+    else:
         offsets = store.read_index_span(i, j, int(local[0]), int(local[-1]) + 1)
         rel = local - local[0]
         pairs = np.stack([offsets[rel], offsets[rel + 1]], axis=1)
-    else:
-        offsets = store.read_block_index(i, j)
-        pairs = np.stack([offsets[local], offsets[local + 1]], axis=1)
     return store.load_active_edges(i, j, ids, pairs, seq_threshold_bytes=threshold)
 
 
@@ -60,7 +57,7 @@ def _random_entries(rng, store, count):
         i, j = (int(x) for x in rng.integers(0, store.P, 2))
         lo, hi = store.intervals.bounds(i)
         shape = rng.integers(3)
-        if shape == 0:  # the whole interval: a row scan's frontier
+        if shape == 0:  # the whole interval: a full-row span
             ids = np.arange(lo, hi, dtype=np.int64)
         elif shape == 1:  # a wave of neighbouring ids
             first = int(rng.integers(lo, hi))
@@ -149,10 +146,10 @@ def store(tmp_path):
 
 
 def _entries(store):
-    """One entry per mode; the second reads the end offset of block
+    """A span, a gather and a span; the gather reads the end offset of block
     ``(1, 2)``, which the tests doctor."""
     ids = [np.arange(*store.intervals.bounds(i), dtype=np.int64)[-9:] for i in range(3)]
-    return [(0, 0, ids[0], INDEX_SPAN), (1, 2, ids[1], INDEX_GATHER), (2, 1, ids[2], INDEX_SCAN)]
+    return [(0, 0, ids[0], INDEX_SPAN), (1, 2, ids[1], INDEX_GATHER), (2, 1, ids[2], INDEX_SPAN)]
 
 
 def _doctor(store, value):
@@ -193,7 +190,6 @@ def test_checksummed_corrupt_index_fails_its_crc_before_any_bounds_check(store):
     [
         (INDEX_GATHER, "gather run beyond end of file"),
         (INDEX_SPAN, "read_slice beyond end of file"),
-        (INDEX_SCAN, "read_slice beyond end of file"),
     ],
 )
 def test_truncated_index_raises_from_the_entry_it_cut_off(store, mode, error):

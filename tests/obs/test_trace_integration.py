@@ -180,16 +180,6 @@ def test_tracing_is_equivalence_clean_with_pipeline(edges, tmp_path):
 # -- config / CLI surface ----------------------------------------------------
 
 
-def test_config_trace_field_attaches_tracer(edges, tmp_path):
-    store = build_store(edges, tmp_path, name="cfg")
-    path = tmp_path / "cfg.jsonl"
-    engine = GraphSDEngine(store, config=GraphSDConfig(trace=str(path)))
-    assert engine.tracer.enabled
-    engine.run(BFS(root=0))
-    events = validate_trace_file(str(path))
-    assert any(e["type"] == "run" for e in events)
-
-
 def test_metrics_snapshot_rides_in_iteration_records(edges, tmp_path):
     store = build_store(edges, tmp_path, name="met")
     engine = GraphSDEngine(store)

@@ -73,6 +73,22 @@ def test_preprocess_command(tmp_path, capsys):
     assert (tmp_path / "rep").exists()
 
 
+@pytest.mark.parametrize("system", ["lumos", "husgraph"])
+def test_preprocess_rejects_an_encoding_before_loading_the_dataset(
+    tmp_path, capsys, monkeypatch, system
+):
+    def no_load(*args, **kwargs):
+        raise AssertionError("the dataset was generated before the refusal")
+
+    monkeypatch.setattr("repro.cli.load_dataset", no_load)
+    argv = ["preprocess", "--dataset", "twitter2010", "--system", system,
+            "--encoding", "compact3", "--out", str(tmp_path / "rep")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--encoding compact3 is only supported by the graphsd representation" in err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_broken_workspace_exits_nonzero_with_readable_error(tmp_path, capsys):
     """Operational failures print one readable line, not a traceback."""
     bogus = tmp_path / "not-a-directory"

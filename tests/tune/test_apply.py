@@ -10,16 +10,18 @@ import pytest
 
 from repro.core import GraphSDConfig, GraphSDEngine
 from repro.core.result import equivalence_diff
+from repro.obs import Tracer
 from repro.tune import TunedProfile, fit_profile
 from tests.conftest import build_store, random_edgelist
 from tests.core.test_engine_equivalence import PROGRAMS
 
 
-def _run(edges, tmp_path, name, **config_kwargs):
+def _run(edges, tmp_path, name, trace=None, **config_kwargs):
     store = build_store(edges, tmp_path, P=4, name=name)
-    return GraphSDEngine(store, config=GraphSDConfig(**config_kwargs)).run(
-        PROGRAMS["sssp"]()
-    )
+    engine = GraphSDEngine(store, config=GraphSDConfig(**config_kwargs))
+    if trace is not None:
+        engine.attach_tracer(Tracer(), path=trace)
+    return engine.run(PROGRAMS["sssp"]())
 
 
 def test_neutral_profile_is_bit_invisible(rng, tmp_path):
