@@ -521,7 +521,7 @@ class ClusterEngine:
                 breakdown=breakdown,
                 io=io,
                 activated=next_frontier.count,
-                metrics=self.tracer.metrics.snapshot() if self.tracer.enabled else {},
+                metrics=self.tracer.metrics.iteration_snapshot() if self.tracer.enabled else {},
             )
             self._records.append(record)
             if self.tracer.enabled:

@@ -448,7 +448,7 @@ class EngineBase:
             activated=activated,
             cross_pushed=cross_pushed,
             subblocks_processed=subblocks_processed,
-            metrics=self.tracer.metrics.snapshot() if self.tracer.enabled else {},
+            metrics=self.tracer.metrics.iteration_snapshot() if self.tracer.enabled else {},
         )
         self._records.append(record)
         if self.tracer.enabled:

@@ -68,29 +68,47 @@ def rmat_edges(
     random relabeling (the Graph500 convention) to destroy it.
     """
     require(scale >= 1, f"scale must be >= 1, got {scale}")
+    require(scale <= 32, f"scale must be <= 32 (vertex ids are uint32), got {scale}")
     check_positive(edge_factor, "edge_factor")
     p = RMATParams(*params)
     rng = make_rng(seed)
 
     n = 1 << scale
     m = int(round(edge_factor * n))
-    src = np.zeros(m, dtype=np.int64)
-    dst = np.zeros(m, dtype=np.int64)
+    src = np.zeros(m, dtype=np.uint32)
+    dst = np.zeros(m, dtype=np.uint32)
 
     # Per bit level, each edge independently picks a quadrant:
     # P(src bit = 1) = c + d; P(dst bit = 1 | src bit) differs by row.
+    # The level loop works in place: one buffer of m doubles takes each
+    # draw, and the dst bit is ``r < p_row`` from two scalar compares —
+    # below the smaller threshold, or below the larger one in the row
+    # that has it.
     p_src_one = p.c + p.d
     p_dst_one_given_src0 = p.b / (p.a + p.b) if (p.a + p.b) > 0 else 0.0
     p_dst_one_given_src1 = p.d / (p.c + p.d) if (p.c + p.d) > 0 else 0.0
+    low = min(p_dst_one_given_src0, p_dst_one_given_src1)
+    high = max(p_dst_one_given_src0, p_dst_one_given_src1)
+    high_in_row1 = p_dst_one_given_src1 >= p_dst_one_given_src0
+    r = np.empty(m)
+    row = np.empty(m, dtype=bool)
+    bit = np.empty(m, dtype=bool)
+    below_low = np.empty(m, dtype=bool)
     for _level in range(scale):
-        src_bit = rng.random(m) < p_src_one
-        threshold = np.where(src_bit, p_dst_one_given_src1, p_dst_one_given_src0)
-        dst_bit = rng.random(m) < threshold
-        src = (src << 1) | src_bit
-        dst = (dst << 1) | dst_bit
+        np.less(rng.random(out=r), p_src_one, out=row)
+        np.less(rng.random(out=r), high, out=bit)
+        if high_in_row1:
+            bit &= row
+        else:
+            np.greater(bit, row, out=bit)  # bit & ~row
+        bit |= np.less(r, low, out=below_low)
+        src <<= 1
+        src |= row
+        dst <<= 1
+        dst |= bit
 
     if permute_ids:
-        perm = rng.permutation(n)
+        perm = rng.permutation(n).astype(np.uint32)
         src = perm[src]
         dst = perm[dst]
 

@@ -85,7 +85,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -351,6 +351,9 @@ class GridStore:
         sizes = intervals.sizes()
         #: Active ids per chunk of :meth:`read_selective`: one interval's worth.
         self._chunk_ids = int(sizes.max())
+        #: The destination column whose pages the read mappings may hold
+        #: (:meth:`_map_column`).
+        self._mapped_column: Optional[int] = None
         if encoding in _COMPACT_ENCODINGS:
             require(indexed, "compact encoding requires an indexed (source-sorted) grid")
             require(count_codes is not None, "compact encoding requires count_codes")
@@ -991,6 +994,7 @@ class GridStore:
         local_ids = np.asarray(local_ids, dtype=np.int64)
         if local_ids.size == 0:
             return np.empty((0, 2), dtype=INDEX_DTYPE)
+        self._map_column(j)
         payload = self._idx_file.read_gather(*self._index_runs(i, j, local_ids))
         return self._widen_offsets(i, j, payload).reshape(-1, 2)
 
@@ -1029,36 +1033,73 @@ class GridStore:
         is left unread, and its ``charge()`` raises the error those
         single reads raise.
 
-        Entries are read in chunks of at most one source interval's worth
-        of active ids, which bounds the pass's transient arrays.
+        The pass walks the entries in storage order — by destination
+        column, and inside a column by the blocks' offset and record
+        widths — in chunks of at most one source interval's worth of
+        active ids, which bounds its transient arrays. A chunk reads its
+        offsets group by group, then its edges group by group (a group:
+        the entries of one column and widths), each gather over one
+        contiguous slice of the chunk's arrays, and :meth:`_map_column`
+        keeps at most one column of the grid mapped. Loads come back in
+        entry order.
         """
         self._require_indexed()
         if not entries:
             return []
-        index, edges = self._idx_file.mapped(), self._edges_file.mapped()
-        loads: List[SelectiveLoad] = []
-        chunk: List[SelectiveEntry] = []
+        geom = self._geometry[[entry[0] * self.P + entry[1] for entry in entries]]
+        columns = np.fromiter((entry[1] for entry in entries), np.int64, len(entries))
+        keys = (columns * 8 + geom["unit"]) * 8 + geom["width"]  # both widths are <= 4
+        chunks: List[List[int]] = [[]]
         width = 0
-        for entry in entries:
-            if chunk and width + len(entry[2]) > self._chunk_ids:
-                loads += self._read_chunk(chunk, index, edges, seq_threshold_bytes)
-                chunk, width = [], 0
-            chunk.append(entry)
-            width += len(entry[2])
-        loads += self._read_chunk(chunk, index, edges, seq_threshold_bytes)
-        return loads
+        for e in np.argsort(keys, kind="stable").tolist():
+            if chunks[-1] and width + len(entries[e][2]) > self._chunk_ids:
+                chunks.append([])
+                width = 0
+            chunks[-1].append(e)
+            width += len(entries[e][2])
+        index, edges = self._idx_file.mapped(), self._edges_file.mapped()
+        placed: Dict[int, SelectiveLoad] = {}
+        for chunk in chunks:
+            rows = np.array(chunk, dtype=np.intp)
+            loads = self._read_chunk(
+                [entries[e] for e in chunk], geom[rows], keys[rows], index, edges,
+                seq_threshold_bytes,
+            )
+            placed.update(zip(chunk, loads))
+        return [placed[e] for e in range(len(entries))]
+
+    def _map_column(self, j: int) -> None:
+        """Let the grid's read mappings hold destination column ``j``.
+
+        ``.idx`` and ``.edges`` are both stored column by column, so a
+        selective read of a block of column ``j`` touches one window of
+        each. Mapped pages count toward the process's resident set, and
+        one fault may map a whole large folio (2 MiB), so reads spread
+        over the columns would leave both files resident whole. When the
+        mappings hold another column, their pages are dropped first
+        (:meth:`~repro.storage.blockfile.ArrayFile.release`); repeated
+        reads of one column keep theirs. Nothing is charged.
+        """
+        if self._mapped_column != j:
+            self._edges_file.release()
+            if self._idx_file is not None:
+                self._idx_file.release()
+            self._mapped_column = j
 
     def _read_chunk(
         self,
         chunk: Sequence[SelectiveEntry],
+        geom: np.ndarray,
+        keys: np.ndarray,
         index: np.ndarray,
         edges: np.ndarray,
         seq_threshold_bytes: Optional[int],
     ) -> List["SelectiveLoad"]:
-        """:meth:`read_selective` for one chunk: the index pass, then the
-        edge pass."""
+        """:meth:`read_selective` for one chunk of storage-ordered entries:
+        the index pass, then the edge pass. Entries with equal ``keys``
+        (one column, one offset width, one record width) form a group."""
+        groups = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(chunk)]
         blocks = [entry[0] * self.P + entry[1] for entry in chunk]
-        geom = self._geometry[blocks]
         sizes = [len(entry[2]) for entry in chunk]
         owner = np.repeat(np.arange(len(chunk), dtype=np.intp), sizes)
         active = np.concatenate([entry[2] for entry in chunk]).astype(np.int64)
@@ -1066,18 +1107,26 @@ class GridStore:
         unit = geom["unit"][owner]
         pos = geom["index"][owner] + local * unit
         inside = (pos >= 0) & (pos + 2 * unit <= index.shape[0])
-        offsets = np.zeros((2, owner.size), dtype=INDEX_DTYPE)
-        if self._idx_codes is None:  # int64 offsets
-            offsets[:, inside] = index[pos[inside] + np.arange(2, dtype=np.int64)[:, None]]
-        else:  # each block's offsets in its own uint width
-            for width in set(geom["unit"].tolist()):
-                sel = inside & (unit == width)
-                at = pos[sel] + np.arange(2, dtype=np.int64)[:, None] * width
-                offsets[:, sel] = _read_le(index, at, _UINT_BY_ITEMSIZE[width])
         bounds = np.cumsum([0] + sizes)
         readable = np.logical_and.reduceat(inside, bounds[:-1])
+        all_inside = bool(readable.all())
+        offsets = np.zeros((2, owner.size), dtype=INDEX_DTYPE)
+        pair = np.arange(2, dtype=np.int64)[:, None]
+        for g0, g1 in zip(groups[:-1], groups[1:]):
+            self._map_column(blocks[g0] % self.P)
+            a, b = bounds[g0], bounds[g1]
+            ids: Union[slice, np.ndarray] = (
+                slice(a, b) if all_inside else a + np.flatnonzero(inside[a:b])
+            )
+            width = int(geom["unit"][g0])
+            at = pos[ids] + pair * width
+            if self._idx_codes is None:  # int64 offsets
+                offsets[:, ids] = index[at]
+            else:  # the group's offsets in their own uint width
+                offsets[:, ids] = _read_le(index, at, _UINT_BY_ITEMSIZE[width])
         loads = self._select_edges(
-            blocks, geom, bounds, owner, active, offsets, readable, edges, seq_threshold_bytes
+            blocks, groups, geom, bounds, owner, active, offsets, readable, edges,
+            seq_threshold_bytes,
         )
         for e, (load, entry) in enumerate(zip(loads, chunk)):
             load.index = (int(entry[3]), local[bounds[e] : bounds[e + 1]])
@@ -1086,6 +1135,7 @@ class GridStore:
     def _select_edges(
         self,
         blocks: List[int],
+        groups: List[int],
         geom: np.ndarray,
         bounds: np.ndarray,
         owner: np.ndarray,
@@ -1100,7 +1150,9 @@ class GridStore:
         Entry ``e`` is block ``blocks[e]`` (``i * P + j``, geometry
         ``geom[e]``); its active ids ``active[bounds[e]:bounds[e + 1]]``
         (ascending; ``owner`` maps each to ``e``) own the edges
-        ``offsets[0, k]`` up to ``offsets[1, k]``. An entry not
+        ``offsets[0, k]`` up to ``offsets[1, k]``. Entries
+        ``groups[g]`` up to ``groups[g + 1]`` share one column and one
+        record width, and are gathered together. An entry not
         ``readable`` (its offsets could not be read) or ruled out by the
         bounds gets an empty block; its accounting raises.
         """
@@ -1129,30 +1181,45 @@ class GridStore:
         runs = np.add.reduceat(nonempty, firsts_run, dtype=np.int64)
         seq_runs = np.add.reduceat(seq, firsts_run, dtype=np.int64)
 
+        # The data: one gather per group, over its slice of the edges.
         take = valid[owner] & (per_vertex > 0)
         taken = per_vertex[take]
+        edge_bounds = [0, *np.cumsum(np.where(valid, items // rec, 0)).tolist()]
+        spans = [
+            (g0, edge_bounds[g0], edge_bounds[g1]) for g0, g1 in zip(groups[:-1], groups[1:])
+        ]
         if self.encoding in _COMPACT_ENCODINGS:
             edge_owner = owner[take].repeat(taken)
             at = run_positions(offsets[0][take], taken) * rec[edge_owner]
             at += geom["records"][edge_owner]
-            widths = geom["width"][edge_owner]
-            local = np.empty(at.size, dtype=VERTEX_DTYPE)
-            for width in set(geom["width"].tolist()):
-                sel = widths == width
-                local[sel] = _read_le(edges, at[sel], _UINT_BY_ITEMSIZE[width])
+            dst = np.empty(at.size, dtype=VERTEX_DTYPE)
+            wgt = np.empty(at.size, dtype=np.float32) if self.has_weights else None
+            for g0, p0, p1 in spans:
+                if p0 == p1:
+                    continue
+                self._map_column(blocks[g0] % self.P)
+                width = int(geom["width"][g0])
+                dst[p0:p1] = _read_le(edges, at[p0:p1], _UINT_BY_ITEMSIZE[width])
+                dst[p0:p1] += VERTEX_DTYPE.type(geom["lo_j"][g0])
+                if wgt is not None:
+                    wgt[p0:p1] = _read_le(edges, at[p0:p1] + width, np.dtype("<f4"))
             src = active[take].astype(VERTEX_DTYPE).repeat(taken)
-            dst = local + geom["lo_j"].astype(VERTEX_DTYPE)[edge_owner]
-            wgt = _read_le(edges, at + widths, np.dtype("<f4")) if self.has_weights else None
         else:
-            records = edges[run_positions(starts[take], counts[take])]
+            positions = run_positions(starts[take], counts[take])
+            records = np.empty(positions.size, dtype=edges.dtype)
+            for g0, p0, p1 in spans:
+                if p0 == p1:
+                    continue
+                self._map_column(blocks[g0] % self.P)
+                # "clip" skips the bounds-check buffer: every position is valid.
+                np.take(edges, positions[p0:p1], out=records[p0:p1], mode="clip")
             src, dst = records["src"].copy(), records["dst"].copy()
             wgt = records["wgt"].copy() if self.has_weights else None
-        edge_bounds = np.cumsum(np.where(valid, items // rec, 0)).tolist()
 
         loads = []
         a = r0 = 0
         for block, b, r1, bad, lo, hi, n_items, n_seq_items, n_runs, n_seq_runs in zip(
-            blocks, edge_bounds, entry_runs[1:].tolist(), negative.tolist(),
+            blocks, edge_bounds[1:], entry_runs[1:].tolist(), negative.tolist(),
             min_start.tolist(), max_end.tolist(), items.tolist(), seq_items.tolist(),
             runs.tolist(), seq_runs.tolist(),
         ):
@@ -1211,6 +1278,7 @@ class GridStore:
         block = i * self.P + j
         (load,) = self._select_edges(
             [block],
+            [0, 1],
             self._geometry[[block]],
             np.array([0, n], dtype=np.intp),
             np.zeros(n, dtype=np.intp),

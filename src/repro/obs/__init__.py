@@ -45,6 +45,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_METRICS,
     NullMetrics,
+    PEAK_RSS_GAUGE,
+    peak_rss_bytes,
 )
 from repro.obs.report import render_report
 from repro.obs.schema import (
@@ -82,6 +84,8 @@ __all__ = [
     "MetricsRegistry",
     "NullMetrics",
     "NULL_METRICS",
+    "PEAK_RSS_GAUGE",
+    "peak_rss_bytes",
     "render_report",
     "TRACE_SCHEMA",
     "TRACE_VERSION",

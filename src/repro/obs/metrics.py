@@ -3,10 +3,13 @@
 The registry is deliberately tiny — three instrument kinds, one lock —
 because its values must stay *deterministic*: every number recorded here
 derives from simulated state (byte counts, frontier sizes, buffer
-occupancy), never from the wall clock. The thread-safety matters: the
-prefetch pipeline's background worker charges disk reads (and therefore
-observes read-size histograms) concurrently with the consuming engine
-thread.
+occupancy), never from the wall clock. The one host measurement is the
+``process.peak_rss_bytes`` gauge (:func:`peak_rss_bytes`), which traced
+engines set at the end of every iteration so the resident-memory
+high-water mark is visible per iteration; like the trace's wall times it
+varies run to run. The thread-safety matters: the prefetch pipeline's
+background worker charges disk reads (and therefore observes read-size
+histograms) concurrently with the consuming engine thread.
 
 Histograms use sparse base-2 exponential buckets: an observation ``v``
 lands in the bucket whose upper bound is the smallest power of two
@@ -20,10 +23,29 @@ Disabled engines hold :data:`NULL_METRICS`, whose methods are no-ops.
 from __future__ import annotations
 
 import math
+import sys
 import threading
-from typing import Dict, Union
+from typing import Dict, Optional, Union
+
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None  # type: ignore[assignment]
 
 Number = Union[int, float]
+
+#: Gauge name of :func:`peak_rss_bytes`, set per iteration when tracing.
+PEAK_RSS_GAUGE = "process.peak_rss_bytes"
+
+
+def peak_rss_bytes() -> Optional[int]:
+    """This process's peak resident set size in bytes (``ru_maxrss``,
+    which Linux reports in KiB and macOS in bytes); ``None`` on platforms
+    without the ``resource`` module."""
+    if resource is None:
+        return None
+    peak = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    return peak if sys.platform == "darwin" else peak * 1024
 
 
 class Histogram:
@@ -104,6 +126,14 @@ class MetricsRegistry:
                 "histograms": {k: h.to_dict() for k, h in self._hists.items()},
             }
 
+    def iteration_snapshot(self) -> Dict[str, object]:
+        """:meth:`snapshot` for an iteration record: the process's
+        peak-RSS gauge is set first, where the platform reports one."""
+        peak = peak_rss_bytes()
+        if peak is not None:
+            self.set_gauge(PEAK_RSS_GAUGE, peak)
+        return self.snapshot()
+
 
 class NullMetrics:
     """No-op registry held by engines when tracing is disabled."""
@@ -121,6 +151,9 @@ class NullMetrics:
 
     def snapshot(self) -> Dict[str, object]:
         return {"counters": {}, "gauges": {}, "histograms": {}}
+
+    def iteration_snapshot(self) -> Dict[str, object]:
+        return self.snapshot()
 
 
 NULL_METRICS = NullMetrics()

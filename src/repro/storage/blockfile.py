@@ -23,6 +23,10 @@ Design notes
   data of many reads in one pass through :meth:`ArrayFile.mapped` and
   runs each read's accounting half later, in the order the reads would
   have run; the single reads run both halves back to back.
+* A read mapping's pages count toward the process's resident set for
+  as long as they stay mapped. :meth:`ArrayFile.release` drops them
+  (``madvise(MADV_DONTNEED)``), so a reader that walks a file region by
+  region holds one region resident, not the whole file.
 
 Robustness (see ``docs/ROBUSTNESS.md``)
 ---------------------------------------
@@ -43,6 +47,7 @@ Robustness (see ``docs/ROBUSTNESS.md``)
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import zlib
 from pathlib import Path
@@ -76,6 +81,13 @@ MAX_IO_RETRIES = 4
 #: Backoff before retry k is ``BASE * 2**(k-1)`` modeled seconds.
 RETRY_BACKOFF_BASE_S = 1e-3
 
+#: ``madvise`` advice that drops a mapping's resident pages; ``None``
+#: where the platform has no ``madvise`` (there :meth:`ArrayFile.release`
+#: is a no-op).
+_MADV_DONTNEED: Optional[int] = (
+    getattr(mmap, "MADV_DONTNEED", None) if hasattr(mmap.mmap, "madvise") else None
+)
+
 
 class ArrayFile:
     """A flat binary file of items with one fixed dtype.
@@ -98,7 +110,8 @@ class ArrayFile:
         self.cache = cache
         self.checksums = checksums
         self._itemsize = self.dtype.itemsize
-        self._mmap: Optional[np.memmap] = None
+        self._mmap: Optional[mmap.mmap] = None  # the read mapping
+        self._mapped: Optional[np.ndarray] = None  # its whole items
         self._crc_table: Optional[dict] = None
         self._crc_loaded = False
 
@@ -491,7 +504,17 @@ class ArrayFile:
         items = self.nbytes // self._itemsize
         if items == 0:
             return np.empty(0, dtype=self.dtype)
-        return self._get_mmap(items).view(np.ndarray)  # plain indexing, no memmap wrapping
+        return self._get_mmap(items)
+
+    def release(self) -> None:
+        """Drop the read mapping's resident pages; uncharged.
+
+        Arrays from :meth:`mapped` stay valid: their next access faults
+        the pages back in from the page cache. A no-op when nothing is
+        mapped or the platform has no ``madvise``.
+        """
+        if self._mmap is not None and _MADV_DONTNEED is not None:
+            self._mmap.madvise(_MADV_DONTNEED)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -507,15 +530,23 @@ class ArrayFile:
         self._crc_table = None
         self._crc_loaded = False
 
-    def _get_mmap(self, item_count: int) -> np.memmap:
-        """The read mapping, remapped when the file is no longer the
-        ``item_count`` items the caller just measured on disk."""
-        if self._mmap is None or self._mmap.shape[0] != item_count:
-            self._mmap = np.memmap(self.path, dtype=self.dtype, mode="r", shape=(item_count,))
-        return self._mmap
+    def _get_mmap(self, item_count: int) -> np.ndarray:
+        """The read mapping's first ``item_count`` items (read-only),
+        remapped when the file is no longer the ``item_count`` items the
+        caller just measured on disk."""
+        if self._mapped is None or self._mapped.shape[0] != item_count:
+            with open(self.path, "rb") as f:
+                self._mmap = mmap.mmap(
+                    f.fileno(), item_count * self._itemsize, access=mmap.ACCESS_READ
+                )
+            self._mapped = np.frombuffer(self._mmap, dtype=self.dtype, count=item_count)
+        return self._mapped
 
     def _invalidate_mmap(self) -> None:
+        # Arrays still viewing the old mapping keep it alive; it unmaps
+        # when the last of them goes.
         self._mmap = None
+        self._mapped = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ArrayFile({self.path.name}, dtype={self.dtype}, items={self.item_count if self.exists else 0})"

@@ -27,11 +27,13 @@ IndexLike = Union[np.ndarray, Iterable[int]]
 class VertexSubset:
     """A mutable subset of ``{0, ..., num_vertices - 1}``.
 
-    Mutating operations invalidate the cached count lazily; reading
-    :attr:`count` recomputes it at most once per mutation epoch.
+    Mutating operations invalidate the cached count and ascending ids
+    lazily; reading :attr:`count` or :meth:`indices` recomputes them at
+    most once per mutation epoch, so the scheduler's and SCIU's several
+    reads of one round's frontier share one pass over the mask.
     """
 
-    __slots__ = ("_mask", "_count")
+    __slots__ = ("_mask", "_count", "_ids")
 
     def __init__(self, num_vertices: int, mask: Optional[np.ndarray] = None) -> None:
         require(num_vertices >= 0, f"num_vertices must be >= 0, got {num_vertices}")
@@ -45,6 +47,7 @@ class VertexSubset:
             )
             self._mask = mask.copy()
         self._count: Optional[int] = None
+        self._ids: Optional[np.ndarray] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -81,12 +84,19 @@ class VertexSubset:
     def count(self) -> int:
         """Number of active vertices (cached)."""
         if self._count is None:
-            self._count = int(np.count_nonzero(self._mask))
+            if self._ids is not None:
+                self._count = int(self._ids.size)
+            else:
+                self._count = int(np.count_nonzero(self._mask))
         return self._count
 
     def indices(self) -> np.ndarray:
-        """Sorted array of active vertex ids."""
-        return np.flatnonzero(self._mask)
+        """Sorted array of active vertex ids (cached and read-only)."""
+        if self._ids is None:
+            ids = np.flatnonzero(self._mask)
+            ids.flags.writeable = False
+            self._ids = ids
+        return self._ids
 
     def is_empty(self) -> bool:
         return self.count == 0
@@ -118,8 +128,12 @@ class VertexSubset:
         return self._mask[lo:hi]
 
     def interval_indices(self, lo: int, hi: int) -> np.ndarray:
-        """Global ids of active vertices within [lo, hi)."""
-        return np.flatnonzero(self.interval_mask(lo, hi)) + lo
+        """Global ids of active vertices within [lo, hi): a read-only
+        slice of :meth:`indices`, cut with two binary searches."""
+        require(0 <= lo <= hi <= self.num_vertices, f"bad interval [{lo}, {hi})")
+        ids = self.indices()
+        start, stop = np.searchsorted(ids, (lo, hi))
+        return ids[start:stop]
 
     def interval_count(self, lo: int, hi: int) -> int:
         return int(np.count_nonzero(self.interval_mask(lo, hi)))
@@ -128,6 +142,7 @@ class VertexSubset:
 
     def _dirty(self) -> None:
         self._count = None
+        self._ids = None
 
     def add(self, indices: IndexLike) -> None:
         """Activate ``indices``."""
@@ -159,6 +174,7 @@ class VertexSubset:
     def clear(self) -> None:
         self._mask[:] = False
         self._count = 0
+        self._ids = None
 
     # -- set algebra (non-mutating) ----------------------------------------
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+from typing import Optional
+
 import numpy as np
 import pytest
 
@@ -65,3 +68,34 @@ def edge_multiset(src, dst) -> dict:
     for s, d in zip(np.asarray(src).tolist(), np.asarray(dst).tolist()):
         pairs[(s, d)] = pairs.get((s, d), 0) + 1
     return pairs
+
+
+def mapped_rss_bytes(path) -> Optional[int]:
+    """Resident bytes of this process's mappings of ``path``: the sum of
+    their ``Rss`` in ``/proc/self/smaps``; ``None`` where that file is
+    missing (every platform but Linux)."""
+    smaps = Path("/proc/self/smaps")
+    if not smaps.exists():
+        return None
+    target = str(Path(path).resolve())
+    total = 0
+    counting = False
+    for line in smaps.read_text().splitlines():
+        head = line.split(None, 5)
+        if not head:
+            continue
+        if not head[0].endswith(":"):  # a mapping's header: range perms offset dev inode [path]
+            counting = len(head) == 6 and head[5] == target
+        elif counting and head[0] == "Rss:":
+            total += int(head[1]) * 1024
+    return total
+
+
+def fault_folio_bytes() -> int:
+    """The most one read fault can map of a file: a PMD-sized folio
+    (2 MiB on x86-64 and on arm64 with 4 KiB pages)."""
+    pmd = Path("/sys/kernel/mm/transparent_hugepage/hpage_pmd_size")
+    try:
+        return int(pmd.read_text())
+    except (OSError, ValueError):
+        return 2 << 20

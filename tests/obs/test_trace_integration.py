@@ -19,7 +19,7 @@ from repro.algorithms import BFS, PageRank
 from repro.baselines import GridGraphEngine, LumosEngine, XStreamEngine
 from repro.core import GraphSDConfig, GraphSDEngine
 from repro.core.result import equivalence_diff
-from repro.obs import Tracer, validate_trace_file
+from repro.obs import PEAK_RSS_GAUGE, Tracer, peak_rss_bytes, validate_trace_file
 from tests.conftest import build_store, random_edgelist
 
 
@@ -195,6 +195,19 @@ def test_untraced_run_records_no_metrics(edges, tmp_path):
     store = build_store(edges, tmp_path, name="nomet")
     result = GraphSDEngine(store).run(BFS(root=0))
     assert all(r.metrics == {} for r in result.per_iteration)
+
+
+def test_traced_iterations_carry_a_non_decreasing_peak_rss_gauge(edges, tmp_path):
+    if peak_rss_bytes() is None:
+        pytest.skip("no resource module on this platform")
+    store = build_store(edges, tmp_path, name="rss")
+    engine = GraphSDEngine(store)
+    engine.attach_tracer(Tracer())
+    result = engine.run(BFS(root=0))
+    peaks = [r.metrics["gauges"][PEAK_RSS_GAUGE] for r in result.per_iteration]
+    assert len(peaks) == result.iterations > 1
+    assert peaks[0] > 0
+    assert peaks == sorted(peaks)
 
 
 def test_trace_file_is_parseable_jsonl(edges, tmp_path):

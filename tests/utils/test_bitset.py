@@ -72,12 +72,36 @@ def test_interval_views():
     assert s.interval_mask(0, 3).tolist() == [False, False, True]
 
 
+def test_cached_ids_follow_every_mutation():
+    s = VertexSubset.from_indices(20, [2, 5, 9, 15])
+    ids = s.indices()
+    assert s.indices() is ids  # one pass per mutation epoch
+    assert not ids.flags.writeable
+    assert not s.interval_indices(4, 16).flags.writeable
+    steps = [
+        (lambda: s.add([7]), [2, 5, 7, 9, 15]),
+        (lambda: s.remove([2, 15]), [5, 7, 9]),
+        (lambda: s.add_mask(np.arange(20) == 19), [5, 7, 9, 19]),
+        (lambda: s.remove_mask(np.arange(20) < 6), [7, 9, 19]),
+        (lambda: s.clear(), []),
+    ]
+    for mutate, expected in steps:
+        s.indices()
+        mutate()
+        assert s.indices().tolist() == expected
+        assert s.count == len(expected)
+        assert s.interval_indices(0, 10).tolist() == [v for v in expected if v < 10]
+    assert ids.tolist() == [2, 5, 9, 15]  # handed-out ids never change
+
+
 def test_interval_bounds_validation():
     s = VertexSubset(10)
     with pytest.raises(ValueError):
         s.interval_mask(5, 3)
     with pytest.raises(ValueError):
         s.interval_mask(0, 11)
+    with pytest.raises(ValueError):
+        s.interval_indices(5, 3)
 
 
 def test_equality_and_copy_independence():
