@@ -42,22 +42,30 @@ Three on-disk encodings share this layout (see ``docs/STORAGE.md``):
     shrinks charged I/O time.
 
 **compact3** (format 3)
-    the compact layout with the *metadata* compressed too — exactly the
-    bytes the on-demand (selective) path reads before it touches an edge
-    record:
+    the compact layout with two widths narrowed per block — exactly the
+    bytes the on-demand (selective) path reads:
 
-    * ``.idx`` offsets are stored per block in the narrowest unsigned
-      dtype that holds the block's edge count (offsets are already
-      block-relative deltas from the block's base, so their range is
-      ``0..count``), instead of flat ``int64`` — a 2-8x shrink of every
-      index scan, span and gather;
-    * destination locals use a *per-block* narrowest dtype (from the
-      block's actual maximum ``dst_local``) rather than format 2's
-      per-column dtype, recorded in the meta as ``dst_dtype_codes``.
+    * ``.idx`` offsets in the narrowest unsigned dtype that holds the
+      block's edge count (offsets are block-relative, so their range is
+      ``0..count``) instead of ``int64`` — a 2-8x shrink of every index
+      scan, span and gather;
+    * destination locals in the narrowest dtype holding the block's
+      actual maximum ``dst_local``, recorded in the meta as
+      ``dst_dtype_codes``.
 
     Decoded offsets and edges are bit-identical ``int64`` /
     :class:`EdgeBlock` values — request counts are unchanged, only the
     byte volume shrinks.
+
+One set of per-block width tables, built when a store is constructed,
+describes all three: the run-length header's bytes per source
+(``count_dtype_codes``; none for raw), the destination's bytes, the
+record's bytes and the offset's bytes. Format 3 reads its destination
+widths from the meta; format 2 is the same tables with every block at
+its column's destination width and 8-byte offsets; format 1 is raw
+records with 8-byte offsets. Every reader prices and addresses blocks
+through the tables alone — only the build's encoder, the meta, and the
+decode of raw versus packed records tell the formats apart.
 
 Files (all through :class:`~repro.storage.blockfile.ArrayFile`):
 
@@ -68,17 +76,18 @@ Files (all through :class:`~repro.storage.blockfile.ArrayFile`):
     byte ranges, so CRC sidecars and fault injection compose unchanged.
 ``{prefix}.idx``
     per-block CSR offsets concatenated in storage order; block
-    ``(i, j)``'s slice has ``interval_size(i) + 1`` entries of
-    block-relative offsets. Absent when the store is built unindexed
-    (the Lumos baseline's representation). Stored as flat ``int64``
-    through format 2; as per-block narrowest-uint byte columns in
-    compact3 (the file is then opened as a byte stream).
+    ``(i, j)``'s slice has ``interval_size(i) + 1`` block-relative
+    offsets in its offset width (``int64`` through format 2). Absent
+    when the store is built unindexed (the Lumos baseline's
+    representation). Opened as a byte stream in every format and
+    addressed by byte ranges.
 
-Metadata (interval boundaries, per-block edge counts and file offsets,
-the format version, and — for compact stores — the per-block header
-dtypes) is stored as JSON next to the data files. Opening a grid whose
-recorded format this build does not understand fails with a readable
-error instead of a garbage decode.
+Metadata (interval boundaries, per-block edge counts, the format
+version, the per-block header widths of compact stores and the
+destination widths of compact3) is stored as JSON next to the data
+files. Opening a grid whose meta this build cannot read, or whose files
+are not the size the meta describes, fails with a readable error instead
+of a garbage decode.
 """
 
 from __future__ import annotations
@@ -120,6 +129,10 @@ _COMPACT_ENCODINGS = (ENCODING_COMPACT, ENCODING_COMPACT3)
 
 #: Little-endian unsigned dtypes by itemsize, the compact encoding's menu.
 _UINT_BY_ITEMSIZE = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4")}
+#: On-disk offset dtypes by itemsize: compact3's narrowed offsets and the
+#: flat ``int64`` of formats 1 and 2.
+_OFFSET_BY_ITEMSIZE = {**_UINT_BY_ITEMSIZE, 8: np.dtype("<i8")}
+_WEIGHT_DTYPE = np.dtype("<f4")
 
 #: Bit budget of :meth:`GridStore.build`'s packed sort key: it must stay a
 #: non-negative ``int64`` for a value sort to order it.
@@ -137,13 +150,18 @@ INDEX_GATHER = 2  #: randomly gather one (offset, next) pair per active vertex
 SelectiveEntry = Tuple[int, int, np.ndarray, int]
 
 #: Where a selective read finds block ``(i, j)``: the first vertex of
-#: intervals ``i`` and ``j``; the block's first offset in the index file
-#: and the file items per offset; its first edge record in the edges file
+#: intervals ``i`` and ``j``; the byte of its first offset in the index
+#: file and the bytes per offset; its first edge record in the edges file
 #: (compact: behind the run-length header) and the file items per record;
 #: the byte width of a compact record's local destination.
 _GEOMETRY_DTYPE = np.dtype(
     [(name, np.int64) for name in ("lo_i", "lo_j", "index", "unit", "records", "rec", "width")]
 )
+
+
+class GridFormatError(ValueError):
+    """The on-disk grid is in a format this build cannot read, or its
+    meta and its files disagree."""
 
 
 def _narrowest_uint(max_value: int) -> np.dtype:
@@ -154,6 +172,61 @@ def _narrowest_uint(max_value: int) -> np.dtype:
         return _UINT_BY_ITEMSIZE[2]
     require(max_value < (1 << 32), f"value {max_value} exceeds uint32")
     return _UINT_BY_ITEMSIZE[4]
+
+
+def _width_codes(max_values: np.ndarray) -> np.ndarray:
+    """The itemsizes of the narrowest unsigned dtypes holding ``max_values``."""
+    values = np.asarray(max_values)
+    codes = [_narrowest_uint(int(v)).itemsize for v in values.ravel()]
+    return np.array(codes, dtype=np.int64).reshape(values.shape)
+
+
+def _column_codes(intervals: VertexIntervals) -> np.ndarray:
+    """Format 2's destination widths: every block at its column's width."""
+    widths = _width_codes(np.maximum(intervals.sizes() - 1, 0))
+    return np.tile(widths, (intervals.P, 1))
+
+
+def _code_table(codes: np.ndarray, name: str, block_counts: np.ndarray) -> np.ndarray:
+    """The meta width table ``name``, checked against the uint menu on
+    every block with edges (empty blocks have no bytes to describe)."""
+    table = np.asarray(codes, dtype=np.int64)
+    if table.shape != block_counts.shape:
+        raise GridFormatError(f"{name} is {table.shape}, not P x P {block_counts.shape}")
+    bad = np.argwhere((block_counts > 0) & ~np.isin(table, list(_UINT_BY_ITEMSIZE)))
+    if bad.size:
+        i, j = bad[0]
+        raise GridFormatError(
+            f"{name}[{i}][{j}] is {table[i, j]}, not one of {sorted(_UINT_BY_ITEMSIZE)}"
+        )
+    return table
+
+
+def _index_file(
+    cum: np.ndarray, bounds: np.ndarray, sizes: np.ndarray, widths: np.ndarray
+) -> np.ndarray:
+    """The bytes of a build's ``.idx`` file. Block ``(i, j)``'s CSR offsets
+    are column ``j``'s running degree sum ``cum[j]`` over interval ``i``,
+    closing entry included, re-based at the interval's first vertex and
+    stored in the block's offset width ``widths[i, j]``. One column is
+    ``|V| + P`` offsets."""
+    P = sizes.shape[0]
+    vertex = np.arange(cum.shape[1] - 1 + P, dtype=np.int64)
+    vertex -= np.repeat(np.arange(P, dtype=np.int64), sizes + 1)
+    offsets = np.take(cum, vertex, axis=1)  # C order, unlike cum[:, vertex]
+    offsets -= np.take(cum, np.repeat(bounds[:-1], sizes + 1), axis=1)
+    offsets = offsets.ravel()
+    # Each run of blocks of one width is cast to it. A single run (int64:
+    # formats 1 and 2) is a byte view, no copy; narrowed runs are copies,
+    # and returning frees the int64 offsets before the file is written.
+    widths = widths.T.reshape(-1)  # storage order
+    ends = np.cumsum(np.tile(sizes + 1, P))
+    parts, pos = [], 0
+    for last in [*np.flatnonzero(widths[1:] != widths[:-1]).tolist(), P * P - 1]:
+        width = _OFFSET_BY_ITEMSIZE[int(widths[last])]
+        parts.append(offsets[pos : ends[last]].astype(width, copy=False).view(BYTE_DTYPE))
+        pos = ends[last]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _read_le(buf: np.ndarray, byte_pos: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -170,12 +243,8 @@ def _packed_record_dtype(dst_dtype: np.dtype, has_weights: bool) -> np.dtype:
     """Packed ``(dst_local, [wgt])`` edge record of the compact encodings."""
     fields = [("dst", dst_dtype)]
     if has_weights:
-        fields.append(("wgt", np.dtype("<f4")))
+        fields.append(("wgt", _WEIGHT_DTYPE))
     return np.dtype(fields)
-
-
-class GridFormatError(ValueError):
-    """The on-disk grid was written by a format this build cannot read."""
 
 
 @dataclass
@@ -354,66 +423,51 @@ class GridStore:
         #: The destination column whose pages the read mappings may hold
         #: (:meth:`_map_column`).
         self._mapped_column: Optional[int] = None
+
+        # The layout's per-block width tables, in bytes: run-length
+        # header per source, local destination, record, and offset.
         if encoding in _COMPACT_ENCODINGS:
             require(indexed, "compact encoding requires an indexed (source-sorted) grid")
             require(count_codes is not None, "compact encoding requires count_codes")
-            self._count_codes = np.ascontiguousarray(count_codes, dtype=np.int64)
-            require(self._count_codes.shape == (P, P), "count_codes must be P x P")
-            if encoding == ENCODING_COMPACT3:
-                require(dst_codes is not None, "compact3 encoding requires dst_codes")
-                self._dst_codes = np.ascontiguousarray(dst_codes, dtype=np.int64)
-                require(self._dst_codes.shape == (P, P), "dst_codes must be P x P")
-            else:
-                self._dst_codes = None
-            # Encoded bytes of block (i, j): run-length header (one entry
-            # per vertex of interval i) + packed (dst_local, [wgt]) records.
-            rec_sizes = np.array(
-                [
-                    [self._record_dtype_at(i, j).itemsize for j in range(P)]
-                    for i in range(P)
-                ],
-                dtype=np.int64,
-            )
-            header = sizes[:, None] * self._count_codes
-            self._block_bytes = np.where(
-                self.block_counts > 0,
-                header + self.block_counts * rec_sizes,
-                0,
-            ).astype(np.int64)
+            require(dst_codes is not None, "compact encoding requires dst_codes")
+            self._count_codes = _code_table(count_codes, "count_dtype_codes", self.block_counts)
+            self._dst_codes = _code_table(dst_codes, "dst_dtype_codes", self.block_counts)
+            self._rec_bytes = self._dst_codes + (_WEIGHT_DTYPE.itemsize if has_weights else 0)
+            file_dtype = BYTE_DTYPE
         else:
-            self._count_codes = None
-            self._dst_codes = None
-            edge_dtype = EDGE_WEIGHTED_DTYPE if has_weights else EDGE_UNWEIGHTED_DTYPE
-            self._block_bytes = self.block_counts * edge_dtype.itemsize
+            file_dtype = EDGE_WEIGHTED_DTYPE if has_weights else EDGE_UNWEIGHTED_DTYPE
+            self._count_codes = np.zeros((P, P), dtype=np.int64)  # no header
+            self._dst_codes = np.full((P, P), VERTEX_DTYPE.itemsize, dtype=np.int64)
+            self._rec_bytes = np.full((P, P), file_dtype.itemsize, dtype=np.int64)
+        # compact3 narrows each block's offsets to its edge count.
+        self._idx_codes = (
+            _width_codes(self.block_counts)
+            if encoding == ENCODING_COMPACT3
+            else np.full((P, P), INDEX_DTYPE.itemsize, dtype=np.int64)
+        )
+        header = sizes[:, None] * self._count_codes
+        self._block_bytes = np.where(
+            self.block_counts > 0, header + self.block_counts * self._rec_bytes, 0
+        )
 
         # Storage-order (dst-major) offsets: block (i, j) starts at
-        # _block_start[i, j] items (raw) / _block_byte_start[i, j] bytes
+        # _block_byte_start[i, j] bytes, _block_start[i, j] file items,
         # into the edges file.
-        order_counts = self.block_counts.T.reshape(-1)  # (j, i) raveled
-        starts = np.concatenate(([0], np.cumsum(order_counts)[:-1]))
-        self._block_start = starts.reshape(P, P).T.copy()  # back to [i, j]
-        order_bytes = self._block_bytes.T.reshape(-1)
+        item = file_dtype.itemsize
+        order_bytes = self._block_bytes.T.reshape(-1)  # (j, i) raveled
         byte_starts = np.concatenate(([0], np.cumsum(order_bytes)[:-1]))
-        self._block_byte_start = byte_starts.reshape(P, P).T.copy()
+        self._block_byte_start = byte_starts.reshape(P, P).T.copy()  # back to [i, j]
+        self._block_start = self._block_byte_start // item
 
+        self._index_start: Optional[np.ndarray] = None
+        self._index_bytes = 0
         if indexed:
-            # compact3 stores each block's offsets in its narrowest uint
-            # (offsets range 0..count); earlier formats use flat int64.
-            # _index_start is in *file items*: entries for the int64
-            # file, bytes for compact3's byte file.
-            if encoding == ENCODING_COMPACT3:
-                self._idx_codes = np.array(
-                    [[_narrowest_uint(int(c)).itemsize for c in row] for row in self.block_counts],
-                    dtype=np.int64,
-                )
-            else:
-                self._idx_codes = None
-            idx_lens = np.tile(sizes + 1, P)  # storage (j, i) order
-            if self._idx_codes is not None:
-                idx_lens *= self._idx_codes.T.reshape(-1)
+            # Block (i, j)'s index: sizes[i] + 1 offsets of its width,
+            # at byte _index_start[i, j].
+            idx_lens = ((sizes[:, None] + 1) * self._idx_codes).T.reshape(-1)
             idx_starts = np.concatenate(([0], np.cumsum(idx_lens)[:-1]))
-            self._index_start = idx_starts.reshape(P, P).T.copy()  # [i, j]
-            self._index_items_total = int(idx_lens.sum())
+            self._index_start = idx_starts.reshape(P, P).T.copy()
+            self._index_bytes = int(idx_lens.sum())
 
             # Block (i, j)'s row i * P + j: what read_selective needs to
             # find its offsets and records, gathered once per chunk.
@@ -421,67 +475,14 @@ class GridStore:
             geometry["lo_i"] = intervals.boundaries[:-1, None]
             geometry["lo_j"] = intervals.boundaries[None, :-1]
             geometry["index"] = self._index_start
-            geometry["unit"] = 1 if self._idx_codes is None else self._idx_codes
-            if encoding in _COMPACT_ENCODINGS:  # records behind the header
-                geometry["records"] = self._block_byte_start + header
-                geometry["rec"] = rec_sizes
-                geometry["width"] = [
-                    [self._dst_dtype_at(i, j).itemsize for j in range(P)] for i in range(P)
-                ]
-            else:
-                geometry["records"] = self._block_start
-                geometry["rec"] = 1
+            geometry["unit"] = self._idx_codes
+            geometry["records"] = (self._block_byte_start + header) // item
+            geometry["rec"] = self._rec_bytes // item
+            geometry["width"] = self._dst_codes
             self._geometry = geometry.ravel()
-        else:
-            self._idx_codes = None
-            self._index_start = None
-            self._index_items_total = 0
 
-        if encoding in _COMPACT_ENCODINGS:
-            self._edges_file = device.array_file(f"{prefix}.edges", BYTE_DTYPE)
-        else:
-            edge_dtype = EDGE_WEIGHTED_DTYPE if has_weights else EDGE_UNWEIGHTED_DTYPE
-            self._edges_file = device.array_file(f"{prefix}.edges", edge_dtype)
-        idx_dtype = BYTE_DTYPE if encoding == ENCODING_COMPACT3 else INDEX_DTYPE
-        self._idx_file = device.array_file(f"{prefix}.idx", idx_dtype) if indexed else None
-
-    # -- compact-encoding dtypes ------------------------------------------
-
-    def _dst_dtype(self, j: int) -> np.dtype:
-        """Local-destination dtype of column ``j`` (from interval width)."""
-        width = self.intervals.size(j)
-        return _narrowest_uint(max(0, width - 1))
-
-    def _dst_dtype_at(self, i: int, j: int) -> np.dtype:
-        """Local-destination dtype of block ``(i, j)``.
-
-        Per-column (interval width) through format 2; compact3 narrows
-        per block using the recorded ``dst_dtype_codes``.
-        """
-        if self._dst_codes is not None:
-            code = int(self._dst_codes[i, j])
-            require(code in _UINT_BY_ITEMSIZE, f"block ({i},{j}): bad dst dtype code {code}")
-            return _UINT_BY_ITEMSIZE[code]
-        return self._dst_dtype(j)
-
-    def _record_dtype(self, j: int) -> np.dtype:
-        """Packed per-edge record dtype of column ``j`` (compact encoding)."""
-        return _packed_record_dtype(self._dst_dtype(j), self.has_weights)
-
-    def _record_dtype_at(self, i: int, j: int) -> np.dtype:
-        """Packed per-edge record dtype of block ``(i, j)``."""
-        return _packed_record_dtype(self._dst_dtype_at(i, j), self.has_weights)
-
-    def _count_dtype(self, i: int, j: int) -> np.dtype:
-        code = int(self._count_codes[i, j])
-        require(code in _UINT_BY_ITEMSIZE, f"block ({i},{j}): bad count dtype code {code}")
-        return _UINT_BY_ITEMSIZE[code]
-
-    def _idx_dtype(self, i: int, j: int) -> np.dtype:
-        """On-disk offset dtype of block ``(i, j)``'s index slice."""
-        if self._idx_codes is None:
-            return INDEX_DTYPE
-        return _UINT_BY_ITEMSIZE[int(self._idx_codes[i, j])]
+        self._edges_file = device.array_file(f"{prefix}.edges", file_dtype)
+        self._idx_file = device.array_file(f"{prefix}.idx", BYTE_DTYPE) if indexed else None
 
     # -- construction ------------------------------------------------------
 
@@ -569,23 +570,27 @@ class GridStore:
         count_codes = dst_codes = None
         if encoding in _COMPACT_ENCODINGS:
             count_codes = np.zeros((P, P), dtype=np.int64)
-            dst_codes = np.ones((P, P), dtype=np.int64)  # empty blocks: uint8
+            # compact3 narrows each block's destinations (empty blocks:
+            # uint8); format 2 keeps every block at its column's width.
+            if encoding == ENCODING_COMPACT3:
+                dst_codes = np.ones((P, P), dtype=np.int64)
+            else:
+                dst_codes = _column_codes(intervals)
             parts = [np.empty(0, dtype=BYTE_DTYPE)]
             pos = 0
             for j in range(P):
-                lo_j, hi_j = intervals.bounds(j)
-                column_dtype = _narrowest_uint(max(0, hi_j - lo_j - 1))
+                lo_j = VERTEX_DTYPE.type(bounds[j])
                 for i in range(P):
                     cnt = int(block_counts[i, j])
                     if cnt == 0:
                         continue
                     runs = table[j, bounds[i] : bounds[i + 1]]
                     header = runs.astype(_narrowest_uint(int(runs.max())))
-                    local = dst[pos : pos + cnt] - VERTEX_DTYPE.type(lo_j)
-                    block_dtype = _narrowest_uint(int(local.max()))
+                    local = dst[pos : pos + cnt] - lo_j
                     count_codes[i, j] = header.dtype.itemsize
-                    dst_codes[i, j] = block_dtype.itemsize
-                    dst_dtype = block_dtype if encoding == ENCODING_COMPACT3 else column_dtype
+                    if encoding == ENCODING_COMPACT3:
+                        dst_codes[i, j] = _narrowest_uint(int(local.max())).itemsize
+                    dst_dtype = _UINT_BY_ITEMSIZE[int(dst_codes[i, j])]
                     records = np.empty(cnt, _packed_record_dtype(dst_dtype, edges.has_weights))
                     records["dst"] = local
                     if edges.has_weights:
@@ -609,25 +614,7 @@ class GridStore:
         store._edges_file.write(data)
 
         if indexed:
-            # Block (i, j)'s CSR offsets: column j's running degree sum
-            # over interval i, closing entry included, re-based at the
-            # interval's first vertex. One column is |V| + P entries.
-            vertex = np.arange(n + P, dtype=np.int64)
-            vertex -= np.repeat(np.arange(P, dtype=np.int64), sizes + 1)
-            offsets = np.take(cum, vertex, axis=1)  # C order, unlike cum[:, vertex]
-            offsets -= np.take(cum, np.repeat(bounds[:-1], sizes + 1), axis=1)
-            offsets = offsets.ravel()
-            if encoding == ENCODING_COMPACT3:
-                # Narrowest-uint per block: offsets are block-relative,
-                # so the block's edge count bounds them.
-                parts, pos = [], 0
-                for i, j in store.iter_blocks_dst_major():
-                    end = pos + int(sizes[i]) + 1
-                    packed = offsets[pos:end].astype(store._idx_dtype(i, j))
-                    parts.append(packed.view(BYTE_DTYPE))
-                    pos = end
-                offsets = np.concatenate(parts)
-            store._idx_file.write(offsets)
+            store._idx_file.write(_index_file(cum, bounds, sizes, store._idx_codes))
 
         store.out_degrees = table.sum(axis=0)
         store._write_meta()
@@ -654,12 +641,20 @@ class GridStore:
         """Open an existing grid representation on ``device``.
 
         Grids written before the format field existed are format 1 (the
-        raw layout, unchanged). Any format this build does not know
-        raises :class:`GridFormatError` with the supported versions —
-        never a silent garbage decode.
+        raw layout, unchanged). A meta this build cannot read — an
+        unknown format, a missing field, a width code off the menu — or
+        data files of another size than the meta describes raise
+        :class:`GridFormatError` naming what is wrong; never a silent
+        garbage decode. The size check stats the files and charges
+        nothing.
         """
         meta = json.loads(device.read_meta_text(f"{prefix}.meta.json"))
-        fmt = int(meta.get("format", FORMAT_RAW))
+        try:
+            fmt = int(meta.get("format", FORMAT_RAW))
+        except (TypeError, ValueError):
+            raise GridFormatError(
+                f"grid {prefix!r}: meta field 'format' is {meta['format']!r}, not a number"
+            ) from None
         if fmt not in SUPPORTED_FORMATS:
             supported = ", ".join(
                 f"{v} ({name})" for v, name in sorted(SUPPORTED_FORMATS.items())
@@ -671,26 +666,25 @@ class GridStore:
             )
         encoding = SUPPORTED_FORMATS[fmt]
         declared = meta.get("encoding", encoding)
-        require(
-            declared == encoding,
-            f"grid {prefix!r}: meta declares encoding {declared!r} but format {fmt}",
-        )
-        count_codes = None
-        dst_codes = None
+        if declared != encoding:
+            raise GridFormatError(
+                f"grid {prefix!r}: meta declares encoding {declared!r} but format {fmt}"
+            )
+        fields = ["boundaries", "block_counts", "has_weights", "indexed"]
         if encoding in _COMPACT_ENCODINGS:
-            require(
-                "count_dtype_codes" in meta,
-                f"grid {prefix!r}: compact meta is missing count_dtype_codes",
-            )
-            count_codes = np.asarray(meta["count_dtype_codes"], dtype=np.int64)
+            fields.append("count_dtype_codes")
         if encoding == ENCODING_COMPACT3:
-            require(
-                "dst_dtype_codes" in meta,
-                f"grid {prefix!r}: compact3 meta is missing dst_dtype_codes",
+            fields.append("dst_dtype_codes")
+        missing = [name for name in fields if name not in meta]
+        if missing:
+            raise GridFormatError(
+                f"grid {prefix!r}: {encoding} meta is missing {', '.join(missing)}"
             )
-            dst_codes = np.asarray(meta["dst_dtype_codes"], dtype=np.int64)
         intervals = VertexIntervals(np.asarray(meta["boundaries"], dtype=np.int64))
-        return cls(
+        dst_codes = meta.get("dst_dtype_codes")
+        if encoding == ENCODING_COMPACT:
+            dst_codes = _column_codes(intervals)
+        store = cls(
             device,
             prefix,
             intervals,
@@ -698,9 +692,19 @@ class GridStore:
             bool(meta["has_weights"]),
             bool(meta["indexed"]),
             encoding=encoding,
-            count_codes=count_codes,
+            count_codes=meta.get("count_dtype_codes"),
             dst_codes=dst_codes,
         )
+        for file, want in (
+            (store._edges_file, store.total_edge_bytes),
+            (store._idx_file, store.index_total_bytes),
+        ):
+            if file is not None and file.nbytes != want:
+                raise GridFormatError(
+                    f"grid {prefix!r}: {file.path.name} holds {file.nbytes} bytes, but "
+                    f"the meta's block_counts and width codes describe {want}"
+                )
+        return store
 
     # -- shape/metadata accessors -------------------------------------
 
@@ -715,23 +719,6 @@ class GridStore:
     @property
     def total_edges(self) -> int:
         return int(self.block_counts.sum())
-
-    @property
-    def edge_record_bytes(self) -> int:
-        """Bytes per raw edge record — ``M + W`` in the paper's notation.
-
-        Only meaningful for the raw encoding; the compact layout has no
-        global record size (byte cost varies per block), so callers that
-        need byte figures must use :meth:`block_nbytes`,
-        :meth:`column_nbytes`, :attr:`total_edge_bytes`, or
-        :attr:`adjacency_bytes_per_edge` instead.
-        """
-        if self.encoding in _COMPACT_ENCODINGS:
-            raise RuntimeError(
-                "compact grid stores have no global edge record size; use "
-                "block_nbytes/column_nbytes/total_edge_bytes/adjacency_bytes_per_edge"
-            )
-        return int(self._edges_file.dtype.itemsize)
 
     @property
     def total_edge_bytes(self) -> int:
@@ -757,66 +744,26 @@ class GridStore:
 
         The on-demand model reads per-vertex record extents (the compact
         run-length headers are not re-read — offsets come from the
-        index), so the per-edge cost is the record payload size:
-        ``M + W`` for raw, the packed ``(dst_local, [wgt])`` size per
-        column for compact. Averaged edge-weighted across columns for
-        the scheduler's ``S_seq``/``S_ran`` estimate.
+        index), so the per-edge cost is the record size: ``M + W`` for
+        raw, the block's packed ``(dst_local, [wgt])`` size for compact.
+        Averaged edge-weighted over the blocks for the scheduler's
+        ``S_seq``/``S_ran`` estimate.
         """
-        if self.encoding == ENCODING_COMPACT3:
-            # Per-block record sizes: edge-weighted mean over blocks.
-            rec_sizes = np.array(
-                [
-                    [self._record_dtype_at(i, j).itemsize for j in range(self.P)]
-                    for i in range(self.P)
-                ],
-                dtype=np.float64,
-            )
-            total = self.total_edges
-            if total == 0:
-                return float(rec_sizes.mean()) if rec_sizes.size else 0.0
-            return float((self.block_counts * rec_sizes).sum() / total)
-        if self.encoding != ENCODING_COMPACT:
-            return float(self._edges_file.dtype.itemsize)
-        col_edges = self.block_counts.sum(axis=0)
-        rec_sizes = np.array(
-            [self._record_dtype(j).itemsize for j in range(self.P)], dtype=np.float64
-        )
-        total = int(col_edges.sum())
+        total = self.total_edges
         if total == 0:
-            return float(rec_sizes.mean()) if rec_sizes.size else 0.0
-        return float((col_edges * rec_sizes).sum() / total)
-
-    def selective_record_bytes(self, j: int) -> int:
-        """Per-edge payload bytes of a selective load in column ``j``.
-
-        For compact3 this is the column's widest per-block record (an
-        upper bound — actual loads use each block's own width).
-        """
-        if self.encoding == ENCODING_COMPACT3:
-            return int(
-                max(self._record_dtype_at(i, j).itemsize for i in range(self.P))
-            )
-        if self.encoding == ENCODING_COMPACT:
-            return int(self._record_dtype(j).itemsize)
-        return int(self._edges_file.dtype.itemsize)
+            return float(self._rec_bytes.mean())
+        return float((self.block_counts * self._rec_bytes).sum() / total)
 
     def index_entry_bytes(self, i: int) -> int:
         """Per-entry on-disk index bytes the scheduler should price for
-        row ``i``: 8 (``INDEX_DTYPE``) through format 2, the row's widest
-        per-block offset width in compact3 (a safe upper bound; actual
-        reads use each block's own width)."""
-        if self._idx_codes is None:
-            return int(INDEX_DTYPE.itemsize)
-        return int(self._idx_codes[i, :].max())
+        row ``i``: the row's widest offset width — 8 through format 2; in
+        compact3 a safe upper bound, as reads use each block's own."""
+        return int(self._idx_codes[i].max())
 
     @property
     def index_total_bytes(self) -> int:
         """Total on-disk bytes of the ``.idx`` file (0 when unindexed)."""
-        if not self.indexed:
-            return 0
-        if self._idx_codes is not None:
-            return self._index_items_total  # byte-addressed file
-        return self._index_items_total * int(INDEX_DTYPE.itemsize)
+        return self._index_bytes
 
     def block_edge_count(self, i: int, j: int) -> int:
         return int(self.block_counts[i, j])
@@ -837,33 +784,34 @@ class GridStore:
 
     # -- full-block loads (the full I/O model) ---------------------------
 
-    def _records_to_block(self, i: int, j: int, records: np.ndarray) -> EdgeBlock:
-        wgt = records["wgt"].copy() if self.has_weights else None
-        return EdgeBlock(
-            i, j, records["src"].copy(), records["dst"].copy(), wgt,
-            source_sorted=self.indexed,
-        )
-
     def _empty_block(self, i: int, j: int) -> EdgeBlock:
         wgt = np.empty(0, dtype=np.float32) if self.has_weights else None
         return EdgeBlock(
             i, j, np.empty(0, dtype=VERTEX_DTYPE), np.empty(0, dtype=VERTEX_DTYPE), wgt
         )
 
-    def _decode_compact(self, i: int, j: int, payload: np.ndarray) -> EdgeBlock:
-        """Decode one compact sub-block's bytes into an :class:`EdgeBlock`.
+    def _decode(self, i: int, j: int, payload: np.ndarray) -> EdgeBlock:
+        """Decode one sub-block's stored items into an :class:`EdgeBlock`.
 
-        ``np.repeat`` over the run-length header reconstructs the source
-        column; the local destinations get the interval base added back.
-        Output arrays match the raw decoder's dtypes exactly, so engines
-        cannot distinguish the encodings.
+        Raw records are copied out field by field. A compact block's
+        sources are ``np.repeat`` over its run-length header and its
+        local destinations get the interval base added back. Output
+        arrays match the raw decoder's dtypes exactly, so engines cannot
+        distinguish the encodings.
         """
+        if self.encoding not in _COMPACT_ENCODINGS:
+            wgt = payload["wgt"].copy() if self.has_weights else None
+            return EdgeBlock(
+                i, j, payload["src"].copy(), payload["dst"].copy(), wgt,
+                source_sorted=self.indexed,
+            )
         cnt = self.block_edge_count(i, j)
         if cnt == 0:
             return self._empty_block(i, j)
         lo_i, hi_i = self.intervals.bounds(i)
         lo_j, _ = self.intervals.bounds(j)
-        header_bytes = (hi_i - lo_i) * int(self._count_codes[i, j])
+        count_dtype = _UINT_BY_ITEMSIZE[int(self._count_codes[i, j])]
+        header_bytes = (hi_i - lo_i) * count_dtype.itemsize
         require(
             payload.shape[0] == self.block_nbytes(i, j),
             f"block ({i},{j}): expected {self.block_nbytes(i, j)} encoded bytes, "
@@ -871,30 +819,29 @@ class GridStore:
         )
         # A copy, not a view: the block keeps it and must not pin the
         # whole column payload it was sliced from.
-        runs = payload[:header_bytes].view(self._count_dtype(i, j)).copy()
+        runs = payload[:header_bytes].view(count_dtype).copy()
         require(
             int(runs.sum()) == cnt,
             f"block ({i},{j}): corrupt compact header (run lengths sum to "
             f"{int(runs.sum())}, metadata says {cnt} edges)",
         )
-        records = payload[header_bytes:].view(self._record_dtype_at(i, j))
+        dst_dtype = _UINT_BY_ITEMSIZE[int(self._dst_codes[i, j])]
+        records = payload[header_bytes:].view(_packed_record_dtype(dst_dtype, self.has_weights))
         src = np.repeat(np.arange(lo_i, hi_i, dtype=VERTEX_DTYPE), runs)
         dst = records["dst"].astype(VERTEX_DTYPE) + VERTEX_DTYPE.type(lo_j)
         wgt = records["wgt"].astype(np.float32) if self.has_weights else None
         return EdgeBlock(i, j, src, dst, wgt, source_sorted=True, runs=runs)
 
+    def _block_items(self, i: int, j: int) -> int:
+        """Edges-file items of sub-block ``(i, j)``."""
+        return self.block_nbytes(i, j) // self._edges_file.dtype.itemsize
+
     def load_block(self, i: int, j: int) -> EdgeBlock:
         """Sequentially read all edges of sub-block ``(i, j)``."""
-        if self.encoding in _COMPACT_ENCODINGS:
-            start = int(self._block_byte_start[i, j])
-            payload = self._edges_file.read_slice(
-                start, self.block_nbytes(i, j), sequential=True
-            )
-            return self._decode_compact(i, j, payload)
-        start = int(self._block_start[i, j])
-        count = self.block_edge_count(i, j)
-        records = self._edges_file.read_slice(start, count, sequential=True)
-        return self._records_to_block(i, j, records)
+        payload = self._edges_file.read_slice(
+            int(self._block_start[i, j]), self._block_items(i, j), sequential=True
+        )
+        return self._decode(i, j, payload)
 
     def load_block_range(self, j: int, i_lo: int, i_hi: int) -> List[EdgeBlock]:
         """Read blocks ``(i_lo..i_hi-1, j)`` of one column as a single scan.
@@ -902,31 +849,20 @@ class GridStore:
         Within a column the sub-blocks are stored contiguously in source-
         interval order, so a run of blocks is one sequential extent —
         this keeps full sweeps request-cheap (one read per column rather
-        than per block), in either encoding.
+        than per block), in every encoding.
         """
         require(0 <= i_lo <= i_hi <= self.P, "bad block range")
         if i_lo == i_hi:
             return []
-        if self.encoding in _COMPACT_ENCODINGS:
-            start = int(self._block_byte_start[i_lo, j])
-            nbytes = [self.block_nbytes(i, j) for i in range(i_lo, i_hi)]
-            payload = self._edges_file.read_slice(start, int(sum(nbytes)), sequential=True)
-            blocks = []
-            pos = 0
-            for offset, nb in enumerate(nbytes):
-                blocks.append(
-                    self._decode_compact(i_lo + offset, j, payload[pos : pos + nb])
-                )
-                pos += nb
-            return blocks
-        start = int(self._block_start[i_lo, j])
-        counts = [self.block_edge_count(i, j) for i in range(i_lo, i_hi)]
-        records = self._edges_file.read_slice(start, int(sum(counts)), sequential=True)
+        counts = [self._block_items(i, j) for i in range(i_lo, i_hi)]
+        payload = self._edges_file.read_slice(
+            int(self._block_start[i_lo, j]), int(sum(counts)), sequential=True
+        )
         blocks = []
         pos = 0
-        for offset, cnt in enumerate(counts):
-            blocks.append(self._records_to_block(i_lo + offset, j, records[pos : pos + cnt]))
-            pos += cnt
+        for offset, count in enumerate(counts):
+            blocks.append(self._decode(i_lo + offset, j, payload[pos : pos + count]))
+            pos += count
         return blocks
 
     def load_column(self, j: int) -> List[EdgeBlock]:
@@ -935,36 +871,30 @@ class GridStore:
 
     # -- selective loads (the on-demand I/O model) ------------------------
 
-    def _index_unit(self, i: int, j: int) -> int:
-        """Index-file items per offset of block ``(i, j)``: one ``int64``
-        through format 2, the block's offset width in compact3's bytes."""
-        return 1 if self._idx_codes is None else int(self._idx_codes[i, j])
-
     def _index_slice(self, i: int, j: int, first: int, last: int) -> Tuple[int, int]:
-        """``(start item, item count)`` of offsets ``first..last`` of block
+        """``(start byte, byte count)`` of offsets ``first..last`` of block
         ``(i, j)``'s index."""
-        unit = self._index_unit(i, j)
+        unit = int(self._idx_codes[i, j])
         return int(self._index_start[i, j]) + first * unit, (last - first + 1) * unit
 
     def _index_runs(self, i: int, j: int, local_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """One ``(start item, item count)`` run per local id: its
+        """One ``(start byte, byte count)`` run per local id: its
         ``(offset, next_offset)`` pair in block ``(i, j)``'s index."""
-        unit = self._index_unit(i, j)
+        unit = int(self._idx_codes[i, j])
         starts = int(self._index_start[i, j]) + local_ids * unit
         return starts, np.full(local_ids.shape, 2 * unit, dtype=np.int64)
 
     def _widen_offsets(self, i: int, j: int, payload: np.ndarray) -> np.ndarray:
-        """Offsets read from block ``(i, j)``'s index as ``int64``."""
-        if self._idx_codes is None:
-            return payload
-        return payload.view(self._idx_dtype(i, j)).astype(INDEX_DTYPE)
+        """Offsets read from block ``(i, j)``'s index bytes as ``int64``."""
+        stored = payload.view(_OFFSET_BY_ITEMSIZE[int(self._idx_codes[i, j])])
+        return stored.astype(INDEX_DTYPE, copy=False)
 
     def read_block_index(self, i: int, j: int) -> np.ndarray:
         """Sequentially read the full offset index of sub-block ``(i, j)``.
 
-        Always returns ``int64`` offsets: compact3's narrowest-uint
-        columns are widened after the (smaller) read, so callers see
-        identical values in every format.
+        Always returns ``int64`` offsets: compact3's narrowed offsets are
+        widened after the (smaller) read, so callers see identical values
+        in every format.
         """
         self._require_indexed()
         start, count = self._index_slice(i, j, 0, self.intervals.size(i))
@@ -1007,8 +937,7 @@ class GridStore:
             starts, counts = self._index_runs(i, j, local_ids)
             pair, n = int(counts[0]), counts.size
             self._idx_file.check_runs(int(starts[0]), pair, int(starts[-1]) + pair)
-            nbytes = n * pair * self._idx_file.dtype.itemsize
-            self._idx_file.charge_runs(starts, counts, totals=((0, 0), (nbytes, n)))
+            self._idx_file.charge_runs(starts, counts, totals=((0, 0), (n * pair, n)))
             return
         first, last = int(local_ids[0]), int(local_ids[-1]) + 1
         self._idx_file.charge_slice(*self._index_slice(i, j, first, last), sequential=True)
@@ -1048,7 +977,7 @@ class GridStore:
             return []
         geom = self._geometry[[entry[0] * self.P + entry[1] for entry in entries]]
         columns = np.fromiter((entry[1] for entry in entries), np.int64, len(entries))
-        keys = (columns * 8 + geom["unit"]) * 8 + geom["width"]  # both widths are <= 4
+        keys = (columns * 16 + geom["unit"]) * 16 + geom["width"]  # both widths are <= 8
         chunks: List[List[int]] = [[]]
         width = 0
         for e in np.argsort(keys, kind="stable").tolist():
@@ -1119,11 +1048,7 @@ class GridStore:
                 slice(a, b) if all_inside else a + np.flatnonzero(inside[a:b])
             )
             width = int(geom["unit"][g0])
-            at = pos[ids] + pair * width
-            if self._idx_codes is None:  # int64 offsets
-                offsets[:, ids] = index[at]
-            else:  # the group's offsets in their own uint width
-                offsets[:, ids] = _read_le(index, at, _UINT_BY_ITEMSIZE[width])
+            offsets[:, ids] = _read_le(index, pos[ids] + pair * width, _OFFSET_BY_ITEMSIZE[width])
         loads = self._select_edges(
             blocks, groups, geom, bounds, owner, active, offsets, readable, edges,
             seq_threshold_bytes,
@@ -1357,19 +1282,15 @@ class GridStore:
 
     def read_all_sources(self) -> np.ndarray:
         """One full scan returning every edge's source id (context building)."""
-        if self.encoding in _COMPACT_ENCODINGS:
-            data = self._edges_file.read_all()
-            parts: List[np.ndarray] = []
-            for (i, j) in self.iter_blocks_dst_major():
-                nb = self.block_nbytes(i, j)
-                if nb == 0:
-                    continue
-                start = int(self._block_byte_start[i, j])
-                parts.append(self._decode_compact(i, j, data[start : start + nb]).src)
-            if not parts:
-                return np.empty(0, dtype=VERTEX_DTYPE)
-            return np.concatenate(parts)
-        return self._edges_file.read_all()["src"]
+        data = self._edges_file.read_all()
+        if self.encoding not in _COMPACT_ENCODINGS:
+            return data["src"]  # raw records carry their sources
+        parts = [np.empty(0, dtype=VERTEX_DTYPE)]
+        for (i, j) in self.iter_blocks_dst_major():
+            if self.block_edge_count(i, j):
+                start = int(self._block_start[i, j])
+                parts.append(self._decode(i, j, data[start : start + self._block_items(i, j)]).src)
+        return np.concatenate(parts)
 
     def _require_indexed(self) -> None:
         if not self.indexed:

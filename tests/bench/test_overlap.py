@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.bench import Harness
 from repro.bench.runner import build_record, check_table
 from repro.bench.tables import BENCH_2, overlap_report
@@ -82,3 +84,25 @@ def test_main_writes_record(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["BENCH_2.json"]
     payload = json.loads((tmp_path / "BENCH_2.json").read_text())
     assert set(payload["workloads"]) == {"pr", "pr-d", "cc", "sssp"}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="pipelined adaptive cc on compact3 prices its first rounds as SCIU "
+    "where serial picks FCIU, and runs 0.418 s against serial's 0.220 s",
+)
+def test_pipelined_is_not_slower_than_serial_on_compact3():
+    """BENCH_2's gate, pipelined <= serial, on the compact3 layout.
+
+    Raw, format 2 and serial compact3 open adaptive cc with FCIU rounds;
+    pipelined compact3 opens with SCIU and doubles the simulated time.
+    Mending the pricing moves simulated numbers, so the gap is pinned
+    here until a change that re-records the BENCH files closes it.
+    """
+    with Harness(P=8, encoding="compact3") as harness:
+        serial = harness.run("graphsd", "cc", "twitter2010")
+        piped = harness.run(
+            "graphsd", "cc", "twitter2010", pipeline=True,
+            prefetch_depth=int(BENCH_2.header["prefetch_depth"]),
+        )
+    assert piped.sim_seconds <= serial.sim_seconds

@@ -51,7 +51,7 @@ def test_sciu_iteration_reads_exactly_active_edges(edges, tmp_path):
     # Reconstruct each iteration's frontier from the trace.
     for rec in result.per_iteration:
         assert rec.model == "sciu"
-        edge_bytes = rec.edges_processed * store.edge_record_bytes
+        edge_bytes = rec.edges_processed * store.adjacency_bytes_per_edge
         index_bound = (store.num_vertices + store.P) * INDEX_DTYPE.itemsize * store.P
         total_read = rec.io.bytes_read
         # reads = active edges + (some) index bytes, never more

@@ -52,14 +52,6 @@ def test_weights_travel_with_edges(rng, tmp_path):
     assert sorted(got) == sorted(want)
 
 
-def test_edge_record_bytes_matches_weighting(rng, tmp_path):
-    unweighted = build_store(random_edgelist(rng, 30, 100, weighted=False), tmp_path, name="u")
-    weighted = build_store(random_edgelist(rng, 30, 100, weighted=True), tmp_path, name="w")
-    assert unweighted.edge_record_bytes == 8   # M
-    assert weighted.edge_record_bytes == 12    # M + W
-    assert unweighted.total_edge_bytes == unweighted.total_edges * 8
-
-
 def test_open_roundtrip(rng, tmp_path):
     el = random_edgelist(rng, 80, 400)
     dev = Device(tmp_path / "o", SimulatedDisk())

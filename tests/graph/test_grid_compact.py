@@ -171,16 +171,6 @@ def test_block_and_column_bytes_sum_to_total(rng, tmp_path):
     assert compact._edges_file.nbytes == compact.total_edge_bytes
 
 
-def test_edge_record_bytes_raises_readably_on_compact(rng, tmp_path):
-    edges = random_edgelist(rng, 100, 500)
-    _, compact = build_pair(edges, tmp_path, P=2, name="rec")
-    with pytest.raises(RuntimeError, match="no global edge record size"):
-        compact.edge_record_bytes
-    # Encoding-independent figures still work.
-    assert compact.logical_edge_bytes == compact.total_edges * 12
-    assert compact.adjacency_bytes_per_edge > 0
-
-
 def test_charged_read_bytes_shrink_with_encoding(rng, tmp_path):
     """The simulated disk is charged for encoded, not decoded, bytes."""
     edges = random_edgelist(rng, 500, 6000, weighted=False)

@@ -115,7 +115,7 @@ def test_index_bytes_shrink_at_least_2x(rng, tmp_path):
     """The headline: small blocks -> uint8/16 offsets vs flat int64."""
     edges = random_edgelist(rng, 2000, 30000, weighted=False)
     _raw, c2, c3 = build_trio(edges, tmp_path, P=8, name="idx")
-    assert c2.index_total_bytes == c2._index_items_total * INDEX_DTYPE.itemsize
+    assert c2.index_total_bytes == c2.P * (c2.num_vertices + c2.P) * INDEX_DTYPE.itemsize
     assert c2.index_total_bytes / c3.index_total_bytes >= 2.0
     # Payload also shrinks (per-block dst widths <= per-column widths).
     assert c3.total_edge_bytes <= c2.total_edge_bytes

@@ -125,7 +125,7 @@ def test_a_merged_run_of_exactly_the_threshold_is_sequential(tmp_path, encoding)
     store = GridStore.build(edges, make_intervals(edges, 2), device, prefix="g", encoding=encoding)
     offsets = store.read_block_index(0, 1)
     v = int(np.argmax(np.diff(offsets)))  # a source with edges in block (0, 1)
-    nbytes = int(offsets[v + 1] - offsets[v]) * store.selective_record_bytes(1)
+    nbytes = int(offsets[v + 1] - offsets[v]) * int(store.adjacency_bytes_per_edge)
     for threshold, sequential in ((nbytes, 1), (nbytes + 1, 0)):
         before = device.disk.stats.snapshot()
         (load,) = store.read_selective([(0, 1, np.array([v]), INDEX_GATHER)], threshold)
@@ -156,7 +156,7 @@ def _doctor(store, value):
     """Overwrite block ``(1, 2)``'s end offset behind the store's (and its
     CRC sidecar's) back."""
     index = np.memmap(store.device.root / "g.idx", dtype=np.int64, mode="r+")
-    index[int(store._index_start[1, 2]) + store.intervals.size(1)] = value
+    index[int(store._index_start[1, 2]) // 8 + store.intervals.size(1)] = value
     index.flush()
 
 
@@ -198,7 +198,7 @@ def test_truncated_index_raises_from_the_entry_it_cut_off(store, mode, error):
     entries[1] = entries[1][:3] + (mode,)
     want = [_single_read(unchecked, *entries[k], 64) for k in (0, 2)]
     # Column-major storage: (0, 0) and (2, 1) precede (1, 2), which is cut.
-    os.truncate(store.device.root / "g.idx", int(unchecked._index_start[1, 2]) * 8)
+    os.truncate(store.device.root / "g.idx", int(unchecked._index_start[1, 2]))
     first, cut, last = unchecked.read_selective(entries, 64)
     _same_block(first(), want[0])
     with pytest.raises(ValueError, match=error):
