@@ -16,12 +16,9 @@ PR and PR-D on the UK2007 web-crawl proxy and shows
 Run:  python examples/webgraph_pagerank.py
 """
 
-import tempfile
-
 import numpy as np
 
 from repro.bench import Harness
-from repro.core import GraphSDConfig, GraphSDEngine
 from repro.datasets import load_dataset
 
 

@@ -29,7 +29,6 @@ from repro.baselines import (
     XStreamEngine,
 )
 from repro.core import AsyncGraphSDEngine, GraphSDConfig, GraphSDEngine, RunResult
-from repro.core.engine import DEFAULT_PREFETCH_DEPTH
 from repro.core.engine_base import EngineBase
 from repro.datasets import load_dataset
 from repro.graph import (
@@ -99,8 +98,7 @@ def _graphsd_engine(
         store: GridStore,
         machine: MachineProfile,
         ctx: GraphContext,
-        pipeline: bool = False,
-        prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
+        prefetch_depth: int = 0,
         gather_lanes: int = 1,
         tuned_profile: Optional["TunedProfile"] = None,
     ) -> EngineBase:
@@ -109,7 +107,6 @@ def _graphsd_engine(
         cfg = config if config is not None else GraphSDConfig()
         cfg = replace(
             cfg,
-            pipeline=pipeline,
             prefetch_depth=prefetch_depth,
             gather_lanes=gather_lanes,
             tuned_profile=tuned_profile,
@@ -124,14 +121,13 @@ def _simple_engine(cls):
         store: GridStore,
         machine: MachineProfile,
         ctx: GraphContext,
-        pipeline: bool = False,
-        prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
+        prefetch_depth: int = 0,
         gather_lanes: int = 1,
         tuned_profile: Optional["TunedProfile"] = None,
     ) -> EngineBase:
         # Baseline engines model strictly serial systems; the pipeline
         # and gather knobs do not apply to them.
-        require(not pipeline, f"{cls.__name__} does not support --pipeline")
+        require(prefetch_depth == 0, f"{cls.__name__} does not support --pipeline")
         require(gather_lanes == 1, f"{cls.__name__} does not support --gather-lanes")
         require(tuned_profile is None, f"{cls.__name__} does not support --autotune")
         return cls(store, machine, ctx=ctx)
@@ -282,8 +278,7 @@ class Harness:
         workload_key: str,
         dataset: str,
         use_cache: bool = True,
-        pipeline: bool = False,
-        prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
+        prefetch_depth: int = 0,
         gather_lanes: int = 1,
         trace_path: Optional[str] = None,
     ) -> RunResult:
@@ -294,7 +289,8 @@ class Harness:
         (Table 4 / Fig. 5 / Fig. 6 / Fig. 7 all reuse the same runs, as
         the paper's evaluation does) pay for each cell once.
 
-        Cells with different ``pipeline``/``prefetch_depth``/
+        ``prefetch_depth`` 0 runs serial and N >= 1 pipelined with N
+        loads of lookahead. Cells with different ``prefetch_depth``/
         ``gather_lanes`` settings are cached separately (they produce
         identical values but different modeled times/counters).
         ``graphsd-async`` is the asynchronous priority-driven engine
@@ -308,10 +304,7 @@ class Harness:
         cache hit.
         """
         workload = WORKLOADS[workload_key]
-        key = (
-            system, workload_key, dataset, bool(pipeline), int(prefetch_depth),
-            int(gather_lanes),
-        )
+        key = (system, workload_key, dataset, int(prefetch_depth), int(gather_lanes))
         if use_cache and key in self._run_cache:
             return self._run_cache[key]
         spec = SYSTEMS[system]
@@ -325,13 +318,12 @@ class Harness:
             store,
             self.machine,
             ctx,
-            pipeline=pipeline,
             prefetch_depth=prefetch_depth,
             gather_lanes=gather_lanes,
             tuned_profile=self.tuned_profile,
         )
         if trace_path is None and self.trace_dir is not None:
-            suffix = "-pipelined" if pipeline else ""
+            suffix = "-pipelined" if prefetch_depth > 0 else ""
             name = f"{system}-{workload_key}-{dataset}{suffix}.trace.jsonl"
             self.trace_dir.mkdir(parents=True, exist_ok=True)
             trace_path = str(self.trace_dir / name)

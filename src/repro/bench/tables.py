@@ -78,8 +78,7 @@ def _overlap_run(b: Bench, c: Levels) -> RunResult:
     with Harness(P=b.P) as harness:
         return harness.run(
             "graphsd", c["algo"], b.dataset,
-            pipeline=c["mode"] == "pipelined",
-            prefetch_depth=int(b.header["prefetch_depth"]),
+            prefetch_depth=int(b.header["prefetch_depth"]) if c["mode"] == "pipelined" else 0,
             trace_path=b.trace_path(c),
         )
 
@@ -322,7 +321,8 @@ BENCH_3 = RunTable(
             },
             measure=lambda b, c: b.harness(c["encoding"]).run(
                 c["system"], c["algo"], b.dataset,
-                pipeline=bool(c["pipeline"]), trace_path=b.trace_path(c),
+                prefetch_depth=DEFAULT_PREFETCH_DEPTH if c["pipeline"] else 0,
+                trace_path=b.trace_path(c),
             ),
             baseline=lambda c: {**c, "encoding": "raw"},
             entries=[
@@ -658,12 +658,12 @@ ASYNC_MIN: Sequence[str] = ("sssp", "cc", "sswp", "bfs")
 #: scheduler's cost model, so their reference is a synchronous run under
 #: the *same* I/O configuration; MIN references are the default sync run.
 ASYNC_ADD: Sequence[str] = ("pr-d",)
-#: (pipeline, gather_lanes) composition grid every workload runs under.
+#: (prefetch_depth, gather_lanes) composition grid every workload runs under.
 ASYNC_CONFIGS: Dict[str, tuple] = {
-    "serial-K1": (False, 1),
-    "pipelined-K1": (True, 1),
-    "serial-K4": (False, 4),
-    "pipelined-K4": (True, 4),
+    "serial-K1": (0, 1),
+    "pipelined-K1": (DEFAULT_PREFETCH_DEPTH, 1),
+    "serial-K4": (0, 4),
+    "pipelined-K4": (DEFAULT_PREFETCH_DEPTH, 4),
 }
 #: Required work reduction (sweeps or sub-block gathers) ...
 REDUCTION_GATE = 1.2
@@ -672,11 +672,11 @@ MIN_ALGOS_REQUIRED = 3
 
 
 def _schedule_run(b: Bench, c: Levels) -> RunResult:
-    pipeline, lanes = ASYNC_CONFIGS[c["config"]]
+    depth, lanes = ASYNC_CONFIGS[c["config"]]
     system = "graphsd-async" if c["schedule"] == "async" else "graphsd"
     return b.harness().run(
         system, c["algo"], b.dataset,
-        pipeline=pipeline, gather_lanes=lanes, trace_path=b.trace_path(c),
+        prefetch_depth=depth, gather_lanes=lanes, trace_path=b.trace_path(c),
     )
 
 

@@ -56,6 +56,7 @@ from repro.bench import (
 from repro.bench.reporting import ExperimentReport, format_table
 from repro.cluster import INTERCONNECT_PROFILES
 from repro.core import DEFAULT_PREFETCH_DEPTH
+from repro.core.convergence import require_async_capable
 from repro.datasets import list_datasets, load_dataset, table3_rows
 from repro.graph import preprocess_graphsd, preprocess_husgraph, preprocess_lumos
 from repro.graph.grid import ENCODINGS, ENCODING_RAW
@@ -98,10 +99,36 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.tune import TunedProfile
 
-    # Knob resolution: explicit flag > --autotune recommendation > default.
+    # Refusals come first: none of them needs the dataset.
+    if args.pipeline is not None and args.pipeline is not True and args.pipeline < 1:
+        raise ValueError(
+            f"--pipeline N takes a prefetch_depth N >= 1, got {args.pipeline} "
+            "(omit the flag for a serial run)"
+        )
+    if args.system == "graphsd-async":
+        require_async_capable(WORKLOADS[args.algorithm].make_program())
+    if args.workers is not None:
+        if args.system != "graphsd":
+            raise ValueError(
+                "--workers requires --system graphsd (the cluster shards the "
+                "graphsd grid representation)"
+            )
+        if args.pipeline is not None:
+            raise ValueError(
+                "--workers and --pipeline are mutually exclusive (cluster "
+                "workers overlap via sharding, not prefetch)"
+            )
+        if args.gather_lanes not in (None, 1) or args.autotune is not None:
+            raise ValueError(
+                "--gather-lanes/--autotune apply to single-process graphsd "
+                "runs, not --workers"
+            )
+
+    # Knob resolution: explicit value > --autotune recommendation > default.
+    # No --pipeline runs serial; a bare --pipeline leaves its depth open.
     tuned: Optional[TunedProfile] = None
     gather_lanes = args.gather_lanes
-    prefetch_depth = args.prefetch_depth
+    prefetch_depth = None if args.pipeline is True else args.pipeline or 0
     if args.autotune:
         tuned = TunedProfile.load(args.autotune)
         edges = load_dataset(
@@ -112,14 +139,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         program_name = WORKLOADS[args.algorithm].make_program().name
         rec = tuned.recommend(program_name, edges.num_vertices, edges.num_edges)
         if rec is not None:
+            applied = []
             if gather_lanes is None:
                 gather_lanes = rec.gather_lanes
+                applied.append(f"gather_lanes={gather_lanes}")
             if prefetch_depth is None:
                 prefetch_depth = rec.prefetch_depth
+                applied.append(f"prefetch_depth={prefetch_depth}")
             print(
                 f"autotune: {program_name} |V|={edges.num_vertices:,} "
-                f"|E|={edges.num_edges:,} -> gather_lanes={rec.gather_lanes} "
-                f"prefetch_depth={rec.prefetch_depth}",
+                f"|E|={edges.num_edges:,} -> {' '.join(applied) or 'explicit flags win'}",
                 file=sys.stderr,
             )
     if gather_lanes is None:
@@ -135,57 +164,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         encoding=args.encoding,
     )
     trace_path = args.trace if isinstance(args.trace, str) else None
-    system = args.system
-    if args.async_mode:
-        from repro.algorithms import get_spec
-
-        if args.workers is not None:
-            print(
-                "error: --async and --workers are mutually exclusive "
-                "(the cluster models synchronous BSP supersteps)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.system not in ("graphsd", "graphsd-async"):
-            print(
-                f"error: --async requires --system graphsd "
-                f"({args.system} models a synchronous design)",
-                file=sys.stderr,
-            )
-            return 2
-        spec = get_spec(WORKLOADS[args.algorithm].algorithm)
-        if not spec.monotonic:
-            print(
-                f"error: --async requires a monotonic algorithm; "
-                f"{spec.name} has no monotone fixed point "
-                "(see docs/PERFORMANCE.md, 'Asynchronous execution')",
-                file=sys.stderr,
-            )
-            return 2
-        system = "graphsd-async"
     try:
         if args.workers is not None:
-            if args.system != "graphsd":
-                print(
-                    "error: --workers requires --system graphsd (the cluster "
-                    "shards the graphsd grid representation)",
-                    file=sys.stderr,
-                )
-                return 2
-            if args.pipeline:
-                print(
-                    "error: --workers and --pipeline are mutually exclusive "
-                    "(cluster workers overlap via sharding, not prefetch)",
-                    file=sys.stderr,
-                )
-                return 2
-            if gather_lanes != 1 or tuned is not None:
-                print(
-                    "error: --gather-lanes/--autotune apply to single-process "
-                    "graphsd runs, not --workers",
-                    file=sys.stderr,
-                )
-                return 2
             result = harness.run_cluster(
                 args.algorithm,
                 args.dataset,
@@ -195,10 +175,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         else:
             result = harness.run(
-                system,
+                args.system,
                 args.algorithm,
                 args.dataset,
-                pipeline=args.pipeline,
                 prefetch_depth=prefetch_depth,
                 gather_lanes=gather_lanes,
                 trace_path=trace_path,
@@ -239,35 +218,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         iteration_trace_csv(result, args.csv)
         print(f"wrote {args.csv}")
-    if args.json:
-        payload = {
-            "engine": result.engine,
-            "program": result.program,
-            "iterations": result.iterations,
-            "sweeps": result.sweeps,
-            "converged": result.converged,
-            "sim_seconds": result.sim_seconds,
-            "io_seconds": result.io_seconds,
-            "compute_seconds": result.compute_seconds,
-            "io_traffic_bytes": result.io_traffic,
-            "wall_seconds": result.wall_seconds,
-            "models": result.model_history,
-            "frontiers": result.frontier_history,
-            "pipeline": args.pipeline,
-            "overlap_saved_seconds": result.overlap_saved_seconds,
-            "prefetch_issued": result.prefetch_issued,
-            "prefetch_hits": result.prefetch_hits,
-            "prefetch_wasted": result.prefetch_wasted,
-            "buffer_hit_bytes": result.buffer_hit_bytes,
-            "gather_runs_issued": result.gather_runs_issued,
-            "gather_lane_busy_seconds": result.gather_lane_busy_seconds,
-            "gather_queue_peak": result.gather_queue_peak,
-            "recovery": dict(result.recovery),
-        }
-        # charged-io-ok: host-side result file, not simulated graph I/O
-        with open(args.json, "w") as f:
-            json.dump(payload, f, indent=2)
-        print(f"wrote {args.json}")
     return 0
 
 
@@ -532,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stable RunResult JSON document (json)",
     )
     p.add_argument("--verify", action="store_true", help="check against the BSP oracle")
-    p.add_argument("--json", default=None, help="write a JSON result file")
     p.add_argument("--csv", default=None, help="write a per-iteration CSV trace")
     p.add_argument(
         "--checksums",
@@ -541,29 +490,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--pipeline",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="overlap disk I/O with compute via the async prefetch pipeline "
-        "(see docs/PERFORMANCE.md)",
-    )
-    p.add_argument(
-        "--async",
-        dest="async_mode",
-        action="store_true",
-        default=False,
-        help="priority-driven asynchronous execution (monotonic algorithms "
-        "only): process the hottest destination intervals first and let "
-        "updates propagate within a sweep; the fixed point is bitwise "
-        "identical to synchronous execution (see docs/PERFORMANCE.md)",
-    )
-    p.add_argument(
-        "--prefetch-depth",
+        nargs="?",
+        const=True,
         type=int,
         default=None,
         metavar="N",
-        help="pipeline lookahead: max decoded blocks queued ahead of "
-        f"compute (default {DEFAULT_PREFETCH_DEPTH}, or the --autotune "
-        "recommendation when one matches)",
+        help="overlap disk I/O with compute via the async prefetch pipeline, "
+        "with at most N decoded blocks queued ahead of compute (bare: "
+        f"{DEFAULT_PREFETCH_DEPTH}, or the --autotune recommendation when one "
+        "matches; see docs/PERFORMANCE.md)",
     )
     p.add_argument(
         "--gather-lanes",

@@ -243,27 +243,17 @@ class AsyncGraphSDEngine(GraphSDEngine):
         selective gathers read in one pass by :meth:`read_selective`).
         """
         store = self.store
-        disk = self.machine.disk
         intervals = store.intervals
         index_plan = self.scheduler.plan_index_access(subset)
-        adj_bytes = store.adjacency_bytes_per_edge
-        out_degrees = self.ctx.require_out_degrees()
 
         full: Dict[int, bool] = {}  # row -> full load? in consume order
         selective: List[SelectiveEntry] = []
         for i in range(store.P):
-            a = int(index_plan.active_per_row[i])
-            if a == 0 or store.block_edge_count(i, j) == 0:
+            if index_plan.active_per_row[i] == 0 or store.block_edge_count(i, j) == 0:
                 continue
             lo, hi = intervals.bounds(i)
             ids = subset.interval_indices(lo, hi)
-            # §4.1 at sub-block granularity: price the selective gather
-            # (the pending sources' share of the row's adjacency, read
-            # randomly) against streaming the block in one extent.
-            sel_bytes = float(out_degrees[ids].sum()) * adj_bytes / store.P
-            sel_cost = disk.ran_read_time(sel_bytes, requests=a)
-            full_cost = disk.seq_read_time(store.block_nbytes(i, j), requests=1)
-            full[i] = full_cost < sel_cost
+            full[i] = self._full_load_is_cheaper(i, j, ids)
             if not full[i]:
                 selective.append((i, j, ids, int(index_plan.mode[i])))
         loads = iter(self.read_selective(selective))
@@ -271,6 +261,20 @@ class AsyncGraphSDEngine(GraphSDEngine):
             i: (self._make_full_task(i, j), pend_mask) if is_full else (next(loads), None)
             for i, is_full in full.items()
         }
+
+    def _full_load_is_cheaper(self, i: int, j: int, ids: np.ndarray) -> bool:
+        """§4.1 at sub-block granularity for block ``(i, j)``.
+
+        Prices the selective gather of the sources ``ids`` (their share
+        of row ``i``'s adjacency, read randomly, one request each)
+        against streaming the whole block in one extent.
+        """
+        store = self.store
+        disk = self.machine.disk
+        out_degrees = self.ctx.require_out_degrees()
+        sel_bytes = float(out_degrees[ids].sum()) * store.adjacency_bytes_per_edge / store.P
+        sel_cost = disk.ran_read_time(sel_bytes, requests=len(ids))
+        return disk.seq_read_time(store.block_nbytes(i, j), requests=1) < sel_cost
 
     def _make_full_task(self, i: int, j: int) -> Callable[[], EdgeBlock]:
         def task() -> EdgeBlock:
@@ -341,9 +345,6 @@ class AsyncGraphSDEngine(GraphSDEngine):
         store = self.store
         if store.block_edge_count(j, j) == 0:
             return union, edges, blocks
-        disk = self.machine.disk
-        adj_bytes = store.adjacency_bytes_per_edge
-        out_degrees = self.ctx.require_out_degrees()
         assert self._col_sources is not None and self._out_positive is not None
         feeds_self = self._col_sources[j, lo:hi] & self._out_positive[lo:hi]
         chase = act & feeds_self
@@ -353,15 +354,8 @@ class AsyncGraphSDEngine(GraphSDEngine):
             block: Optional[EdgeBlock] = None
             if diagonal is None:
                 ids = local + lo
-                sel_bytes = (
-                    float(out_degrees[ids].sum()) * adj_bytes / store.P
-                )
-                sel_cost = disk.ran_read_time(sel_bytes, requests=len(local))
-                full_cost = disk.seq_read_time(
-                    store.block_nbytes(j, j), requests=1
-                )
                 try:
-                    if full_cost < sel_cost:
+                    if self._full_load_is_cheaper(j, j, ids):
                         diagonal = store.load_block(j, j)
                     else:
                         (load,) = self.read_selective([(j, j, ids, INDEX_GATHER)])

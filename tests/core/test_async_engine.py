@@ -89,9 +89,7 @@ def test_priority_order_composes_with_pipeline_and_lanes(tmp_path, rng):
     for pipeline in (False, True):
         for lanes in (1, 4):
             store = build_store(edges, tmp_path, name=f"cfg-{pipeline}-{lanes}")
-            cfg = GraphSDConfig(
-                pipeline=pipeline, gather_lanes=lanes, prefetch_depth=2
-            )
+            cfg = GraphSDConfig(gather_lanes=lanes, prefetch_depth=2 if pipeline else 0)
             run = AsyncGraphSDEngine(store, config=cfg).run(make_program("sssp"))
             assert_fixed_point_equivalent(run, sync)
             sweeps.add(run.sweeps)

@@ -45,7 +45,7 @@ def _run(seed, make_program, tmp_path, make_config, name, lanes,
     rng = np.random.default_rng(seed)
     edges = random_edgelist(rng, num_vertices, num_edges)
     config = replace(
-        make_config(), gather_lanes=lanes, pipeline=pipeline, prefetch_depth=depth
+        make_config(), gather_lanes=lanes, prefetch_depth=depth if pipeline else 0
     )
     # Same store name in per-lane directories: on-disk file names (which
     # fault messages embed) must match between lane counts.
@@ -198,3 +198,24 @@ def test_injected_crash_fires_at_same_point_across_lanes(tmp_path):
     assert one.bytes_read_seq == four.bytes_read_seq
     assert one.bytes_read_ran == four.bytes_read_ran
     assert one.bytes_written_seq == four.bytes_written_seq
+
+
+def test_queue_peak_is_per_run_not_per_disk(tmp_path):
+    """The lane-queue peak is a max-gauge, not a subtractable counter.
+
+    Each iteration reports its own gather plans' deepest queue and a run
+    the maximum over its iterations, so a second identical run on the
+    same store reports exactly what the first one and a fresh store do.
+    """
+    edges = random_edgelist(np.random.default_rng(7), 250, 1800)
+    config = replace(GraphSDConfig.baseline_b4(), gather_lanes=2)
+    shared = build_store(edges, tmp_path / "shared", P=4, name="peak")
+    fresh = build_store(edges, tmp_path / "fresh", P=4, name="peak")
+    runs = [
+        GraphSDEngine(store, config=config).run(SSSP(source=0))
+        for store in (shared, shared, fresh)
+    ]
+    peaks = [[r.io.gather_queue_peak for r in run.per_iteration] for run in runs]
+    assert peaks[0] == peaks[1] == peaks[2]
+    assert all(p > 0 for p in peaks[0])
+    assert [run.gather_queue_peak for run in runs] == [max(peaks[0])] * 3

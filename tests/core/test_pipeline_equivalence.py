@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import PageRank, SSSP
-from repro.core import GraphSDConfig, GraphSDEngine
+from repro.core import DEFAULT_PREFETCH_DEPTH, GraphSDConfig, GraphSDEngine
 from repro.storage.blockfile import MAX_IO_RETRIES
 from repro.storage.faults import FaultInjector, FaultPlan, FaultSpec, SimulatedCrash
 from tests.conftest import build_store, random_edgelist
@@ -37,9 +37,7 @@ def _run_pair(rng_seed, make_program, tmp_path, make_config, name, depth=2,
     edges = random_edgelist(rng, num_vertices, num_edges)
     out = {}
     for mode, pipeline in (("serial", False), ("pipelined", True)):
-        config = replace(
-            make_config(), pipeline=pipeline, prefetch_depth=depth
-        )
+        config = replace(make_config(), prefetch_depth=depth if pipeline else 0)
         # Same store name in per-mode directories: on-disk file names
         # (which fault messages embed) must match between modes.
         store = build_store(edges, tmp_path / mode, P=P, name=name)
@@ -156,7 +154,8 @@ def test_injected_crash_fires_at_same_point_under_pipeline(tmp_path):
     for mode, pipeline in (("serial", False), ("pipelined", True)):
         store = build_store(edges, tmp_path, P=4, name=f"crash-{mode}")
         engine = GraphSDEngine(
-            store, config=GraphSDConfig(pipeline=pipeline)
+            store,
+            config=GraphSDConfig(prefetch_depth=DEFAULT_PREFETCH_DEPTH if pipeline else 0),
         )
         store.device.disk.injector = FaultInjector(
             FaultPlan(crash_points={"mid-scatter": 5})

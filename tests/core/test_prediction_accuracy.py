@@ -10,7 +10,7 @@ prediction/actual agreement band.
 import pytest
 
 from repro.algorithms import ConnectedComponents, SSSP
-from repro.core import GraphSDConfig, GraphSDEngine, IOModel
+from repro.core import DEFAULT_PREFETCH_DEPTH, GraphSDConfig, GraphSDEngine, IOModel
 from tests.conftest import build_store, random_edgelist
 
 
@@ -122,7 +122,7 @@ def test_full_model_prediction_matches_charged_time_both_modes(
             enable_cross_iteration=False,
             buffer_bytes=0,
             force_model=IOModel.FULL,
-            pipeline=pipeline,
+            prefetch_depth=DEFAULT_PREFETCH_DEPTH if pipeline else 0,
         ),
     )
     result = engine.run(PageRank(iterations=4))
@@ -145,7 +145,10 @@ def test_on_demand_prediction_tracks_charged_time_both_modes(
         random_edgelist(rng, 600, 7000), tmp_path, P=4, name="ovd",
         encoding=encoding,
     )
-    engine = GraphSDEngine(store, config=GraphSDConfig(pipeline=pipeline))
+    engine = GraphSDEngine(
+        store,
+        config=GraphSDConfig(prefetch_depth=DEFAULT_PREFETCH_DEPTH if pipeline else 0),
+    )
     result = engine.run(SSSP(source=0))
     records = result.per_iteration
     idx = 0

@@ -72,7 +72,7 @@ def _store(tmp_path, encoding: str, weighted: bool, scale: int = 9, **device_kw)
 
 def _engine(system: str, store: GridStore, lanes: int = 1, pipeline: bool = False):
     config = replace(
-        SYSTEMS[system](), gather_lanes=lanes, pipeline=pipeline, prefetch_depth=2
+        SYSTEMS[system](), gather_lanes=lanes, prefetch_depth=2 if pipeline else 0
     )
     cls = AsyncGraphSDEngine if system == "async" else GraphSDEngine
     return cls(store, config=config)

@@ -310,8 +310,7 @@ def test_engine_results_identical_across_encodings(
             )
             cfg = replace(
                 make_config(),
-                pipeline=pipeline,
-                prefetch_depth=2 if pipeline else 1,
+                prefetch_depth=2 if pipeline else 0,
             )
             results[encoding] = GraphSDEngine(store, config=cfg).run(algo)
         raw, comp = results["raw"], results["compact"]

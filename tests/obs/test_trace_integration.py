@@ -163,7 +163,7 @@ def test_tracing_changes_nothing_observable(edges, tmp_path):
 
 
 def test_tracing_is_equivalence_clean_with_pipeline(edges, tmp_path):
-    config = GraphSDConfig(pipeline=True, prefetch_depth=2)
+    config = GraphSDConfig(prefetch_depth=2)
     store_t = build_store(edges, tmp_path, name="pt")
     store_u = build_store(edges, tmp_path, name="pu")
     engine_t = GraphSDEngine(store_t, config=config)

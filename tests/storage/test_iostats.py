@@ -56,3 +56,23 @@ def test_reset():
     s.reset()
     assert s.total_traffic == 0
     assert s.write_requests == 0
+
+
+
+def test_windows_read_their_own_queue_peak():
+    """A max-gauge window reports its own peak, whatever came before it."""
+    s = IOStats(bytes_read_seq=10)
+    s.gather_queue_peak = 56  # an earlier window's peak
+    run = s.open_window()
+    assert s.gather_queue_peak == 0
+    for peak in (8, 3):
+        iteration = s.open_window()
+        s.gather_queue_peak = peak
+        s.bytes_read_seq += 1
+        delta = s.close_window(iteration)
+        assert delta.gather_queue_peak == peak
+        assert delta.bytes_read_seq == 1
+    delta = s.close_window(run)
+    assert delta.gather_queue_peak == 8  # the max over its iterations
+    assert delta.bytes_read_seq == 2
+    assert s.gather_queue_peak == 56  # folded back into the enclosing gauge

@@ -26,31 +26,19 @@ def test_parser_rejects_unknown_algorithm():
         )
 
 
-def test_run_command_with_trace_and_json(tmp_path, capsys):
-    json_path = tmp_path / "out.json"
-    rc = main(
-        [
-            "run",
-            "--dataset",
-            "twitter2010",
-            "--algorithm",
-            "bfs",
-            "--system",
-            "graphsd",
-            "--trace",
-            "--verify",
-            "--json",
-            str(json_path),
-        ]
-    )
+def test_run_command_with_trace_and_json(capsys):
+    argv = ["run", "--dataset", "twitter2010", "--algorithm", "bfs",
+            "--system", "graphsd", "--verify"]
+    rc = main(argv + ["--trace"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "graphsd/bfs" in out
     assert "frontier" in out  # trace table header
-    payload = json.loads(json_path.read_text())
+    assert main(argv + ["--stats", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["engine"] == "graphsd"
     assert payload["converged"] is True
-    assert payload["iterations"] == len(payload["models"])
+    assert payload["iterations"] == len(payload["per_iteration"])
 
 
 def test_preprocess_command(tmp_path, capsys):
@@ -127,35 +115,31 @@ def test_preprocess_with_checksums_writes_sidecars(tmp_path):
     assert list((tmp_path / "rep").glob("*.crc"))
 
 
-def test_run_pipeline_flags(tmp_path, capsys):
-    json_path = tmp_path / "piped.json"
-    rc = main(
-        [
-            "run",
-            "--dataset",
-            "twitter2010",
-            "--algorithm",
-            "pr",
-            "--pipeline",
-            "--prefetch-depth",
-            "3",
-            "--verify",
-            "--json",
-            str(json_path),
-        ]
-    )
+def test_run_pipeline_flags(capsys):
+    argv = ["run", "--dataset", "twitter2010", "--algorithm", "pr",
+            "--pipeline", "3", "--verify"]
+    rc = main(argv)
     assert rc == 0
     out = capsys.readouterr().out
     assert "overlap saved" in out
-    payload = json.loads(json_path.read_text())
-    assert payload["pipeline"] is True
-    assert payload["overlap_saved_seconds"] > 0
-    assert payload["prefetch_issued"] > 0
+    assert main(argv + ["--stats", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["breakdown"]["overlap_saved"] > 0
+    assert payload["io"]["prefetch_issued"] > 0
+
+
+def test_bare_pipeline_flag_runs_pipelined(capsys):
+    rc = main(["run", "--dataset", "twitter2010", "--algorithm", "pr",
+               "--pipeline", "--stats", "json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["breakdown"]["overlap_saved"] > 0
+    assert payload["io"]["prefetch_issued"] > 0
 
 
 def test_no_pipeline_flag_is_serial(capsys):
     rc = main(
-        ["run", "--dataset", "twitter2010", "--algorithm", "bfs", "--no-pipeline"]
+        ["run", "--dataset", "twitter2010", "--algorithm", "bfs"]
     )
     assert rc == 0
     assert "overlap saved" not in capsys.readouterr().out
@@ -170,7 +154,6 @@ def test_pipeline_with_zero_depth_exits_readably(capsys):
             "--algorithm",
             "bfs",
             "--pipeline",
-            "--prefetch-depth",
             "0",
         ]
     )
@@ -189,7 +172,6 @@ def test_negative_prefetch_depth_is_a_config_error(capsys):
             "--algorithm",
             "bfs",
             "--pipeline",
-            "--prefetch-depth",
             "-1",
         ]
     )
@@ -219,8 +201,7 @@ def test_baselines_reject_pipeline_readably(capsys):
 # -- cluster runs (--workers, docs/CLUSTER.md) -------------------------------
 
 
-def test_run_workers_shards_and_reports_recovery(tmp_path, capsys):
-    json_path = tmp_path / "cluster.json"
+def test_run_workers_shards_and_reports_recovery(capsys):
     rc = main(
         [
             "run",
@@ -233,17 +214,18 @@ def test_run_workers_shards_and_reports_recovery(tmp_path, capsys):
             "-P",
             "4",
             "--verify",
-            "--json",
-            str(json_path),
+            "--stats",
+            "json",
         ]
     )
     assert rc == 0
-    assert "worker" not in capsys.readouterr().err
-    payload = json.loads(json_path.read_text())
+    captured = capsys.readouterr()
+    assert "worker" not in captured.err
+    payload = json.loads(captured.out)
     assert payload["engine"] == "cluster"
     assert payload["recovery"]["workers"] == 2
     assert payload["recovery"]["messages_sent"] > 0
-    assert all(m == "cluster" for m in payload["models"])
+    assert all(r["model"] == "cluster" for r in payload["per_iteration"])
 
 
 def test_run_workers_stats_json_carries_recovery_counters(capsys):
@@ -306,34 +288,32 @@ def test_workers_and_pipeline_are_mutually_exclusive(capsys):
     assert "mutually exclusive" in capsys.readouterr().err
 
 
-# -- asynchronous execution (--async, docs/PERFORMANCE.md) -------------------
+# -- asynchronous execution (--system graphsd-async, docs/PERFORMANCE.md) ----
 
 
-def test_run_async_executes_and_reports_sweeps(tmp_path, capsys):
-    json_path = tmp_path / "async.json"
-    rc = main(
-        [
-            "run",
-            "--dataset",
-            "twitter2010",
-            "--algorithm",
-            "sssp",
-            "--async",
-            "--json",
-            str(json_path),
-        ]
-    )
+def test_run_async_executes_and_reports_sweeps(capsys):
+    argv = ["run", "--dataset", "twitter2010", "--algorithm", "sssp",
+            "--system", "graphsd-async"]
+    rc = main(argv)
     assert rc == 0
     assert "sweeps" in capsys.readouterr().out
-    payload = json.loads(json_path.read_text())
+    assert main(argv + ["--stats", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["engine"] == "graphsd-async"
     assert payload["converged"] is True
     assert 0 < payload["sweeps"] <= payload["iterations"]
 
 
-def test_async_requires_a_monotonic_algorithm(capsys):
+def test_async_requires_a_monotonic_algorithm(capsys, monkeypatch):
+    def no_generate(*args, **kwargs):
+        raise AssertionError("the dataset was generated before the refusal")
+
+    # An empty cache: loading the dataset would have to generate it.
+    monkeypatch.setattr("repro.datasets.registry._cache", {})
+    monkeypatch.setattr("repro.datasets.registry.DatasetSpec.generate", no_generate)
     rc = main(
-        ["run", "--dataset", "twitter2010", "--algorithm", "pr", "--async"]
+        ["run", "--dataset", "twitter2010", "--algorithm", "pr",
+         "--system", "graphsd-async"]
     )
     assert rc == 2
     err = capsys.readouterr().err
@@ -342,24 +322,7 @@ def test_async_requires_a_monotonic_algorithm(capsys):
     assert "Traceback" not in err
 
 
-def test_async_and_workers_are_mutually_exclusive(capsys):
-    rc = main(
-        [
-            "run",
-            "--dataset",
-            "twitter2010",
-            "--algorithm",
-            "sssp",
-            "--async",
-            "--workers",
-            "2",
-        ]
-    )
-    assert rc == 2
-    assert "mutually exclusive" in capsys.readouterr().err
-
-
-def test_async_requires_the_graphsd_system(capsys):
+def test_async_system_and_workers_are_refused(capsys):
     rc = main(
         [
             "run",
@@ -368,12 +331,13 @@ def test_async_requires_the_graphsd_system(capsys):
             "--algorithm",
             "sssp",
             "--system",
-            "gridgraph",
-            "--async",
+            "graphsd-async",
+            "--workers",
+            "2",
         ]
     )
     assert rc == 2
-    assert "--async requires --system graphsd" in capsys.readouterr().err
+    assert "--workers requires --system graphsd" in capsys.readouterr().err
 
 
 def test_parser_rejects_unknown_interconnect():
