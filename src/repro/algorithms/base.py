@@ -123,7 +123,7 @@ class GraphContext:
 
         Callers that still hold the raw :class:`~repro.graph.edgelist.EdgeList`
         should pass ``ctx=GraphContext.from_edges(edges)`` to the engine so
-        it skips the fallback charged degree scan in ``build_context``.
+        it skips the fallback charged degree scan in ``scan_context``.
         """
         degrees = np.bincount(edges.src, minlength=edges.num_vertices).astype(np.int64)
         return cls(

@@ -92,7 +92,7 @@ class StreamingEngineBase(EngineBase):
             )
             self._post_column(j, blocks)
 
-        edges_processed, _blocks = self.sweep_columns(
+        edges_processed, blocks = self.sweep_columns(
             range(self.store.P), self._load_column, prev, gate, acc, touched,
             activated_mask, after_column=after_column,
         )
@@ -104,5 +104,6 @@ class StreamingEngineBase(EngineBase):
             frontier.count,
             edges_processed,
             int(np.count_nonzero(activated_mask)),
+            subblocks_processed=blocks,
         )
         return VertexSubset(n, activated_mask)

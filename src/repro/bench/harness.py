@@ -14,7 +14,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from repro.graph import (
     preprocess_lumos,
 )
 from repro.graph.grid import ENCODINGS, ENCODING_RAW
-from repro.graph.degree import out_degrees
 from repro.storage import (
     DEFAULT_MACHINE,
     Device,
@@ -50,6 +49,9 @@ from repro.storage import (
 )
 from repro.tune.profile import TunedProfile
 from repro.utils.validation import require
+
+if TYPE_CHECKING:  # the cluster is imported lazily by run_cluster
+    from repro.cluster import ClusterEngine
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,6 @@ class Harness:
         self.trace_dir: Optional[Path] = Path(trace_dir) if trace_dir else None
         self._stores: Dict[Tuple, Tuple[GridStore, PreprocessResult]] = {}
         self._edges: Dict[Tuple, EdgeList] = {}
-        self._contexts: Dict[Tuple, GraphContext] = {}
         self._reference_cache: Dict[Tuple, np.ndarray] = {}
         self._run_cache: Dict[Tuple, RunResult] = {}
         self._cluster_runs = 0
@@ -225,18 +226,6 @@ class Harness:
                 dataset, weighted=workload.weighted, symmetrize=workload.symmetrize
             )
         return self._edges[key]
-
-    def context_for(self, dataset: str, workload: Workload) -> GraphContext:
-        """Shared per-graph context (degrees computed once, in memory)."""
-        key = (dataset, workload.weighted, workload.symmetrize)
-        if key not in self._contexts:
-            edges = self.edges_for(dataset, workload)
-            self._contexts[key] = GraphContext(
-                num_vertices=edges.num_vertices,
-                num_edges=edges.num_edges,
-                out_degrees=out_degrees(edges),
-            )
-        return self._contexts[key]
 
     # -- preprocessing (cached) ---------------------------------------------
 
@@ -308,16 +297,13 @@ class Harness:
         if use_cache and key in self._run_cache:
             return self._run_cache[key]
         spec = SYSTEMS[system]
-        store, prep = self.preprocess(spec.representation, dataset, workload)
         # Preprocessing already produced the degrees; reuse its context
         # so no engine pays a second full-graph scan (charged or not).
-        ctx = prep.context if prep.out_degrees is not None else self.context_for(
-            dataset, workload
-        )
+        store, prep = self.preprocess(spec.representation, dataset, workload)
         engine = spec.make_engine(
             store,
             self.machine,
-            ctx,
+            prep.context,
             prefetch_depth=prefetch_depth,
             gather_lanes=gather_lanes,
             tuned_profile=self.tuned_profile,
@@ -327,13 +313,7 @@ class Harness:
             name = f"{system}-{workload_key}-{dataset}{suffix}.trace.jsonl"
             self.trace_dir.mkdir(parents=True, exist_ok=True)
             trace_path = str(self.trace_dir / name)
-        if trace_path is not None:
-            from repro.obs import Tracer
-
-            engine.attach_tracer(Tracer(), path=trace_path)
-        result = engine.run(workload.make_program())
-        if self.verify:
-            self.check_against_reference(result, workload, dataset)
+        result = self._execute(engine, workload, dataset, trace_path)
         if use_cache:
             self._run_cache[key] = result
         return result
@@ -366,9 +346,6 @@ class Harness:
         )
         workload = WORKLOADS[workload_key]
         store, prep = self.preprocess("graphsd", dataset, workload)
-        ctx = prep.context if prep.out_degrees is not None else self.context_for(
-            dataset, workload
-        )
         self._cluster_runs += 1
         scratch = (
             self.workspace
@@ -384,8 +361,19 @@ class Harness:
             straggler_factor=straggler_factor,
         )
         engine = ClusterEngine(
-            store.device.root, store.prefix, scratch, config, ctx=ctx
+            store.device.root, store.prefix, scratch, config, ctx=prep.context
         )
+        return self._execute(engine, workload, dataset, trace_path, max_iterations)
+
+    def _execute(
+        self,
+        engine: "Union[EngineBase, ClusterEngine]",
+        workload: Workload,
+        dataset: str,
+        trace_path: Optional[str],
+        max_iterations: Optional[int] = None,
+    ) -> RunResult:
+        """Run ``engine`` (traced to ``trace_path`` when set) and verify it."""
         if trace_path is not None:
             from repro.obs import Tracer
 

@@ -1,14 +1,17 @@
 """Trace smoke check: the CI guard for the observability layer.
 
-Runs a small workload twice per system — once untraced, once with a
+Runs a small workload twice per cell — once untraced, once with a
 structured tracer attached — and fails (exit 1) unless every guarantee
-in ``docs/OBSERVABILITY.md`` holds:
+in ``docs/OBSERVABILITY.md`` holds. The cells are three single-process
+systems and a 2-worker cluster, so both run paths of the shared run
+frame are covered:
 
-* the trace file is schema-valid JSONL (``graphsd-trace`` v1);
-* per-iteration simulated seconds in the trace equal the engine's
-  :class:`~repro.core.result.IterationRecord` breakdowns **exactly**
-  (no re-measured or re-derived numbers), and the run event equals the
-  final breakdown total;
+* the trace file is schema-valid JSONL (``graphsd-trace`` v1; the
+  cluster's merged trace is v2);
+* every iteration event equals the engine's
+  :class:`~repro.core.result.IterationRecord` **exactly** (no
+  re-measured or re-derived numbers), and the run event equals the
+  :class:`~repro.core.result.RunResult` on every field they share;
 * for the adaptive engine, every scheduler decision is audited with
   both predicted and actual costs (the Fig. 10 data);
 * the Chrome/Perfetto export round-trips structurally;
@@ -37,6 +40,19 @@ from repro.obs import export_file, validate_trace_file
 SMOKE_SYSTEMS: Sequence[str] = ("graphsd", "graphsd-b4", "xstream")
 SMOKE_DATASET = "twitter2010"
 SMOKE_ALGO = "bfs"
+#: The cluster cell: ``ClusterEngine.run`` on two workers.
+SMOKE_CLUSTER = "cluster-2"
+#: The ``run`` event fields that must equal the RunResult document's.
+RUN_EVENT_SHARED = (
+    "engine", "program", "iterations", "converged", "sim_seconds", "overlap_saved",
+    "sim", "io", "fault_events", "recovery", "sweeps", "workers",
+)
+
+
+def _run_cell(harness: Harness, cell: str, trace_path: Optional[str]) -> RunResult:
+    if cell == SMOKE_CLUSTER:
+        return harness.run_cluster(SMOKE_ALGO, SMOKE_DATASET, 2, trace_path=trace_path)
+    return harness.run(cell, SMOKE_ALGO, SMOKE_DATASET, trace_path=trace_path)
 
 
 def _check_iteration_exactness(
@@ -50,22 +66,22 @@ def _check_iteration_exactness(
         )
         return
     for event, record in zip(iterations, result.per_iteration):
-        if event["sim_seconds"] != record.breakdown.total:
-            errors.append(
-                f"iteration {record.iteration}: trace sim_seconds "
-                f"{event['sim_seconds']!r} != breakdown total "
-                f"{record.breakdown.total!r}"
-            )
-        if event["sim"] != dict(record.breakdown.components):
-            errors.append(f"iteration {record.iteration}: sim components differ")
-        if event["io"] != record.io.to_dict():
-            errors.append(f"iteration {record.iteration}: io counters differ")
+        expected = record.to_dict()
+        expected.pop("metrics")  # registry snapshot: JSON-keyed in the trace
+        for key, value in expected.items():
+            if event.get(key) != value:
+                errors.append(
+                    f"iteration {record.iteration}: trace {key} "
+                    f"{event.get(key)!r} != record {value!r}"
+                )
     (run_event,) = [e for e in events if e["type"] == "run"]
-    if run_event["sim_seconds"] != result.breakdown.total:
-        errors.append(
-            f"run event sim_seconds {run_event['sim_seconds']!r} != "
-            f"breakdown total {result.breakdown.total!r}"
-        )
+    doc = result.to_dict()
+    doc["sim"] = doc["breakdown"]["components"]
+    doc["overlap_saved"] = doc["breakdown"]["overlap_saved"]
+    doc["workers"] = result.recovery.get("workers")  # cluster runs only
+    for key in RUN_EVENT_SHARED:
+        if run_event.get(key) != doc.get(key):
+            errors.append(f"run event {key} {run_event.get(key)!r} != result {doc.get(key)!r}")
 
 
 def _check_audits(events: List[dict], errors: List[str]) -> None:
@@ -112,27 +128,25 @@ def run_smoke(
         # by an ulp. Identical sequences in separate harnesses keep every
         # pair exactly comparable.
         with Harness(P=P, verify=True) as plain, Harness(P=P) as instrumented:
-            for system in SMOKE_SYSTEMS:
-                trace_path = str(out / f"{system}.trace.jsonl")
-                untraced = plain.run(system, SMOKE_ALGO, SMOKE_DATASET)
-                traced = instrumented.run(
-                    system, SMOKE_ALGO, SMOKE_DATASET, trace_path=trace_path
-                )
+            for name in (*SMOKE_SYSTEMS, SMOKE_CLUSTER):
+                trace_path = str(out / f"{name}.trace.jsonl")
+                untraced = _run_cell(plain, name, None)
+                traced = _run_cell(instrumented, name, trace_path)
 
                 events = validate_trace_file(trace_path)
                 _check_iteration_exactness(events, traced, errors)
-                if system == "graphsd":
+                if name == "graphsd":
                     _check_audits(events, errors)
-                _check_export(trace_path, str(out / f"{system}.chrome.json"), errors)
+                _check_export(trace_path, str(out / f"{name}.chrome.json"), errors)
 
                 for line in equivalence_diff(traced, untraced):
-                    errors.append(f"{system}: traced != untraced: {line}")
+                    errors.append(f"{name}: traced != untraced: {line}")
 
                 if verbose:
                     n_audit = sum(1 for e in events if e["type"] == "audit")
                     status = "OK" if not errors else f"{len(errors)} failure(s)"
                     print(
-                        f"{system}: {len(events)} events, "
+                        f"{name}: {len(events)} events, "
                         f"{traced.iterations} iterations, {n_audit} audits — "
                         f"{status}"
                     )

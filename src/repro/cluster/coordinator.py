@@ -41,8 +41,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from repro.algorithms.base import GraphContext, VertexProgram
 from repro.cluster.interconnect import (
     DEFAULT_INTERCONNECT,
@@ -51,6 +49,7 @@ from repro.cluster.interconnect import (
 )
 from repro.cluster.membership import ColumnAssignment, Membership, partition_columns
 from repro.cluster.worker import ClusterWorker
+from repro.core.engine_base import open_run, record_iteration, scan_context
 from repro.core.result import IterationRecord, RunResult
 from repro.obs import NULL_TRACER, Tracer, TracerLike
 from repro.obs.distributed import merge_cluster_trace, write_merged_trace
@@ -62,23 +61,12 @@ from repro.storage.faults import (
     SimulatedCrash,
 )
 from repro.storage.iostats import IOStats
-from repro.utils.timers import COMPUTE, TimeBreakdown, WallTimer
+from repro.utils.timers import TimeBreakdown, WallTimer
 from repro.utils.validation import require
 
 #: Crash-point (and fault-pattern) names may pin one worker: ``"w2:pre-compute"``
 #: fires only on worker 2; an unprefixed name applies to every worker.
 _WORKER_PREFIX = re.compile(r"^w(\d+):(.+)$")
-
-
-def _add_breakdowns(a: TimeBreakdown, b: TimeBreakdown) -> TimeBreakdown:
-    """Component-wise sum preserving ``total = sum - overlap_saved``."""
-    return TimeBreakdown(
-        {
-            k: a.components.get(k, 0.0) + b.components.get(k, 0.0)
-            for k in sorted(set(a.components) | set(b.components))
-        },
-        overlap_saved=a.overlap_saved + b.overlap_saved,
-    )
 
 
 def worker_fault_plan(plan: Optional[FaultPlan], wid: int) -> Optional[FaultPlan]:
@@ -176,11 +164,6 @@ class ClusterEngine:
         self._records: List[IterationRecord] = []
         self._fault_events: List[str] = []
         self._recovery_counts = {"worker_recoveries": 0, "stragglers_degraded": 0}
-        #: (breakdown, iostats) of workers frozen at eviction time —
-        #: post-mortem charges (survivors reading the dead shard's
-        #: checkpoint) never inflate the cluster timeline.
-        self._dead_contrib: Dict[int, Tuple[TimeBreakdown, IOStats]] = {}
-        self._cluster_saved = 0.0
         self._cluster_elapsed = 0.0
 
     # -- observability ------------------------------------------------------
@@ -254,22 +237,6 @@ class ClusterEngine:
         )
         self.assignment = ColumnAssignment(P, cfg.workers)
 
-    def _build_context(self) -> GraphContext:
-        """Derive the context once on worker 0 (charged scan), shared by all.
-
-        Callers that preprocessed the graph should pass ``ctx`` instead —
-        this fallback mirrors :meth:`EngineBase.build_context`.
-        """
-        w0 = self.workers[0]
-        src = w0.store.read_all_sources()
-        degrees = np.bincount(src, minlength=w0.store.num_vertices).astype(np.int64)
-        w0.clock.charge(COMPUTE, w0.machine.edge_compute_time(src.shape[0]))
-        return GraphContext(
-            num_vertices=w0.store.num_vertices,
-            num_edges=w0.store.total_edges,
-            out_degrees=degrees,
-        )
-
     # -- barrier timeline ----------------------------------------------------
 
     def _live_workers(self) -> List[ClusterWorker]:
@@ -292,8 +259,9 @@ class ClusterEngine:
         Returns the barrier's summed breakdown (with the parallel saving
         folded into ``overlap_saved``), its summed IOStats delta, and the
         per-worker elapsed deltas (the straggler detector's input).
-        Workers that died inside the barrier window are skipped — their
-        frozen contribution is accounted at run level.
+        Workers that died inside the barrier window are skipped: a dead
+        machine's clock never ticks the cluster, so post-mortem charges
+        (survivors reading the dead shard's checkpoint) stay out of it.
 
         A traced run also emits one ``barrier`` event carrying, per
         worker, the exact delta with its component charges and the
@@ -311,11 +279,10 @@ class ClusterEngine:
             d = w.clock.snapshot() - clock_before
             deltas[wid] = d.total
             per_worker[wid] = d
-            summed = _add_breakdowns(summed, d)
+            summed = summed + d
             io = io + (w.disk.stats - stats_before)
         if deltas:
             saved = sum(deltas.values()) - max(deltas.values())
-            self._cluster_saved += saved
             summed = TimeBreakdown(
                 dict(summed.components), overlap_saved=summed.overlap_saved + saved
             )
@@ -425,10 +392,6 @@ class ClusterEngine:
     ) -> None:
         """Evict ``dead`` and move its columns to the survivors."""
         w = self.workers[dead]
-        # Freeze the dead worker's contribution to the run totals now:
-        # the survivors' checkpoint fetch below still *reads through* its
-        # manager, but a dead machine's clock must not tick the cluster.
-        self._dead_contrib[dead] = (w.clock.snapshot(), w.disk.stats.snapshot())
         self.membership.declare_dead(dead)
         adopted = self.assignment.reassign(dead, self.membership.live)
         self._recovery_counts["stragglers_degraded"] += 1
@@ -454,27 +417,22 @@ class ClusterEngine:
     ) -> RunResult:
         """Execute ``program`` across the configured cluster."""
         self._build_workers()
+        w0 = self.workers[0]
         if self.ctx is None:
-            self.ctx = self._build_context()
+            self.ctx = scan_context(w0.store, w0.machine)
         self._records = []
         self._fault_events = []
         self._recovery_counts = {"worker_recoveries": 0, "stragglers_degraded": 0}
-        self._dead_contrib = {}
-        self._cluster_saved = 0.0
         self._cluster_elapsed = 0.0
-
-        caps = [c for c in (program.max_iterations, max_iterations) if c is not None]
-        cap = min(caps) if caps else self.ctx.num_vertices + 1
-
-        if self.tracer.enabled:
-            self.tracer.begin_run(
-                engine=self.engine_name,
-                program=program.name,
-                num_vertices=self.ctx.num_vertices,
-                num_edges=self.ctx.num_edges,
-                partitions=self.workers[0].store.P,
-                workers=self.config.workers,
-            )
+        cap = open_run(
+            self.tracer,
+            self.engine_name,
+            program,
+            w0.store,
+            self.ctx,
+            max_iterations,
+            workers=self.config.workers,
+        )
 
         wall = WallTimer()
         wall.start()
@@ -486,10 +444,8 @@ class ClusterEngine:
             self._current_worker = w.wid
             w.start(program, self.ctx, self.assignment.columns_of(w.wid))
         self._current_worker = -1
-        init_breakdown, init_io, _ = self._fold_barrier(tokens, 0, "init")
+        total_breakdown, total_io, _ = self._fold_barrier(tokens, 0, "init")
 
-        total_breakdown = init_breakdown
-        total_io = init_io
         converged = False
         superstep = 0
         while True:
@@ -501,34 +457,32 @@ class ClusterEngine:
                 break
             superstep += 1
             frontier_size = frontier.count
-            edges_before = {w.wid: w.edges_processed for w in self._live_workers()}
+            before = {w.wid: (w.edges_processed, w.blocks_processed) for w in self._live_workers()}
             tokens = self._barrier_tokens()
             sim_start = self._cluster_elapsed
             recoveries = self._run_superstep(superstep)
             breakdown, io, deltas = self._fold_barrier(tokens, superstep, "superstep")
-            total_breakdown = _add_breakdowns(total_breakdown, breakdown)
+            total_breakdown = total_breakdown + breakdown
             total_io = total_io + io
-            edges = sum(
-                w.edges_processed - edges_before.get(w.wid, 0)
-                for w in self._live_workers()
-            )
-            next_frontier = self._live_workers()[0].frontier
-            record = IterationRecord(
+            edges = blocks = 0
+            for w in self._live_workers():
+                edges_before, blocks_before = before.get(w.wid, (0, 0))
+                edges += w.edges_processed - edges_before
+                blocks += w.blocks_processed - blocks_before
+            record_iteration(
+                self._records,
+                self.tracer,
+                sim_start,
+                {"worker": "all"},
                 iteration=superstep,
                 model="cluster",
                 frontier_size=frontier_size,
                 edges_processed=edges,
                 breakdown=breakdown,
                 io=io,
-                activated=next_frontier.count,
-                metrics=self.tracer.metrics.iteration_snapshot() if self.tracer.enabled else {},
+                activated=self._live_workers()[0].frontier.count,
+                subblocks_processed=blocks,
             )
-            self._records.append(record)
-            if self.tracer.enabled:
-                payload = record.to_dict()
-                payload["sim_start"] = sim_start
-                payload["worker"] = "all"
-                self.tracer.iteration(payload)
             # A superstep that already absorbed a crash is exempt from the
             # deadline check: recovery time is not straggling.
             if recoveries == 0:
@@ -537,15 +491,14 @@ class ClusterEngine:
                     degr_breakdown, degr_io, _ = self._fold_barrier(
                         degr_tokens, superstep, "degrade"
                     )
-                    total_breakdown = _add_breakdowns(total_breakdown, degr_breakdown)
+                    total_breakdown = total_breakdown + degr_breakdown
                     total_io = total_io + degr_io
             for w in self._live_workers():
                 w.release_logs(superstep - 1)
 
         wall.stop()
 
-        values = program.result(self._live_workers()[0].state).copy()
-        state = {k: v.copy() for k, v in self._live_workers()[0].state.items()}
+        final = self._live_workers()[0]
         recovery: Dict[str, Any] = self.net.counters()
         recovery.update(self._recovery_counts)
         recovery["workers"] = self.config.workers
@@ -558,8 +511,8 @@ class ClusterEngine:
             num_edges=self.ctx.num_edges,
             iterations=superstep,
             converged=converged,
-            values=values,
-            state=state,
+            values=program.result(final.state).copy(),
+            state={k: v.copy() for k, v in final.state.items()},
             breakdown=total_breakdown,
             io=total_io,
             wall_seconds=wall.elapsed,
@@ -568,22 +521,7 @@ class ClusterEngine:
             recovery=recovery,
         )
         if self.tracer.enabled:
-            self.tracer.run_summary(
-                {
-                    "engine": result.engine,
-                    "program": result.program,
-                    "iterations": result.iterations,
-                    "converged": result.converged,
-                    "sim_seconds": result.breakdown.total,
-                    "overlap_saved": result.breakdown.overlap_saved,
-                    "sim": dict(result.breakdown.components),
-                    "io": result.io.to_dict(),
-                    "wall_seconds": result.wall_seconds,
-                    "fault_events": list(result.fault_events),
-                    "recovery": dict(result.recovery),
-                    "workers": self.config.workers,
-                }
-            )
+            self.tracer.run_summary(result.trace_summary(workers=self.config.workers))
             if self._trace_path is not None:
                 # The merged distributed trace is the only artifact a
                 # cluster --trace run may produce; a merge failure

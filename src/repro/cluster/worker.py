@@ -96,7 +96,9 @@ class ClusterWorker:
         self._activated: Optional[np.ndarray] = None
         self._value_stores: Dict[str, VertexArrayStore] = {}
         self._manager: Optional[CheckpointManager] = None
+        #: Cumulative edges and blocks this worker's compute phases swept.
         self.edges_processed = 0
+        self.blocks_processed = 0
 
         # Phase done-markers (superstep numbers) — the re-entry guards.
         self._computed = 0
@@ -158,13 +160,6 @@ class ClusterWorker:
                 lo, hi = self._bounds(j)
                 vs.store_interval(lo, self.state[name][lo:hi])
 
-    def _owned_state_nbytes(self, columns: List[int]) -> int:
-        """Bytes of one superstep's state+activation payload for columns."""
-        per_vertex = self.program.state_value_bytes(self.state) + 1  # + activation bit(s)
-        return sum(
-            (hi - lo) * per_vertex for lo, hi in (self._bounds(j) for j in columns)
-        )
-
     def _build_messages(self, superstep: int) -> List[ValueMessage]:
         """This worker's broadcast for ``superstep`` from its live state."""
         msgs = []
@@ -189,11 +184,6 @@ class ClusterWorker:
 
     def start(self, program: VertexProgram, ctx: GraphContext, columns: List[int]) -> None:
         """Initialize program state and write the superstep-0 checkpoint."""
-        if program.needs_weights:
-            require(
-                self.store.has_weights,
-                f"{program.name} requires a weighted graph store",
-            )
         with self.tracer.span(
             "init", cat="superstep", superstep=0, worker=self.wid
         ):
@@ -206,6 +196,7 @@ class ClusterWorker:
             self.frontier = program.initial_frontier(ctx)
             self._activated = self.frontier.mask.copy()
             self.edges_processed = 0
+            self.blocks_processed = 0
             self._value_stores = {
                 name: VertexArrayStore(
                     self.scratch_device,
@@ -237,7 +228,7 @@ class ClusterWorker:
             engine.state = self.state  # start()/restore() rebind it
             acc, touched = engine.fresh_accumulator()
             self._activated = np.zeros(self.ctx.num_vertices, dtype=bool)
-            edges, _blocks = engine.sweep_columns(
+            edges, blocks = engine.sweep_columns(
                 self.columns,
                 self.store.load_column,
                 self.program.copy_state(self.state),
@@ -248,6 +239,7 @@ class ClusterWorker:
             )
             self._store_owned_state()
             self.edges_processed += edges
+            self.blocks_processed += blocks
             self._computed = superstep
             self.engine._crash_point("post-compute")
 

@@ -51,10 +51,6 @@ class SubBlockBuffer:
     def used_bytes(self) -> int:
         return self._used
 
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self._used
-
     def __len__(self) -> int:
         return len(self._blocks)
 

@@ -66,14 +66,17 @@ SLOTS = 2
 
 
 class CheckpointCorruptError(ValueError):
-    """Every on-disk checkpoint generation failed validation.
+    """No on-disk checkpoint generation can restore the run.
 
     Raised by :meth:`CheckpointManager.load_meta` when sidecars exist but
     none of their array files pass the size/CRC checks — i.e. both slots
     of the double buffer are damaged and resume is impossible. The
     message names the checkpoint, the failed generation numbers, and the
     graph fingerprint so operators can tell *which* run's state died
-    without decoding a low-level checksum traceback.
+    without decoding a low-level checksum traceback. Also raised by
+    :meth:`CheckpointManager.load_state` when the selected generation
+    holds no snapshot of a requested state array: the live value files
+    may have run ahead of the sidecar, so nothing else can stand in.
     """
 
 
@@ -323,10 +326,12 @@ class CheckpointManager:
 
     def load_state(self, label: str, length: int, dtype: DTypeLike) -> np.ndarray:
         meta = self._require_active()
-        require(
-            label in meta.state_arrays,
-            f"checkpoint has no state array {label!r}",
-        )
+        if label not in meta.state_arrays:
+            raise CheckpointCorruptError(
+                f"checkpoint {self.base_name!r} (generation {meta.generation}) "
+                f"has no snapshot of state array {label!r}; "
+                f"restart the run from scratch"
+            )
         return self._load_array(meta.state_arrays[label], length, dtype)
 
     def load_extra(self, label: str, length: int, dtype: DTypeLike) -> np.ndarray:

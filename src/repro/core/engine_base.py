@@ -5,8 +5,9 @@ and the baseline I/O-policy models — executes the same vertex programs
 over the same on-disk grid representation. This module holds everything
 they share:
 
-* context construction (vertex/edge counts, out-degrees — derived from
-  the store with one charged scan when not supplied);
+* the **run frame** shared with the cluster's coordinator:
+  :func:`scan_context`, :func:`open_run`, :func:`record_iteration` (and
+  ``RunResult.trace_summary`` for the ``run`` event);
 * per-iteration state persistence (vertex values are re-read from and
   written back to disk every iteration, the ``|V| x N / B`` terms of the
   paper's cost model);
@@ -31,6 +32,7 @@ from contextlib import nullcontext
 from functools import partial
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     ContextManager,
     Dict,
@@ -77,6 +79,81 @@ ColumnTask = Callable[[], List[EdgeBlock]]
 PlanEntry = Tuple[Callable[[], EdgeBlock], Optional[np.ndarray]]
 
 
+# -- the run frame: what every engine's run shares ---------------------------
+
+
+def scan_context(store: GridStore, machine: MachineProfile) -> GraphContext:
+    """Derive the graph context from ``store`` (one charged scan).
+
+    Reads the source column once to compute out-degrees. This is a
+    *fallback* for stores opened without their provenance: callers that
+    preprocessed the graph pass ``ctx=PreprocessResult.context``, and
+    callers holding the edge list ``GraphContext.from_edges(edges)``.
+    """
+    src = store.read_all_sources()
+    degrees = np.bincount(src, minlength=store.num_vertices).astype(np.int64)
+    store.device.disk.clock.charge(COMPUTE, machine.edge_compute_time(src.shape[0]))
+    return GraphContext(
+        num_vertices=store.num_vertices,
+        num_edges=store.total_edges,
+        out_degrees=degrees,
+    )
+
+
+def open_run(
+    tracer: TracerLike,
+    engine_name: str,
+    program: VertexProgram,
+    store: GridStore,
+    ctx: GraphContext,
+    max_iterations: Optional[int],
+    **meta: Any,
+) -> int:
+    """Check ``program`` against ``store`` and open the trace's run.
+
+    Returns the iteration cap: the tighter of the program's and the
+    caller's, else ``|V| + 1``. ``meta`` extends the trace's run
+    identity (the cluster adds ``workers``).
+    """
+    if program.needs_weights:
+        require(store.has_weights, f"{program.name} requires a weighted graph store")
+    if tracer.enabled:
+        tracer.begin_run(
+            engine=engine_name,
+            program=program.name,
+            num_vertices=ctx.num_vertices,
+            num_edges=ctx.num_edges,
+            partitions=store.P,
+            **meta,
+        )
+    caps = [c for c in (program.max_iterations, max_iterations) if c is not None]
+    return min(caps) if caps else ctx.num_vertices + 1
+
+
+def record_iteration(
+    records: List[IterationRecord],
+    tracer: TracerLike,
+    sim_start: float,
+    trace_extra: Optional[Dict[str, Any]] = None,
+    **fields: Any,
+) -> None:
+    """Build an :class:`IterationRecord` from ``fields``, keep it, emit it.
+
+    The trace event is the record itself plus ``sim_start`` and
+    ``trace_extra``, so their simulated fields can never disagree.
+    """
+    record = IterationRecord(
+        **fields,
+        metrics=tracer.metrics.iteration_snapshot() if tracer.enabled else {},
+    )
+    records.append(record)
+    if tracer.enabled:
+        payload = record.to_dict()
+        payload["sim_start"] = sim_start
+        payload.update(trace_extra or {})
+        tracer.iteration(payload)
+
+
 class EngineBase:
     """Template for grid-based out-of-core engines."""
 
@@ -93,7 +170,7 @@ class EngineBase:
         self.device = store.device
         self.disk = store.device.disk
         self.clock = self.disk.clock
-        self.ctx = ctx if ctx is not None else self.build_context()
+        self.ctx = ctx if ctx is not None else scan_context(store, machine)
 
         # Populated per run:
         self.program: Optional[VertexProgram] = None
@@ -125,31 +202,6 @@ class EngineBase:
         if tracer.enabled:
             tracer.bind_clock(self.clock)
         self._trace_path = path
-
-    # -- context ---------------------------------------------------------
-
-    def build_context(self) -> GraphContext:
-        """Derive the graph context from the store (one charged scan).
-
-        Reads the source column once to compute out-degrees — engines
-        need them for PageRank normalization and the scheduler's
-        active-edge sizing.
-
-        This is a *fallback* for stores opened without their provenance:
-        callers that preprocessed the graph should pass
-        ``ctx=PreprocessResult.context`` (degrees fall out of the
-        partition pass), and callers holding the raw edge list can use
-        ``GraphContext.from_edges(edges)`` — both avoid re-reading the
-        entire source column here.
-        """
-        src = self.store.read_all_sources()
-        degrees = np.bincount(src, minlength=self.store.num_vertices).astype(np.int64)
-        self.clock.charge(COMPUTE, self.machine.edge_compute_time(src.shape[0]))
-        return GraphContext(
-            num_vertices=self.store.num_vertices,
-            num_edges=self.store.total_edges,
-            out_degrees=degrees,
-        )
 
     # -- state persistence -------------------------------------------------
 
@@ -443,9 +495,10 @@ class EngineBase:
     ) -> None:
         clock_before, stats_before = token
         self._iterations_done += 1
-        # One delta computation feeds both the record and the trace
-        # event, so their simulated fields can never disagree.
-        record = IterationRecord(
+        record_iteration(
+            self._records,
+            self.tracer,
+            clock_before.total,
             iteration=self._iterations_done,
             model=model,
             frontier_size=frontier_size,
@@ -455,13 +508,7 @@ class EngineBase:
             activated=activated,
             cross_pushed=cross_pushed,
             subblocks_processed=subblocks_processed,
-            metrics=self.tracer.metrics.iteration_snapshot() if self.tracer.enabled else {},
         )
-        self._records.append(record)
-        if self.tracer.enabled:
-            payload = record.to_dict()
-            payload["sim_start"] = clock_before.total
-            self.tracer.iteration(payload)
 
     @property
     def iterations_remaining(self) -> int:
@@ -537,12 +584,10 @@ class EngineBase:
         cumulative ``iterations`` but only post-resume per-iteration
         records and time/traffic.
         """
-        if program.needs_weights:
-            require(
-                self.store.has_weights,
-                f"{program.name} requires a weighted graph store",
-            )
         require(not (resume and checkpoint_tag is None), "resume requires checkpoint_tag")
+        self._iteration_cap = open_run(
+            self.tracer, self.engine_name, program, self.store, self.ctx, max_iterations
+        )
         self.program = program
         self.state = program.init_state(self.ctx)
         self.frontier = program.initial_frontier(self.ctx)
@@ -551,18 +596,8 @@ class EngineBase:
         self._sweeps_done = None
         self._fault_events = []
 
-        caps = [c for c in (program.max_iterations, max_iterations) if c is not None]
-        self._iteration_cap = min(caps) if caps else self.ctx.num_vertices + 1
-
         if self.tracer.enabled:
             self.tracer.bind_clock(self.clock)
-            self.tracer.begin_run(
-                engine=self.engine_name,
-                program=program.name,
-                num_vertices=self.ctx.num_vertices,
-                num_edges=self.ctx.num_edges,
-                partitions=self.store.P,
-            )
             # The disk reports read/write-size histograms while attached.
             self.disk.metrics = self.tracer.metrics
 
@@ -581,13 +616,10 @@ class EngineBase:
         if resuming:
             meta = manager.load_meta(program.name, fingerprint=self._graph_fingerprint())
             self._iterations_done = meta.iterations_done
-            if meta.state_arrays:
-                for name in self.state:
-                    self.state[name] = manager.load_state(
-                        name, self.ctx.num_vertices, self.state[name].dtype
-                    )
-            else:  # pre-snapshot checkpoint layout: trust the live files
-                self._load_state()
+            for name in self.state:
+                self.state[name] = manager.load_state(
+                    name, self.ctx.num_vertices, self.state[name].dtype
+                )
             self._store_state()  # resync the live value files to the snapshot
             self.frontier = manager.load_frontier(self.ctx.num_vertices)
             self._restore_extra_arrays(manager)
@@ -630,7 +662,6 @@ class EngineBase:
             self.disk.metrics = None
 
         wall.stop()
-        values = self.program.result(self.state).copy()
         result = RunResult(
             engine=self.engine_name,
             program=program.name,
@@ -638,7 +669,7 @@ class EngineBase:
             num_edges=self.ctx.num_edges,
             iterations=self._iterations_done,
             converged=converged,
-            values=values,
+            values=self.program.result(self.state).copy(),
             state={k: v.copy() for k, v in self.state.items()},
             breakdown=self.clock.snapshot() - run_clock_before,
             io=self.disk.stats.close_window(run_stats_before),
@@ -654,25 +685,7 @@ class EngineBase:
                 self._cleanup_value_stores()
             # otherwise the value files back the live checkpoint
         if self.tracer.enabled:
-            summary: Dict[str, object] = {}
-            if result.sweeps is not None:
-                summary["sweeps"] = result.sweeps
-            self.tracer.run_summary(
-                summary
-                | {
-                    "engine": result.engine,
-                    "program": result.program,
-                    "iterations": result.iterations,
-                    "converged": result.converged,
-                    "sim_seconds": result.breakdown.total,
-                    "overlap_saved": result.breakdown.overlap_saved,
-                    "sim": dict(result.breakdown.components),
-                    "io": result.io.to_dict(),
-                    "wall_seconds": result.wall_seconds,
-                    "fault_events": list(result.fault_events),
-                    "recovery": dict(result.recovery),
-                }
-            )
+            self.tracer.run_summary(result.trace_summary())
             if self._trace_path is not None:
                 self.tracer.write(self._trace_path)
         return result

@@ -37,8 +37,7 @@ class IterationRecord:
     io: IOStats
     activated: int = 0
     cross_pushed: int = 0
-    #: Sub-block gather/stream operations this iteration issued (0 for
-    #: engines that predate the counter).
+    #: Sub-block gather/stream operations this iteration issued.
     subblocks_processed: int = 0
     #: Cumulative metrics-registry snapshot taken when the iteration
     #: closed (empty when tracing is disabled). See ``repro.obs.metrics``.
@@ -223,6 +222,24 @@ class RunResult:
             f"{'converged' if self.converged else 'iteration cap reached'}"
             f"{faults}{recovery}"
         )
+
+    def trace_summary(self, **extra: Any) -> Dict[str, Any]:
+        """The trace's closing ``run`` event payload; ``extra`` is appended
+        (the cluster adds ``workers``)."""
+        head: Dict[str, Any] = {} if self.sweeps is None else {"sweeps": self.sweeps}
+        return head | {
+            "engine": self.engine,
+            "program": self.program,
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "sim_seconds": self.breakdown.total,
+            "overlap_saved": self.breakdown.overlap_saved,
+            "sim": dict(self.breakdown.components),
+            "io": self.io.to_dict(),
+            "wall_seconds": self.wall_seconds,
+            "fault_events": list(self.fault_events),
+            "recovery": dict(self.recovery),
+        } | extra
 
     def values_sha256(self) -> str:
         """Digest of the result values (bit-exact identity check)."""

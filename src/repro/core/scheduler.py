@@ -45,7 +45,6 @@ from repro.graph.grid import INDEX_GATHER, INDEX_SPAN, GridStore
 from repro.storage.disk import MachineProfile
 from repro.tune.profile import TunedProfile
 from repro.utils.bitset import VertexSubset
-from repro.utils.runs import merge_runs  # noqa: F401  (re-exported; engines import it from here)
 from repro.utils.validation import check_positive, require
 
 #: Runs of at least this many bytes are priced (and charged) at

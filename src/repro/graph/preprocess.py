@@ -66,7 +66,7 @@ class PreprocessResult:
 
         Carries the degrees produced during preprocessing — constructing
         an engine with ``ctx=result.context`` avoids the fallback charged
-        scan in :meth:`~repro.core.engine_base.EngineBase.build_context`.
+        scan in :func:`~repro.core.engine_base.scan_context`.
         """
         from repro.algorithms.base import GraphContext
 

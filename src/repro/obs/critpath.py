@@ -20,7 +20,7 @@ replays the coordinator's timeline algebra bitwise and raises
 * the run record: ``sim_seconds == sum(sorted sim) − overlap_saved``,
   and the component-wise left-fold of the barrier breakdowns reproduces
   the run's ``sim``/``overlap_saved`` maps bitwise (the coordinator's
-  ``_add_breakdowns`` chain).
+  ``TimeBreakdown.__add__`` chain).
 
 Attribution rows carry the barrier's published ``sim_seconds`` as their
 total — never a recomputation — so the per-superstep rows sum to the
@@ -59,7 +59,7 @@ def _total(components: Dict[str, float], saved: float) -> float:
 def _add(
     a: Tuple[Dict[str, float], float], b: Tuple[Dict[str, float], float]
 ) -> Tuple[Dict[str, float], float]:
-    """Bitwise replay of the coordinator's ``_add_breakdowns``."""
+    """Bitwise replay of ``TimeBreakdown.__add__``."""
     ac, asaved = a
     bc, bsaved = b
     return (

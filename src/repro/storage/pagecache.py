@@ -122,10 +122,6 @@ class PageCache:
     def resident_pages(self) -> int:
         return len(self._pages)
 
-    @property
-    def resident_bytes(self) -> int:
-        return len(self._pages) * self.page_bytes
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PageCache({self.resident_pages}/{self.capacity_pages} pages, "

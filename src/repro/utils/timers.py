@@ -116,6 +116,13 @@ class TimeBreakdown:
             "total": self.total,
         }
 
+    def __add__(self, other: "TimeBreakdown") -> "TimeBreakdown":
+        keys = sorted(set(self.components) | set(other.components))
+        return TimeBreakdown(
+            {k: self.components.get(k, 0.0) + other.components.get(k, 0.0) for k in keys},
+            overlap_saved=self.overlap_saved + other.overlap_saved,
+        )
+
     def __sub__(self, other: "TimeBreakdown") -> "TimeBreakdown":
         keys = sorted(set(self.components) | set(other.components))
         return TimeBreakdown(

@@ -46,6 +46,15 @@ def test_xstream_charges_the_update_stream(edges, tmp_path):
     assert result.io.bytes_read >= store.total_edge_bytes + stream
 
 
+def test_xstream_counts_every_streamed_block(edges, tmp_path):
+    """Every X-Stream iteration streams all P² blocks, frontier or not."""
+    store = build_store(edges, tmp_path, P=4, name="xb",
+                        indexed=False, sort_within_blocks=False)
+    result = XStreamEngine(store).run(SSSP(source=0))
+    assert result.iterations > 1
+    assert [r.subblocks_processed for r in result.per_iteration] == [16] * result.iterations
+
+
 def test_graphchi_writes_edge_values_back(edges, tmp_path):
     store = build_store(edges, tmp_path, name="gc",
                         indexed=False, sort_within_blocks=False)

@@ -85,14 +85,6 @@ def test_preprocessing_is_cached_per_representation(harness):
     assert not store3.indexed
 
 
-def test_context_cached_per_variant(harness):
-    a = harness.context_for("twitter2010", WORKLOADS["bfs"])
-    b = harness.context_for("twitter2010", WORKLOADS["pr"])
-    assert a is b  # same (unweighted, directed) variant
-    c = harness.context_for("twitter2010", WORKLOADS["cc"])
-    assert c is not a  # symmetrized variant differs
-
-
 def test_runs_share_cached_store(harness):
     r1 = harness.run("graphsd", "bfs", "twitter2010")
     r2 = harness.run("graphsd-b1", "bfs", "twitter2010")  # same representation

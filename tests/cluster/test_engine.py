@@ -74,6 +74,18 @@ def cluster(tmp_path_factory):
     return run
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+def test_superstep_records_count_every_swept_block(tmp_path, workers):
+    """Each superstep sweeps all P² blocks, whichever worker owns them."""
+    edges = random_edgelist(np.random.default_rng(7), 200, 1200, weighted=True)
+    store = build_store(edges, tmp_path, P=4, name="blk")
+    config = ClusterConfig(workers=workers)
+    engine = ClusterEngine(store.device.root, "blk", tmp_path / "ws", config)
+    result = engine.run(SSSP(source=0))
+    assert result.iterations > 1
+    assert [r.subblocks_processed for r in result.per_iteration] == [16] * result.iterations
+
+
 def test_shard_compute_runs_the_shared_execution_core(cluster, monkeypatch):
     """A worker has no kernel loop of its own: its compute phase is the
     engines' column sweep, so it goes through the same three entry points

@@ -6,13 +6,15 @@ consistent, previous state — bit-identical to an uninterrupted run where
 an engine is involved.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.algorithms import PageRank, SSSP
+from repro.algorithms import BFS, PageRank, SSSP
 from repro.baselines import BSPReference
 from repro.core import GraphSDConfig, GraphSDEngine
-from repro.core.checkpoint import CheckpointManager, CheckpointMeta
+from repro.core.checkpoint import CheckpointCorruptError, CheckpointManager, CheckpointMeta
 from repro.graph import GridStore, make_intervals
 from repro.storage import (
     ChecksumError,
@@ -172,6 +174,25 @@ def test_resume_on_different_graph_is_rejected(tmp_path, rng):
         GraphSDEngine(store2).run(
             PageRank(iterations=6), checkpoint_tag="t", resume=True
         )
+
+
+def test_resume_refuses_a_checkpoint_without_state_snapshots(tmp_path, rng):
+    """The live value files may have run ahead of the sidecar, so a
+    checkpoint that lists no state arrays cannot be resumed from them."""
+    edges = random_edgelist(rng, 120, 900)
+    store = build_store(edges, tmp_path, P=4, name="nosnap")
+    store.device.disk.injector = FaultInjector(FaultPlan(crash_points={"post-apply": 2}))
+    with pytest.raises(SimulatedCrash):
+        GraphSDEngine(store).run(BFS(), checkpoint_tag="t")
+    store.device.disk.injector = None
+
+    (sidecar,) = store.device.root.glob("*.ckpt.json")
+    meta = json.loads(sidecar.read_text())
+    assert meta["state_arrays"]
+    meta["state_arrays"] = {}  # every listed file still matches its checksum
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(CheckpointCorruptError, match=r"checkpoint '.*\.bfs\.t'"):
+        GraphSDEngine(store).run(BFS(), checkpoint_tag="t", resume=True)
 
 
 def test_gather_fault_degrades_round_to_full_streaming(tmp_path, rng):

@@ -54,6 +54,17 @@ def test_snapshot_subtraction_gives_phase_times():
     assert diff.total == pytest.approx(0.75)
 
 
+def test_breakdown_sum_mirrors_subtraction():
+    a = TimeBreakdown({IO_READ: 1.0, COMPUTE: 0.5}, overlap_saved=0.25)
+    b = TimeBreakdown({SCHEDULING: 0.125, IO_READ: 2.0}, overlap_saved=0.5)
+    total = a + b
+    assert list(total.components) == sorted({IO_READ, COMPUTE, SCHEDULING})
+    assert total.components == {COMPUTE: 0.5, IO_READ: 3.0, SCHEDULING: 0.125}
+    assert total.overlap_saved == 0.75
+    assert total.total == a.total + b.total
+    assert (total - b).components == {COMPUTE: 0.5, IO_READ: 1.0, SCHEDULING: 0.0}
+
+
 def test_breakdown_io_compute_scheduling_properties():
     b = TimeBreakdown({IO_READ: 1.0, IO_WRITE: 2.0, COMPUTE: 3.0, SCHEDULING: 0.5})
     assert b.io == pytest.approx(3.0)
