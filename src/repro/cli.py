@@ -60,6 +60,7 @@ from repro.core.convergence import require_async_capable
 from repro.datasets import list_datasets, load_dataset, table3_rows
 from repro.graph import preprocess_graphsd, preprocess_husgraph, preprocess_lumos
 from repro.graph.grid import ENCODINGS, ENCODING_RAW
+from repro.obs import peak_rss_bytes
 from repro.storage import ChecksumError, Device, FaultError
 
 
@@ -91,7 +92,9 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         f"preprocessed {args.dataset} for {args.system}: "
         f"|V|={edges.num_vertices:,} |E|={edges.num_edges:,} P={args.partitions}"
     )
-    print(f"  simulated time: {result.sim_seconds:.3f}s (wall {result.wall_seconds:.2f}s)")
+    peak = peak_rss_bytes()
+    memory = "" if peak is None else f", peak RSS {peak / (1 << 20):.1f} MiB"
+    print(f"  simulated time: {result.sim_seconds:.3f}s (wall {result.wall_seconds:.2f}s{memory})")
     print(f"  on-disk size: {device.total_bytes() / (1 << 20):.1f} MiB at {device.root}")
     return 0
 

@@ -68,11 +68,11 @@ def _overlay_chains(edges: EdgeList, segment: int) -> EdgeList:
     import numpy as np
 
     n = edges.num_vertices
-    src = np.arange(n - 1, dtype=np.int64)
-    keep = (src + 1) % segment != 0  # break the chain at segment ends
-    src = src[keep]
-    new_src = np.concatenate([edges.src.astype(np.int64), src])
-    new_dst = np.concatenate([edges.dst.astype(np.int64), src + 1])
+    # In the edge list's own uint32, so nothing is widened and narrowed back.
+    dst = np.arange(1, n, dtype=edges.dst.dtype)
+    dst = dst[dst % segment != 0]  # break the chain at segment ends
+    new_src = np.concatenate([edges.src, dst - 1])
+    new_dst = np.concatenate([edges.dst, dst])
     return EdgeList(n, new_src, new_dst)
 
 

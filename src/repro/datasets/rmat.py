@@ -12,8 +12,10 @@ that drive the active-set dynamics GraphSD exploits. Parameter presets:
   locality, matching web crawls (SK2005, UK2007, UKUnion) whose URLs
   sort hubs together.
 
-Generation is fully vectorized: all edges descend the recursion
-simultaneously, one vectorized Bernoulli pair per bit level.
+Generation is vectorized: all edges descend the recursion together, one
+Bernoulli pair per bit level, drawn through a cache-sized buffer so the
+generator holds little more than the edges it returns (about 9 bytes
+per edge).
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from repro.utils.validation import check_positive, require
 SOCIAL: Tuple[float, float, float, float] = (0.57, 0.19, 0.19, 0.05)
 #: Web-crawl-like parameters: heavier skew, stronger locality.
 WEB: Tuple[float, float, float, float] = (0.65, 0.15, 0.15, 0.05)
+
+#: Uniforms drawn per call of the generator's level loop (512 KiB of
+#: doubles): its working set stays in cache however many edges there are.
+_DRAW_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -80,42 +86,59 @@ def rmat_edges(
 
     # Per bit level, each edge independently picks a quadrant:
     # P(src bit = 1) = c + d; P(dst bit = 1 | src bit) differs by row.
-    # The level loop works in place: one buffer of m doubles takes each
-    # draw, and the dst bit is ``r < p_row`` from two scalar compares —
-    # below the smaller threshold, or below the larger one in the row
-    # that has it.
+    # A level draws m uniforms for the source bits, then m for the
+    # destination bits, through one cache-sized buffer of _DRAW_CHUNK
+    # doubles: the draw sequence is that of two m-sized draws, so the
+    # graph does not depend on the chunk. Only the source bits (``row``)
+    # are kept across the level; the dst bit is ``r < p_row`` from two
+    # scalar compares — below the smaller threshold, or below the larger
+    # one in the row that has it.
     p_src_one = p.c + p.d
     p_dst_one_given_src0 = p.b / (p.a + p.b) if (p.a + p.b) > 0 else 0.0
     p_dst_one_given_src1 = p.d / (p.c + p.d) if (p.c + p.d) > 0 else 0.0
     low = min(p_dst_one_given_src0, p_dst_one_given_src1)
     high = max(p_dst_one_given_src0, p_dst_one_given_src1)
     high_in_row1 = p_dst_one_given_src1 >= p_dst_one_given_src0
-    r = np.empty(m)
+    chunks = [slice(lo, min(lo + _DRAW_CHUNK, m)) for lo in range(0, m, _DRAW_CHUNK)]
+    width = min(m, _DRAW_CHUNK)
+    r = np.empty(width)
+    bit = np.empty(width, dtype=bool)
+    below_low = np.empty(width, dtype=bool)
     row = np.empty(m, dtype=bool)
-    bit = np.empty(m, dtype=bool)
-    below_low = np.empty(m, dtype=bool)
     for _level in range(scale):
-        np.less(rng.random(out=r), p_src_one, out=row)
-        np.less(rng.random(out=r), high, out=bit)
-        if high_in_row1:
-            bit &= row
-        else:
-            np.greater(bit, row, out=bit)  # bit & ~row
-        bit |= np.less(r, low, out=below_low)
-        src <<= 1
-        src |= row
-        dst <<= 1
-        dst |= bit
+        for c in chunks:
+            k = c.stop - c.start
+            np.less(rng.random(out=r[:k]), p_src_one, out=row[c])
+            src[c] <<= 1
+            src[c] |= row[c]
+        for c in chunks:
+            k = c.stop - c.start
+            b = np.less(rng.random(out=r[:k]), high, out=bit[:k])
+            if high_in_row1:
+                b &= row[c]
+            else:
+                np.greater(b, row[c], out=b)  # bit & ~row
+            b |= np.less(r[:k], low, out=below_low[:k])
+            dst[c] <<= 1
+            dst[c] |= b
 
     if permute_ids:
         perm = rng.permutation(n).astype(np.uint32)
         src = perm[src]
         dst = perm[dst]
 
-    edges = EdgeList(n, src, dst)
     if remove_self_loops:
-        edges = edges.without_self_loops()
-    return edges
+        # Compact in place, chunk by chunk: the write position never
+        # passes the chunk being read.
+        keep = np.not_equal(src, dst, out=row)
+        kept = 0
+        for c in chunks:
+            count = int(np.count_nonzero(keep[c]))
+            src[kept : kept + count] = src[c][keep[c]]
+            dst[kept : kept + count] = dst[c][keep[c]]
+            kept += count
+        src, dst = src[:kept], dst[:kept]
+    return EdgeList(n, src, dst)
 
 
 def kronecker_edges(

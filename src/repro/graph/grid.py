@@ -134,8 +134,9 @@ _UINT_BY_ITEMSIZE = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4")}
 _OFFSET_BY_ITEMSIZE = {**_UINT_BY_ITEMSIZE, 8: np.dtype("<i8")}
 _WEIGHT_DTYPE = np.dtype("<f4")
 
-#: Bit budget of :meth:`GridStore.build`'s packed sort key: it must stay a
-#: non-negative ``int64`` for a value sort to order it.
+#: Bit budget of :meth:`GridStore.build`'s packed per-column sort key
+#: ``(src, dst, input position)``: it must stay a non-negative ``int64``
+#: for a value sort to order it.
 _KEY_BITS = 63
 
 #: How a selective read of block ``(i, j)`` reads the active sources'
@@ -202,31 +203,66 @@ def _code_table(codes: np.ndarray, name: str, block_counts: np.ndarray) -> np.nd
     return table
 
 
-def _index_file(
-    cum: np.ndarray, bounds: np.ndarray, sizes: np.ndarray, widths: np.ndarray
-) -> np.ndarray:
-    """The bytes of a build's ``.idx`` file. Block ``(i, j)``'s CSR offsets
-    are column ``j``'s running degree sum ``cum[j]`` over interval ``i``,
-    closing entry included, re-based at the interval's first vertex and
-    stored in the block's offset width ``widths[i, j]``. One column is
-    ``|V| + P`` offsets."""
-    P = sizes.shape[0]
-    vertex = np.arange(cum.shape[1] - 1 + P, dtype=np.int64)
-    vertex -= np.repeat(np.arange(P, dtype=np.int64), sizes + 1)
-    offsets = np.take(cum, vertex, axis=1)  # C order, unlike cum[:, vertex]
-    offsets -= np.take(cum, np.repeat(bounds[:-1], sizes + 1), axis=1)
-    offsets = offsets.ravel()
-    # Each run of blocks of one width is cast to it. A single run (int64:
-    # formats 1 and 2) is a byte view, no copy; narrowed runs are copies,
-    # and returning frees the int64 offsets before the file is written.
-    widths = widths.T.reshape(-1)  # storage order
-    ends = np.cumsum(np.tile(sizes + 1, P))
-    parts, pos = [], 0
-    for last in [*np.flatnonzero(widths[1:] != widths[:-1]).tolist(), P * P - 1]:
-        width = _OFFSET_BY_ITEMSIZE[int(widths[last])]
-        parts.append(offsets[pos : ends[last]].astype(width, copy=False).view(BYTE_DTYPE))
-        pos = ends[last]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _sorted_columns(
+    edges: EdgeList, intervals: VertexIntervals, sort_within_blocks: bool
+) -> Iterator[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]]:
+    """Each destination column's edges in storage order, one column at a
+    time: ``(src, dst, wgt, runs)``, where ``runs[v]`` is the number of
+    the column's edges from source ``v`` (one ``bincount`` of its
+    sources). The arrays may be views of buffers the next column reuses.
+
+    A column's edges are found through a one-byte column id per edge
+    (at ``P <= 256``), so the working set beyond it is one column. Sorted,
+    the column is ordered by ``(src, dst, input position)`` — a source
+    fixes its row, so rows need no key of their own — with one value sort
+    of a packed non-negative ``int64`` key when the three fields fit
+    :data:`_KEY_BITS`, else with ``np.lexsort``; both give the same order.
+    Unsorted (Lumos), the column is grouped by row in input order.
+    """
+    P, n, m = intervals.P, intervals.num_vertices, edges.num_edges
+    # A |V|-entry lookup table turns "interval of this id" into one
+    # gather per edge instead of a searchsorted over the boundaries.
+    interval_of = np.repeat(np.arange(P, dtype=_narrowest_uint(P - 1)), intervals.sizes())
+    col = interval_of[edges.dst]
+    in_column = np.empty(m, dtype=bool)
+    vbits, pos_bits = max(n - 1, 0).bit_length(), max(m - 1, 0).bit_length()
+    packed = sort_within_blocks and 2 * vbits + pos_bits <= _KEY_BITS
+    # Key and destination buffers, grown to the largest column and reused.
+    key = low = np.empty(0, dtype=np.int64)
+    for j in range(P):
+        pos = np.flatnonzero(np.equal(col, j, out=in_column))
+        if packed:
+            size = pos.shape[0]
+            if key.shape[0] < size:
+                key, low = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+            k, dst = key[:size], low[:size]
+            k[...] = edges.src[pos]
+            runs = np.bincount(k, minlength=n)
+            # The position bits make every key distinct, reproduce
+            # lexsort's stable tie order and carry the weights' permutation.
+            k <<= vbits
+            k |= edges.dst[pos]
+            k <<= pos_bits
+            k |= pos
+            del pos
+            k.sort()
+            wgt = None
+            if edges.has_weights:  # the positions pass through the dst buffer
+                wgt = edges.weights[np.bitwise_and(k, (1 << pos_bits) - 1, out=dst)]
+            k >>= pos_bits
+            np.bitwise_and(k, (1 << vbits) - 1, out=dst)
+            k >>= vbits
+            yield k, dst, wgt, runs
+        else:
+            if sort_within_blocks:
+                perm = np.lexsort((edges.dst[pos], edges.src[pos]))
+            else:
+                # The narrowest uint lets numpy's stable sort pick radix.
+                perm = np.argsort(interval_of[edges.src[pos]], kind="stable")
+            pos = pos[perm]
+            src = edges.src[pos]
+            wgt = edges.weights[pos] if edges.has_weights else None
+            yield src, edges.dst[pos], wgt, np.bincount(src, minlength=n)
 
 
 def _read_le(buf: np.ndarray, byte_pos: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -508,6 +544,11 @@ class GridStore:
         per-block dst widths); both require the sorted, indexed
         representation because the run-length headers are the per-vertex
         degrees the sort exposes.
+
+        The build sorts and encodes one destination column at a time
+        (:func:`_sorted_columns`), so beyond the edge list and the files
+        it writes it holds one column's edges, O(|V|) degree vectors and
+        two bytes per edge (``docs/STORAGE.md`` "Build").
         """
         require(
             intervals.num_vertices == edges.num_vertices,
@@ -521,54 +562,17 @@ class GridStore:
         )
         P, n, m = intervals.P, intervals.num_vertices, edges.num_edges
         require(n <= 1 << 32, f"{n} vertices: ids exceed uint32, the on-disk id type")
-        bounds, sizes = intervals.boundaries, intervals.sizes()
-        # A |V|-entry lookup table turns "interval of this id" into one
-        # gather per edge instead of a searchsorted over the boundaries.
-        interval_of = np.repeat(np.arange(P, dtype=np.int64), sizes)
-        col = interval_of[edges.dst]
-        # table[j, v] = edges of source v in destination column j. Every
-        # other structure is a slice of it or of its running sum:
-        # in-block degrees (compact headers), CSR offsets, block counts
-        # and the out-degree vector. O(P * |V|) int64, like the raw .idx.
-        table = np.bincount(col * n + edges.src, minlength=P * n).reshape(P, n)
-        cum = np.zeros((P, n + 1), dtype=np.int64)
-        np.cumsum(table, axis=1, out=cum[:, 1:])
-        block_counts = (cum[:, bounds[1:]] - cum[:, bounds[:-1]]).T  # [i, j]
+        bounds = intervals.boundaries
+        weighted, compact = edges.has_weights, encoding in _COMPACT_ENCODINGS
 
-        # Storage order is (column, source, destination, input position);
-        # a source fixes its row, so rows need no key of their own.
-        vbits, pos_bits = max(n - 1, 0).bit_length(), max(m - 1, 0).bit_length()
-        perm = None
-        if not sort_within_blocks:
-            # Lumos: group by block, keep input order inside. The
-            # narrowest uint lets numpy's stable sort pick radix.
-            block_key = (col * P + interval_of[edges.src]).astype(_narrowest_uint(P * P - 1))
-            perm = np.argsort(block_key, kind="stable")
-        elif (P - 1).bit_length() + 2 * vbits + pos_bits > _KEY_BITS:
-            perm = np.lexsort((edges.dst, edges.src, col))
-        if perm is not None:
-            src, dst = edges.src[perm], edges.dst[perm]
-        else:
-            # All four sort keys fit one non-negative int64, so one
-            # value sort orders the edges; the position bits reproduce
-            # lexsort's stable tie order and carry the permutation.
-            key = col  # packed in col's buffer: one int64 per edge in all
-            key <<= vbits
-            key |= edges.src
-            key <<= vbits
-            key |= edges.dst
-            key <<= pos_bits
-            key |= np.arange(m, dtype=np.int64)
-            key.sort()
-            if edges.has_weights:
-                perm = key & ((1 << pos_bits) - 1)
-            key >>= pos_bits
-            dst = (key & ((1 << vbits) - 1)).astype(VERTEX_DTYPE)
-            src = (key >> vbits & ((1 << vbits) - 1)).astype(VERTEX_DTYPE)
-        wgt = edges.weights[perm] if edges.has_weights else None
-
+        # Each column is emitted whole before the next is sorted: its
+        # block counts, compact headers and widths, records and .idx
+        # slice. Only the encoded files and an O(|V|) degree vector
+        # outlive a column.
+        block_counts = np.zeros((P, P), dtype=np.int64)
+        out_degrees = np.zeros(n, dtype=np.int64)
         count_codes = dst_codes = None
-        if encoding in _COMPACT_ENCODINGS:
+        if compact:
             count_codes = np.zeros((P, P), dtype=np.int64)
             # compact3 narrows each block's destinations (empty blocks:
             # uint8); format 2 keeps every block at its column's width.
@@ -577,46 +581,67 @@ class GridStore:
             else:
                 dst_codes = _column_codes(intervals)
             parts = [np.empty(0, dtype=BYTE_DTYPE)]
-            pos = 0
-            for j in range(P):
-                lo_j = VERTEX_DTYPE.type(bounds[j])
-                for i in range(P):
-                    cnt = int(block_counts[i, j])
-                    if cnt == 0:
-                        continue
-                    runs = table[j, bounds[i] : bounds[i + 1]]
-                    header = runs.astype(_narrowest_uint(int(runs.max())))
-                    local = dst[pos : pos + cnt] - lo_j
-                    count_codes[i, j] = header.dtype.itemsize
-                    if encoding == ENCODING_COMPACT3:
-                        dst_codes[i, j] = _narrowest_uint(int(local.max())).itemsize
-                    dst_dtype = _UINT_BY_ITEMSIZE[int(dst_codes[i, j])]
-                    records = np.empty(cnt, _packed_record_dtype(dst_dtype, edges.has_weights))
-                    records["dst"] = local
-                    if edges.has_weights:
-                        records["wgt"] = wgt[pos : pos + cnt]
-                    parts += [header.view(BYTE_DTYPE), records.view(BYTE_DTYPE)]
-                    pos += cnt
-            data = np.concatenate(parts)
         else:
-            data = np.empty(
-                m, dtype=EDGE_WEIGHTED_DTYPE if edges.has_weights else EDGE_UNWEIGHTED_DTYPE
-            )
-            data["src"] = src
-            data["dst"] = dst
-            if edges.has_weights:
-                data["wgt"] = wgt
+            data = np.empty(m, dtype=EDGE_WEIGHTED_DTYPE if weighted else EDGE_UNWEIGHTED_DTYPE)
+        idx_parts: List[np.ndarray] = []
+        first = 0  # the column's first edge in storage order
+        columns = _sorted_columns(edges, intervals, sort_within_blocks)
+        for j, (src, dst, wgt, runs) in enumerate(columns):
+            out_degrees += runs
+            # The running degree sum, sliced at the interval boundaries,
+            # gives the column's block counts and, re-based at a block's
+            # first vertex, the block's CSR offsets.
+            cum = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(runs, out=cum[1:])
+            block_counts[:, j] = np.diff(cum[bounds])
+            if not compact:
+                last = first + src.shape[0]
+                data["src"][first:last] = src
+                data["dst"][first:last] = dst
+                if weighted:
+                    data["wgt"][first:last] = wgt
+                first = last
+            pos = 0
+            for i in range(P):
+                lo, hi, cnt = int(bounds[i]), int(bounds[i + 1]), int(block_counts[i, j])
+                if indexed:
+                    # compact3 narrows each block's offsets to its edge count.
+                    width = _OFFSET_BY_ITEMSIZE[8]
+                    if encoding == ENCODING_COMPACT3:
+                        width = _narrowest_uint(cnt)
+                    offsets = cum[lo : hi + 1] - cum[lo]
+                    idx_parts.append(offsets.astype(width, copy=False).view(BYTE_DTYPE))
+                if not compact or cnt == 0:
+                    continue
+                header = runs[lo:hi]
+                header = header.astype(_narrowest_uint(int(header.max())))
+                local = dst[pos : pos + cnt] - bounds[j]
+                count_codes[i, j] = header.dtype.itemsize
+                if encoding == ENCODING_COMPACT3:
+                    dst_codes[i, j] = _narrowest_uint(int(local.max())).itemsize
+                dst_dtype = _UINT_BY_ITEMSIZE[int(dst_codes[i, j])]
+                records = np.empty(cnt, _packed_record_dtype(dst_dtype, weighted))
+                records["dst"] = local
+                if weighted:
+                    records["wgt"] = wgt[pos : pos + cnt]
+                parts += [header.view(BYTE_DTYPE), records.view(BYTE_DTYPE)]
+                pos += cnt
+        if compact:
+            data = np.concatenate(parts)
+            del parts
         store = cls(
-            device, prefix, intervals, block_counts, edges.has_weights, indexed,
+            device, prefix, intervals, block_counts, weighted, indexed,
             encoding=encoding, count_codes=count_codes, dst_codes=dst_codes,
         )
         require(data.nbytes == store.total_edge_bytes, "encoder produced inconsistent byte counts")
         store._edges_file.write(data)
-
+        del data  # the edges go before the index is joined
         if indexed:
-            store._idx_file.write(_index_file(cum, bounds, sizes, store._idx_codes))
+            index = np.concatenate(idx_parts)
+            require(index.nbytes == store.index_total_bytes, "index has inconsistent byte counts")
+            store._idx_file.write(index)
 
-        store.out_degrees = table.sum(axis=0)
+        store.out_degrees = out_degrees
         store._write_meta()
         return store
 

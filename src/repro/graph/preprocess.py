@@ -49,10 +49,10 @@ class PreprocessResult:
     intervals: VertexIntervals
     breakdown: TimeBreakdown
     wall_seconds: float
-    #: Out-degrees from the primary store's build (its degree table's
-    #: column sum, part of the already charged partition pass).
-    #: Pass :attr:`context` to the engine so it does not re-derive them
-    #: with a second charged full-graph scan.
+    #: Out-degrees from the primary store's build (the sum of its
+    #: per-column degree vectors, part of the already charged partition
+    #: pass). Pass :attr:`context` to the engine so it does not re-derive
+    #: them with a second charged full-graph scan.
     out_degrees: Optional[np.ndarray] = None
 
     @property
@@ -113,8 +113,8 @@ def _run(
     ):
         stores = build()
     breakdown = device.disk.clock.snapshot() - before
-    # The primary build's degree table already holds the out-degrees;
-    # carrying them saves every engine the fallback charged scan.
+    # The primary build already summed the out-degrees; carrying them
+    # saves every engine the fallback charged scan.
     return PreprocessResult(
         system, stores, intervals, breakdown, wall.elapsed,
         out_degrees=stores[0].out_degrees,
@@ -144,8 +144,8 @@ def preprocess_graphsd(
     same regime as the sort passes already charged, so preprocessing
     cost is modeled identically — what changes is the representation's
     size, and with it every later read. The result's ``out_degrees`` are
-    the column sum of the build's per-(column, vertex) degree table, not
-    a separate pass over the edge list.
+    the sum of the build's per-column degree vectors, not a separate
+    pass over the edge list.
     """
     intervals = _resolve_intervals(edges, P, intervals)
 
@@ -212,9 +212,10 @@ def preprocess_husgraph(
         _charge_sort(device, machine, edges)
         primary = GridStore.build(edges, intervals, device, prefix=f"{prefix}_out", indexed=True)
         _charge_sort(device, machine, edges)
-        reverse_intervals = make_intervals(edges.reversed(), intervals.P)
+        reverse = edges.reversed()
         secondary = GridStore.build(
-            edges.reversed(), reverse_intervals, device, prefix=f"{prefix}_in", indexed=True
+            reverse, make_intervals(reverse, intervals.P), device, prefix=f"{prefix}_in",
+            indexed=True,
         )
         return [primary, secondary]
 

@@ -1,5 +1,7 @@
 """Table 3 proxy registry."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,25 @@ def test_tendril_configuration():
     # iteration counts at proxy scale
     assert dataset_spec("twitter2010").chain_segment == 16
     assert dataset_spec("sk2005").chain_segment == 32
+
+
+#: sha256 of ``src | dst`` (uint32 bytes) of two tendril proxies, recorded
+#: while the chain overlay still built in int64: the uint32 overlay must
+#: keep producing the same graphs.
+@pytest.mark.parametrize(
+    "name, num_edges, digest",
+    [
+        ("twitter2010", 1209459, "c83893f2137871a9b409e6db8ac3eac724f0a89e878682f5c74bddc701c324c6"),
+        ("sk2005", 1238459, "88bf3f9594bde198301691678cafbaf2b857805c801f1a0945c4daec0da7d060"),
+    ],
+)
+def test_tendril_proxies_are_the_recorded_graphs(name, num_edges, digest):
+    el = load_dataset(name)
+    h = hashlib.sha256(el.src.tobytes())
+    h.update(b"|")
+    h.update(el.dst.tobytes())
+    assert el.num_edges == num_edges
+    assert h.hexdigest() == digest
 
 
 def test_table3_rows_renderable():

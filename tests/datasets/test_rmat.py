@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.datasets.rmat as rmat
 from repro.datasets.registry import dataset_spec
 from repro.datasets.rmat import RMATParams, SOCIAL, WEB, kronecker_edges, rmat_edges
 from repro.graph.degree import out_degrees
@@ -144,6 +145,14 @@ def test_generation_is_bit_identical_to_the_recorded_graphs(args, num_edges, dig
     el = rmat_edges(**args)
     assert el.num_edges == num_edges
     assert _edge_digest(el) == digest
+
+
+@pytest.mark.parametrize("permute_ids", [False, True])
+def test_graph_does_not_depend_on_the_draw_chunk(monkeypatch, permute_ids):
+    args = dict(scale=10, edge_factor=8, params=WEB, seed=7, permute_ids=permute_ids)
+    whole = rmat_edges(**args)  # 8192 draws per pass: one chunk
+    monkeypatch.setattr(rmat, "_DRAW_CHUNK", 1000)  # nine, the last one partial
+    assert rmat_edges(**args) == whole
 
 
 def test_scale_beyond_uint32_ids_is_refused():

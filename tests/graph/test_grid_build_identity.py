@@ -4,7 +4,8 @@ The reference below keeps the *old* construction — ``np.lexsort`` over
 ``(block key, src, dst)``, then one ``searchsorted`` / ``bincount`` pass
 per sub-block — and every file the build leaves behind (``.edges``,
 ``.idx``, ``.meta.json``) must match it byte for byte, on the packed-key
-fast path and on the lexsort fallback alike.
+fast path and on the lexsort fallback alike. The build sorts one
+destination column at a time; the reference sorts the whole edge list.
 """
 
 import json
@@ -183,7 +184,23 @@ def test_key_width_fallback_writes_the_same_bytes(tmp_path, monkeypatch, encodin
     for (name, edges, intervals), want in zip(cases, fast):
         got = built_files(edges, intervals, tmp_path / f"slow-{name}", encoding, True)
         assert got == want, name
-    assert len(calls) == len(cases)
+    # The fallback sorts per destination column: one call per column of every build.
+    assert len(calls) == sum(intervals.P for _name, _edges, intervals in cases)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("encoding", ["raw", "compact3"])
+def test_column_bits_are_not_part_of_the_key(tmp_path, monkeypatch, encoding, weighted):
+    # The key sorts one destination column, so it needs no column bits:
+    # a budget of exactly src + dst + position bits must not fall back.
+    cases = graphs(weighted)
+    expected = [reference_files(edges, intervals, encoding, True) for _, edges, intervals in cases]
+    monkeypatch.setattr(np, "lexsort", None)
+    for (name, edges, intervals), want in zip(cases, expected):
+        n, m = edges.num_vertices, edges.num_edges
+        rule = 2 * (n - 1).bit_length() + max(m - 1, 0).bit_length()
+        monkeypatch.setattr(grid, "_KEY_BITS", rule)
+        assert built_files(edges, intervals, tmp_path / name, encoding, True) == want, name
 
 
 def test_vertex_ids_beyond_uint32_are_refused(tmp_path):

@@ -1,10 +1,12 @@
 """CLI front-end."""
 
 import json
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import peak_rss_bytes
 
 
 def test_datasets_command(capsys):
@@ -59,6 +61,16 @@ def test_preprocess_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "preprocessed twitter2010" in out
     assert (tmp_path / "rep").exists()
+
+
+def test_preprocess_prints_the_peak_rss(tmp_path, capsys):
+    argv = ["preprocess", "--dataset", "twitter2010", "--out", str(tmp_path / "rep")]
+    assert main(argv) == 0
+    after = peak_rss_bytes() / (1 << 20)
+    printed = re.search(r"\(wall [0-9.]+s, peak RSS ([0-9.]+) MiB\)", capsys.readouterr().out)
+    assert printed is not None
+    # The process's high-water mark: at least the edge list the build held.
+    assert 9.0 < float(printed.group(1)) <= after + 0.05
 
 
 @pytest.mark.parametrize("system", ["lumos", "husgraph"])
