@@ -36,7 +36,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.engine_base import EngineBase
-from repro.graph.grid import EdgeBlock
+from repro.graph.grid import BlockHandle
 from repro.utils.bitset import VertexSubset
 
 #: Table 1 of the paper, as data (used by the features bench/test).
@@ -59,14 +59,14 @@ class StreamingEngineBase(EngineBase):
         """Contiguous ``(i_lo, i_hi)`` block ranges of column ``j`` to read."""
         return [(0, self.store.P)]
 
-    def _post_column(self, j: int, blocks: List[EdgeBlock]) -> None:
+    def _post_column(self, j: int, blocks: List[BlockHandle]) -> None:
         """Hook: extra per-column I/O charges."""
 
     def _post_sweep(self, edges_processed: int, active_edges: int) -> None:
         """Hook: extra per-iteration I/O charges."""
 
-    def _load_column(self, j: int) -> List[EdgeBlock]:
-        blocks: List[EdgeBlock] = []
+    def _load_column(self, j: int) -> List[BlockHandle]:
+        blocks: List[BlockHandle] = []
         for i_lo, i_hi in self._column_source_ranges(j):
             blocks.extend(self.store.load_block_range(j, i_lo, i_hi))
         return blocks
@@ -83,7 +83,7 @@ class StreamingEngineBase(EngineBase):
         activated_mask = np.zeros(n, dtype=bool)
         active_edges = 0
 
-        def after_column(j: int, blocks: List[EdgeBlock]) -> None:
+        def after_column(j: int, blocks: List[BlockHandle]) -> None:
             nonlocal active_edges
             bounds = self.store.intervals.bounds
             active_edges += sum(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.baselines.common import StreamingEngineBase
-from repro.graph.grid import EdgeBlock
+from repro.graph.grid import BlockHandle
 
 #: GraphChi stores a 4-byte value on every edge and writes it back.
 EDGE_VALUE_BYTES = 4
@@ -38,7 +38,7 @@ class GraphChiEngine(StreamingEngineBase):
         # (seeking) read per shard window rather than one column stream.
         return [(i, i + 1) for i in range(self.store.P) if self.store.block_edge_count(i, j)]
 
-    def _post_column(self, j: int, blocks: List[EdgeBlock]) -> None:
+    def _post_column(self, j: int, blocks: List[BlockHandle]) -> None:
         # Shard writeback: edge values of the processed interval return
         # to disk (modeled charge; our programs hold no per-edge state).
         nbytes = sum(b.count for b in blocks) * EDGE_VALUE_BYTES

@@ -17,13 +17,18 @@ The paper's two observations shape the design:
    updated "after the processing of this secondary sub-block in the
    first iteration", once the new frontier of the block's source
    interval is known; eviction removes the lowest-priority entry.
+
+Entries are *encoded*: the buffer keeps each admitted block's on-disk
+payload (a :class:`~repro.graph.grid.BlockHandle` over its own byte
+copy) and a consumer decodes it on a hit, so the bytes the budget
+accounts are the bytes the buffer holds.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.graph.grid import EdgeBlock
+from repro.graph.grid import BlockHandle
 from repro.storage.disk import SimulatedDisk
 from repro.utils.validation import check_nonneg
 
@@ -31,15 +36,14 @@ BlockKey = Tuple[int, int]
 
 
 class SubBlockBuffer:
-    """Byte-budgeted cache of :class:`EdgeBlock` objects with evict-min priority."""
+    """Byte-budgeted cache of encoded sub-blocks with evict-min priority."""
 
     def __init__(self, capacity_bytes: int, disk: Optional[SimulatedDisk] = None) -> None:
         check_nonneg(capacity_bytes, "capacity_bytes")
         self.capacity_bytes = int(capacity_bytes)
         self.disk = disk
-        self._blocks: Dict[BlockKey, EdgeBlock] = {}
+        self._blocks: Dict[BlockKey, BlockHandle] = {}
         self._priority: Dict[BlockKey, float] = {}
-        self._sizes: Dict[BlockKey, int] = {}
         self._used = 0
         self.insertions = 0
         self.evictions = 0
@@ -60,41 +64,30 @@ class SubBlockBuffer:
     def priority_of(self, key: BlockKey) -> Optional[float]:
         return self._priority.get(key)
 
-    def size_of(self, key: BlockKey) -> Optional[int]:
-        """The byte size a resident block is accounted at (None if absent)."""
-        return self._sizes.get(key)
-
-    def peek(self, key: BlockKey) -> Optional[EdgeBlock]:
+    def peek(self, key: BlockKey) -> Optional[BlockHandle]:
         """The resident block under ``key`` without recording a hit or miss."""
         return self._blocks.get(key)
 
     # -- cache operations ----------------------------------------------
 
-    def get(self, key: BlockKey) -> Optional[EdgeBlock]:
-        """Look up a block; records a hit/miss on the attached disk stats."""
-        block = self._blocks.get(key)
+    def get(self, key: BlockKey) -> Optional[BlockHandle]:
+        """Look up a block; records the hit (and its bytes) or the miss
+        on the attached disk stats."""
+        handle = self._blocks.get(key)
         if self.disk is not None:
-            if block is not None:
-                self.disk.record_cache_hit(self._sizes[key])
+            if handle is not None:
+                self.disk.record_cache_hit(handle.nbytes)
             else:
                 self.disk.record_cache_miss()
-        return block
+        return handle
 
-    def put(
-        self,
-        key: BlockKey,
-        block: EdgeBlock,
-        priority: float,
-        nbytes: Optional[int] = None,
-    ) -> bool:
+    def put(self, key: BlockKey, handle: BlockHandle, priority: float) -> bool:
         """Insert (or refresh) a block.
 
-        ``nbytes`` sets the size the entry is accounted at against the
-        byte budget; it defaults to the decoded in-memory size, but a
-        caller holding blocks from a compact-encoded store passes the
-        *encoded* size — the budget then admits every block the
-        equivalent raw buffer would, and more (the paper's §4.3 hit-rate
-        argument, amplified by the encoding).
+        The entry is accounted at ``handle.nbytes``, the block's encoded
+        size, and an admitted block is stored as its own byte copy
+        (:meth:`~repro.graph.grid.BlockHandle.owned`) — never a view
+        that pins the column it was read with.
 
         Evicts lowest-priority entries while the budget is exceeded, but
         never evicts entries with priority strictly greater than the
@@ -103,11 +96,9 @@ class SubBlockBuffer:
         entry under the same key is dropped first (a put is a content
         replacement), whether or not the new block ends up resident.
         """
-        size = int(nbytes) if nbytes is not None else block.nbytes
+        size = handle.nbytes
         if key in self._blocks:
-            self._used -= self._sizes[key]
-            del self._blocks[key]
-            del self._sizes[key]
+            self._used -= self._blocks.pop(key).nbytes
             del self._priority[key]
         if size > self.capacity_bytes:
             self.rejections += 1
@@ -120,8 +111,7 @@ class SubBlockBuffer:
                 return False
             self._evict(victim)
 
-        self._blocks[key] = block
-        self._sizes[key] = size
+        self._blocks[key] = handle.owned()
         self._priority[key] = float(priority)
         self._used += size
         self.insertions += 1
@@ -139,13 +129,10 @@ class SubBlockBuffer:
     def clear(self) -> None:
         self._blocks.clear()
         self._priority.clear()
-        self._sizes.clear()
         self._used = 0
 
     def _evict(self, key: BlockKey, count_eviction: bool = True) -> None:
-        self._used -= self._sizes[key]
-        del self._blocks[key]
-        del self._sizes[key]
+        self._used -= self._blocks.pop(key).nbytes
         del self._priority[key]
         if count_eviction:
             self.evictions += 1

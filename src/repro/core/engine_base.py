@@ -55,7 +55,7 @@ from repro.algorithms.base import (
     scatter_combine,
 )
 from repro.core.result import IterationRecord, RunResult
-from repro.graph.grid import EdgeBlock, GridStore
+from repro.graph.grid import BlockHandle, EdgeBlock, GridStore
 from repro.graph.vertexdata import VertexArrayStore
 from repro.obs import NULL_TRACER, TracerLike
 from repro.storage.disk import MachineProfile, DEFAULT_MACHINE
@@ -63,6 +63,7 @@ from repro.storage.gatherpool import GatherPool
 from repro.storage.iostats import IOStats
 from repro.storage.prefetch import BlockPrefetcher
 from repro.utils.bitset import VertexSubset
+from repro.utils.heap import retain_freed_heap
 from repro.utils.timers import COMPUTE, OverlapRegion, TimeBreakdown, WallTimer
 from repro.utils.validation import require
 
@@ -72,8 +73,8 @@ from repro.utils.validation import require
 #: docs/PERFORMANCE.md "Block-proportional kernels"; not a setting.
 DENSE_GATE = 0.5
 
-#: One deferred column load: every block of one destination column.
-ColumnTask = Callable[[], List[EdgeBlock]]
+#: One deferred column load: every block of one destination column, encoded.
+ColumnTask = Callable[[], List[BlockHandle]]
 #: One plan entry: a deferred block load and the per-vertex source gate
 #: its contributions pass through (``None`` = ungated).
 PlanEntry = Tuple[Callable[[], EdgeBlock], Optional[np.ndarray]]
@@ -165,6 +166,8 @@ class EngineBase:
         machine: MachineProfile = DEFAULT_MACHINE,
         ctx: Optional[GraphContext] = None,
     ) -> None:
+        # The run recycles its working set block by block (repro.utils.heap).
+        retain_freed_heap()
         self.store = store
         self.machine = machine
         self.device = store.device
@@ -389,23 +392,25 @@ class EngineBase:
     def sweep_columns(
         self,
         columns: Sequence[int],
-        load: Callable[[int], List[EdgeBlock]],
+        load: Callable[[int], List[BlockHandle]],
         snapshot: State,
         gate_mask: Optional[np.ndarray],
         acc: np.ndarray,
         touched: np.ndarray,
         activated_mask: np.ndarray,
-        after_column: Optional[Callable[[int, List[EdgeBlock]], None]] = None,
+        after_column: Optional[Callable[[int, List[BlockHandle]], None]] = None,
     ) -> Tuple[int, int]:
         """Consume destination ``columns`` in order; apply each at its end.
 
-        ``load(j)`` reads every block of column ``j``; one such thunk
-        per column runs through a :class:`BlockPrefetcher` (inline when
-        serial) inside :meth:`overlap_region`. Per block: poll the
-        ``mid-scatter`` crash point, then :meth:`push_block` from
-        ``snapshot`` through ``gate_mask``. ``after_column(j, blocks)``
-        runs after interval ``j``'s apply. Returns ``(edges, blocks)``
-        consumed.
+        ``load(j)`` reads every block of column ``j``, as encoded
+        :class:`~repro.graph.grid.BlockHandle` objects; one such thunk per
+        column runs through a :class:`BlockPrefetcher` (inline when
+        serial) inside :meth:`overlap_region`, so a pipelined worker
+        queues encoded columns. Per block: poll the ``mid-scatter``
+        crash point, decode, then :meth:`push_block` from ``snapshot``
+        through ``gate_mask`` — one decoded block at a time.
+        ``after_column(j, handles)`` runs after interval ``j``'s apply.
+        Returns ``(edges, blocks)`` consumed.
         """
         tasks: List[ColumnTask] = [partial(load, j) for j in columns]
         edges = blocks = 0
@@ -416,14 +421,17 @@ class EngineBase:
             try:
                 for j in columns:
                     column = next(stream)
-                    for block in column:
+                    for handle in column:
                         self._crash_point("mid-scatter")
-                        self.push_block(snapshot, block, acc, touched, gate_mask)
-                        edges += block.count
+                        self.push_block(snapshot, handle.decode(), acc, touched, gate_mask)
+                        edges += handle.count
                     blocks += len(column)
                     self.apply_interval(j, acc, touched, activated_mask)
                     if after_column is not None:
                         after_column(j, column)
+                    # The handles view the column's payload: release it
+                    # before the next column loads.
+                    column = handle = None
             finally:
                 stream.close()
         return edges, blocks

@@ -38,8 +38,14 @@ writing, the diagonal is held across the apply, and the buffer is
 admitted to and re-ranked around each column — on the same per-block
 step (:meth:`~repro.core.engine_base.EngineBase.push_block`). A round
 without cross pushes is that same loop: it shares the admissions,
-re-ranking and gating, none of which the plain sweep knows about. Two
-invariants keep pipelined execution bit-identical to serial:
+re-ranking and gating, none of which the plain sweep knows about.
+
+A column arrives encoded — one :class:`~repro.graph.grid.BlockHandle`
+per block, from disk or from the buffer — and the consumer decodes each
+block just before its push. Buffer priorities are counted from the
+handles, so beyond the column's payload only the block being pushed and
+the held diagonal are ever decoded. Two invariants keep pipelined
+execution bit-identical to serial:
 
 * the single worker executes columns strictly in sweep order, so the
   disk-operation stream (charges, page-cache state, injected faults) is
@@ -63,30 +69,30 @@ if TYPE_CHECKING:  # engine.py imports this module; import only for types
     from repro.core.engine import GraphSDEngine
 
 from repro.core.engine_base import ColumnTask
-from repro.graph.grid import EdgeBlock
+from repro.graph.grid import BlockHandle
 from repro.utils.bitset import VertexSubset
 from repro.utils.timers import COMPUTE
 
 
-def _load_column_buffered(engine: "GraphSDEngine", j: int, i_lo: int) -> List[EdgeBlock]:
+def _load_column_buffered(engine: "GraphSDEngine", j: int, i_lo: int) -> List[BlockHandle]:
     """Load blocks ``(i_lo.., j)``, serving from the buffer when possible.
 
     Uncached blocks are fetched in contiguous runs (one sequential read
-    per run per column file). Returns the blocks in ascending ``i``.
+    per run per column file). Returns the blocks' encoded handles in
+    ascending ``i``; the consumer decodes each as it pushes it.
     """
     store = engine.store
     P = store.P
-    cached: Dict[int, EdgeBlock] = {}
+    cached: Dict[int, BlockHandle] = {}
     if engine.buffer_enabled:
         for i in range(i_lo, P):
             if store.block_edge_count(i, j) == 0:
                 continue
-            block = engine.buffer.get((i, j))
-            if block is not None:
-                cached[i] = block
-                engine.disk.stats.buffer_hit_bytes += engine.buffer.size_of((i, j))
+            handle = engine.buffer.get((i, j))
+            if handle is not None:
+                cached[i] = handle
 
-    out: List[EdgeBlock] = []
+    out: List[BlockHandle] = []
     run_start = None
     for i in range(i_lo, P + 1):
         if i == P or i in cached:
@@ -101,32 +107,31 @@ def _load_column_buffered(engine: "GraphSDEngine", j: int, i_lo: int) -> List[Ed
 
 
 def _count_active_edges(
-    engine: "GraphSDEngine", block: EdgeBlock, mask: np.ndarray
+    engine: "GraphSDEngine", handle: BlockHandle, mask: np.ndarray
 ) -> int:
     """Number of edges whose source is in ``mask`` (the buffer priority)."""
-    count = block.count_active(mask, *engine.store.intervals.bounds(block.i))
-    engine.clock.charge(COMPUTE, engine.machine.vertex_compute_time(block.count))
+    count = handle.count_active(mask, *engine.store.intervals.bounds(handle.i))
+    engine.clock.charge(COMPUTE, engine.machine.vertex_compute_time(handle.count))
     return count
 
 
 def _admit_column(
-    engine: "GraphSDEngine", j: int, column: List[EdgeBlock], priority_mask: np.ndarray
+    engine: "GraphSDEngine", j: int, column: List[BlockHandle], priority_mask: np.ndarray
 ) -> None:
     """Offer column ``j``'s freshly read secondary blocks to the buffer.
 
-    Admission is budgeted in *encoded* (on-disk) bytes: what buffering
-    saves is the block's re-read, so a compact store's buffer fits more
-    secondary blocks per byte of budget.
+    The buffer keeps and accounts blocks *encoded* (on-disk bytes): what
+    buffering saves is the block's re-read, so a compact store's buffer
+    fits more secondary blocks per byte of budget.
     """
     buffer = engine.buffer
     # Only admissions change residency and column j's have not started,
     # so "resident now" is exactly "served from the buffer by the load".
-    fresh = [b for b in column if b.i > j and (b.i, j) not in buffer]
-    for block in fresh:
-        stored_bytes = engine.store.block_nbytes(block.i, j)
-        if stored_bytes <= buffer.capacity_bytes:
-            priority = _count_active_edges(engine, block, priority_mask)
-            buffer.put((block.i, j), block, priority, nbytes=stored_bytes)
+    fresh = [h for h in column if h.i > j and (h.i, j) not in buffer]
+    for handle in fresh:
+        if handle.nbytes <= buffer.capacity_bytes:
+            priority = _count_active_edges(engine, handle, priority_mask)
+            buffer.put((handle.i, j), handle, priority)
     engine.tracer.metrics.set_gauge("buffer.occupancy_bytes", buffer.used_bytes)
 
 
@@ -154,7 +159,7 @@ def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
     priority_mask = frontier.mask if gate is not None else np.ones(n, dtype=bool)
     gates = [threading.Event() for _ in range(P)]
 
-    def gated_load(j: int) -> List[EdgeBlock]:
+    def gated_load(j: int) -> List[BlockHandle]:
         # The residency check for column j must see column j-1's
         # admissions, exactly as a serial sweep would.
         if admit and j > 0:
@@ -182,8 +187,10 @@ def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
                     gates[j].set()
 
                 diag_block = None
-                for block in column:
+                for handle in column:
                     engine._crash_point("mid-scatter")
+                    # Decoded once: pushed, cross-pushed, then dropped.
+                    block = handle.decode()
                     engine.push_block(prev, block, acc, touched, gate)
                     edges1 += block.count
                     if do_cross and block.i < j:
@@ -195,6 +202,7 @@ def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
                         )
                     if block.i == j:
                         diag_block = block  # held in memory (Algorithm 3, line 13)
+                    del block
                 blocks1 += len(column)
 
                 engine.apply_interval(j, acc, touched, activated_mask)
@@ -205,6 +213,9 @@ def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
                     engine.push_block(
                         engine.state, diag_block, acc_next, touched_next, activated_mask
                     )
+                # The handles (and a raw diagonal) view the column's
+                # payload: release it before the next column loads.
+                column = handle = diag_block = None
 
                 if admit:
                     # Interval j's activations are now known; re-rank the

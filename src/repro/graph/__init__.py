@@ -16,7 +16,7 @@ from repro.graph.io import (
     save_matrix_market,
 )
 from repro.graph.partition import VertexIntervals, make_intervals
-from repro.graph.grid import EdgeBlock, GridStore
+from repro.graph.grid import BlockHandle, EdgeBlock, GridStore
 from repro.graph.vertexdata import VertexArrayStore
 from repro.graph.preprocess import (
     PreprocessResult,
@@ -35,6 +35,7 @@ __all__ = [
     "save_matrix_market",
     "VertexIntervals",
     "make_intervals",
+    "BlockHandle",
     "EdgeBlock",
     "GridStore",
     "VertexArrayStore",

@@ -67,6 +67,13 @@ records with 8-byte offsets. Every reader prices and addresses blocks
 through the tables alone — only the build's encoder, the meta, and the
 decode of raw versus packed records tell the formats apart.
 
+A column read (:meth:`GridStore.load_block_range`,
+:meth:`GridStore.load_column`) is one charged sequential read that
+returns one :class:`BlockHandle` per block — a view of the block's
+encoded bytes in that read. Consumers decode a block just before they
+push it, so a column is resident encoded and only a block or two of it
+decoded; :meth:`GridStore.load_block` still returns a decoded block.
+
 Files (all through :class:`~repro.storage.blockfile.ArrayFile`):
 
 ``{prefix}.edges``
@@ -288,10 +295,10 @@ class EdgeBlock:
     """An in-memory sub-block: the edges of grid cell ``(i, j)``.
 
     ``source_sorted`` is set by stores whose blocks are sorted by source
-    (every indexed store); it lets :meth:`select` and :meth:`count_active`
-    reach the active sources' edges through per-source offsets instead
-    of a pass over the block. ``runs`` is the compact decoder's
-    run-length header (per-source in-block degrees) when it had one.
+    (every indexed store); it lets :meth:`select` reach the active
+    sources' edges through per-source offsets instead of a pass over the
+    block. ``runs`` is the compact decoder's run-length header
+    (per-source in-block degrees) when it had one.
     """
 
     i: int
@@ -352,19 +359,80 @@ class EdgeBlock:
         wgt = None if self.wgt is None else self.wgt[positions]
         return EdgeBlock(self.i, self.j, self.src[positions], self.dst[positions], wgt)
 
-    def count_active(self, mask: np.ndarray, lo: int, hi: int) -> int:
-        """Number of edges whose source is set in the per-vertex ``mask``."""
-        if not self.source_sorted:
-            return int(np.count_nonzero(mask[self.src]))
-        gate = mask[lo:hi]
-        if gate.all():
-            return self.count
-        active = np.flatnonzero(gate)
-        offsets = self.source_offsets(lo, hi)
-        return int(offsets[active + 1].sum() - offsets[active].sum())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EdgeBlock(({self.i},{self.j}), edges={self.count})"
+
+
+class BlockHandle:
+    """One sub-block as stored: a view of its encoded payload.
+
+    ``payload`` is the block's items of the edges file — raw records, or
+    a compact store's bytes (run-length header, then packed records) —
+    usually a slice of the one read of its column. Column loads return
+    handles, and a consumer decodes each just before it pushes it, so a
+    column is resident encoded and at most a block or two decoded.
+    :meth:`count_active` answers the §4.3 buffer's priority question
+    from the payload itself, and :meth:`owned` is the copy the buffer
+    keeps: its bytes are exactly the ``nbytes`` it is accounted at.
+    """
+
+    __slots__ = ("store", "i", "j", "payload")
+
+    def __init__(self, store: "GridStore", i: int, j: int, payload: np.ndarray) -> None:
+        self.store = store
+        self.i = i
+        self.j = j
+        self.payload = payload
+
+    @property
+    def count(self) -> int:
+        return self.store.block_edge_count(self.i, self.j)
+
+    @property
+    def nbytes(self) -> int:
+        """Encoded bytes of the block (:meth:`GridStore.block_nbytes`)."""
+        return int(self.payload.nbytes)
+
+    def decode(self) -> EdgeBlock:
+        return self.store._decode(self.i, self.j, self.payload)
+
+    def count_active(self, mask: np.ndarray, lo: int, hi: int) -> int:
+        """Number of edges whose source is set in the per-vertex ``mask``.
+
+        ``[lo, hi)`` is source interval ``i``. Nothing is decoded: a
+        compact block sums its run-length header over the active
+        sources, a source-sorted raw block binary-searches them in its
+        ``src`` field, and an unsorted block looks every edge's source
+        up in ``mask``.
+        """
+        store, payload, count = self.store, self.payload, self.count
+        if count == 0:  # a compact block without edges has no header
+            return 0
+        if store.encoding not in _COMPACT_ENCODINGS and not store.indexed:
+            return int(np.count_nonzero(mask[payload["src"]]))
+        gate = mask[lo:hi]
+        if gate.all():
+            return count
+        active = np.flatnonzero(gate)
+        if store.encoding in _COMPACT_ENCODINGS:
+            width = _UINT_BY_ITEMSIZE[int(store._count_codes[self.i, self.j])]
+            runs = payload[: (hi - lo) * width.itemsize].view(width)
+            return int(runs[active].sum(dtype=np.int64))
+        src = np.ascontiguousarray(payload["src"])
+        ids = (active + lo).astype(VERTEX_DTYPE)
+        first = np.searchsorted(src, ids, side="left")
+        return int(np.searchsorted(src, ids, side="right").sum() - first.sum())
+
+    def owned(self) -> "BlockHandle":
+        """The block over its own read-only byte copy of the payload,
+        which pins no other block's bytes (blocks decoded from it may
+        view it, and must not change it)."""
+        payload = self.payload.view(BYTE_DTYPE).copy().view(self.payload.dtype)
+        payload.flags.writeable = False
+        return BlockHandle(self.store, self.i, self.j, payload)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"BlockHandle(({self.i},{self.j}), edges={self.count}, bytes={self.nbytes})"
 
 
 class SelectiveLoad:
@@ -818,17 +886,17 @@ class GridStore:
     def _decode(self, i: int, j: int, payload: np.ndarray) -> EdgeBlock:
         """Decode one sub-block's stored items into an :class:`EdgeBlock`.
 
-        Raw records are copied out field by field. A compact block's
-        sources are ``np.repeat`` over its run-length header and its
-        local destinations get the interval base added back. Output
+        A raw block's arrays are views of its records' fields. A compact
+        block's sources are ``np.repeat`` over its run-length header and
+        its local destinations get the interval base added back. Output
         arrays match the raw decoder's dtypes exactly, so engines cannot
-        distinguish the encodings.
+        distinguish the encodings. The block may view ``payload``: it is
+        decoded just before it is pushed and dropped after.
         """
         if self.encoding not in _COMPACT_ENCODINGS:
-            wgt = payload["wgt"].copy() if self.has_weights else None
+            wgt = payload["wgt"] if self.has_weights else None
             return EdgeBlock(
-                i, j, payload["src"].copy(), payload["dst"].copy(), wgt,
-                source_sorted=self.indexed,
+                i, j, payload["src"], payload["dst"], wgt, source_sorted=self.indexed
             )
         cnt = self.block_edge_count(i, j)
         if cnt == 0:
@@ -842,18 +910,17 @@ class GridStore:
             f"block ({i},{j}): expected {self.block_nbytes(i, j)} encoded bytes, "
             f"got {payload.shape[0]}",
         )
-        # A copy, not a view: the block keeps it and must not pin the
-        # whole column payload it was sliced from.
-        runs = payload[:header_bytes].view(count_dtype).copy()
+        runs = payload[:header_bytes].view(count_dtype)
         require(
-            int(runs.sum()) == cnt,
+            int(runs.sum(dtype=np.int64)) == cnt,
             f"block ({i},{j}): corrupt compact header (run lengths sum to "
-            f"{int(runs.sum())}, metadata says {cnt} edges)",
+            f"{int(runs.sum(dtype=np.int64))}, metadata says {cnt} edges)",
         )
         dst_dtype = _UINT_BY_ITEMSIZE[int(self._dst_codes[i, j])]
         records = payload[header_bytes:].view(_packed_record_dtype(dst_dtype, self.has_weights))
         src = np.repeat(np.arange(lo_i, hi_i, dtype=VERTEX_DTYPE), runs)
-        dst = records["dst"].astype(VERTEX_DTYPE) + VERTEX_DTYPE.type(lo_j)
+        dst = records["dst"].astype(VERTEX_DTYPE)
+        dst += VERTEX_DTYPE.type(lo_j)
         wgt = records["wgt"].astype(np.float32) if self.has_weights else None
         return EdgeBlock(i, j, src, dst, wgt, source_sorted=True, runs=runs)
 
@@ -868,13 +935,15 @@ class GridStore:
         )
         return self._decode(i, j, payload)
 
-    def load_block_range(self, j: int, i_lo: int, i_hi: int) -> List[EdgeBlock]:
+    def load_block_range(self, j: int, i_lo: int, i_hi: int) -> List[BlockHandle]:
         """Read blocks ``(i_lo..i_hi-1, j)`` of one column as a single scan.
 
         Within a column the sub-blocks are stored contiguously in source-
         interval order, so a run of blocks is one sequential extent —
         this keeps full sweeps request-cheap (one read per column rather
-        than per block), in every encoding.
+        than per block), in every encoding. Returns one
+        :class:`BlockHandle` per block over its slice of the read;
+        nothing is decoded.
         """
         require(0 <= i_lo <= i_hi <= self.P, "bad block range")
         if i_lo == i_hi:
@@ -883,14 +952,14 @@ class GridStore:
         payload = self._edges_file.read_slice(
             int(self._block_start[i_lo, j]), int(sum(counts)), sequential=True
         )
-        blocks = []
+        handles = []
         pos = 0
         for offset, count in enumerate(counts):
-            blocks.append(self._decode(i_lo + offset, j, payload[pos : pos + count]))
+            handles.append(BlockHandle(self, i_lo + offset, j, payload[pos : pos + count]))
             pos += count
-        return blocks
+        return handles
 
-    def load_column(self, j: int) -> List[EdgeBlock]:
+    def load_column(self, j: int) -> List[BlockHandle]:
         """Read every sub-block of destination interval ``j`` in one scan."""
         return self.load_block_range(j, 0, self.P)
 

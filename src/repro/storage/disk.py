@@ -227,8 +227,11 @@ class SimulatedDisk:
     # -- cache accounting (used by the sub-block buffer, §4.3) --------------
 
     def record_cache_hit(self, nbytes: int) -> None:
+        """One sub-block buffer hit of ``nbytes``: the hit count, and the
+        bytes served both as cache bytes and as the plan's buffer bytes."""
         self.stats.cache_hits += 1
         self.stats.bytes_served_from_cache += nbytes
+        self.stats.buffer_hit_bytes += nbytes
 
     def record_cache_miss(self) -> None:
         self.stats.cache_misses += 1

@@ -2,8 +2,9 @@
 
 The engines' scatter loops are *plan-then-consume*: a round first builds
 an ordered list of load thunks (the block plan — SCIU's selected active
-blocks, FCIU's destination-major column sweep), then consumes the
-decoded :class:`~repro.graph.grid.EdgeBlock`s one by one. The
+blocks, FCIU's destination-major column sweep), then consumes the loads
+one by one: decoded blocks (:class:`~repro.graph.grid.EdgeBlock`), or a
+column's encoded block handles (:class:`~repro.graph.grid.BlockHandle`). The
 :class:`BlockPrefetcher` sits between the two: a single background
 worker thread executes the thunks strictly in plan order and hands the
 results through a bounded queue, so disk reads for block ``k+1`` overlap
@@ -132,6 +133,8 @@ class BlockPrefetcher:
                 result = task()
             self.tracer.metrics.inc("prefetch.loads")
             yield result
+            # Not pinned across the next load: the consumer is done with it.
+            del result
 
     def _run_threaded(self, tasks: Sequence[Callable[[], _T]]) -> Iterator[_T]:
         q: "queue.Queue" = queue.Queue(maxsize=self.depth)
@@ -157,6 +160,7 @@ class BlockPrefetcher:
                     # (and its charged I/O) was speculative lookahead.
                     self._bump("prefetch_wasted")
                     return
+                del result  # the queue holds it now
             self._put(q, ("done", None))
 
         thread = threading.Thread(
@@ -178,6 +182,7 @@ class BlockPrefetcher:
                 if ready:
                     self._bump("prefetch_hits")
                 yield payload
+                del payload  # not pinned while the next one is awaited
         finally:
             self.cancelled.set()
             while thread.is_alive():

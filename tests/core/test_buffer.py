@@ -5,14 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.buffer import SubBlockBuffer
-from repro.graph.grid import EdgeBlock
+from repro.graph.grid import EDGE_UNWEIGHTED_DTYPE, BlockHandle
 from repro.storage.disk import SimulatedDisk
 
 
 def make_block(i, j, count):
-    src = np.zeros(count, dtype=np.uint32)
-    dst = np.zeros(count, dtype=np.uint32)
-    return EdgeBlock(i, j, src, dst)
+    """A handle over ``count`` raw records; the buffer reads only its
+    bytes, so it needs no store behind it."""
+    records = np.zeros(count, dtype=EDGE_UNWEIGHTED_DTYPE)
+    records["src"] = np.arange(count)
+    return BlockHandle(None, i, j, records)
 
 
 BLOCK_BYTES = make_block(0, 0, 10).nbytes  # 80 bytes
@@ -22,7 +24,14 @@ def test_put_get_roundtrip():
     buf = SubBlockBuffer(10 * BLOCK_BYTES)
     b = make_block(0, 1, 10)
     assert buf.put((0, 1), b, priority=5)
-    assert buf.get((0, 1)) is b
+    got = buf.get((0, 1))
+    # The buffer keeps its own byte copy of the payload, equal in value.
+    assert got is not b and not np.shares_memory(got.payload, b.payload)
+    assert got.payload.dtype == b.payload.dtype
+    assert np.array_equal(got.payload, b.payload)
+    assert not got.payload.flags.writeable  # decoded blocks may view it
+    assert (got.i, got.j, got.nbytes) == (0, 1, b.nbytes)
+    assert buf.peek((0, 1)) is got
     assert (0, 1) in buf
     assert buf.priority_of((0, 1)) == 5
     assert len(buf) == 1
@@ -37,6 +46,20 @@ def test_miss_returns_none_and_counts():
     assert disk.stats.cache_misses == 1
     assert disk.stats.cache_hits == 1
     assert disk.stats.bytes_served_from_cache == make_block(0, 0, 5).nbytes
+    assert disk.stats.buffer_hit_bytes == disk.stats.bytes_served_from_cache
+
+
+def test_admitted_copy_pins_only_its_own_bytes():
+    """A handle sliced from a larger read is stored as its own bytes."""
+    column = np.zeros(30, dtype=EDGE_UNWEIGHTED_DTYPE)
+    buf = SubBlockBuffer(10 * BLOCK_BYTES)
+    assert buf.put((1, 0), BlockHandle(None, 1, 0, column[10:20]), priority=1)
+    resident = buf.peek((1, 0)).payload
+    root = resident
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    assert root.nbytes == resident.nbytes == buf.used_bytes == BLOCK_BYTES
+    assert not np.shares_memory(resident, column)
 
 
 def test_budget_never_exceeded():
@@ -85,7 +108,7 @@ def test_reinsert_replaces_existing():
     buf.put((0, 0), make_block(0, 0, 10), 1)
     bigger = make_block(0, 0, 20)
     buf.put((0, 0), bigger, 7)
-    assert buf.get((0, 0)) is bigger
+    assert np.array_equal(buf.get((0, 0)).payload, bigger.payload)
     assert buf.priority_of((0, 0)) == 7
     assert len(buf) == 1
     assert buf.used_bytes == bigger.nbytes
@@ -132,7 +155,8 @@ def test_buffer_invariants_hold_under_any_sequence(capacity_blocks, ops):
         buf.put((key, key), make_block(key, key, count), priority)
         # Invariant 1: never over budget.
         assert buf.used_bytes <= capacity
-        # Invariant 2: used_bytes equals the sum of resident block sizes.
-        assert buf.used_bytes == sum(buf._sizes.values())
+        # Invariant 2: used_bytes equals the sum of resident block sizes,
+        # which are the bytes the buffer holds.
+        assert buf.used_bytes == sum(h.payload.nbytes for h in buf._blocks.values())
         # Invariant 3: bookkeeping maps stay aligned.
-        assert set(buf._blocks) == set(buf._priority) == set(buf._sizes)
+        assert set(buf._blocks) == set(buf._priority)

@@ -12,16 +12,18 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.buffer import SubBlockBuffer
-from repro.graph.grid import EdgeBlock
+from repro.graph.grid import EDGE_UNWEIGHTED_DTYPE, BlockHandle
 from repro.storage.pagecache import PageCache
 
-BLOCK_UNIT = EdgeBlock(0, 0, np.zeros(1, np.uint32), np.zeros(1, np.uint32)).nbytes
+BLOCK_UNIT = EDGE_UNWEIGHTED_DTYPE.itemsize
 
 
-def make_block(key: int, units: int) -> EdgeBlock:
-    return EdgeBlock(
-        key, key, np.zeros(units, np.uint32), np.zeros(units, np.uint32)
-    )
+def make_block(key: int, units: int) -> BlockHandle:
+    """A handle over ``units`` raw records tagged with ``key``; the buffer
+    reads only its bytes, so it needs no store behind it."""
+    records = np.zeros(units, EDGE_UNWEIGHTED_DTYPE)
+    records["src"] = key
+    return BlockHandle(None, key, key, records)
 
 
 class BufferMachine(RuleBasedStateMachine):
@@ -47,12 +49,14 @@ class BufferMachine(RuleBasedStateMachine):
 
     @rule(key=st.integers(0, 5))
     def get(self, key):
-        block = self.buffer.get((key, key))
+        handle = self.buffer.get((key, key))
         if key in self.model:
-            assert block is not None
-            assert block.count == self.model[key][0]
+            assert handle is not None
+            assert handle.nbytes == self.model[key][0] * BLOCK_UNIT
+            assert handle.payload.shape == (self.model[key][0],)
+            assert (handle.payload["src"] == key).all()
         else:
-            assert block is None
+            assert handle is None
 
     @rule(key=st.integers(0, 5), priority=st.integers(0, 50))
     def reprioritize(self, key, priority):

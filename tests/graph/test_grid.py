@@ -126,14 +126,16 @@ def test_column_loads_equal_per_block_loads(rng, tmp_path):
     store = build_store(el, tmp_path, P=4)
     for j in range(store.P):
         col = store.load_column(j)
-        assert [b.i for b in col] == list(range(store.P))
-        for b in col:
-            single = store.load_block(b.i, j)
+        assert [h.i for h in col] == list(range(store.P))
+        for h in col:
+            assert (h.j, h.count) == (j, store.block_edge_count(h.i, j))
+            assert h.nbytes == store.block_nbytes(h.i, j)
+            b, single = h.decode(), store.load_block(h.i, j)
             assert np.array_equal(b.src, single.src)
             assert np.array_equal(b.dst, single.dst)
     # sub-ranges too
     blocks = store.load_block_range(1, 2, 4)
-    assert [b.i for b in blocks] == [2, 3]
+    assert [h.i for h in blocks] == [2, 3]
     assert store.load_block_range(1, 2, 2) == []
 
 
@@ -150,23 +152,28 @@ def test_column_load_is_one_sequential_request(rng, tmp_path):
 
 @pytest.mark.parametrize("layout", ["raw", "compact3", "unsorted"])
 def test_in_memory_selection_equals_a_mask_over_the_block(rng, tmp_path, layout):
-    """``EdgeBlock.select``/``count_active`` cut the active sources'
-    edges out of a loaded block: by the on-disk index's offsets
-    (re-derived in memory, from the compact header when there is one),
-    or — a store without source order — by one mask lookup per edge."""
+    """``EdgeBlock.select`` cuts the active sources' edges out of a
+    loaded block, and ``BlockHandle.count_active`` counts them without a
+    decode: by the on-disk index's offsets (re-derived in memory, from
+    the compact header when there is one) or the sorted sources, or — a
+    store without source order — by one mask lookup per edge."""
     el = random_edgelist(rng, 90, 700)
     store = build_store(
         el, tmp_path, P=3, name=layout, sort_within_blocks=layout != "unsorted",
         encoding="raw" if layout == "unsorted" else layout,
     )
-    for (i, j) in store.iter_blocks_dst_major():
+    handles = [h for j in range(store.P) for h in store.load_column(j)]
+    for handle in handles:
+        i, j = handle.i, handle.j
         block = store.load_block(i, j)
         assert block.source_sorted == (layout != "unsorted")
         lo, hi = store.intervals.bounds(i)
         gate = np.zeros(el.num_vertices, dtype=bool)
         gate[rng.choice(el.num_vertices, 25, replace=False)] = True
         keep = gate[block.src]
-        assert block.count_active(gate, lo, hi) == np.count_nonzero(keep)
+        assert handle.count_active(gate, lo, hi) == np.count_nonzero(keep)
+        assert handle.count_active(np.ones_like(gate), lo, hi) == block.count
+        assert handle.count_active(np.zeros_like(gate), lo, hi) == 0
         sub = block.select(np.flatnonzero(gate[lo:hi]), lo, hi)
         assert (sub.i, sub.j) == (i, j)
         assert np.array_equal(sub.src, block.src[keep])  # block order kept

@@ -70,7 +70,7 @@ def test_roundtrip_matches_raw_bit_exactly(tmp_path_factory, n, m, P, weighted, 
         assert_blocks_equal(raw.load_block(i, j), compact.load_block(i, j))
     for j in range(P):
         for a, b in zip(raw.load_column(j), compact.load_column(j)):
-            assert_blocks_equal(a, b)
+            assert_blocks_equal(a.decode(), b.decode())
     assert np.array_equal(raw.read_all_sources(), compact.read_all_sources())
 
 
