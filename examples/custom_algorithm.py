@@ -52,13 +52,14 @@ class DecayingInfluence(VertexProgram):
     def initial_frontier(self, ctx: GraphContext) -> VertexSubset:
         return VertexSubset.from_indices(ctx.num_vertices, self.seeds)
 
-    def gather(self, state, src_ids, weights):
-        return state["value"][src_ids] * self.decay
+    def gather(self, state, lo, hi, src, weights):
+        # ``src`` holds ids local to the block's source interval [lo, hi).
+        return state["value"][lo:hi].take(src) * self.decay
 
-    def apply(self, state, lo, hi, acc, touched):
+    def apply(self, state, lo, hi, acc):
+        # ``acc`` is +inf (the MIN identity) where nothing arrived.
         current = state["value"][lo:hi]
-        candidate = np.where(touched, acc, 0.0)
-        new = np.minimum(current, candidate)  # min of negatives = max influence
+        new = np.minimum(current, acc)  # min of negatives = max influence
         activated = (new < current) & (new < -self.floor)
         state["value"][lo:hi] = new
         return activated

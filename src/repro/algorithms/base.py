@@ -10,17 +10,19 @@ the freshly applied current values) and which accumulator they feed.
 
 We therefore factor programs into three vectorized pieces:
 
-``gather(state, src_ids, weights) -> per-edge contributions``
+``gather(state, lo, hi, src, weights) -> per-edge contributions``
     computed from the supplied state snapshot (engines pass the
     previous-iteration snapshot for in-iteration updates and the live
-    state for cross-iteration updates);
+    state for cross-iteration updates), through source ids local to
+    the block's source interval ``[lo, hi)``;
 ``combine``
     a commutative, associative reduction over contributions per
     destination (``ADD`` or ``MIN`` — sufficient for the paper's four
     algorithms and most vertex-centric workloads);
-``apply(state, lo, hi, acc, touched) -> activated``
+``apply(state, lo, hi, acc) -> activated``
     folds an interval's accumulated contributions into the live state
-    and reports which vertices changed enough to join the next frontier.
+    and reports which vertices changed enough to join the next frontier;
+    ``acc`` holds the combine identity wherever no contribution landed.
 
 Monotone ``MIN`` programs (CC, SSSP, BFS) and delta-accumulating ``ADD``
 programs (PR-Delta) are safe under cross-iteration re-ordering: extra or
@@ -65,6 +67,18 @@ SPARSE_ADD_RATIO = 8
 def add_is_dense(num_edges: int, num_vertices: int) -> bool:
     """Whether an ADD block of ``num_edges`` takes the bincount path."""
     return num_edges * SPARSE_ADD_RATIO >= num_vertices
+
+
+def take_scaled(
+    values: np.ndarray, scale: np.ndarray, lo: int, hi: int, src: np.ndarray
+) -> np.ndarray:
+    """``values[lo + s] * scale[lo + s]`` for each local id ``s`` in ``src``:
+    one product per window vertex, taken per edge, unless the block has
+    fewer edges than its window (then both factors per edge). The IEEE
+    products are the same either way."""
+    if src.shape[0] < hi - lo:
+        return values[lo:hi].take(src) * scale[lo:hi].take(src)
+    return (values[lo:hi] * scale[lo:hi]).take(src)
 
 
 def scatter_combine(
@@ -183,24 +197,29 @@ class VertexProgram:
         """The vertices active in the first iteration."""
         raise NotImplementedError
 
-    def gather(self, state: State, src_ids: np.ndarray, weights: Optional[np.ndarray]) -> np.ndarray:
-        """Per-edge contribution computed from ``state`` at the sources."""
-        raise NotImplementedError
-
-    def apply(
+    def gather(
         self,
         state: State,
         lo: int,
         hi: int,
-        acc: np.ndarray,
-        touched: np.ndarray,
+        src: np.ndarray,
+        weights: Optional[np.ndarray],
     ) -> np.ndarray:
+        """Per-edge contribution computed from ``state`` at the sources.
+
+        ``src`` holds the sources' ids local to interval ``[lo, hi)``
+        (vertex ``lo + s``) in the stored unsigned dtype: read the
+        window with ``state[...][lo:hi].take(src)``.
+        """
+        raise NotImplementedError
+
+    def apply(self, state: State, lo: int, hi: int, acc: np.ndarray) -> np.ndarray:
         """Fold interval ``[lo, hi)``'s accumulator into ``state`` in place.
 
-        ``acc`` and ``touched`` have length ``hi - lo``; ``touched`` marks
-        destinations that received at least one contribution. Returns a
-        boolean array (length ``hi - lo``) of vertices activated for the
-        next iteration.
+        ``acc`` has length ``hi - lo`` and holds the combine identity
+        (``+0.0`` for ADD, ``inf`` for MIN) wherever no contribution
+        landed. Returns a boolean array (length ``hi - lo``) of vertices
+        activated for the next iteration.
         """
         raise NotImplementedError
 

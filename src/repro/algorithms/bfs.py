@@ -37,10 +37,10 @@ class BFS(VertexProgram):
     def initial_frontier(self, ctx: GraphContext) -> VertexSubset:
         return VertexSubset.from_indices(ctx.num_vertices, [self.root])
 
-    def gather(self, state: State, src_ids: np.ndarray, weights) -> np.ndarray:
-        return state["value"][src_ids] + 1.0
+    def gather(self, state: State, lo, hi, src, weights) -> np.ndarray:
+        return state["value"][lo:hi].take(src) + 1.0
 
-    def apply(self, state, lo, hi, acc, touched) -> np.ndarray:
+    def apply(self, state, lo, hi, acc) -> np.ndarray:
         current = state["value"][lo:hi]
         new = np.minimum(current, acc)
         activated = new < current

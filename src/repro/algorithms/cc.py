@@ -33,10 +33,10 @@ class ConnectedComponents(VertexProgram):
     def initial_frontier(self, ctx: GraphContext) -> VertexSubset:
         return VertexSubset.full(ctx.num_vertices)
 
-    def gather(self, state: State, src_ids: np.ndarray, weights) -> np.ndarray:
-        return state["value"][src_ids]
+    def gather(self, state: State, lo, hi, src, weights) -> np.ndarray:
+        return state["value"][lo:hi].take(src)
 
-    def apply(self, state, lo, hi, acc, touched) -> np.ndarray:
+    def apply(self, state, lo, hi, acc) -> np.ndarray:
         current = state["value"][lo:hi]
         new = np.minimum(current, acc)
         activated = new < current

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.algorithms.base import Combine, GraphContext, State, VertexProgram
+from repro.algorithms.base import Combine, GraphContext, State, VertexProgram, take_scaled
 from repro.utils.bitset import VertexSubset
 from repro.utils.validation import check_in_range, check_positive
 
@@ -50,9 +50,9 @@ class PageRank(VertexProgram):
     def initial_frontier(self, ctx: GraphContext) -> VertexSubset:
         return VertexSubset.full(ctx.num_vertices)
 
-    def gather(self, state: State, src_ids: np.ndarray, weights) -> np.ndarray:
-        return state["value"][src_ids] * self._inv_out_deg[src_ids]
+    def gather(self, state: State, lo, hi, src, weights) -> np.ndarray:
+        return take_scaled(state["value"], self._inv_out_deg, lo, hi, src)
 
-    def apply(self, state, lo, hi, acc, touched) -> np.ndarray:
+    def apply(self, state, lo, hi, acc) -> np.ndarray:
         state["value"][lo:hi] = (1.0 - self.damping) + self.damping * acc
         return np.ones(hi - lo, dtype=bool)

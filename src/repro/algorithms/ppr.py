@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.algorithms.base import Combine, GraphContext, State, VertexProgram
+from repro.algorithms.base import Combine, GraphContext, State, VertexProgram, take_scaled
 from repro.utils.bitset import VertexSubset
 from repro.utils.validation import check_in_range, check_nonneg, require
 
@@ -62,11 +62,11 @@ class PersonalizedPageRank(VertexProgram):
     def initial_frontier(self, ctx: GraphContext) -> VertexSubset:
         return VertexSubset.from_indices(ctx.num_vertices, self.seeds)
 
-    def gather(self, state: State, src_ids: np.ndarray, weights) -> np.ndarray:
-        return state["delta"][src_ids] * self._inv_out_deg[src_ids]
+    def gather(self, state: State, lo, hi, src, weights) -> np.ndarray:
+        return take_scaled(state["delta"], self._inv_out_deg, lo, hi, src)
 
-    def apply(self, state, lo, hi, acc, touched) -> np.ndarray:
-        increment = np.where(touched, self.damping * acc, 0.0)
+    def apply(self, state, lo, hi, acc) -> np.ndarray:
+        increment = self.damping * acc
         state["value"][lo:hi] += increment
         state["delta"][lo:hi] = increment
         return np.abs(increment) > self.tol

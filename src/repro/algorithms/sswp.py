@@ -44,14 +44,14 @@ class SSWP(VertexProgram):
     def initial_frontier(self, ctx: GraphContext) -> VertexSubset:
         return VertexSubset.from_indices(ctx.num_vertices, [self.source])
 
-    def gather(self, state: State, src_ids: np.ndarray, weights) -> np.ndarray:
+    def gather(self, state: State, lo, hi, src, weights) -> np.ndarray:
         require(weights is not None, "SSWP requires a weighted graph")
         if not self._weights_checked and weights.size:
             require(float(weights.min()) >= 0.0, "SSWP requires non-negative edge weights")
             self._weights_checked = True
-        return np.maximum(state["value"][src_ids], -weights.astype(np.float64))
+        return np.maximum(state["value"][lo:hi].take(src), -weights.astype(np.float64))
 
-    def apply(self, state, lo, hi, acc, touched) -> np.ndarray:
+    def apply(self, state, lo, hi, acc) -> np.ndarray:
         current = state["value"][lo:hi]
         new = np.minimum(current, acc)
         activated = new < current

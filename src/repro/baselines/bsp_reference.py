@@ -86,13 +86,11 @@ class BSPReference:
             w = weights[active_edge] if weights is not None else None
 
             acc = program.acc_array(n)
-            touched = np.zeros(n, dtype=bool)
             if src.size:
-                contrib = program.gather(prev, src, w)
+                contrib = program.gather(prev, 0, n, src, w)
                 scatter_combine(program.combine, acc, dst, contrib)
-                touched[dst] = True
 
-            activated = program.apply(state, 0, n, acc, touched)
+            activated = program.apply(state, 0, n, acc)
             frontier = VertexSubset(n, activated)
             iterations += 1
             if record_history:

@@ -79,7 +79,7 @@ class StreamingEngineBase(EngineBase):
         token = self.begin_iteration()
         prev = program.copy_state(self.state)
         gate = None if program.all_active else frontier.mask
-        acc, touched = self.fresh_accumulator()
+        acc = self.fresh_accumulator()
         activated_mask = np.zeros(n, dtype=bool)
         active_edges = 0
 
@@ -93,8 +93,8 @@ class StreamingEngineBase(EngineBase):
             self._post_column(j, blocks)
 
         edges_processed, blocks = self.sweep_columns(
-            range(self.store.P), self._load_column, prev, gate, acc, touched,
-            activated_mask, after_column=after_column,
+            range(self.store.P), self._load_column, prev, gate, acc, activated_mask,
+            after_column=after_column,
         )
         self._post_sweep(edges_processed, active_edges)
         self._store_state()

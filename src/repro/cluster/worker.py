@@ -226,7 +226,7 @@ class ClusterWorker:
             self._load_owned_state()
             engine = self.engine
             engine.state = self.state  # start()/restore() rebind it
-            acc, touched = engine.fresh_accumulator()
+            acc = engine.fresh_accumulator()
             self._activated = np.zeros(self.ctx.num_vertices, dtype=bool)
             edges, blocks = engine.sweep_columns(
                 self.columns,
@@ -234,7 +234,6 @@ class ClusterWorker:
                 self.program.copy_state(self.state),
                 None if self.program.all_active else self.frontier.mask,
                 acc,
-                touched,
                 self._activated,
             )
             self._store_owned_state()

@@ -288,7 +288,6 @@ class AsyncGraphSDEngine(GraphSDEngine):
         lo: int,
         hi: int,
         acc: np.ndarray,
-        touched: np.ndarray,
         value: np.ndarray,
         scratch: np.ndarray,
     ) -> Tuple[np.ndarray, int]:
@@ -300,7 +299,7 @@ class AsyncGraphSDEngine(GraphSDEngine):
         residual = self._residual
         assert residual is not None  # allocated in _setup_run (MIN path)
         old = value[lo:hi].copy()
-        n_act = self.apply_interval(j, acc, touched, scratch)
+        n_act = self.apply_interval(j, acc, scratch)
         act = scratch[lo:hi].copy()
         if n_act:
             improvement = old[act] - value[lo:hi][act]
@@ -315,7 +314,6 @@ class AsyncGraphSDEngine(GraphSDEngine):
         lo: int,
         hi: int,
         acc: np.ndarray,
-        touched: np.ndarray,
         value: np.ndarray,
         act: np.ndarray,
         scratch: np.ndarray,
@@ -374,11 +372,9 @@ class AsyncGraphSDEngine(GraphSDEngine):
                 active = local  # cut the chase set's edges out of it
             if block.count == 0:
                 break
-            self.push_block(self.state, block, acc, touched, active=active)
+            self.push_block(self.state, block, acc, active=active)
             edges += block.count
-            act, n_act = self._apply_measured(
-                j, lo, hi, acc, touched, value, scratch
-            )
+            act, n_act = self._apply_measured(j, lo, hi, acc, value, scratch)
             if not n_act:
                 break
             union |= act
@@ -398,7 +394,7 @@ class AsyncGraphSDEngine(GraphSDEngine):
 
         token = self.begin_iteration()
         frontier_size = self.frontier.count
-        acc, touched = self.fresh_accumulator()
+        acc = self.fresh_accumulator()
         identity = self.program.combine.identity
         activated_sweep = np.zeros(n, dtype=bool)
         scratch = np.zeros(n, dtype=bool)
@@ -434,7 +430,6 @@ class AsyncGraphSDEngine(GraphSDEngine):
 
                 lo, hi = store.intervals.bounds(j)
                 acc[lo:hi] = identity
-                touched[lo:hi] = False
                 plan = self._pop_plan(j, subset, pend_mask)
                 full_rows = {i for i, (_task, gate) in plan.items() if gate is not None}
                 n_full = len(full_rows)
@@ -445,7 +440,7 @@ class AsyncGraphSDEngine(GraphSDEngine):
                 ):
                     try:
                         consumed = self.consume_plan(
-                            list(plan.values()), self.state, acc, touched
+                            list(plan.values()), self.state, acc
                         )
                     except FaultError as exc:
                         # Re-plan the same rows as gated full loads. No
@@ -458,7 +453,7 @@ class AsyncGraphSDEngine(GraphSDEngine):
                         full_rows = set(plan)
                         consumed = self.consume_plan(
                             [(self._make_full_task(i, j), pend_mask) for i in plan],
-                            self.state, acc, touched,
+                            self.state, acc,
                         )
                     # A full-loaded diagonal stays in memory for the chase.
                     diagonal = (
@@ -468,12 +463,10 @@ class AsyncGraphSDEngine(GraphSDEngine):
                     )
                     edges_processed += sum(block.count for block in consumed)
                     blocks_processed += len(plan)
-                    act, n_act = self._apply_measured(
-                        j, lo, hi, acc, touched, value, scratch
-                    )
+                    act, n_act = self._apply_measured(j, lo, hi, acc, value, scratch)
                     if n_act:
                         act, chase_edges, chase_blocks = self._chase_diagonal(
-                            j, lo, hi, acc, touched, value, act, scratch,
+                            j, lo, hi, acc, value, act, scratch,
                             diagonal,
                         )
                         edges_processed += chase_edges

@@ -9,12 +9,12 @@ Per round, the engine:
 3. dispatches to :func:`~repro.core.sciu.run_sciu_round` (on-demand
    model) or :func:`~repro.core.fciu.run_fciu_round` (full model).
 
-Cross-iteration contributions ride in a persistent accumulator pair
-(``acc_next``/``touched_next``): pushes made during round ``t`` are
-folded into the apply of round ``t+1``, and vertices whose contributions
-were pre-pushed are excluded from the next frontier — which is exactly
-how the paper's ``Out``/``OutNI`` sets behave across Algorithm 1's
-iterations.
+Cross-iteration contributions ride in a persistent accumulator
+(``acc_next``, with the ``next_landed`` flag set once a push combined
+an edge into it): pushes made during round ``t`` are folded into the
+apply of round ``t+1``, and vertices whose contributions were pre-pushed
+are excluded from the next frontier — which is exactly how the paper's
+``Out``/``OutNI`` sets behave across Algorithm 1's iterations.
 
 Ablation variants (§5.4) are configuration flags:
 
@@ -144,7 +144,8 @@ class GraphSDEngine(EngineBase):
         self.scheduler: Optional[StateAwareScheduler] = None
         self.buffer: Optional[SubBlockBuffer] = None
         self.acc_next: Optional[np.ndarray] = None
-        self.touched_next: Optional[np.ndarray] = None
+        #: Whether a push combined an edge into ``acc_next`` (pending work).
+        self.next_landed = False
         self.cost_estimates: List[CostEstimate] = []
 
     # -- run setup ---------------------------------------------------------
@@ -167,7 +168,7 @@ class GraphSDEngine(EngineBase):
             # store fits more secondary sub-blocks per byte (§4.3).
             capacity = int(DEFAULT_BUFFER_FRACTION * self.store.logical_edge_bytes)
         self.buffer = SubBlockBuffer(capacity, disk=self.disk)
-        self.acc_next, self.touched_next = self.fresh_accumulator()
+        self.acc_next, self.next_landed = self.fresh_accumulator(), False
         self.cost_estimates = []
 
     @property
@@ -185,29 +186,28 @@ class GraphSDEngine(EngineBase):
         return self.config.gather_lanes
 
     def _has_pending_work(self) -> bool:
-        return self.touched_next is not None and bool(self.touched_next.any())
+        return self.next_landed
 
     def _checkpoint_extra_arrays(self) -> Dict[str, np.ndarray]:
         # The carried cross-iteration accumulator is live control state:
         # contributions pre-pushed for the next apply must survive a
         # crash or they would be silently lost on resume.
-        return {"acc_next": self.acc_next, "touched_next": self.touched_next}
+        return {"acc_next": self.acc_next, "next_landed": np.array([self.next_landed])}
 
     def _restore_extra_arrays(self, manager: "CheckpointManager") -> None:
-        n = self.ctx.num_vertices
-        self.acc_next = manager.load_extra("acc_next", n, np.float64)
-        self.touched_next = manager.load_extra("touched_next", n, bool)
+        self.acc_next = manager.load_extra("acc_next", self.ctx.num_vertices, np.float64)
+        self.next_landed = bool(manager.load_extra("next_landed", 1, bool)[0])
 
     # -- accumulator plumbing (cross-iteration contributions) ---------------
 
-    def take_carried_accumulator(self) -> Tuple[np.ndarray, np.ndarray]:
+    def take_carried_accumulator(self) -> Tuple[np.ndarray, bool]:
         """Swap out the carried next-iteration accumulator for a fresh one.
 
-        The returned pair holds every contribution pre-pushed for the
-        iteration that is about to apply.
+        Returns ``(acc, landed)``: every contribution pre-pushed for the
+        iteration that is about to apply, and whether any landed.
         """
-        carried = (self.acc_next, self.touched_next)
-        self.acc_next, self.touched_next = self.fresh_accumulator()
+        carried = (self.acc_next, self.next_landed)
+        self.acc_next, self.next_landed = self.fresh_accumulator(), False
         return carried
 
     # -- selective loads ----------------------------------------------------

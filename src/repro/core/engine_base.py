@@ -55,6 +55,7 @@ from repro.algorithms.base import (
     scatter_combine,
 )
 from repro.core.result import IterationRecord, RunResult
+from repro.graph.edgelist import VERTEX_DTYPE
 from repro.graph.grid import BlockHandle, EdgeBlock, GridStore
 from repro.graph.vertexdata import VertexArrayStore
 from repro.obs import NULL_TRACER, TracerLike
@@ -191,6 +192,8 @@ class EngineBase:
         self._fault_events: List[str] = []
         self.tracer: TracerLike = NULL_TRACER
         self._trace_path: Optional[str] = None
+        #: The clock reading every run's window sums onto (see run()).
+        self._clock_base: Optional[TimeBreakdown] = None
 
     # -- observability -----------------------------------------------------
 
@@ -258,69 +261,57 @@ class EngineBase:
         gate only: every edge is gathered and the contributions whose
         source is outside the mask become the combine identity. Returns
         ``(contributions, edge_mask)``: ``edge_mask`` marks the
-        non-neutralized edges (``None`` when ungated) and must be passed
-        through to :meth:`combine_block`.
+        non-neutralized edges (``None`` when ungated).
+
+        *Interval-local gather:* the program reads source interval
+        ``block.i``'s window of ``snapshot`` through ids local to it, in
+        the stored unsigned dtype (no widened copy of ``src``).
         """
         if self.program.needs_weights:
             require(block.wgt is not None, f"{self.program.name} requires edge weights")
-        # Widened once here instead of once per fancy-index in the program.
-        src = block.src.astype(np.intp, copy=False)
-        contrib = self.program.gather(snapshot, src, block.wgt)
+        lo, hi = self.store.intervals.bounds(block.i)
+        src = block.src - VERTEX_DTYPE.type(lo) if lo else block.src
+        contrib = self.program.gather(snapshot, lo, hi, src, block.wgt)
         edge_mask: Optional[np.ndarray] = None
         if gate_mask is not None:
-            edge_mask = gate_mask[src]
+            edge_mask = gate_mask[lo:hi].take(src)
             contrib = np.where(edge_mask, contrib, self.program.combine.identity)
         return contrib, edge_mask
 
     def combine_block(
         self,
         acc: np.ndarray,
-        touched: np.ndarray,
         block: EdgeBlock,
         contrib: np.ndarray,
-        edge_mask: Optional[np.ndarray] = None,
         dense_add: Optional[bool] = None,
     ) -> None:
         """Reduce ``contrib`` into destination interval ``block.j``.
 
-        ``acc``/``touched`` are the global arrays; only interval ``j``'s
-        slices are read or written, through ids local to it. Only
-        destinations of edges selected by ``edge_mask`` (all edges when
-        ``None``) are marked touched — neutralized contributions must
-        not create phantom activity or phantom pending work.
-        ``dense_add`` is :func:`~repro.algorithms.base.scatter_combine`'s.
+        ``acc`` is the global accumulator; only interval ``j``'s slice is
+        read or written, through ids local to it (*interval-local
+        combine*). ``dense_add`` is
+        :func:`~repro.algorithms.base.scatter_combine`'s.
         """
         lo, hi = self.store.intervals.bounds(block.j)
-        dst = block.dst.astype(np.intp)
-        dst -= lo
+        dst = block.dst - VERTEX_DTYPE.type(lo) if lo else block.dst
         scatter_combine(self.program.combine, acc[lo:hi], dst, contrib, dense_add)
-        if edge_mask is not None:
-            dst = dst[edge_mask]
-        touched[lo:hi][dst] = True
 
-    def apply_interval(
-        self,
-        interval: int,
-        acc: np.ndarray,
-        touched: np.ndarray,
-        activated_mask: np.ndarray,
-    ) -> int:
+    def apply_interval(self, interval: int, acc: np.ndarray, activated_mask: np.ndarray) -> int:
         """Apply one interval's accumulated contributions to the state.
 
-        ``acc``/``touched`` are global arrays; ``activated_mask`` is the
+        ``acc`` is the global accumulator; ``activated_mask`` is the
         global activation mask updated in place. Returns the number of
         vertices activated in this interval.
         """
         lo, hi = self.store.intervals.bounds(interval)
-        activated = self.program.apply(self.state, lo, hi, acc[lo:hi], touched[lo:hi])
+        activated = self.program.apply(self.state, lo, hi, acc[lo:hi])
         self.clock.charge(COMPUTE, self.machine.vertex_compute_time(hi - lo))
         activated_mask[lo:hi] = activated
         return int(np.count_nonzero(activated))
 
-    def fresh_accumulator(self) -> Tuple[np.ndarray, np.ndarray]:
-        """A (acc, touched) pair filled with the combine identity."""
-        n = self.ctx.num_vertices
-        return self.program.acc_array(n), np.zeros(n, dtype=bool)
+    def fresh_accumulator(self) -> np.ndarray:
+        """A |V| accumulator filled with the combine identity."""
+        return self.program.acc_array(self.ctx.num_vertices)
 
     # -- the execution core: one block step, two consumers -------------------
 
@@ -350,10 +341,9 @@ class EngineBase:
         snapshot: State,
         block: EdgeBlock,
         acc: np.ndarray,
-        touched: np.ndarray,
         gate_mask: Optional[np.ndarray] = None,
         active: Optional[np.ndarray] = None,
-    ) -> None:
+    ) -> bool:
         """Gather ``block`` from ``snapshot`` and combine it into ``acc``.
 
         Only edges whose source passes the gate contribute: ``gate_mask``
@@ -368,7 +358,9 @@ class EngineBase:
         per push from the interval's active count: an all-active
         interval is ungated, and one above :data:`DENSE_GATE` gathers
         every edge and neutralizes the inactive ones (:meth:`gather_block`).
-        All three produce the same bits.
+        All three produce the same bits. Returns whether any
+        non-neutralized edge was combined: wherever none landed, ``acc``
+        still holds the combine identity.
         """
         self.clock.charge(COMPUTE, self.machine.edge_compute_time(block.count))
         # Keyed on the loaded block so gating never regroups ADD's sums.
@@ -385,9 +377,10 @@ class EngineBase:
             if active is not None:
                 block, gate_mask = block.select(active, lo, hi), None
                 if block.count == 0:
-                    return
+                    return False
         contrib, edge_mask = self.gather_block(snapshot, block, gate_mask)
-        self.combine_block(acc, touched, block, contrib, edge_mask, dense_add)
+        self.combine_block(acc, block, contrib, dense_add)
+        return bool(block.count) and (edge_mask is None or bool(edge_mask.any()))
 
     def sweep_columns(
         self,
@@ -396,7 +389,6 @@ class EngineBase:
         snapshot: State,
         gate_mask: Optional[np.ndarray],
         acc: np.ndarray,
-        touched: np.ndarray,
         activated_mask: np.ndarray,
         after_column: Optional[Callable[[int, List[BlockHandle]], None]] = None,
     ) -> Tuple[int, int]:
@@ -423,10 +415,10 @@ class EngineBase:
                     column = next(stream)
                     for handle in column:
                         self._crash_point("mid-scatter")
-                        self.push_block(snapshot, handle.decode(), acc, touched, gate_mask)
+                        self.push_block(snapshot, handle.decode(), acc, gate_mask)
                         edges += handle.count
                     blocks += len(column)
-                    self.apply_interval(j, acc, touched, activated_mask)
+                    self.apply_interval(j, acc, activated_mask)
                     if after_column is not None:
                         after_column(j, column)
                     # The handles view the column's payload: release it
@@ -441,7 +433,6 @@ class EngineBase:
         plan: Sequence[PlanEntry],
         snapshot: State,
         acc: np.ndarray,
-        touched: np.ndarray,
     ) -> List[EdgeBlock]:
         """Consume an ordered plan of gated block loads; no apply.
 
@@ -472,7 +463,7 @@ class EngineBase:
                     self._crash_point("mid-scatter")
                     block = next(stream)
                     if block.count:
-                        self.push_block(snapshot, block, acc, touched, gate)
+                        self.push_block(snapshot, block, acc, gate)
                         consumed.append(block)
             finally:
                 stream.close()
@@ -481,19 +472,23 @@ class EngineBase:
 
     # -- iteration metric capture ----------------------------------------
 
-    def begin_iteration(self) -> "Tuple[TimeBreakdown, IOStats]":
-        return (self.clock.snapshot(), self.disk.stats.open_window())
+    def begin_iteration(self) -> "Tuple[float, TimeBreakdown, IOStats]":
+        return (
+            self.clock.elapsed(),
+            self.clock.read_window(),
+            self.disk.stats.open_window(),
+        )
 
-    def abandon_iteration(self, token: "Tuple[TimeBreakdown, IOStats]") -> None:
+    def abandon_iteration(self, token: "Tuple[float, TimeBreakdown, IOStats]") -> None:
         """Close the window of an iteration a fault aborted; no record.
 
         Its gather peak still counts toward the run's.
         """
-        self.disk.stats.close_window(token[1])
+        self.disk.stats.close_window(token[2])
 
     def end_iteration(
         self,
-        token: "Tuple[TimeBreakdown, IOStats]",
+        token: "Tuple[float, TimeBreakdown, IOStats]",
         model: str,
         frontier_size: int,
         edges_processed: int,
@@ -501,17 +496,17 @@ class EngineBase:
         cross_pushed: int = 0,
         subblocks_processed: int = 0,
     ) -> None:
-        clock_before, stats_before = token
+        sim_start, clock_before, stats_before = token
         self._iterations_done += 1
         record_iteration(
             self._records,
             self.tracer,
-            clock_before.total,
+            sim_start,
             iteration=self._iterations_done,
             model=model,
             frontier_size=frontier_size,
             edges_processed=edges_processed,
-            breakdown=self.clock.snapshot() - clock_before,
+            breakdown=self.clock.read_window() - clock_before,
             io=self.disk.stats.close_window(stats_before),
             activated=activated,
             cross_pushed=cross_pushed,
@@ -609,7 +604,12 @@ class EngineBase:
             # The disk reports read/write-size histograms while attached.
             self.disk.metrics = self.tracer.metrics
 
-        run_clock_before = self.clock.snapshot()
+        # Every run sums its charges onto the clock reading of the
+        # engine's first run, so a run's breakdowns (differences of
+        # those sums) round alike however many runs came before.
+        if self._clock_base is None:
+            self._clock_base = self.clock.snapshot()
+        self.clock.open_window(self._clock_base)
         run_stats_before = self.disk.stats.open_window()
         wall = WallTimer()
         wall.start()
@@ -679,7 +679,7 @@ class EngineBase:
             converged=converged,
             values=self.program.result(self.state).copy(),
             state={k: v.copy() for k, v in self.state.items()},
-            breakdown=self.clock.snapshot() - run_clock_before,
+            breakdown=self.clock.close_window() - self._clock_base,
             io=self.disk.stats.close_window(run_stats_before),
             wall_seconds=wall.elapsed,
             per_iteration=list(self._records),

@@ -147,8 +147,8 @@ def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
     # ---- Phase 1: iteration t -------------------------------------------
     token = engine.begin_iteration()
     prev = program.copy_state(engine.state)
-    acc, touched = engine.take_carried_accumulator()
-    acc_next, touched_next = engine.acc_next, engine.touched_next
+    acc, _ = engine.take_carried_accumulator()
+    acc_next = engine.acc_next
     gate = None if program.all_active else frontier.mask
 
     activated_mask = np.zeros(n, dtype=bool)
@@ -191,27 +191,27 @@ def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
                     engine._crash_point("mid-scatter")
                     # Decoded once: pushed, cross-pushed, then dropped.
                     block = handle.decode()
-                    engine.push_block(prev, block, acc, touched, gate)
+                    engine.push_block(prev, block, acc, gate)
                     edges1 += block.count
                     if do_cross and block.i < j:
                         # Sources in interval i are final for iteration t:
                         # push their t+1 contributions now (Algorithm 3,
                         # lines 7-11).
-                        engine.push_block(
-                            engine.state, block, acc_next, touched_next, activated_mask
+                        engine.next_landed |= engine.push_block(
+                            engine.state, block, acc_next, activated_mask
                         )
                     if block.i == j:
                         diag_block = block  # held in memory (Algorithm 3, line 13)
                     del block
                 blocks1 += len(column)
 
-                engine.apply_interval(j, acc, touched, activated_mask)
+                engine.apply_interval(j, acc, activated_mask)
 
                 if do_cross and diag_block is not None and diag_block.count:
                     # Interval j just finished updating; its diagonal block
                     # can now cross-push (Algorithm 3, lines 13-16).
-                    engine.push_block(
-                        engine.state, diag_block, acc_next, touched_next, activated_mask
+                    engine.next_landed |= engine.push_block(
+                        engine.state, diag_block, acc_next, activated_mask
                     )
                 # The handles (and a raw diagonal) view the column's
                 # payload: release it before the next column loads.
@@ -250,7 +250,7 @@ def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
 
     if not do_cross:
         return VertexSubset(n, activated_mask)
-    if activated1 == 0 and not touched_next.any():
+    if activated1 == 0 and not engine.next_landed:
         # Nothing was activated and nothing was pre-pushed: iteration
         # t+1 would be a no-op, so the round ends converged.
         return VertexSubset(n, activated_mask)
@@ -259,7 +259,7 @@ def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
     token = engine.begin_iteration()
     prev2 = program.copy_state(engine.state)
     gate2 = None if program.all_active else activated_mask
-    acc2, touched2 = engine.take_carried_accumulator()
+    acc2, _ = engine.take_carried_accumulator()
     new_activated = np.zeros(n, dtype=bool)
     # No gating: phase 2 never mutates the buffer, so lookahead residency
     # checks are race-free.
@@ -270,7 +270,6 @@ def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
             prev2,
             gate2,
             acc2,
-            touched2,
             new_activated,
         )
 

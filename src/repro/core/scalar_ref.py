@@ -82,7 +82,7 @@ class ScalarGraphSD:
         self, program: VertexProgram, state: "State", u: int, w: float
     ) -> float:
         weights = np.asarray([w], dtype=np.float32) if program.needs_weights else None
-        return float(program.gather(state, np.asarray([u]), weights)[0])
+        return float(program.gather(state, u, u + 1, np.zeros(1, dtype=np.uint32), weights)[0])
 
     def _combine(self, program: VertexProgram, a: float, b: float) -> float:
         return a + b if program.combine is Combine.ADD else min(a, b)
@@ -284,11 +284,7 @@ class ScalarGraphSD:
         n = self.ctx.num_vertices
         hi = n if hi is None else hi
         full_acc = program.acc_array(n)
-        touched = np.zeros(n, dtype=bool)
         for v, a in acc.items():
             full_acc[v] = a
-            touched[v] = True
-        activated_mask = program.apply(
-            state, lo, hi, full_acc[lo:hi], touched[lo:hi]
-        )
+        activated_mask = program.apply(state, lo, hi, full_acc[lo:hi])
         return set((np.flatnonzero(activated_mask) + lo).tolist())

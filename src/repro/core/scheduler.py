@@ -145,6 +145,8 @@ class StateAwareScheduler:
         self.tuned = tuned
         self.evaluations = 0
         self.eval_seconds = 0.0  # modeled benefit-evaluation compute (Fig. 11)
+        #: The last priced frontier and its index plan (:meth:`take_index_plan`).
+        self._priced: Optional[Tuple[VertexSubset, IndexPlan]] = None
 
     @staticmethod
     def overlapped(io_seconds: float, compute_seconds: float, fill_seconds: float) -> float:
@@ -267,6 +269,7 @@ class StateAwareScheduler:
         # Index access per source interval that has active vertices: the
         # plan prices the cheaper of span / gather per row.
         plan = self.plan_index_access(frontier)
+        self._priced = (frontier, plan)
         index_cost = plan.est_cost
         # Rough byte figure for reporting (cost is what decides).
         index_bytes = index_cost * disk.seq_read_bw
@@ -304,6 +307,14 @@ class StateAwareScheduler:
         else:
             cost = edge_io + vertex_io + scatter_compute + apply_compute
         return cost, s_seq, s_ran, index_bytes
+
+    def take_index_plan(self, frontier: VertexSubset) -> IndexPlan:
+        """The plan the last pricing built, if it priced ``frontier``,
+        else a new one (a pinned model never prices)."""
+        priced, self._priced = self._priced, None
+        if priced is not None and priced[0] is frontier:
+            return priced[1]
+        return self.plan_index_access(frontier)
 
     # -- the decision ------------------------------------------------------
 

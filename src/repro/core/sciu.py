@@ -70,21 +70,18 @@ def run_sciu_round(engine: "GraphSDEngine") -> VertexSubset:
 
     token = engine.begin_iteration()
     prev = program.copy_state(engine.state)
-    acc, touched = engine.take_carried_accumulator()
+    acc, landed = engine.take_carried_accumulator()
 
     # The carried accumulator is mutated in place during the scatter
     # loop. If an unrecoverable fault aborts the round mid-scatter, the
     # engine falls back to full streaming for this iteration — which
     # must re-start from the *pre-round* carried contributions, so keep
     # restorable copies (only when faults can actually occur).
-    if engine.disk.injector is not None:
-        carried_backup = (acc.copy(), touched.copy())
-    else:
-        carried_backup = None
+    carried_backup = (acc.copy(), landed) if engine.disk.injector is not None else None
 
     try:
         with engine.tracer.span("sciu.plan", cat="phase"):
-            index_plan = engine.scheduler.plan_index_access(frontier)
+            index_plan = engine.scheduler.take_index_plan(frontier)
         active_per_row = index_plan.active_per_row
 
         # ---- plan: one selective read per active (i, j), one data pass ----
@@ -102,11 +99,11 @@ def run_sciu_round(engine: "GraphSDEngine") -> VertexSubset:
         with engine.tracer.span(
             "sciu.scatter", cat="phase", blocks=len(plan), lanes=engine.gather_lanes
         ):
-            retained = engine.consume_plan(plan, prev, acc, touched)
+            retained = engine.consume_plan(plan, prev, acc)
         edges_processed = sum(block.count for block in retained)
     except FaultError as exc:
         if carried_backup is not None:
-            engine.acc_next, engine.touched_next = carried_backup
+            engine.acc_next, engine.next_landed = carried_backup
         engine.abandon_iteration(token)
         raise GatherFault(f"sciu gather aborted: {exc}") from exc
 
@@ -114,7 +111,7 @@ def run_sciu_round(engine: "GraphSDEngine") -> VertexSubset:
     n_activated = 0
     with engine.tracer.span("sciu.apply", cat="phase"):
         for j in range(store.P):
-            n_activated += engine.apply_interval(j, acc, touched, activated_mask)
+            n_activated += engine.apply_interval(j, acc, activated_mask)
     engine._store_state()
 
     cross_pushed = 0
@@ -127,7 +124,7 @@ def run_sciu_round(engine: "GraphSDEngine") -> VertexSubset:
             candidates &= engine.ctx.out_degrees > 0
         cross_pushed = int(np.count_nonzero(candidates))
         if cross_pushed:
-            acc_next, touched_next = engine.acc_next, engine.touched_next
+            acc_next = engine.acc_next
             with engine.tracer.span(
                 "sciu.cross_push", cat="phase", vertices=cross_pushed
             ):
@@ -142,7 +139,7 @@ def run_sciu_round(engine: "GraphSDEngine") -> VertexSubset:
                         block.dst[keep],
                         None if block.wgt is None else block.wgt[keep],
                     )
-                    engine.push_block(engine.state, sub, acc_next, touched_next)
+                    engine.next_landed |= engine.push_block(engine.state, sub, acc_next)
             # Cross-pushed vertices leave Out: their edges need not be
             # loaded next iteration (Algorithm 2, line 17).
             activated_mask &= ~candidates

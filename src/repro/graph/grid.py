@@ -146,6 +146,10 @@ _WEIGHT_DTYPE = np.dtype("<f4")
 #: for a value sort to order it.
 _KEY_BITS = 63
 
+#: One binary search for an active source costs about this many edges'
+#: mask lookups (:meth:`BlockHandle.count_active`; docs/PERFORMANCE.md).
+EDGES_PER_SEARCH = 64
+
 #: How a selective read of block ``(i, j)`` reads the active sources'
 #: offsets, decided per source interval by the scheduler
 #: (:meth:`~repro.core.scheduler.StateAwareScheduler.plan_index_access`).
@@ -401,15 +405,14 @@ class BlockHandle:
 
         ``[lo, hi)`` is source interval ``i``. Nothing is decoded: a
         compact block sums its run-length header over the active
-        sources, a source-sorted raw block binary-searches them in its
-        ``src`` field, and an unsorted block looks every edge's source
-        up in ``mask``.
+        sources; a raw block looks every edge's source up in ``mask``,
+        unless it is source-sorted and has over
+        :data:`EDGES_PER_SEARCH` edges per active source, when it
+        binary-searches the active sources in its ``src`` field instead.
         """
         store, payload, count = self.store, self.payload, self.count
         if count == 0:  # a compact block without edges has no header
             return 0
-        if store.encoding not in _COMPACT_ENCODINGS and not store.indexed:
-            return int(np.count_nonzero(mask[payload["src"]]))
         gate = mask[lo:hi]
         if gate.all():
             return count
@@ -418,10 +421,12 @@ class BlockHandle:
             width = _UINT_BY_ITEMSIZE[int(store._count_codes[self.i, self.j])]
             runs = payload[: (hi - lo) * width.itemsize].view(width)
             return int(runs[active].sum(dtype=np.int64))
-        src = np.ascontiguousarray(payload["src"])
-        ids = (active + lo).astype(VERTEX_DTYPE)
-        first = np.searchsorted(src, ids, side="left")
-        return int(np.searchsorted(src, ids, side="right").sum() - first.sum())
+        if store.indexed and active.size * EDGES_PER_SEARCH < count:
+            src = np.ascontiguousarray(payload["src"])
+            ids = (active + lo).astype(VERTEX_DTYPE)
+            first = np.searchsorted(src, ids, side="left")
+            return int(np.searchsorted(src, ids, side="right").sum() - first.sum())
+        return int(np.count_nonzero(gate.take(payload["src"] - VERTEX_DTYPE.type(lo))))
 
     def owned(self) -> "BlockHandle":
         """The block over its own read-only byte copy of the payload,

@@ -37,6 +37,8 @@ class VertexIntervals:
         require(b[0] == 0, "boundaries must start at 0")
         require(bool(np.all(np.diff(b) >= 0)), "boundaries must be non-decreasing")
         self.boundaries = b
+        #: ``(lo, hi)`` per interval as Python ints: every block step asks.
+        self._bounds = list(zip(b[:-1].tolist(), b[1:].tolist()))
 
     @property
     def P(self) -> int:
@@ -49,8 +51,9 @@ class VertexIntervals:
 
     def bounds(self, i: int) -> Tuple[int, int]:
         """``(lo, hi)`` of interval ``i``."""
-        require(0 <= i < self.P, f"interval index {i} out of range")
-        return int(self.boundaries[i]), int(self.boundaries[i + 1])
+        if not 0 <= i < len(self._bounds):
+            raise ValueError(f"interval index {i} out of range")
+        return self._bounds[i]
 
     def size(self, i: int) -> int:
         lo, hi = self.bounds(i)

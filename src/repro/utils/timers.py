@@ -29,6 +29,10 @@ the serial sum and the overlapped elapsed time accumulates in
 breakdowns remain exact and ``total == sum(components) - overlap_saved``
 always holds. Charging is thread-safe: the prefetch worker charges DISK
 while the consuming engine thread charges CPU.
+
+A *measurement window* (:meth:`SimClock.open_window`) sums every later
+charge onto a given base as well, so differences of its readings carry
+the base's rounding, not that of whatever the clock summed before.
 """
 
 from __future__ import annotations
@@ -67,7 +71,8 @@ _T = TypeVar("_T")
 
 @dataclass
 class TimeBreakdown:
-    """An immutable snapshot of a :class:`SimClock`'s per-component times.
+    """A :class:`SimClock`'s per-component times: a snapshot, or what a
+    measurement window summed (see :meth:`SimClock.open_window`).
 
     ``overlap_saved`` is the simulated time hidden by I/O–compute
     overlap up to the snapshot; components themselves are the full
@@ -236,12 +241,24 @@ class SimClock:
         self._components: Dict[str, float] = {}  # guarded-by: _lock
         self._overlap_saved = 0.0  # guarded-by: _lock
         self._region: Optional[OverlapRegion] = None  # guarded-by: _lock
+        self._window: Optional[TimeBreakdown] = None  # guarded-by: _lock
+
+    def _add(self, component: str, seconds: float) -> None:  # lock-held: _lock
+        self._components[component] = self._components.get(component, 0.0) + seconds
+        if self._window is not None:
+            window = self._window.components
+            window[component] = window.get(component, 0.0) + seconds
+
+    def _add_saving(self, seconds: float) -> None:  # lock-held: _lock
+        self._overlap_saved += seconds
+        if self._window is not None:
+            self._window.overlap_saved += seconds
 
     def charge(self, component: str, seconds: float) -> None:
         """Add ``seconds`` of simulated time to ``component``."""
         check_nonneg(seconds, "seconds")
         with self._lock:
-            self._components[component] = self._components.get(component, 0.0) + seconds
+            self._add(component, seconds)
             if self._region is not None:
                 self._region._absorb(component, seconds)
 
@@ -289,7 +306,7 @@ class SimClock:
         """
         check_nonneg(seconds, "seconds")
         with self._lock:
-            self._overlap_saved += seconds
+            self._add_saving(seconds)
 
     def resource_snapshot(self) -> "Tuple[float, float, float]":
         """``(total, disk, cpu)`` simulated seconds under one lock hold.
@@ -327,7 +344,7 @@ class SimClock:
                 raise RuntimeError("closing an overlap region that is not open")
             region._closed = True
             self._region = None
-            self._overlap_saved += region.saved_seconds
+            self._add_saving(region.saved_seconds)
 
     # -- snapshots / algebra ----------------------------------------------
 
@@ -335,6 +352,26 @@ class SimClock:
         """A copy of the current per-component times."""
         with self._lock:
             return TimeBreakdown(dict(self._components), overlap_saved=self._overlap_saved)
+
+    def open_window(self, base: TimeBreakdown) -> None:
+        """Start the measurement window: running sums from ``base`` that
+        every later charge and overlap saving also adds to. One window
+        at a time; opening one ends the last."""
+        with self._lock:
+            self._window = TimeBreakdown(dict(base.components), base.overlap_saved)
+
+    def read_window(self) -> TimeBreakdown:
+        """A copy of the open window's running sums."""
+        with self._lock:
+            assert self._window is not None, "no measurement window is open"
+            return TimeBreakdown(dict(self._window.components), self._window.overlap_saved)
+
+    def close_window(self) -> TimeBreakdown:
+        """End the measurement window; returns its final sums."""
+        with self._lock:
+            window, self._window = self._window, None
+        assert window is not None, "no measurement window is open"
+        return window
 
     def reset(self) -> None:
         with self._lock:
@@ -348,8 +385,8 @@ class SimClock:
             other_saved = other._overlap_saved
         with self._lock:
             for component, seconds in other_components.items():
-                self._components[component] = self._components.get(component, 0.0) + seconds
-            self._overlap_saved += other_saved
+                self._add(component, seconds)
+            self._add_saving(other_saved)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock({self.snapshot()!r})"

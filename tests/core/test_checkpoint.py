@@ -71,7 +71,8 @@ def test_resume_preserves_carried_accumulator(tmp_path, rng):
     crasher = CrashingEngine(store, config=cfg, crash_after_rounds=3)
     with pytest.raises(CrashingEngine.InjectedCrash):
         crasher.run(PageRankDelta(tol=0.0, iterations=10), checkpoint_tag="t")
-    assert crasher.touched_next.any()  # premise: work was pending
+    # Premise: work was pending — flagged, and off the ADD identity somewhere.
+    assert crasher.next_landed and np.any(crasher.acc_next != 0.0)
 
     resumed = GraphSDEngine(store, config=cfg).run(
         PageRankDelta(tol=0.0, iterations=10), checkpoint_tag="t", resume=True

@@ -168,3 +168,28 @@ def test_engine_reusable_for_multiple_runs(edges, tmp_path):
     assert a.iterations == b.iterations
     # per-run accounting is snapshot-based, so totals match
     assert a.io_traffic == b.io_traffic
+
+
+@pytest.mark.parametrize(
+    "make_program, config",
+    [
+        (lambda: SSSP(source=0), None),  # SCIU rounds
+        (lambda: PageRank(iterations=5), GraphSDConfig(prefetch_depth=2)),  # FCIU, overlap
+    ],
+    ids=["sssp", "pagerank-pipelined"],
+)
+def test_reused_engine_reports_a_fresh_engines_simulated_time(edges, tmp_path, make_program, config):
+    """A run's breakdowns do not depend on what the clock charged before:
+    two runs on one engine report the same bits as a fresh engine's first."""
+    engine = GraphSDEngine(build_store(edges, tmp_path, name="reused"), config=config)
+    first, second = engine.run(make_program()), engine.run(make_program())
+    fresh = GraphSDEngine(build_store(edges, tmp_path, name="fresh"), config=config).run(make_program())
+    for result in (first, second):
+        assert result.sim_seconds == fresh.sim_seconds
+        assert result.breakdown.components == fresh.breakdown.components
+        assert [r.breakdown.components for r in result.per_iteration] == [
+            r.breakdown.components for r in fresh.per_iteration
+        ]
+        assert [r.sim_seconds for r in result.per_iteration] == [
+            r.sim_seconds for r in fresh.per_iteration
+        ]

@@ -119,8 +119,8 @@ class _HalfUlp(PageRankDelta):
 
     name = "half_ulp"
 
-    def gather(self, state, src_ids, weights):
-        return np.full(src_ids.shape, 2.0**-53)
+    def gather(self, state, lo, hi, src, weights):
+        return np.full(src.shape, 2.0**-53)
 
 
 _PROGRAMS = {
@@ -139,14 +139,16 @@ def step_engine(tmp_path_factory):
     return EngineBase(store, ctx=GraphContext.from_edges(edges))
 
 
-def _neutralize_then_combine(program, n, snapshot, block, acc, touched, gate):
+def _neutralize_then_combine(program, n, snapshot, block, acc, gate):
     """The block step as it was before selection existed — the oracle.
 
-    Gather every edge, ``np.where`` the inactive sources' contributions
-    to the combine identity, reduce all of them into the *global*
-    accumulator, with the ADD path chosen from ``block.count`` and |V|.
+    Gather every edge (from the whole state, by global id), ``np.where``
+    the inactive sources' contributions to the combine identity, reduce
+    all of them into the *global* accumulator, with the ADD path chosen
+    from ``block.count`` and |V|. Returns whether a non-neutralized
+    edge was combined.
     """
-    contrib = program.gather(snapshot, block.src, block.wgt)
+    contrib = program.gather(snapshot, 0, n, block.src, block.wgt)
     mask = None
     if gate is not None:
         mask = gate[block.src]
@@ -158,7 +160,7 @@ def _neutralize_then_combine(program, n, snapshot, block, acc, touched, gate):
             np.add.at(acc, block.dst, contrib)
         else:
             acc += np.bincount(block.dst, weights=contrib, minlength=n)
-    touched[block.dst if mask is None else block.dst[mask]] = True
+    return bool(block.count) and (mask is None or bool(mask.any()))
 
 
 def _random_block(rng, intervals, i, j, count, source_sorted, weighted, crowded=False):
@@ -232,18 +234,17 @@ def test_block_step_is_bit_identical_to_neutralize_then_combine(
     acc = program.acc_array(_N)
     landed = rng.random(_N) < 0.6
     acc[landed] = 1.0 if half_ulp else rng.random(int(landed.sum())) * 1e6
-    touched = landed.copy()
-    want_acc, want_touched = acc.copy(), touched.copy()
-    _neutralize_then_combine(program, _N, snapshot, block, want_acc, want_touched, gate)
+    want_acc = acc.copy()
+    want_landed = _neutralize_then_combine(program, _N, snapshot, block, want_acc, gate)
 
     before = engine.clock.snapshot()
     if gate is not None and as_ids:  # the caller already holds the local ids
         lo, hi = intervals.bounds(i)
-        engine.push_block(snapshot, block, acc, touched, active=np.flatnonzero(gate[lo:hi]))
+        pushed = engine.push_block(snapshot, block, acc, active=np.flatnonzero(gate[lo:hi]))
     else:
-        engine.push_block(snapshot, block, acc, touched, gate)
+        pushed = engine.push_block(snapshot, block, acc, gate)
     assert np.array_equal(acc.view(np.uint64), want_acc.view(np.uint64))
-    assert np.array_equal(touched, want_touched)
+    assert pushed == want_landed
     # The modeled charge is the loaded block's, whatever the gate kept.
     charged = dict((engine.clock.snapshot() - before).components)
     assert charged.pop(COMPUTE) == pytest.approx(engine.machine.edge_compute_time(count))
@@ -259,14 +260,16 @@ def test_sparse_gated_push_gathers_only_the_active_edges(step_engine, monkeypatc
     seen = []
     real_gather = program.gather
     monkeypatch.setattr(
-        program, "gather", lambda state, src, wgt: seen.append(src.size) or real_gather(state, src, wgt)
+        program,
+        "gather",
+        lambda state, lo, hi, src, wgt: seen.append(src.size) or real_gather(state, lo, hi, src, wgt),
     )
     state = program.init_state(engine.ctx)
     for source_sorted in (True, False):
         block = _random_block(rng, engine.store.intervals, 1, 2, 300, source_sorted, True)
         gate = _random_gate(rng, engine.store.intervals, 1, "sparse")
-        acc, touched = engine.fresh_accumulator()
-        engine.push_block(state, block, acc, touched, gate)
+        acc = engine.fresh_accumulator()
+        engine.push_block(state, block, acc, gate)
         active_edges = int(np.count_nonzero(gate[block.src]))
         assert 0 < active_edges < block.count
         assert seen.pop() == active_edges and not seen

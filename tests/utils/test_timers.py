@@ -249,3 +249,44 @@ def test_concurrent_charging_is_consistent():
     assert c.elapsed(IO_READ) == pytest.approx(n * 0.001)
     assert c.elapsed(COMPUTE) == pytest.approx(n * 0.002)
     assert c.overlap_saved == pytest.approx(n * 0.001)
+
+
+
+
+def _charge_run(clock):
+    """The same sequence of charges, including an overlap region."""
+    for seconds in (0.1, 0.2, 0.3, 1e-9, 0.7):
+        clock.charge(IO_READ, seconds)
+    with clock.overlap_region() as region:
+        clock.charge(IO_READ, 2.0)
+        clock.charge(COMPUTE, 2.0)
+        region.add_fill(0.5)
+
+
+def test_window_on_the_clocks_reading_tracks_the_clock_bit_for_bit():
+    c = SimClock()
+    c.charge(IO_READ, 98.7)
+    c.open_window(c.snapshot())
+    _charge_run(c)
+    assert c.read_window() == c.snapshot()
+    window = c.close_window()
+    c.charge(COMPUTE, 1.0)  # closed: no longer added to
+    assert window.components[COMPUTE] == 2.0
+    with pytest.raises(AssertionError):
+        c.read_window()
+
+
+def test_window_differences_do_not_depend_on_the_clocks_history():
+    """Charges summed onto one base round alike on a fresh clock and on
+    one that already accumulated other runs' charges."""
+    base = TimeBreakdown({IO_READ: 98.7, IO_WRITE: 1234.5678})
+    fresh, reused = SimClock(), SimClock()
+    reused.charge(IO_READ, 98.7 + 1 / 3)
+    _charge_run(reused)  # an earlier run
+    results = []
+    for clock in (fresh, reused):
+        clock.open_window(base)
+        _charge_run(clock)
+        results.append(clock.close_window() - base)
+    assert results[0] == results[1]
+    assert results[0].overlap_saved == 1.5
