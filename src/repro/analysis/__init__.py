@@ -8,19 +8,19 @@ swallowed failures. This package is a small AST-checker framework plus
 one checker per invariant; see ``docs/ANALYSIS.md`` for the rule
 catalogue and annotation grammar.
 
-Since PR 9 the framework has two layers: per-file syntactic rules, and
-whole-program rules that run over :mod:`repro.analysis.graph` — a
-project-wide symbol table, call graph (unresolvable calls recorded as
-explicit open edges) and per-function CFGs with reaching definitions.
+Every rule reads one file's AST and nothing else: the lock rule checks
+a class against its own declarations, the iteration-order rule types
+names from the function and classes of the same file. Properties that
+span files (every byte charged, streams closed on a crash, spans
+recorded) are enforced by tests, listed in ``docs/ANALYSIS.md``.
 """
 
-from repro.analysis.base import Checker, GraphChecker
+from repro.analysis.base import Checker
 from repro.analysis.checkers import ALL_CHECKERS
 from repro.analysis.findings import Finding
 from repro.analysis.runner import (
     LintResult,
     check_text,
-    check_texts,
     collect_sources,
     default_baseline_path,
     load_baseline,
@@ -34,11 +34,9 @@ __all__ = [
     "ALL_CHECKERS",
     "Checker",
     "Finding",
-    "GraphChecker",
     "LintResult",
     "SourceFile",
     "check_text",
-    "check_texts",
     "collect_sources",
     "default_baseline_path",
     "load_baseline",

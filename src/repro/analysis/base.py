@@ -1,24 +1,16 @@
 """Checker base class.
 
 A checker owns one stable rule id (``GSD1xx``), a directory scope within
-the ``repro`` package, and an optional escape-hatch marker. Two
-families exist:
-
-* **syntactic** rules subclass :class:`Checker` directly, implement
-  :meth:`Checker.visit` over one file's AST and see nothing else;
-* **whole-program** rules subclass :class:`GraphChecker`, implement
-  :meth:`GraphChecker.visit_project` over the assembled
-  :class:`~repro.analysis.graph.project.ProjectGraph` (symbol table,
-  call graph, CFGs) and may report findings in any file.
-
-Both emit through :meth:`Checker.report` / :meth:`GraphChecker.report_at`,
-which centralize suppression and context capture.
+the ``repro`` package, and an optional escape-hatch marker. It
+implements :meth:`Checker.visit` over one file's AST, sees nothing
+else, and emits through :meth:`Checker.report`, which centralizes
+suppression and context capture.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.findings import ERROR, Finding
 from repro.analysis.source import SourceFile
@@ -31,11 +23,6 @@ class Checker:
     rule_id: str = ""
     #: One-line rule title (shown by ``graphsd lint --rules``).
     title: str = ""
-    #: Rule family (shown by ``graphsd lint --rules``): ``"syntactic"``
-    #: for single-file AST rules, ``"whole-program"`` for graph rules.
-    family: str = "syntactic"
-    #: Whole-program rules need the project graph built before running.
-    requires_graph: bool = False
     severity: str = ERROR
     #: Escape-hatch marker that suppresses this rule, or None.
     suppress_marker: Optional[str] = None
@@ -79,58 +66,6 @@ class Checker:
                 context=self._sf.line_text(line),
             )
         )
-
-
-class GraphChecker(Checker):
-    """A whole-program rule driven by the project graph.
-
-    Runs once per lint invocation (not once per file). Findings are
-    attributed to whichever file each defect lives in; the runner
-    filters them down to the set of files actually being linted, so a
-    ``--changed`` run still sees interprocedural findings that *land*
-    in a changed file even when the other end of the chain did not
-    change.
-    """
-
-    family = "whole-program"
-    requires_graph = True
-
-    def check(self, sf: SourceFile) -> List[Finding]:
-        return []  # graph rules do not run per-file
-
-    def check_project(self, project: "object") -> List[Finding]:
-        """Run the rule over the whole project graph."""
-        self._findings = []
-        self.visit_project(project)
-        return self._findings
-
-    def visit_project(self, project: "object") -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def report_at(self, sf: SourceFile, node: ast.AST, message: str) -> None:
-        """Emit a finding at ``node`` in ``sf`` unless suppressed there."""
-        if not self.applies_to(sf.rel):
-            return
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        if self.suppress_marker and sf.suppressed(self.suppress_marker, line):
-            return
-        self._findings.append(
-            Finding(
-                rule_id=self.rule_id,
-                severity=self.severity,
-                path=sf.rel,
-                line=line,
-                col=col,
-                message=message,
-                context=sf.line_text(line),
-            )
-        )
-
-
-def walk_calls(tree: ast.AST) -> Sequence[ast.Call]:
-    """Every Call node in the tree (helper shared by several checkers)."""
-    return [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:

@@ -9,11 +9,8 @@ from repro.analysis.checkers.charged_io import ChargedIOChecker
 from repro.analysis.checkers.determinism import SimDeterminismChecker
 from repro.analysis.checkers.dtypes import DtypeSafetyChecker
 from repro.analysis.checkers.exceptions import ExceptionHygieneChecker
-from repro.analysis.checkers.graph_charge import ChargeCoverageChecker
-from repro.analysis.checkers.graph_lifecycle import ResourceLifecycleChecker
-from repro.analysis.checkers.graph_locks import LockContextChecker
-from repro.analysis.checkers.graph_order import IterationOrderChecker
 from repro.analysis.checkers.locks import LockDisciplineChecker
+from repro.analysis.checkers.order import IterationOrderChecker
 
 ALL_CHECKERS: List[Type[Checker]] = [
     SimDeterminismChecker,
@@ -21,21 +18,15 @@ ALL_CHECKERS: List[Type[Checker]] = [
     LockDisciplineChecker,
     DtypeSafetyChecker,
     ExceptionHygieneChecker,
-    ChargeCoverageChecker,
-    LockContextChecker,
     IterationOrderChecker,
-    ResourceLifecycleChecker,
 ]
 
 __all__ = [
     "ALL_CHECKERS",
-    "ChargeCoverageChecker",
     "ChargedIOChecker",
     "DtypeSafetyChecker",
     "ExceptionHygieneChecker",
     "IterationOrderChecker",
-    "LockContextChecker",
     "LockDisciplineChecker",
-    "ResourceLifecycleChecker",
     "SimDeterminismChecker",
 ]

@@ -7,12 +7,8 @@ absent from the baseline) affect the exit status, so the gate can land
 before the last legacy violation is fixed. Regenerate with
 ``graphsd lint --update-baseline`` (see ``docs/ANALYSIS.md``).
 
-Whole-program rules (``GraphChecker`` subclasses) run over the project
-graph built from **every** file under the package root, even when only
-a subset is being linted — an interprocedural finding needs the whole
-graph to exist at all. Their findings are then filtered down to the
-linted set, so ``graphsd lint --changed`` surfaces exactly the chains
-that land in a changed file.
+Every rule sees one file at a time, so linting a subset of the package
+checks exactly that subset.
 """
 
 from __future__ import annotations
@@ -22,10 +18,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
-from repro.analysis.base import Checker, GraphChecker
+from repro.analysis.base import Checker
 from repro.analysis.checkers import ALL_CHECKERS
 from repro.analysis.findings import Finding
-from repro.analysis.graph.project import ProjectGraph, build_project_graph
 from repro.analysis.source import SourceFile
 
 BASELINE_VERSION = 1
@@ -105,9 +100,6 @@ class LintResult:
     baselined: int = 0
     files_checked: int = 0
     parse_errors: List[str] = field(default_factory=list)
-    #: Project graph the whole-program rules ran over (None when no
-    #: graph rule was active). Not serialized; ``--graph-debug`` reads it.
-    graph: Optional[ProjectGraph] = None
 
     @property
     def exit_code(self) -> int:
@@ -115,16 +107,13 @@ class LintResult:
 
     def to_dict(self) -> Dict[str, object]:
         new = set(self.new_findings)
-        out: Dict[str, object] = {
+        return {
             "files_checked": self.files_checked,
             "new_findings": len(self.new_findings),
             "baselined": self.baselined,
             "parse_errors": list(self.parse_errors),
             "findings": [dict(f.to_dict(), new=(f in new)) for f in self.findings],
         }
-        if self.graph is not None:
-            out["graph"] = self.graph.stats()
-        return out
 
     def render_text(self) -> str:
         lines = [f.render() for f in self.findings]
@@ -142,43 +131,20 @@ def run_lint(
     root: Optional[Path] = None,
     baseline: Optional[Dict[str, str]] = None,
     checkers: Optional[Sequence[Type[Checker]]] = None,
-    graph_cache: Optional[Path] = None,
 ) -> LintResult:
-    """Run every checker over ``paths`` and split findings by baseline.
-
-    ``graph_cache`` points at a directory for the pickled project graph
-    (content-hash keyed); None builds it fresh each run.
-    """
+    """Run every checker over ``paths`` and split findings by baseline."""
     if paths is None:
         paths = [package_root()]
-    sources = collect_sources(paths, root=root)
-    active = [cls() for cls in (checkers if checkers is not None else ALL_CHECKERS)]
-    graph_rules = [c for c in active if isinstance(c, GraphChecker)]
-    file_rules = [c for c in active if not isinstance(c, GraphChecker)]
     result = LintResult()
     baseline = baseline or {}
-    linted: Dict[str, SourceFile] = {}
-    for path, rel in sources:
+    for path, rel in collect_sources(paths, root=root):
         try:
             sf = SourceFile.from_path(path, rel)
         except SyntaxError as exc:
             result.parse_errors.append(f"{rel}: {exc}")
             continue
-        linted[rel] = sf
         result.files_checked += 1
-        file_findings = sf.annotation_findings()
-        for checker in file_rules:
-            if checker.applies_to(rel):
-                file_findings.extend(checker.check(sf))
-        result.findings.extend(file_findings)
-
-    if graph_rules:
-        project = _project_for(linted, root, graph_cache, result)
-        result.graph = project
-        for checker in graph_rules:
-            for f in checker.check_project(project):
-                if f.path in linted:
-                    result.findings.append(f)
+        result.findings.extend(_check_file(sf, checkers))
 
     result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     for f in result.findings:
@@ -189,27 +155,16 @@ def run_lint(
     return result
 
 
-def _project_for(
-    linted: Dict[str, SourceFile],
-    root: Optional[Path],
-    graph_cache: Optional[Path],
-    result: LintResult,
-) -> ProjectGraph:
-    """Assemble the whole-package source set (plus any linted extras)."""
-    merged: Dict[str, SourceFile] = {}
-    scope = (root or package_root()).resolve()
-    if scope.is_dir():
-        for path, rel in collect_sources([scope], root=scope):
-            if rel in linted:
-                continue  # the linted parse is authoritative
-            try:
-                merged[rel] = SourceFile.from_path(path, rel)
-            except SyntaxError as exc:
-                # A broken un-linted file degrades the graph (its calls
-                # become unknown) but must not fail an unrelated lint.
-                result.parse_errors.append(f"{rel}: {exc} (graph build)")
-    merged.update(linted)
-    return build_project_graph(list(merged.values()), cache_dir=graph_cache)
+def _check_file(
+    sf: SourceFile, checkers: Optional[Sequence[Type[Checker]]]
+) -> List[Finding]:
+    """Annotation-grammar findings plus every in-scope rule's findings."""
+    findings = sf.annotation_findings()
+    for cls in checkers if checkers is not None else ALL_CHECKERS:
+        checker = cls()
+        if checker.applies_to(sf.rel):
+            findings.extend(checker.check(sf))
+    return findings
 
 
 def check_text(
@@ -218,29 +173,5 @@ def check_text(
     checkers: Optional[Sequence[Type[Checker]]] = None,
 ) -> List[Finding]:
     """Run checkers over in-memory source (fixture/self-test entry point)."""
-    return check_texts({rel: text}, checkers=checkers)
-
-
-def check_texts(
-    files: Dict[str, str],
-    checkers: Optional[Sequence[Type[Checker]]] = None,
-) -> List[Finding]:
-    """Run checkers over a dict of in-memory sources ``{rel: text}``.
-
-    Whole-program rules see a project graph built from exactly these
-    files — multi-file fixtures exercise cross-module resolution.
-    """
-    parsed = {rel: SourceFile(rel, text) for rel, text in files.items()}
-    active = [cls() for cls in (checkers if checkers is not None else ALL_CHECKERS)]
-    findings: List[Finding] = []
-    for sf in parsed.values():
-        findings.extend(sf.annotation_findings())
-        for checker in active:
-            if not isinstance(checker, GraphChecker) and checker.applies_to(sf.rel):
-                findings.extend(checker.check(sf))
-    graph_rules = [c for c in active if isinstance(c, GraphChecker)]
-    if graph_rules:
-        project = build_project_graph(list(parsed.values()))
-        for checker in graph_rules:
-            findings.extend(checker.check_project(project))
+    findings = _check_file(SourceFile(rel, text), checkers)
     return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule_id))

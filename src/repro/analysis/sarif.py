@@ -37,10 +37,7 @@ def _rule_descriptor(cls: Type[Checker]) -> Dict[str, object]:
         "id": cls.rule_id,
         "name": cls.__name__,
         "shortDescription": {"text": cls.title},
-        "properties": {
-            "family": cls.family,
-            "suppressMarker": cls.suppress_marker or "",
-        },
+        "properties": {"suppressMarker": cls.suppress_marker or ""},
     }
 
 

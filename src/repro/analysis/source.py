@@ -7,7 +7,7 @@ Annotation grammar (one annotation per line, trailing comment)::
 Two families exist:
 
 * **Escape hatches** (``sim-ok``, ``charged-io-ok``, ``dtype-ok``,
-  ``exception-ok``, ``unguarded-ok``, ``order-ok``, ``leak-ok``):
+  ``exception-ok``, ``unguarded-ok``, ``order-ok``):
   suppress one rule's finding on the annotated line, or — for statements
   whose comment would not fit — on the line immediately below the
   annotation. The reason is mandatory; an empty reason is itself
@@ -16,9 +16,9 @@ Two families exist:
   ``guarded-by`` declares that the field assigned on this line may only
   be accessed while holding the named lock attribute (see the
   lock-discipline checker). ``lock-held`` sits on a ``def`` line and
-  declares the function's calling convention: callers must already hold
-  ``self.<lock>`` — the lexical checker seeds the lock set from it and
-  the whole-program checker verifies every call site (GSD107).
+  declares the method's calling convention: callers must already hold
+  ``self.<lock>`` — the lock checker seeds the method's lock set from
+  it and checks every call to it in the class like a guarded access.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ ESCAPE_MARKERS = (
     "exception-ok",
     "unguarded-ok",
     "order-ok",
-    "leak-ok",
 )
 DECLARATION_MARKERS = ("guarded-by", "lock-held")
 

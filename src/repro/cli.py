@@ -258,42 +258,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lint_changed_paths(ref: str) -> "list":
-    """Package files changed relative to ``ref`` (git diff + untracked)."""
-    import subprocess
-    from pathlib import Path
-
-    from repro.analysis import package_root
-
-    repo_root = package_root().parent.parent
-    names: set = set()
-    for cmd in (
-        ["git", "-C", str(repo_root), "diff", "--name-only", ref],
-        [
-            "git",
-            "-C",
-            str(repo_root),
-            "ls-files",
-            "--others",
-            "--exclude-standard",
-        ],
-    ):
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise ValueError(
-                f"--changed: git failed ({' '.join(cmd)}): {proc.stderr.strip()}"
-            )
-        names.update(proc.stdout.splitlines())
-    out = []
-    for name in sorted(names):
-        if not name.startswith("src/repro/") or not name.endswith(".py"):
-            continue
-        path = repo_root / name
-        if path.exists():
-            out.append(path)
-    return out
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -307,27 +271,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.sarif import render_sarif
 
     if args.rules:
-        print(f"{'rule':8} {'family':14} {'escape hatch':15} title")
+        print(f"{'rule':8} {'escape hatch':15} title")
         for cls in sorted(ALL_CHECKERS, key=lambda c: c.rule_id):
-            print(
-                f"{cls.rule_id:8} {cls.family:14} "
-                f"{cls.suppress_marker or '-':15} {cls.title}"
-            )
-        print(
-            f"{'GSD100':8} {'syntactic':14} {'-':15} "
-            "annotation markers must carry a reason"
-        )
+            print(f"{cls.rule_id:8} {cls.suppress_marker or '-':15} {cls.title}")
+        print(f"{'GSD100':8} {'-':15} annotation markers must carry a reason")
         return 0
 
-    if args.changed is not None and args.paths:
-        raise ValueError("--changed and explicit paths are mutually exclusive")
-    if args.changed is not None:
-        paths = _lint_changed_paths(args.changed)
-        if not paths:
-            print(f"no package files changed relative to {args.changed}")
-            return 0
-    else:
-        paths = [Path(p) for p in args.paths] if args.paths else None
+    paths = [Path(p) for p in args.paths] if args.paths else None
 
     baseline_path = (
         Path(args.baseline) if args.baseline else default_baseline_path()
@@ -335,8 +285,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.baseline and not baseline_path.exists():
         raise ValueError(f"baseline file does not exist: {baseline_path}")
     baseline = load_baseline(baseline_path)
-    graph_cache = Path(args.graph_cache) if args.graph_cache else None
-    result = run_lint(paths=paths, baseline=baseline, graph_cache=graph_cache)
+    result = run_lint(paths=paths, baseline=baseline)
     if args.update_baseline:
         write_baseline(result.findings, baseline_path)
         print(
@@ -353,8 +302,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         )
     else:
         print(result.render_text())
-    if args.graph_debug and result.graph is not None:
-        print(result.graph.debug_render())
     return result.exit_code
 
 
@@ -563,32 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=["text", "json", "sarif"], default="text")
     p.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help="lint only package files changed relative to REF (default "
-        "HEAD, plus untracked files); whole-program rules still see the "
-        "full project graph",
-    )
-    p.add_argument(
         "--rules",
         action="store_true",
-        help="list the rule catalogue (id, family, escape hatch) and exit",
-    )
-    p.add_argument(
-        "--graph-debug",
-        action="store_true",
-        help="print project-graph statistics and unresolved (open) call "
-        "edges after the findings",
-    )
-    p.add_argument(
-        "--graph-cache",
-        default=None,
-        metavar="DIR",
-        help="cache the pickled project graph in DIR, keyed by a hash of "
-        "all source contents (used by CI)",
+        help="list the rule catalogue (id, escape hatch) and exit",
     )
     p.add_argument(
         "--baseline",

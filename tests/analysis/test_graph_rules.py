@@ -1,6 +1,6 @@
-"""The whole-program rules GSD106–GSD109.
+"""GSD108 (iteration order) and GSD103's checks of ``lock-held`` helpers.
 
-Fixtures drive :func:`check_texts` with explicit checker lists so each
+Fixtures drive :func:`check_text` with explicit checker lists so each
 rule is tested in isolation; expected lines are located by searching
 the fixture text (``line_of``) so edits don't silently shift the
 assertions. The self-tests at the bottom seed a defect into the *real*
@@ -11,14 +11,11 @@ rules hold on production code, not just toy fixtures.
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import repro.utils.timers as timers_module
-from repro.analysis import check_text, check_texts
-from repro.analysis.checkers import (
-    ChargeCoverageChecker,
-    IterationOrderChecker,
-    LockContextChecker,
-    ResourceLifecycleChecker,
-)
+from repro.analysis import check_text
+from repro.analysis.checkers import IterationOrderChecker, LockDisciplineChecker
 
 
 def line_of(src, needle, occurrence=1):
@@ -32,68 +29,11 @@ def line_of(src, needle, occurrence=1):
     raise AssertionError(f"{needle!r} not in fixture")
 
 
-def dedent_all(files):
-    return {rel: textwrap.dedent(text) for rel, text in files.items()}
+def findings_for(src, checker, rel="utils/thing.py"):
+    return check_text(src, rel, [checker])
 
 
-def findings_for(files, checker):
-    return check_texts(dedent_all(files), [checker])
-
-
-# -- GSD106: charge coverage --------------------------------------------------
-
-GSD106_LEAK = {
-    "core/driver.py": """
-    from repro.core.helper import _fetch
-
-    def run_job():
-        return _fetch()
-    """,
-    # Private helper: not an entry point itself, so the reported chain
-    # must walk back to the public driver.
-    "core/helper.py": """
-    def _fetch():
-        with open("/data/blob", "rb") as fh:
-            return fh.read()
-    """,
-}
-
-
-def test_gsd106_flags_uncharged_chain_from_public_entry():
-    findings = findings_for(GSD106_LEAK, ChargeCoverageChecker)
-    assert [f.rule_id for f in findings] == ["GSD106"]
-    f = findings[0]
-    assert f.path == "core/helper.py"
-    assert f.line == line_of(textwrap.dedent(GSD106_LEAK["core/helper.py"]), "open(")
-    # The message renders the full chain so the reader can follow it.
-    assert "run_job" in f.message and "_fetch" in f.message
-
-
-def test_gsd106_quiet_when_no_entry_reaches_the_sink():
-    files = {
-        "core/helper.py": """
-        def _orphan():
-            with open("/data/blob", "rb") as fh:
-                return fh.read()
-        """
-    }
-    assert findings_for(files, ChargeCoverageChecker) == []
-
-
-def test_gsd106_annotation_discharges():
-    files = {
-        "core/driver.py": GSD106_LEAK["core/driver.py"],
-        "core/helper.py": """
-        def fetch():
-            # charged-io-ok: host-side manifest, not simulated data
-            with open("/data/blob", "rb") as fh:
-                return fh.read()
-        """,
-    }
-    assert findings_for(files, ChargeCoverageChecker) == []
-
-
-# -- GSD107: lock-context propagation -----------------------------------------
+# -- GSD103: lock-held helpers (the tests keep the id they were written under)
 
 GSD107_FIXTURE = """
 import threading
@@ -122,8 +62,8 @@ class Box:
 
 def test_gsd107_unlocked_call_flagged_locked_and_propagated_pass():
     src = textwrap.dedent(GSD107_FIXTURE)
-    findings = findings_for({"utils/thing.py": src}, LockContextChecker)
-    assert [f.rule_id for f in findings] == ["GSD107"]
+    findings = findings_for(src, LockDisciplineChecker)
+    assert [f.rule_id for f in findings] == ["GSD103"]
     # Only the call inside bad() fires: good() holds the lock lexically,
     # _also_held() inherits the context from its own declaration.
     bad_call = line_of(src, "self._mutate()", occurrence=1)
@@ -149,8 +89,8 @@ def test_gsd107_value_reference_is_an_escape():
                 return threading.Thread(target=self._mutate)
         """
     )
-    findings = findings_for({"utils/thing.py": src}, LockContextChecker)
-    assert [f.rule_id for f in findings] == ["GSD107"]
+    findings = findings_for(src, LockDisciplineChecker)
+    assert [f.rule_id for f in findings] == ["GSD103"]
     assert findings[0].line == line_of(src, "target=self._mutate")
     assert "referenced as a value" in findings[0].message
 
@@ -173,8 +113,8 @@ def test_gsd107_double_acquire_of_nonreentrant_lock():
                     self.inner()
         """
     )
-    findings = findings_for({"utils/thing.py": src}, LockContextChecker)
-    assert [f.rule_id for f in findings] == ["GSD107"]
+    findings = findings_for(src, LockDisciplineChecker)
+    assert [f.rule_id for f in findings] == ["GSD103"]
     assert findings[0].line == line_of(src, "self.inner()")
     assert "self-deadlock" in findings[0].message
 
@@ -183,7 +123,7 @@ def test_gsd107_double_acquire_of_nonreentrant_lock():
 
 
 def order_findings(src, rel="utils/box.py"):
-    return findings_for({rel: src}, IterationOrderChecker)
+    return findings_for(src, IterationOrderChecker, rel)
 
 
 def test_gsd108_set_iteration_into_float_accumulation():
@@ -264,8 +204,8 @@ def test_gsd108_local_dict_is_deterministic():
 
 
 def test_gsd108_reaching_defs_clear_rebound_name():
-    # The suspect set is rebound to a sorted list before the loop, on
-    # every path — reaching definitions prove the loop is ordered.
+    # The suspect set is rebound to a sorted list before the loop: not
+    # every assignment to the name builds a set, so it is not suspect.
     src = textwrap.dedent(
         """
         def acc(xs):
@@ -278,132 +218,6 @@ def test_gsd108_reaching_defs_clear_rebound_name():
         """
     )
     assert order_findings(src) == []
-
-
-# -- GSD109: resource lifecycle -----------------------------------------------
-
-
-def lifecycle_findings(files):
-    return findings_for(files, ResourceLifecycleChecker)
-
-
-PREFETCH_STUB = """
-class BlockPrefetcher:
-    def run(self, blocks):
-        return self
-    def close(self):
-        pass
-"""
-
-
-def test_gsd109_stream_leaks_on_exception_path():
-    use = textwrap.dedent(
-        """
-        from repro.storage.prefetch import BlockPrefetcher
-
-        def drain(pf: BlockPrefetcher, blocks, consume):
-            stream = pf.run(blocks)
-            for b in stream:
-                consume(b)
-            stream.close()
-        """
-    )
-    findings = lifecycle_findings(
-        {"storage/prefetch.py": PREFETCH_STUB, "core/use.py": use}
-    )
-    assert [f.rule_id for f in findings] == ["GSD109"]
-    assert findings[0].path == "core/use.py"
-    assert findings[0].line == line_of(use, "pf.run(blocks)")
-
-
-def test_gsd109_try_finally_closes_on_every_path():
-    use = textwrap.dedent(
-        """
-        from repro.storage.prefetch import BlockPrefetcher
-
-        def drain(pf: BlockPrefetcher, blocks, consume):
-            stream = pf.run(blocks)
-            try:
-                for b in stream:
-                    consume(b)
-            finally:
-                stream.close()
-        """
-    )
-    assert (
-        lifecycle_findings(
-            {"storage/prefetch.py": PREFETCH_STUB, "core/use.py": use}
-        )
-        == []
-    )
-
-
-def test_gsd109_dropped_span_vs_with_managed():
-    src = textwrap.dedent(
-        """
-        def bad(clock, work):
-            handle = clock.span("phase")
-            work()
-
-        def good(clock, work):
-            with clock.span("phase"):
-                work()
-        """
-    )
-    findings = lifecycle_findings({"core/use.py": src})
-    assert [f.rule_id for f in findings] == ["GSD109"]
-    assert findings[0].line == line_of(src, 'clock.span("phase")', occurrence=1)
-
-
-def test_gsd109_unbalanced_acquire():
-    src = textwrap.dedent(
-        """
-        def bad(lock, work):
-            lock.acquire()
-            work()
-            lock.release()
-
-        def good(lock, work):
-            lock.acquire()
-            try:
-                work()
-            finally:
-                lock.release()
-        """
-    )
-    findings = lifecycle_findings({"core/use.py": src})
-    assert [f.rule_id for f in findings] == ["GSD109"]
-    assert findings[0].line == line_of(src, "lock.acquire()", occurrence=1)
-
-
-def test_gsd109_leak_ok_annotation_discharges():
-    src = textwrap.dedent(
-        """
-        def bad(clock, work):
-            # leak-ok: handle closed by the caller's teardown hook
-            handle = clock.span("phase")
-            work()
-        """
-    )
-    assert lifecycle_findings({"core/use.py": src}) == []
-
-
-def test_gsd109_escaped_stream_is_callers_problem():
-    use = textwrap.dedent(
-        """
-        from repro.storage.prefetch import BlockPrefetcher
-
-        def open_stream(pf: BlockPrefetcher, blocks):
-            stream = pf.run(blocks)
-            return stream
-        """
-    )
-    assert (
-        lifecycle_findings(
-            {"storage/prefetch.py": PREFETCH_STUB, "core/use.py": use}
-        )
-        == []
-    )
 
 
 # -- self-tests against real source -------------------------------------------
@@ -434,16 +248,35 @@ def test_self_gsd107_seeded_unlocked_helper_call_in_real_timers():
     # The de-guarded call sits 13 lines below the end of the base file.
     poke_line = base.count("\n") + 13
     findings = check_text(seeded, "utils/timers.py")
-    assert [(f.rule_id, f.line) for f in findings] == [("GSD107", poke_line)]
+    assert [(f.rule_id, f.line) for f in findings] == [("GSD103", poke_line)]
     assert "lock-held: _guard" in findings[0].message
 
 
-def test_self_gsd108_reverting_one_sorted_in_real_timers():
+#: The sorted() wraps over a component dict in the real timers source,
+#: by the class that owns the dict.
+SORTED_WRAPS = {"sorted(self._components)": "SimClock", "sorted(self.components)": "TimeBreakdown"}
+
+
+def _sorted_wraps():
+    """One ``(needle, occurrence)`` param per wrap in the real source."""
+    text = _timers_source()
+    # An empty parametrization would pass silently.
+    assert all(needle in text for needle in SORTED_WRAPS)
+    return [
+        pytest.param(needle, k, id=f"{owner}-{k}")
+        for needle, owner in SORTED_WRAPS.items()
+        for k in range(1, text.count(needle) + 1)
+    ]
+
+
+@pytest.mark.parametrize("needle,occurrence", _sorted_wraps())
+def test_self_gsd108_reverting_one_sorted_in_real_timers(needle, occurrence):
     base = _timers_source()
-    needle = "for k in sorted(self._components)"
-    assert needle in base  # the production fix this test guards
-    mutated = base.replace(needle, "for k in self._components", 1)
-    bad_line = line_of(mutated, "for k in self._components")
+    bare = needle[len("sorted("):-1]
+    # Revert exactly the chosen wrap: split the source at it.
+    parts = base.split(needle)
+    mutated = needle.join(parts[:occurrence]) + bare + needle.join(parts[occurrence:])
+    bad_line = line_of(base, needle, occurrence)
     findings = check_text(mutated, "utils/timers.py")
     assert [(f.rule_id, f.line) for f in findings] == [("GSD108", bad_line)]
 

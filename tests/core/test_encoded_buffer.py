@@ -14,7 +14,8 @@ grid:
 * each block is decoded once per visit, and the round's heap peak
   (``tracemalloc``, which sees numpy's data allocations) is bounded by
   the buffer, one encoded column, a few decoded blocks and ``O(|V|)`` —
-  not by a decoded column.
+  not by a decoded column; each push's own temporaries are bounded by
+  its block.
 """
 
 import tracemalloc
@@ -25,6 +26,7 @@ import pytest
 from repro.algorithms import make_program
 from repro.algorithms.base import GraphContext
 from repro.core import GraphSDConfig, GraphSDEngine
+from repro.core.engine_base import EngineBase
 from repro.datasets.rmat import SOCIAL, rmat_edges
 from repro.graph import GridStore
 from tests.conftest import build_store
@@ -32,18 +34,38 @@ from tests.conftest import build_store
 P = 4
 ENCODINGS = ["raw", "compact3"]
 
-#: Decoded blocks alive at once, in units of the largest decoded block
-#: (8 bytes per edge: ``uint32`` source and destination): the block being
-#: pushed, its three 8-byte-per-edge kernel temporaries (sources and
-#: destinations widened to ``intp``, the gathered contributions), and
-#: the diagonal block held across its interval's apply.
-DECODED_BLOCKS = 5
-#: Heap bytes per vertex: eight 8-byte arrays (state, the two phases'
-#: snapshots and accumulators, the carried accumulator, a re-read state)
-#: and eight 1-byte masks (touched, activated, frontier).
-PER_VERTEX = 72
+#: Heap one push allocates beyond what it was handed, in units of its
+#: block's 8 bytes per edge (``uint32`` source and destination). The
+#: peak is the gather of a dense-gated push: sources re-based to their
+#: interval (``uint32``, 1/2), numpy's ``intp`` cast of those indices
+#: inside ``take`` (1), the gathered ``float64`` contributions (1), the
+#: edge mask (``bool``, 1/8), then ``np.where``'s neutralized copy (1)
+#: once the cast is gone. The combine stays at or under it:
+#: contributions (1), destinations re-based (1/2) and ``np.minimum.at``'s
+#: index cast (at most 1: numpy casts in 8192-index buffers). A push
+#: that cuts its active sources out (``EdgeBlock.select``) builds
+#: per-source index arrays and a copy of the selected edges instead; in
+#: this round those stay under the same bound.
+PUSH_BLOCKS = 2.625
+#: Decoded blocks alive besides the push's own temporaries: the block
+#: being pushed and the diagonal block FCIU holds across its interval's
+#: apply. A raw block decodes to views of its column's read (no copy).
+DECODED_BLOCKS = {"raw": 0, "compact3": 2}
+#: Heap bytes per vertex at the round's peak: six 8-byte arrays held in
+#: phase 2 (state, phase 1's snapshot and accumulator, phase 2's
+#: snapshot and accumulator — the carried one — and the fresh carried
+#: accumulator), three 1-byte masks (frontier, phase 1's and phase 2's
+#: activations), and a gated push's cut of at most DENSE_GATE = 1/2 of
+#: a P = 4 interval's sources: six 8-byte arrays per active source (ids,
+#: edge starts, counts, ends and two ``run_positions`` temporaries;
+#: 6 B per vertex) plus the block's cached source offsets (at most 4
+#: bytes per interval vertex; 1 B per vertex).
+PER_VERTEX = 6 * 8 + 3 + 6 + 1
 #: Interpreter and bookkeeping allocations of one round.
 SLACK = 64 << 10
+#: Fixed allocations of one push: numpy's iterator buffers (about 5 KiB
+#: per ``ufunc.at`` call) and the arrays' object headers.
+PUSH_SLACK = 16 << 10
 
 
 @pytest.fixture(scope="module")
@@ -113,12 +135,26 @@ def test_fciu_round_decodes_once_in_a_bounded_heap(edges, tmp_path, encoding, mo
         decodes.append((i, j))
         return decode(self, i, j, payload)
 
+    #: Heap peaks of the round's stretches between pushes, and each
+    #: push's (own peak over the heap it started from, edges).
+    peaks, pushes = [], []
+    push = EngineBase.push_block
+
+    def measured(self, snapshot, block, *args, **kwargs):
+        before, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)
+        tracemalloc.reset_peak()
+        landed = push(self, snapshot, block, *args, **kwargs)
+        pushes.append((tracemalloc.get_traced_memory()[1] - before, block.count))
+        return landed
+
     engine, store = _engine(edges, tmp_path, encoding)
     monkeypatch.setattr(GridStore, "_decode", counting)
+    monkeypatch.setattr(EngineBase, "push_block", measured)
     tracemalloc.start()
     try:
         result = _fciu_round(engine)
-        peak = tracemalloc.get_traced_memory()[1]
+        peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
 
@@ -130,13 +166,18 @@ def test_fciu_round_decodes_once_in_a_bounded_heap(edges, tmp_path, encoding, mo
     assert len(decodes) == P * P + secondary
     assert len(set(decodes)) == P * P
 
+    for grown, count in pushes:
+        bound = PUSH_BLOCKS * 8 * count + PUSH_SLACK
+        assert grown <= bound, f"a push of {count} edges grew the heap {grown} B > {bound} B"
+
     largest_column = max(store.column_nbytes(j) for j in range(P))
     largest_block = 8 * int(store.block_counts.max())
     bound = (
         engine.buffer.capacity_bytes
         + largest_column
-        + DECODED_BLOCKS * largest_block
+        + (DECODED_BLOCKS[encoding] + PUSH_BLOCKS) * largest_block
         + PER_VERTEX * edges.num_vertices
         + SLACK
     )
+    peak = max(peaks)
     assert peak <= bound, f"heap peak {peak} B > bound {bound} B"

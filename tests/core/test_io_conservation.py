@@ -39,6 +39,17 @@ def test_full_iteration_reads_exactly_the_edge_file_plus_state(edges, tmp_path):
         assert rec.io.bytes_written == n_state
 
 
+@pytest.mark.parametrize("encoding", ["raw", "compact3"])
+def test_context_scan_reads_exactly_the_edge_file(edges, tmp_path, encoding):
+    """An engine built without the graph's provenance derives its
+    context from one charged scan: exactly the edge file's bytes."""
+    store = build_store(edges, tmp_path, P=4, name=f"ctx-{encoding}", encoding=encoding)
+    store.device.disk.reset()
+    GraphSDEngine(store)
+    stats = store.device.disk.stats
+    assert stats.bytes_read == stats.bytes_read_seq == store.total_edge_bytes
+
+
 def test_sciu_iteration_reads_exactly_active_edges(edges, tmp_path):
     """On-demand edge bytes equal the frontier's out-degree mass times
     the record size (plus index and state bytes, bounded separately)."""

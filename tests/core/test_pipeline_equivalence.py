@@ -9,6 +9,8 @@ The only permitted differences are the net total (overlap hides time)
 and the prefetch observability counters themselves.
 """
 
+import threading
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -170,3 +172,43 @@ def test_injected_crash_fires_at_same_point_under_pipeline(tmp_path):
     # behind it.
     assert p.bytes_read_seq + p.bytes_read_ran >= s.bytes_read_seq + s.bytes_read_ran
     assert s.bytes_written_seq == p.bytes_written_seq
+
+
+P_LEAK = 8  # columns enough that a depth-2 worker is still parked at the crash
+
+#: Stream site (the function holding the stream) -> (config, program,
+#: mid-scatter poll that crashes). consume_plan polls before its first
+#: pull starts the worker, so every site crashes at its second poll;
+#: FCIU phase 1 polls once per block of the P x P grid, then phase 2
+#: sweeps columns.
+STREAM_SITES = {
+    "run_fciu_round": (GraphSDConfig.baseline_b3, PageRank, 2),
+    "sweep_columns": (GraphSDConfig.baseline_b3, PageRank, P_LEAK * P_LEAK + 2),
+    "consume_plan": (GraphSDConfig.baseline_b4, lambda: SSSP(source=0), 2),
+}
+
+
+def _prefetch_threads():
+    return {t for t in threading.enumerate() if t.name == "graphsd-prefetch" and t.is_alive()}
+
+
+@pytest.mark.parametrize("site", sorted(STREAM_SITES))
+def test_no_prefetch_worker_outlives_a_crash(tmp_path, site):
+    """A crash mid-stream must close the stream on the way out: while
+    the SimulatedCrash traceback (and with it the crashed frame's
+    locals) is still held, no prefetch worker may be left running."""
+    make_config, make_program, crash_at = STREAM_SITES[site]
+    rng = np.random.default_rng(5)
+    store = build_store(random_edgelist(rng, 400, 5000), tmp_path, P=P_LEAK, name=site)
+    engine = GraphSDEngine(
+        store, config=replace(make_config(), prefetch_depth=DEFAULT_PREFETCH_DEPTH)
+    )
+    store.device.disk.injector = FaultInjector(
+        FaultPlan(crash_points={"mid-scatter": crash_at})
+    )
+    before = _prefetch_threads()
+    with pytest.raises(SimulatedCrash) as crash:
+        engine.run(make_program())
+    frames = [frame.name for frame in traceback.extract_tb(crash.tb)]
+    assert frames[-3:] == [site, "_crash_point", "crash_point"]
+    assert _prefetch_threads() - before == set()

@@ -117,6 +117,22 @@ def test_span_sim_times_are_deterministic_across_runs(edges, tmp_path):
     assert sim_view(traces[0]) == sim_view(traces[1])
 
 
+@pytest.mark.parametrize("program", [BFS(root=0), PageRank(iterations=4)], ids=["bfs", "pr"])
+def test_every_round_records_its_phase_spans(edges, tmp_path, program):
+    """A phase span that is created but never entered records nothing:
+    each round must leave exactly its phases' spans in the trace."""
+    store = build_store(edges, tmp_path, name="phases")
+    _, events = traced_run(GraphSDEngine(store), program, tmp_path / "p.jsonl")
+    models = [e["model"] for e in events if e["type"] == "iteration"]
+    spans = [e["name"] for e in events if e["type"] == "span"]
+    sciu_rounds = models.count("sciu")
+    assert spans.count("fciu.phase1") == models.count("fciu") + models.count("full")
+    assert spans.count("fciu.phase2") == models.count("fciu2")
+    assert spans.count("sciu.plan") == spans.count("sciu.scatter") == sciu_rounds
+    assert spans.count("sciu.apply") == sciu_rounds
+    assert spans.count("fciu.phase1") + sciu_rounds > 0
+
+
 # -- audit -------------------------------------------------------------------
 
 
