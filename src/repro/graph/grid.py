@@ -162,12 +162,16 @@ INDEX_GATHER = 2  #: randomly gather one (offset, next) pair per active vertex
 SelectiveEntry = Tuple[int, int, np.ndarray, int]
 
 #: Where a selective read finds block ``(i, j)``: the first vertex of
-#: intervals ``i`` and ``j``; the byte of its first offset in the index
-#: file and the bytes per offset; its first edge record in the edges file
+#: intervals ``i`` and ``j`` and the size of ``i``; the byte of its first
+#: offset in the index file and the bytes per offset; its first edge
+#: record in the edges file
 #: (compact: behind the run-length header) and the file items per record;
 #: the byte width of a compact record's local destination.
 _GEOMETRY_DTYPE = np.dtype(
-    [(name, np.int64) for name in ("lo_i", "lo_j", "index", "unit", "records", "rec", "width")]
+    [
+        (name, np.int64)
+        for name in ("lo_i", "lo_j", "size_i", "index", "unit", "records", "rec", "width")
+    ]
 )
 
 
@@ -527,11 +531,9 @@ class GridStore:
         self.out_degrees: Optional[np.ndarray] = None
 
         sizes = intervals.sizes()
-        #: Active ids per chunk of :meth:`read_selective`: one interval's worth.
-        self._chunk_ids = int(sizes.max())
-        #: The destination column whose pages the read mappings may hold
-        #: (:meth:`_map_column`).
-        self._mapped_column: Optional[int] = None
+        #: Active ids per chunk of :meth:`read_selective`: an average
+        #: interval's worth, which bounds the chunk's arrays and reads.
+        self._chunk_ids = max(1, intervals.num_vertices // P)
 
         # The layout's per-block width tables, in bytes: run-length
         # header per source, local destination, record, and offset.
@@ -583,6 +585,7 @@ class GridStore:
             geometry = np.zeros((P, P), dtype=_GEOMETRY_DTYPE)
             geometry["lo_i"] = intervals.boundaries[:-1, None]
             geometry["lo_j"] = intervals.boundaries[None, :-1]
+            geometry["size_i"] = sizes[:, None]
             geometry["index"] = self._index_start
             geometry["unit"] = self._idx_codes
             geometry["records"] = (self._block_byte_start + header) // item
@@ -999,6 +1002,11 @@ class GridStore:
         start, count = self._index_slice(i, j, 0, self.intervals.size(i))
         return self._widen_offsets(i, j, self._idx_file.read_slice(start, count, sequential=True))
 
+    def _require_in_interval(self, i: int, first: int, last: int) -> None:
+        """Local ids ``first..last`` lie in source interval ``i``: what
+        :meth:`read_index_span` checks of its span."""
+        require(0 <= first <= last < self.intervals.size(i), "bad index span")
+
     def read_index_span(self, i: int, j: int, lo_local: int, hi_local: int) -> np.ndarray:
         """Sequentially read index entries ``[lo_local, hi_local]`` (inclusive
         of the trailing offset) of sub-block ``(i, j)``.
@@ -1023,7 +1031,7 @@ class GridStore:
         local_ids = np.asarray(local_ids, dtype=np.int64)
         if local_ids.size == 0:
             return np.empty((0, 2), dtype=INDEX_DTYPE)
-        self._map_column(j)
+        self._require_in_interval(i, int(local_ids.min()), int(local_ids.max()))
         payload = self._idx_file.read_gather(*self._index_runs(i, j, local_ids))
         return self._widen_offsets(i, j, payload).reshape(-1, 2)
 
@@ -1032,6 +1040,7 @@ class GridStore:
         ascending, non-empty ``local_ids`` of block ``(i, j)``: what
         :meth:`read_index_entries` or :meth:`read_index_span` over the
         ids' range would charge."""
+        self._require_in_interval(i, int(local_ids[0]), int(local_ids[-1]))
         if mode == INDEX_GATHER:
             starts, counts = self._index_runs(i, j, local_ids)
             pair, n = int(counts[0]), counts.size
@@ -1049,27 +1058,28 @@ class GridStore:
         """Read many blocks' active edges in one data pass; charge each later.
 
         Every entry's ``(offset, next_offset)`` pairs and the edges they
-        delimit are read through the mapped ``.idx`` and ``.edges`` files
-        in a few vectorized numpy calls — nothing is charged and nothing
-        raises here. Each entry comes back as a :class:`SelectiveLoad`
-        holding its :class:`EdgeBlock` (a slice of the pass's arrays,
-        equal to what :meth:`load_active_edges` returns for the entry's
+        delimit are read from ``.idx`` and ``.edges`` with
+        :meth:`~repro.storage.blockfile.ArrayFile.read_runs`, the
+        uncharged data half of every read — nothing is charged and
+        nothing raises here. Each entry comes back as a
+        :class:`SelectiveLoad` holding its :class:`EdgeBlock` (a slice of
+        the pass's arrays, equal to what :meth:`load_active_edges` returns for the entry's
         offsets) and a :meth:`~SelectiveLoad.charge` that runs exactly
         the accounting of the entry's own index read (by its mode) and
-        :meth:`load_active_edges`, in that order. An entry whose offsets
-        fall outside the index, decrease, or point outside the edges file
-        is left unread, and its ``charge()`` raises the error those
-        single reads raise.
+        :meth:`load_active_edges`, in that order. An entry whose ids fall
+        outside its source interval, or whose offsets fall outside the
+        index, decrease, or point outside the edges file, is left unread,
+        and its ``charge()`` raises the error those single reads raise.
 
         The pass walks the entries in storage order — by destination
         column, and inside a column by the blocks' offset and record
         widths — in chunks of at most one source interval's worth of
-        active ids, which bounds its transient arrays. A chunk reads its
-        offsets group by group, then its edges group by group (a group:
-        the entries of one column and widths), each gather over one
-        contiguous slice of the chunk's arrays, and :meth:`_map_column`
-        keeps at most one column of the grid mapped. Loads come back in
-        entry order.
+        active ids, which bounds its transient arrays and its reads. A
+        chunk reads its offsets with one read of ``.idx``, then its edges
+        with one read of ``.edges``; each read runs forward through the
+        file. The entries of one column and widths form a *group*, whose
+        offsets and edges are gathered from the read into one contiguous
+        slice of the chunk's arrays. Loads come back in entry order.
         """
         self._require_indexed()
         if not entries:
@@ -1085,42 +1095,20 @@ class GridStore:
                 width = 0
             chunks[-1].append(e)
             width += len(entries[e][2])
-        index, edges = self._idx_file.mapped(), self._edges_file.mapped()
         placed: Dict[int, SelectiveLoad] = {}
         for chunk in chunks:
             rows = np.array(chunk, dtype=np.intp)
             loads = self._read_chunk(
-                [entries[e] for e in chunk], geom[rows], keys[rows], index, edges,
-                seq_threshold_bytes,
+                [entries[e] for e in chunk], geom[rows], keys[rows], seq_threshold_bytes
             )
             placed.update(zip(chunk, loads))
         return [placed[e] for e in range(len(entries))]
-
-    def _map_column(self, j: int) -> None:
-        """Let the grid's read mappings hold destination column ``j``.
-
-        ``.idx`` and ``.edges`` are both stored column by column, so a
-        selective read of a block of column ``j`` touches one window of
-        each. Mapped pages count toward the process's resident set, and
-        one fault may map a whole large folio (2 MiB), so reads spread
-        over the columns would leave both files resident whole. When the
-        mappings hold another column, their pages are dropped first
-        (:meth:`~repro.storage.blockfile.ArrayFile.release`); repeated
-        reads of one column keep theirs. Nothing is charged.
-        """
-        if self._mapped_column != j:
-            self._edges_file.release()
-            if self._idx_file is not None:
-                self._idx_file.release()
-            self._mapped_column = j
 
     def _read_chunk(
         self,
         chunk: Sequence[SelectiveEntry],
         geom: np.ndarray,
         keys: np.ndarray,
-        index: np.ndarray,
-        edges: np.ndarray,
         seq_threshold_bytes: Optional[int],
     ) -> List["SelectiveLoad"]:
         """:meth:`read_selective` for one chunk of storage-ordered entries:
@@ -1134,14 +1122,19 @@ class GridStore:
         local = active - geom["lo_i"][owner]
         unit = geom["unit"][owner]
         pos = geom["index"][owner] + local * unit
-        inside = (pos >= 0) & (pos + 2 * unit <= index.shape[0])
+        inside = (local >= 0) & (local < geom["size_i"][owner])
+        inside &= pos + 2 * unit <= self._idx_file.nbytes
         bounds = np.cumsum([0] + sizes)
         readable = np.logical_and.reduceat(inside, bounds[:-1])
         all_inside = bool(readable.all())
         offsets = np.zeros((2, owner.size), dtype=INDEX_DTYPE)
         pair = np.arange(2, dtype=np.int64)[:, None]
+        # One read of every pair inside the index; ``pos`` becomes each
+        # pair's byte in it.
+        read: Union[slice, np.ndarray] = slice(None) if all_inside else inside
+        index, at = self._idx_file.read_runs(pos[read], 2 * unit[read])
+        pos[read] = at
         for g0, g1 in zip(groups[:-1], groups[1:]):
-            self._map_column(blocks[g0] % self.P)
             a, b = bounds[g0], bounds[g1]
             ids: Union[slice, np.ndarray] = (
                 slice(a, b) if all_inside else a + np.flatnonzero(inside[a:b])
@@ -1149,8 +1142,7 @@ class GridStore:
             width = int(geom["unit"][g0])
             offsets[:, ids] = _read_le(index, pos[ids] + pair * width, _OFFSET_BY_ITEMSIZE[width])
         loads = self._select_edges(
-            blocks, groups, geom, bounds, owner, active, offsets, readable, edges,
-            seq_threshold_bytes,
+            blocks, groups, geom, bounds, owner, active, offsets, readable, seq_threshold_bytes
         )
         for e, (load, entry) in enumerate(zip(loads, chunk)):
             load.index = (int(entry[3]), local[bounds[e] : bounds[e + 1]])
@@ -1166,7 +1158,6 @@ class GridStore:
         active: np.ndarray,
         offsets: np.ndarray,
         readable: np.ndarray,
-        edges: np.ndarray,
         seq_threshold_bytes: Optional[int],
     ) -> List["SelectiveLoad"]:
         """The edge pass of :meth:`read_selective` and :meth:`load_active_edges`.
@@ -1176,9 +1167,9 @@ class GridStore:
         (ascending; ``owner`` maps each to ``e``) own the edges
         ``offsets[0, k]`` up to ``offsets[1, k]``. Entries
         ``groups[g]`` up to ``groups[g + 1]`` share one column and one
-        record width, and are gathered together. An entry not
-        ``readable`` (its offsets could not be read) or ruled out by the
-        bounds gets an empty block; its accounting raises.
+        record width, and a compact group is decoded in its widths. An
+        entry not ``readable`` (its offsets could not be read) or ruled
+        out by the bounds gets an empty block; its accounting raises.
         """
         firsts = bounds[:-1]
         rec = geom["rec"]
@@ -1189,12 +1180,13 @@ class GridStore:
         negative = np.logical_or.reduceat(per_vertex < 0, firsts)
         min_start = np.minimum.reduceat(starts, firsts)
         max_end = np.maximum.reduceat(ends, firsts)
-        valid = readable & ~negative & (min_start >= 0) & (max_end <= edges.shape[0])
+        itemsize = self._edges_file.dtype.itemsize
+        valid = readable & ~negative & (min_start >= 0)
+        valid &= max_end <= self._edges_file.nbytes // itemsize
 
         # Adjacent extents of one entry merge into one run (one request).
         m_starts, m_counts, group_ids = merge_runs(starts, counts, firsts)
         entry_runs = np.append(group_ids[firsts], m_starts.size)
-        itemsize = self._edges_file.dtype.itemsize
         nonempty = m_counts > 0
         seq = np.zeros(m_counts.size, dtype=bool)
         if seq_threshold_bytes is not None:
@@ -1205,38 +1197,31 @@ class GridStore:
         runs = np.add.reduceat(nonempty, firsts_run, dtype=np.int64)
         seq_runs = np.add.reduceat(seq, firsts_run, dtype=np.int64)
 
-        # The data: one gather per group, over its slice of the edges.
+        # The data: one read of every vertex's extent, then one gather
+        # from it (compact: one per group, in the group's widths).
         take = valid[owner] & (per_vertex > 0)
         taken = per_vertex[take]
+        data, data_at = self._edges_file.read_runs(starts[take], counts[take])
         edge_bounds = [0, *np.cumsum(np.where(valid, items // rec, 0)).tolist()]
-        spans = [
-            (g0, edge_bounds[g0], edge_bounds[g1]) for g0, g1 in zip(groups[:-1], groups[1:])
-        ]
         if self.encoding in _COMPACT_ENCODINGS:
-            edge_owner = owner[take].repeat(taken)
-            at = run_positions(offsets[0][take], taken) * rec[edge_owner]
-            at += geom["records"][edge_owner]
+            # A vertex's k-th record is k records past where its extent landed.
+            at = run_positions(np.zeros_like(taken), taken) * rec[owner[take]].repeat(taken)
+            at += data_at.repeat(taken)
             dst = np.empty(at.size, dtype=VERTEX_DTYPE)
             wgt = np.empty(at.size, dtype=np.float32) if self.has_weights else None
-            for g0, p0, p1 in spans:
+            for g0, g1 in zip(groups[:-1], groups[1:]):
+                p0, p1 = edge_bounds[g0], edge_bounds[g1]
                 if p0 == p1:
                     continue
-                self._map_column(blocks[g0] % self.P)
                 width = int(geom["width"][g0])
-                dst[p0:p1] = _read_le(edges, at[p0:p1], _UINT_BY_ITEMSIZE[width])
+                dst[p0:p1] = _read_le(data, at[p0:p1], _UINT_BY_ITEMSIZE[width])
                 dst[p0:p1] += VERTEX_DTYPE.type(geom["lo_j"][g0])
                 if wgt is not None:
-                    wgt[p0:p1] = _read_le(edges, at[p0:p1] + width, np.dtype("<f4"))
+                    wgt[p0:p1] = _read_le(data, at[p0:p1] + width, np.dtype("<f4"))
             src = active[take].astype(VERTEX_DTYPE).repeat(taken)
         else:
-            positions = run_positions(starts[take], counts[take])
-            records = np.empty(positions.size, dtype=edges.dtype)
-            for g0, p0, p1 in spans:
-                if p0 == p1:
-                    continue
-                self._map_column(blocks[g0] % self.P)
-                # "clip" skips the bounds-check buffer: every position is valid.
-                np.take(edges, positions[p0:p1], out=records[p0:p1], mode="clip")
+            # "clip" skips the bounds check: every position is valid.
+            records = data.take(run_positions(data_at, counts[take]), mode="clip")
             src, dst = records["src"].copy(), records["dst"].copy()
             wgt = records["wgt"].copy() if self.has_weights else None
 
@@ -1309,7 +1294,6 @@ class GridStore:
             active_global_ids,
             np.asarray(offsets_pairs, dtype=INDEX_DTYPE).T,
             np.ones(1, dtype=bool),
-            self._edges_file.mapped(),
             seq_threshold_bytes,
         )
         return load()

@@ -10,23 +10,27 @@ Design notes
 ------------
 * Files hold a single fixed dtype; offsets are expressed in items, not
   bytes, so callers never do size arithmetic.
+* One data path: every byte a read returns leaves the file through
+  :meth:`ArrayFile.read_runs`, which reads item runs into a buffer it
+  allocates — runs less than :data:`READ_JOIN_BYTES` apart as one
+  extent, each extent with one positioned read (``os.preadv``).
+  Nothing is mapped, so a read holds exactly the bytes it returns (plus
+  the joined gaps) and no page of the file counts toward the process's
+  resident set.
 * Scattered reads (:meth:`ArrayFile.read_gather`) are the on-demand I/O
-  model's workhorse: given per-run (start, count) pairs they gather all
-  runs with one vectorized memmap fancy-index — real page reads, no
+  model's workhorse: given per-run (start, count) pairs they read the
+  runs' extents and lay the runs out in argument order — no
   Python-level per-run loop — and charge each run as one request,
   split into sequential/random classes by the caller-provided mask
   (the scheduler's ``S_seq``/``S_ran`` split, §4.1 of the paper).
 * Every read is an *accounting half* — bounds check, fault poll, CRC
   verification, page-cache filter, charge (:meth:`ArrayFile.charge_slice`,
   :meth:`ArrayFile.check_runs` + :meth:`ArrayFile.charge_runs`) — and a
-  *data half*. A batched reader (``GridStore.read_selective``) takes the
-  data of many reads in one pass through :meth:`ArrayFile.mapped` and
-  runs each read's accounting half later, in the order the reads would
-  have run; the single reads run both halves back to back.
-* A read mapping's pages count toward the process's resident set for
-  as long as they stay mapped. :meth:`ArrayFile.release` drops them
-  (``madvise(MADV_DONTNEED)``), so a reader that walks a file region by
-  region holds one region resident, not the whole file.
+  *data half*, :meth:`ArrayFile.read_runs`. A batched reader
+  (``GridStore.read_selective``) takes the data of many reads in one
+  pass through :meth:`ArrayFile.read_runs` and runs each read's
+  accounting half later, in the order the reads would have run; the
+  single reads run both halves back to back.
 
 Robustness (see ``docs/ROBUSTNESS.md``)
 ---------------------------------------
@@ -47,7 +51,6 @@ Robustness (see ``docs/ROBUSTNESS.md``)
 from __future__ import annotations
 
 import json
-import mmap
 import os
 import zlib
 from pathlib import Path
@@ -81,12 +84,10 @@ MAX_IO_RETRIES = 4
 #: Backoff before retry k is ``BASE * 2**(k-1)`` modeled seconds.
 RETRY_BACKOFF_BASE_S = 1e-3
 
-#: ``madvise`` advice that drops a mapping's resident pages; ``None``
-#: where the platform has no ``madvise`` (there :meth:`ArrayFile.release`
-#: is a no-op).
-_MADV_DONTNEED: Optional[int] = (
-    getattr(mmap, "MADV_DONTNEED", None) if hasattr(mmap.mmap, "madvise") else None
-)
+#: Runs of one read whose gap is under this many bytes (one page) are
+#: read as one extent: reading through a gap of less than a page costs
+#: less than a second request.
+READ_JOIN_BYTES = 4096
 
 
 class ArrayFile:
@@ -110,8 +111,6 @@ class ArrayFile:
         self.cache = cache
         self.checksums = checksums
         self._itemsize = self.dtype.itemsize
-        self._mmap: Optional[mmap.mmap] = None  # the read mapping
-        self._mapped: Optional[np.ndarray] = None  # its whole items
         self._crc_table: Optional[dict] = None
         self._crc_loaded = False
 
@@ -322,7 +321,6 @@ class ArrayFile:
         are the same either way.
         """
         data = np.ascontiguousarray(array, dtype=self.dtype)
-        self._invalidate_mmap()
         if self.cache is not None:
             self.cache.invalidate_file(self.path.name)  # contents replaced
         self._maybe_fault(write=True)
@@ -338,7 +336,6 @@ class ArrayFile:
     def append(self, array: np.ndarray) -> None:
         """Append ``array`` at the end of the file (sequential write)."""
         data = np.ascontiguousarray(array, dtype=self.dtype)
-        self._invalidate_mmap()
         offset = self.nbytes
         self._maybe_fault(write=True)
         self._maybe_torn_write(data, offset, mode="append")
@@ -359,7 +356,6 @@ class ArrayFile:
             start_item + len(data) <= self.item_count,
             "overwrite_slice beyond end of file",
         )
-        self._invalidate_mmap()
         offset = start_item * self._itemsize
         self._maybe_fault(write=True)
         self._maybe_torn_write(data, offset, mode="slice")
@@ -374,8 +370,9 @@ class ArrayFile:
     def read_all(self) -> np.ndarray:
         """Read the entire file as one sequential scan."""
         self._maybe_fault(write=False)
-        self._verify_range(0, self.nbytes)
-        data = np.fromfile(self.path, dtype=self.dtype)
+        nbytes = self.nbytes
+        self._verify_range(0, nbytes)
+        data, _ = self.read_runs(np.zeros(1, dtype=np.int64), nbytes // self._itemsize)
         self._charge_read(0, data.nbytes, sequential=True)
         return data
 
@@ -383,9 +380,7 @@ class ArrayFile:
         """Read ``count`` items starting at ``start_item``."""
         if not self.charge_slice(start_item, count, sequential):
             return np.empty(0, dtype=self.dtype)
-        return np.fromfile(
-            self.path, dtype=self.dtype, count=count, offset=start_item * self._itemsize
-        )
+        return self.read_runs(np.full(1, start_item, dtype=np.int64), count)[0]
 
     def charge_slice(self, start_item: int, count: int, sequential: bool = True) -> bool:
         """The accounting half of :meth:`read_slice`.
@@ -425,23 +420,18 @@ class ArrayFile:
             require(seq_run_mask.shape == starts.shape, "seq_run_mask shape mismatch")
         if starts.size == 0:
             return np.empty(0, dtype=self.dtype)
-        total_items = self.check_runs(
-            int(starts.min()), int(counts.min()), int((starts + counts).max())
-        )
+        self.check_runs(int(starts.min()), int(counts.min()), int((starts + counts).max()))
         if not counts.any():
             return np.empty(0, dtype=self.dtype)
         self.charge_runs(starts, counts, seq_run_mask)
-        # Vectorized multi-run gather: each run's item indices back to
-        # back, then one fancy-index on the memmap.
-        return np.asarray(self._get_mmap(total_items)[run_positions(starts, counts)])
+        data, at = self.read_runs(starts, counts)
+        return data[run_positions(at, counts)]
 
-    def check_runs(self, min_start: int, min_count: int, max_end: int) -> int:
+    def check_runs(self, min_start: int, min_count: int, max_end: int) -> None:
         """The bounds check of :meth:`read_gather`, from the runs' lowest
-        start, smallest count and highest end; returns the item count."""
+        start, smallest count and highest end."""
         require(min_count >= 0 and min_start >= 0, "negative start or count")
-        total_items = self.item_count
-        require(max_end <= total_items, "gather run beyond end of file")
-        return total_items
+        require(max_end <= self.item_count, "gather run beyond end of file")
 
     def charge_runs(
         self,
@@ -493,33 +483,56 @@ class ArrayFile:
         if ran_bytes or ran_requests:
             self.disk.charge_read_random(ran_bytes, requests=ran_requests)
 
-    def mapped(self) -> np.ndarray:
-        """Every whole item of the file through its read mapping, uncharged.
+    def read_runs(
+        self, starts: np.ndarray, counts: Union[int, np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The data half of every read: items ``starts[k]`` up to
+        ``starts[k] + counts[k]`` (``counts`` may be one count for all
+        runs), uncharged and unchecked.
 
-        The data half of a batched reader, which runs each read's
-        accounting half itself. Never raises: a missing or empty file is
-        an empty array, and a trailing partial item is left out (the
-        accounting half's :attr:`item_count` rejects such a file).
+        Runs are joined into extents — in file order, overlapping or
+        less than :data:`READ_JOIN_BYTES` apart — and each extent is
+        read with one positioned read (``os.preadv``) into one buffer
+        this call allocates; the file is opened once, and not at all for
+        no runs. Returns the buffer and, per run, the buffer item its
+        first item landed at. Runs must lie inside the file: the charged
+        readers check them first, and a batched reader passes only the
+        runs of entries inside the size it measured, so it never raises.
         """
-        items = self.nbytes // self._itemsize
-        if items == 0:
-            return np.empty(0, dtype=self.dtype)
-        return self._get_mmap(items)
-
-    def release(self) -> None:
-        """Drop the read mapping's resident pages; uncharged.
-
-        Arrays from :meth:`mapped` stay valid: their next access faults
-        the pages back in from the page cache. A no-op when nothing is
-        mapped or the platform has no ``madvise``.
-        """
-        if self._mmap is not None and _MADV_DONTNEED is not None:
-            self._mmap.madvise(_MADV_DONTNEED)
+        starts = np.asarray(starts, dtype=np.int64)
+        if starts.size == 0:
+            return np.empty(0, dtype=self.dtype), np.empty(0, dtype=np.int64)
+        ends = starts + counts
+        order = None
+        if (starts[1:] < starts[:-1]).any():
+            order = starts.argsort(kind="stable")
+            starts, ends = starts[order], ends[order]
+        # A run lying a page or more past the furthest end of the runs
+        # before it starts a new extent.
+        reach = np.maximum.accumulate(ends)
+        cut = np.flatnonzero(starts[1:] - reach[:-1] >= -(-READ_JOIN_BYTES // self._itemsize))
+        first, last = np.append(0, cut + 1), np.append(cut, starts.size - 1)
+        lo = starts[first]
+        size = reach[last] - lo
+        into = size.cumsum() - size
+        at = starts + (into - lo).repeat(last - first + 1)
+        if order is not None:
+            at[order] = at.copy()
+        data = np.empty(int(size.sum()), dtype=self.dtype)
+        view, item = memoryview(data.view(np.uint8)), self._itemsize
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            for offset, a, b in zip(
+                (lo * item).tolist(), (into * item).tolist(), ((into + size) * item).tolist()
+            ):
+                os.preadv(fd, (view[a:b],), offset)
+        finally:
+            os.close(fd)
+        return data, at
 
     # -- lifecycle ---------------------------------------------------------
 
     def delete(self) -> None:
-        self._invalidate_mmap()
         if self.cache is not None:
             # A later file of the same name must not inherit these pages.
             self.cache.invalidate_file(self.path.name)
@@ -529,24 +542,6 @@ class ArrayFile:
             self._crc_path.unlink()
         self._crc_table = None
         self._crc_loaded = False
-
-    def _get_mmap(self, item_count: int) -> np.ndarray:
-        """The read mapping's first ``item_count`` items (read-only),
-        remapped when the file is no longer the ``item_count`` items the
-        caller just measured on disk."""
-        if self._mapped is None or self._mapped.shape[0] != item_count:
-            with open(self.path, "rb") as f:
-                self._mmap = mmap.mmap(
-                    f.fileno(), item_count * self._itemsize, access=mmap.ACCESS_READ
-                )
-            self._mapped = np.frombuffer(self._mmap, dtype=self.dtype, count=item_count)
-        return self._mapped
-
-    def _invalidate_mmap(self) -> None:
-        # Arrays still viewing the old mapping keep it alive; it unmaps
-        # when the last of them goes.
-        self._mmap = None
-        self._mapped = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ArrayFile({self.path.name}, dtype={self.dtype}, items={self.item_count if self.exists else 0})"

@@ -7,9 +7,12 @@ over small in-memory fixtures, pinned to the rule IDs documented in
 
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro.graph.grid as grid_module
+import repro.storage.blockfile as blockfile_module
 from repro.analysis import (
     check_text,
     collect_sources,
@@ -103,6 +106,35 @@ def test_charged_io_flags_numpy_io_and_raw_path_methods():
     )
     found = check_text(src, "core/engine.py", [ChargedIOChecker])
     assert rules(found) == ["GSD102"] * 3
+
+
+#: Where a raw read is seeded into the real selective reader: the first
+#: statement after it sorts its entries into chunks.
+SELECTIVE_NEEDLE = "        placed: Dict[int, SelectiveLoad] = {}\n"
+
+
+def test_self_gsd102_seeded_raw_read_in_real_read_selective():
+    """A data read that opens ``.edges`` itself — the shape the grid's
+    whole-file read mapping had — inside ``GridStore.read_selective``."""
+    base = Path(grid_module.__file__).read_text()
+    assert base.count(SELECTIVE_NEEDLE) == 1
+    at = base.index(SELECTIVE_NEEDLE)
+    assert base.index("    def read_selective(") < at < base.index("    def _read_chunk(")
+    raw_read = (
+        '        with open(self._edges_file.path, "rb") as f:\n'
+        "            f.readinto(bytearray(self._edges_file.nbytes))\n"
+    )
+    seeded = base[:at] + raw_read + base[at:]
+    open_line = base[:at].count("\n") + 1
+    findings = check_text(seeded, "graph/grid.py")
+    assert [(f.rule_id, f.line) for f in findings] == [("GSD102", open_line)]
+
+
+def test_real_grid_and_its_reader_are_clean():
+    reader = Path(blockfile_module.__file__).read_text()
+    assert "os.preadv(" in reader  # the one data reader reads the file itself
+    assert check_text(reader, "storage/blockfile.py") == []
+    assert check_text(Path(grid_module.__file__).read_text(), "graph/grid.py") == []
 
 
 # -- GSD104: explicit dtypes --------------------------------------------------

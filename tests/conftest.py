@@ -90,12 +90,3 @@ def mapped_rss_bytes(path) -> Optional[int]:
             total += int(head[1]) * 1024
     return total
 
-
-def fault_folio_bytes() -> int:
-    """The most one read fault can map of a file: a PMD-sized folio
-    (2 MiB on x86-64 and on arm64 with 4 KiB pages)."""
-    pmd = Path("/sys/kernel/mm/transparent_hugepage/hpage_pmd_size")
-    try:
-        return int(pmd.read_text())
-    except (OSError, ValueError):
-        return 2 << 20

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.rmat import rmat_edges
 from repro.graph import GridStore, make_intervals
 from repro.graph.grid import INDEX_GATHER, INDEX_SPAN
 from repro.storage import Device, HDD_PROFILE, PageCache, SimulatedDisk
@@ -204,3 +205,50 @@ def test_truncated_index_raises_from_the_entry_it_cut_off(store, mode, error):
     with pytest.raises(ValueError, match=error):
         cut()
     _same_block(last(), want[1])
+
+
+# -- ids outside the source interval are rejected like a bad span ------------------
+
+
+@pytest.fixture(params=["raw", "compact3"])
+def rmat_store(request, tmp_path):
+    edges = rmat_edges(10, 8, seed=1)
+    device = Device(tmp_path / request.param, SimulatedDisk(HDD_PROFILE))
+    return GridStore.build(
+        edges, make_intervals(edges, 4), device, prefix="g", encoding=request.param
+    )
+
+
+def _outside_ids(store):
+    """Ids just past interval 0 and just below interval 1, each read as an
+    id of the other interval's blocks; their offset pairs lie inside the
+    index file, so only the interval check can reject them."""
+    _, hi = store.intervals.bounds(0)
+    return [(0, 0, np.array([hi + 3])), (1, 0, np.array([hi - 1]))]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_an_id_outside_its_interval_raises_from_that_entry_only(rmat_store, mode):
+    store = rmat_store
+    ids = np.arange(*store.intervals.bounds(0), dtype=np.int64)
+    want = _single_read(store, 0, 0, ids, mode, 64)
+    for bad in _outside_ids(store):
+        first, outside, last = store.read_selective(
+            [(0, 0, ids, mode), (*bad, mode), (0, 0, ids, mode)], 64
+        )
+        assert outside.block.count == 0  # left unread
+        _same_block(first(), want)
+        before = store.device.disk.stats.snapshot()
+        with pytest.raises(ValueError, match="bad index span"):
+            outside()
+        assert store.device.disk.stats.to_dict() == before.to_dict()  # nothing charged
+        _same_block(last(), want)
+
+
+def test_read_index_entries_rejects_ids_outside_the_interval(rmat_store):
+    store = rmat_store
+    size = store.intervals.size(0)
+    assert store.read_index_entries(0, 0, np.array([size - 1])).shape == (1, 2)
+    for local in ([size], [size + 3], [-1], [0, size]):
+        with pytest.raises(ValueError, match="bad index span"):
+            store.read_index_entries(0, 0, np.array(local))

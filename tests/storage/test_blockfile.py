@@ -262,3 +262,92 @@ def test_gather_matches_fancy_indexing(tmp_path_factory, data, seed):
         [arr[s : s + c] for s, c in zip(starts, counts)]
     ) if k else np.empty(0, dtype=np.int64)
     assert np.array_equal(out, expected)
+
+
+# -- read_runs: the one data reader ---------------------------------------------
+
+PAGE = blockfile.READ_JOIN_BYTES
+RECORD = np.dtype([("src", "<u4"), ("dst", "<u4"), ("wgt", "<f4")])
+
+
+def _spied_read_runs(f, starts, counts):
+    """``f.read_runs`` with its opens and its reads' ``(byte offset,
+    bytes)`` recorded."""
+    opens, reads = [], []
+    real_open, real_preadv = os.open, os.preadv
+
+    def spy_open(path, flags, *args):
+        opens.append(flags)
+        return real_open(path, flags, *args)
+
+    def spy_preadv(fd, buffers, offset, *args):
+        reads.append((offset, sum(len(b) for b in buffers)))
+        return real_preadv(fd, buffers, offset, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blockfile.os, "open", spy_open)
+        mp.setattr(blockfile.os, "preadv", spy_preadv)
+        data, at = f.read_runs(starts, counts)
+    return data, at, opens, reads
+
+
+@st.composite
+def _runs_in_a_file(draw):
+    """A file of one dtype and runs inside it: anywhere (unsorted,
+    duplicated, overlapping, adjacent, empty), a page apart and a byte
+    under a page apart, and at the file's first and last item."""
+    dtype = draw(st.sampled_from([blockfile.BYTE_DTYPE, RECORD]))
+    item = dtype.itemsize
+    size = draw(st.integers(1, 3 * PAGE // item + 3))
+    runs = []
+    for _ in range(draw(st.integers(0, 6))):
+        start = draw(st.integers(0, size - 1))
+        runs.append((start, draw(st.integers(0, min(size - start, 40)))))
+    for gap_bytes in draw(st.lists(st.sampled_from([PAGE, PAGE - 1]), max_size=2)):
+        # In items: at least a page, or the most items under a page.
+        gap = -(-gap_bytes // item) if gap_bytes == PAGE else gap_bytes // item
+        start = draw(st.integers(0, size - 1))
+        if start + 1 + gap < size:
+            runs += [(start, 1), (start + 1 + gap, 1)]
+    if draw(st.booleans()):
+        runs += [(0, 1), (size - 1, 1)]
+    runs = draw(st.permutations(runs))
+    return dtype, size, runs
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_runs_in_a_file(), seed=st.integers(0, 2**16))
+def test_read_runs_matches_fromfile_and_stays_inside_the_file(tmp_path_factory, case, seed):
+    dtype, size, runs = case
+    dev = Device(tmp_path_factory.mktemp("r"), SimulatedDisk())
+    f = dev.array_file("p.bin", dtype)
+    payload = np.random.default_rng(seed).integers(0, 256, size * dtype.itemsize, np.uint8)
+    f.write(payload.view(dtype))
+    starts = np.array([s for s, _ in runs], dtype=np.int64)
+    counts = np.array([c for _, c in runs], dtype=np.int64)
+    before = dev.disk.stats.to_dict()
+
+    data, at, opens, reads = _spied_read_runs(f, starts, counts)
+
+    assert dev.disk.stats.to_dict() == before  # uncharged
+    assert data.dtype == dtype and at.shape == starts.shape
+    for s, c, a in zip(starts.tolist(), counts.tolist(), at.tolist()):
+        want = np.fromfile(f.path, dtype=dtype, count=c, offset=s * dtype.itemsize)
+        assert data[a : a + c].tobytes() == want.tobytes()
+    assert opens == ([os.O_RDONLY] if runs else [])  # one open per call, none for no runs
+    assert all(offset + nbytes <= f.nbytes for offset, nbytes in reads)  # never past EOF
+    assert sum(nbytes for _, nbytes in reads) == data.nbytes
+
+
+@pytest.mark.parametrize("dtype", [blockfile.BYTE_DTYPE, RECORD], ids=["bytes", "records"])
+def test_read_runs_joins_runs_less_than_a_page_apart(dev, dtype):
+    item = dtype.itemsize
+    f = dev.array_file("j.bin", dtype)
+    f.write(np.zeros(4 * PAGE // item, dtype=dtype))
+    page_gap, under_page_gap = -(-PAGE // item), (PAGE - 1) // item
+    for gap, extents in ((page_gap, 2), (under_page_gap, 1), (0, 1)):
+        starts = np.array([5, 6 + gap], dtype=np.int64)
+        data, at, _, reads = _spied_read_runs(f, starts, 1)
+        assert len(reads) == extents
+        assert data.nbytes == (2 if extents == 2 else 2 + gap) * item
+        assert at.tolist() == ([0, 1] if extents == 2 else [0, 1 + gap])
