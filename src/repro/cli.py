@@ -624,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
         "worker x resource per superstep (float-exact validation)",
     )
     t.add_argument(
-        "trace_file", help="merged v2 trace written by a cluster run --trace"
+        "trace_file", help="merged trace written by a cluster run --trace"
     )
     t.set_defaults(func=_cmd_trace_critical_path)
 

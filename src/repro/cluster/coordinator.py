@@ -47,12 +47,12 @@ from repro.cluster.interconnect import (
     Interconnect,
     InterconnectProfile,
 )
-from repro.cluster.membership import ColumnAssignment, Membership, partition_columns
+from repro.cluster.membership import ColumnAssignment, Membership
 from repro.cluster.worker import ClusterWorker
 from repro.core.engine_base import open_run, record_iteration, scan_context
 from repro.core.result import IterationRecord, RunResult
-from repro.obs import NULL_TRACER, Tracer, TracerLike
-from repro.obs.distributed import merge_cluster_trace, write_merged_trace
+from repro.obs import NULL_TRACER, Tracer, TracerLike, write_trace_file
+from repro.obs.distributed import merge_cluster_trace
 from repro.storage.disk import DEFAULT_MACHINE, MachineProfile
 from repro.storage.faults import (
     MESSAGE_FAULT_KINDS,
@@ -177,8 +177,8 @@ class ClusterEngine:
         tracer's clockless event machinery and metrics registry) for
         phase spans and message sends on its local clock. When ``path``
         is given, the run's end writes the **merged** distributed trace
-        (schema v2, see :mod:`repro.obs.distributed`) there — never a
-        partial events-only file.
+        (see :mod:`repro.obs.distributed`) there — never a partial
+        events-only file.
         """
         self.tracer = tracer
         self._trace_path = path
@@ -532,7 +532,7 @@ class ClusterEngine:
                     "cluster tracing requires a real Tracer (got a stub)",
                 )
                 assert isinstance(self.tracer, Tracer)
-                write_merged_trace(
+                write_trace_file(
                     self._trace_path,
                     merge_cluster_trace(self.tracer, self._worker_tracers),
                 )

@@ -38,7 +38,6 @@ from repro.obs.distributed import (
     TraceMergeError,
     merge_cluster_trace,
     merge_trace_events,
-    write_merged_trace,
 )
 from repro.obs.export import export_file, to_chrome_trace
 from repro.obs.metrics import (
@@ -52,10 +51,10 @@ from repro.obs.report import render_report
 from repro.obs.schema import (
     TRACE_SCHEMA,
     TRACE_VERSION,
-    TRACE_VERSION_DISTRIBUTED,
     TraceSchemaError,
     validate_trace_file,
     validate_trace_lines,
+    write_trace_file,
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
 
@@ -76,7 +75,6 @@ __all__ = [
     "TraceMergeError",
     "merge_cluster_trace",
     "merge_trace_events",
-    "write_merged_trace",
     "DecisionRecord",
     "SchedulerAudit",
     "export_file",
@@ -89,10 +87,10 @@ __all__ = [
     "render_report",
     "TRACE_SCHEMA",
     "TRACE_VERSION",
-    "TRACE_VERSION_DISTRIBUTED",
     "TraceSchemaError",
     "validate_trace_file",
     "validate_trace_lines",
+    "write_trace_file",
     "NULL_TRACER",
     "NullTracer",
     "Span",

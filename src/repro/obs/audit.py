@@ -23,7 +23,7 @@ to the async mode's interval ordering (see docs/OBSERVABILITY.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 
@@ -52,18 +52,7 @@ class PriorityDecision:
     full_blocks: int = 0  # sub-blocks streamed in full
 
     def to_event(self) -> Dict[str, Any]:
-        return {
-            "type": "priority",
-            "sweep": self.sweep,
-            "rank": self.rank,
-            "interval": self.interval,
-            "score": self.score,
-            "candidates": self.candidates,
-            "pending_vertices": self.pending_vertices,
-            "new_activations": self.new_activations,
-            "selective_blocks": self.selective_blocks,
-            "full_blocks": self.full_blocks,
-        }
+        return {"type": "priority", **asdict(self)}
 
 
 @dataclass

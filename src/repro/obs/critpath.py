@@ -1,6 +1,6 @@
 """Critical-path analysis of merged distributed traces.
 
-Walks the ``barrier`` events of a schema-v2 trace (see
+Walks the ``barrier`` events of a merged cluster trace (see
 :mod:`repro.obs.distributed`) and answers "which worker × resource is
 the bottleneck?": per barrier window, the **critical worker** is the one
 whose superstep delta equals the window's ``max`` fold (lowest id on
@@ -10,8 +10,10 @@ charges plus the residual barrier wait. Chaining the critical workers
 across supersteps names the straggler chain.
 
 **Float-exact validation.** Before attributing anything, the analyzer
-replays the coordinator's timeline algebra bitwise and raises
-:class:`CriticalPathError` on any mismatch:
+replays the coordinator's timeline algebra bitwise — with the same
+:class:`~repro.utils.timers.TimeBreakdown` ``total`` and ``+`` the
+coordinator folds with — and raises :class:`CriticalPathError` on any
+mismatch:
 
 * per worker per barrier: ``delta == sum(sorted components) − saved``
   (the :class:`~repro.utils.timers.TimeBreakdown.total` property);
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from repro.obs.schema import validate_trace_file
-from repro.utils.timers import CPU, DISK, RESOURCE_OF
+from repro.utils.timers import CPU, DISK, RESOURCE_OF, TimeBreakdown
 
 #: The interconnect's charge component (string duplicated from
 #: repro.cluster.interconnect — obs must not import cluster).
@@ -51,40 +53,15 @@ class CriticalPathError(ValueError):
     a merged distributed trace at all)."""
 
 
-def _total(components: Dict[str, float], saved: float) -> float:
-    """Bitwise replay of ``TimeBreakdown.total``."""
-    return float(sum(components[k] for k in sorted(components))) - saved
-
-
-def _add(
-    a: Tuple[Dict[str, float], float], b: Tuple[Dict[str, float], float]
-) -> Tuple[Dict[str, float], float]:
-    """Bitwise replay of ``TimeBreakdown.__add__``."""
-    ac, asaved = a
-    bc, bsaved = b
-    return (
-        {
-            k: ac.get(k, 0.0) + bc.get(k, 0.0)
-            for k in sorted(set(ac) | set(bc))
-        },
-        asaved + bsaved,
-    )
-
-
 def _split(components: Dict[str, float]) -> Tuple[float, float, float]:
     """(disk, net, cpu) seconds of one worker's component charges."""
-    disk = sum(
-        components[k]
-        for k in sorted(components)
-        if RESOURCE_OF.get(k, CPU) == DISK
-    )
-    net = components.get(NET_COMPONENT, 0.0)
-    cpu = sum(
-        components[k]
-        for k in sorted(components)
-        if RESOURCE_OF.get(k, CPU) != DISK and k != NET_COMPONENT
-    )
-    return float(disk), float(net), float(cpu)
+    disk = cpu = 0.0
+    for k in sorted(components):
+        if RESOURCE_OF.get(k, CPU) == DISK:
+            disk += components[k]
+        elif k != NET_COMPONENT:
+            cpu += components[k]
+    return disk, float(components.get(NET_COMPONENT, 0.0)), cpu
 
 
 @dataclass(frozen=True)
@@ -172,13 +149,13 @@ def analyze_events(events: List[Dict[str, Any]]) -> CriticalPathReport:
     if not barriers:
         raise CriticalPathError(
             "trace has no barrier events — run the cluster engine with "
-            "--trace to produce a merged distributed trace (schema v2)"
+            "--trace to produce a merged distributed trace"
         )
 
     # (1) Per-worker deltas replay TimeBreakdown.total bitwise.
     for b in barriers:
         for wid_s, entry in b["workers"].items():
-            replayed = _total(entry["components"], entry.get("saved", 0.0))
+            replayed = TimeBreakdown(entry["components"], entry["saved"]).total
             if replayed != entry["delta"]:
                 raise CriticalPathError(
                     f"barrier s{b['superstep']} ({b['kind']}): worker "
@@ -201,16 +178,16 @@ def analyze_events(events: List[Dict[str, Any]]) -> CriticalPathReport:
     runs = [e for e in events if e.get("type") == "run"]
     if runs:
         run = runs[-1]
-        saved = run.get("overlap_saved", 0.0)
-        if _total(run["sim"], saved) != run["sim_seconds"]:
+        run_breakdown = TimeBreakdown(run["sim"], run.get("overlap_saved", 0.0))
+        if run_breakdown.total != run["sim_seconds"]:
             raise CriticalPathError(
                 f"run record: sim_seconds {run['sim_seconds']!r} != "
-                f"sum(sim) - overlap_saved {_total(run['sim'], saved)!r}"
+                f"sum(sim) - overlap_saved {run_breakdown.total!r}"
             )
-        acc = (dict(barriers[0]["sim"]), barriers[0]["overlap_saved"])
+        acc = TimeBreakdown(barriers[0]["sim"], barriers[0]["overlap_saved"])
         for b in barriers[1:]:
-            acc = _add(acc, (dict(b["sim"]), b["overlap_saved"]))
-        if acc[0] != run["sim"] or acc[1] != saved:
+            acc = acc + TimeBreakdown(b["sim"], b["overlap_saved"])
+        if acc != run_breakdown:
             raise CriticalPathError(
                 "run record's sim breakdown does not fold from the "
                 "barrier breakdowns bitwise"
@@ -223,13 +200,13 @@ def analyze_events(events: List[Dict[str, Any]]) -> CriticalPathReport:
     counts: Dict[int, int] = {}
     path_seconds = 0.0
     for b in barriers:
-        deltas = {int(w): float(e["delta"]) for w, e in b["workers"].items()}
+        entries = {int(w): e for w, e in b["workers"].items()}
+        deltas = {wid: float(e["delta"]) for wid, e in entries.items()}
         workers.update(deltas)
         if not deltas:
             continue
         crit = max(sorted(deltas), key=lambda wid: deltas[wid])
-        entry = b["workers"][str(crit)]
-        disk, net, cpu = _split(entry["components"])
+        disk, net, cpu = _split(entries[crit]["components"])
         sim_seconds = float(b["sim_seconds"])
         wait = sim_seconds - deltas[crit]
         waits = {wid: sim_seconds - d for wid, d in sorted(deltas.items())}

@@ -4,8 +4,9 @@ A traced cluster run produces one :class:`~repro.obs.trace.Tracer` per
 worker (spans on the worker's *local* simulated clock, message ``send``
 events) plus the coordinator's tracer (``barrier`` folds, iteration and
 recovery records on *cluster* time). This module correlates them into a
-single causally-ordered **distributed trace** (schema version 2, see
-:mod:`repro.obs.schema`):
+single causally-ordered **distributed trace** — the same
+:mod:`repro.obs.schema` as any trace, with every span tagged by its
+``worker``:
 
 * **Time rebasing.** Each ``barrier`` event records, per worker, the
   worker-local clock reading at the barrier's opening edge
@@ -34,11 +35,10 @@ global id space (coordinator first, then workers ascending).
 from __future__ import annotations
 
 import bisect
-import json
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.obs.schema import TRACE_SCHEMA, TRACE_VERSION_DISTRIBUTED
-from repro.obs.trace import Tracer, _jsonable
+from repro.obs.schema import TRACE_SCHEMA, TRACE_VERSION
+from repro.obs.trace import Tracer
 
 #: Worker tag carried by synthesized coordinator-track events.
 COORDINATOR_TRACK = "coord"
@@ -101,28 +101,26 @@ def _barrier_name(barrier: Dict[str, Any]) -> str:
 def _synth_span(
     span_id: int,
     name: str,
-    cat: str,
     worker: Any,
     sim_start: float,
     sim_dur: float,
-    sim_disk: float,
-    sim_cpu: float,
     attrs: Dict[str, Any],
 ) -> Dict[str, Any]:
-    """A schema-complete span the merger invented (wall fields zeroed:
-    synthesized windows have no host-time footprint of their own)."""
+    """A schema-complete barrier span the merger invented (resource split
+    and wall fields zeroed: a synthesized window charges nothing and has
+    no host-time footprint of its own)."""
     return {
         "type": "span",
         "id": span_id,
         "parent": None,
         "thread": "merged",
         "name": name,
-        "cat": cat,
+        "cat": "barrier",
         "worker": worker,
         "sim_start": sim_start,
         "sim_dur": sim_dur,
-        "sim_disk": sim_disk,
-        "sim_cpu": sim_cpu,
+        "sim_disk": 0.0,
+        "sim_cpu": 0.0,
         "wall_start": 0.0,
         "wall_dur": 0.0,
         "attrs": attrs,
@@ -135,7 +133,7 @@ def merge_trace_events(
     meta: Dict[str, Any],
     final_metrics: Dict[str, Any],
 ) -> List[Dict[str, Any]]:
-    """Merge raw event lists into one ordered v2 trace (with meta line).
+    """Merge raw event lists into one ordered trace (with meta line).
 
     ``coordinator_events`` must contain the ``barrier`` folds that anchor
     the rebase maps; ``worker_events`` maps worker id to that worker's
@@ -234,12 +232,9 @@ def merge_trace_events(
             _synth_span(
                 id_offset,
                 _barrier_name(b),
-                "barrier",
                 COORDINATOR_TRACK,
                 sim_start,
                 sim_seconds,
-                0.0,
-                0.0,
                 {"superstep": b["superstep"], "kind": b["kind"],
                  "workers": sorted(int(w) for w in b["workers"])},
             ),
@@ -255,12 +250,9 @@ def merge_trace_events(
                 _synth_span(
                     id_offset,
                     BARRIER_WAIT,
-                    "barrier",
                     int(wid_s),
                     sim_start + delta,
                     wait,
-                    0.0,
-                    0.0,
                     {"superstep": b["superstep"], "kind": b["kind"]},
                 ),
             )
@@ -271,7 +263,7 @@ def merge_trace_events(
     header = dict(meta)
     header["type"] = "meta"
     header["schema"] = TRACE_SCHEMA
-    header["version"] = TRACE_VERSION_DISTRIBUTED
+    header["version"] = TRACE_VERSION
     header["merged_workers"] = sorted(int(w) for w in worker_events)
     merged: List[Dict[str, Any]] = [header]
     merged.extend(event for _, _, event in rows)
@@ -284,7 +276,8 @@ def merge_cluster_trace(
     workers: Mapping[int, Tracer],
     meta: Optional[Dict[str, Any]] = None,
 ) -> List[Dict[str, Any]]:
-    """Merge live tracers from one cluster run into a v2 event list."""
+    """Merge live tracers from one cluster run into one event list
+    (written with :func:`~repro.obs.schema.write_trace_file`)."""
     header = coordinator.header()
     if meta:
         header.update(meta)
@@ -295,10 +288,3 @@ def merge_cluster_trace(
         coordinator.metrics.snapshot(),
     )
 
-
-def write_merged_trace(path: str, events: Iterable[Dict[str, Any]]) -> None:
-    """Serialize a merged event list as JSONL."""
-    # charged-io-ok: host-side trace file, not simulated graph I/O
-    with open(path, "w") as f:
-        for event in events:
-            f.write(json.dumps(event, default=_jsonable) + "\n")

@@ -2,34 +2,35 @@
 
 The output is the Trace Event Format's *JSON object* flavour
 (``{"traceEvents": [...], ...}``) accepted by ``chrome://tracing`` and
-https://ui.perfetto.dev. Two synthetic "processes" separate the
-timelines so both can be inspected in one UI:
+https://ui.perfetto.dev. One layout serves every trace; an event's
+process follows its ``worker`` tag:
 
-* pid ``1`` (``sim``) — simulated time: spans placed at their
-  ``sim_start`` with ``sim_dur`` duration, iteration markers, plus
-  counter tracks for per-iteration frontier size and I/O bytes;
-* pid ``2`` (``wall``) — the same spans on the host timeline
-  (``wall_start``/``wall_dur``), one tid per Python thread.
+* pid ``1`` — simulated time: untagged events (``sim``) and the
+  coordinator's ``coord``/``all`` events of a merged cluster trace
+  (``coordinator (cluster time)``). Spans sit at their ``sim_start``
+  with ``sim_dur`` duration; iteration slices, the ``frontier`` and
+  ``io_bytes`` counter tracks and audit/recovery instants are here too;
+* pid ``10 + w`` — worker ``w``'s spans on rebased cluster time, with
+  one flow arrow (``ph: s``/``f``) per delivered ``send``, keyed by the
+  ValueMessage ``(sender, seq, dst)`` identity, from the sender's
+  broadcast span to the receiver's absorb span;
+* pid ``2`` (``wall``) — every *untagged* span again on the host
+  timeline (``wall_start``/``wall_dur``). Tagged spans get no wall copy:
+  each tracer's wall origin is its own creation instant, so host times
+  are not comparable across the processes of a cluster run.
 
-Timestamps are microseconds (the format's unit); sub-microsecond sim
-durations survive because the format takes floats.
-
-**Merged distributed traces** (schema version 2) get a different
-layout: one process per worker (pid ``10 + wid``) plus the coordinator
-(pid ``1``), everything on rebased cluster time, message ``send`` events
-rendered as flow arrows (``ph: s``/``f``, keyed by the ValueMessage
-``(sender, seq, dst)`` identity) from the sender's broadcast span to the
-receiver's absorb span. The wall timeline is omitted there: each
-tracer's wall origin is its own creation instant, so host times are not
-comparable across processes.
+Each process numbers its threads from 1 in order of appearance (tid 0
+holds iterations, counters and instants). Timestamps are microseconds
+(the format's unit); sub-microsecond sim durations survive because the
+format takes floats.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, List, Tuple
 
-from repro.obs.schema import TRACE_VERSION_DISTRIBUTED, validate_trace_file
+from repro.obs.schema import validate_trace_file
 
 _SIM_PID = 1
 _WALL_PID = 2
@@ -39,173 +40,33 @@ _US = 1e6
 _WORKER_PID0 = 10
 
 
-def _meta_event(pid: int, name: str) -> Dict[str, Any]:
-    return {
-        "ph": "M",
-        "pid": pid,
-        "tid": 0,
-        "name": "process_name",
-        "args": {"name": name},
-    }
-
-
 def to_chrome_trace(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Convert validated graphsd trace events to a trace_event object.
-
-    Dispatches on the meta line's ``version``: merged distributed
-    traces (v2) render one process per worker with message flow arrows;
-    single-engine traces (v1) keep the sim + wall dual layout.
-    """
-    rows = list(events)
-    if rows and rows[0].get("type") == "meta":
-        if rows[0].get("version") == TRACE_VERSION_DISTRIBUTED:
-            return _to_chrome_distributed(rows)
-    return _to_chrome_single(rows)
-
-
-def _to_chrome_single(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    out: List[Dict[str, Any]] = [
-        _meta_event(_SIM_PID, "sim"),
-        _meta_event(_WALL_PID, "wall"),
-    ]
+    """Convert validated graphsd trace events to a trace_event object."""
+    out: List[Dict[str, Any]] = []
     meta: Dict[str, Any] = {}
-    thread_ids: Dict[str, int] = {}
-    last_iter_ts = 0.0
+    named: set[int] = set()
+    thread_ids: Dict[Tuple[int, str], int] = {}
 
-    def tid_of(thread: str) -> int:
-        if thread not in thread_ids:
-            tid = len(thread_ids) + 1
-            thread_ids[thread] = tid
+    def name_process(pid: int, name: str) -> int:
+        if pid not in named:
+            named.add(pid)
             out.append(
                 {
                     "ph": "M",
-                    "pid": _WALL_PID,
-                    "tid": tid,
-                    "name": "thread_name",
-                    "args": {"name": thread},
-                }
-            )
-        return thread_ids[thread]
-
-    for event in events:
-        etype = event.get("type")
-        if etype == "meta":
-            meta = {k: v for k, v in event.items() if k != "type"}
-        elif etype == "span":
-            args = dict(event.get("attrs") or {})
-            args["sim_disk"] = event["sim_disk"]
-            args["sim_cpu"] = event["sim_cpu"]
-            common = {
-                "ph": "X",
-                "name": event["name"],
-                "cat": event["cat"],
-                "args": args,
-            }
-            out.append(
-                {
-                    **common,
-                    "pid": _SIM_PID,
-                    "tid": tid_of(event["thread"]),
-                    "ts": event["sim_start"] * _US,
-                    "dur": event["sim_dur"] * _US,
-                }
-            )
-            out.append(
-                {
-                    **common,
-                    "pid": _WALL_PID,
-                    "tid": tid_of(event["thread"]),
-                    "ts": event["wall_start"] * _US,
-                    "dur": event["wall_dur"] * _US,
-                }
-            )
-        elif etype == "iteration":
-            ts = event["sim_start"] * _US
-            last_iter_ts = ts
-            out.append(
-                {
-                    "ph": "X",
-                    "pid": _SIM_PID,
+                    "pid": pid,
                     "tid": 0,
-                    "ts": ts,
-                    "dur": event["sim_seconds"] * _US,
-                    "name": f"iter {event['iteration']} [{event['model']}]",
-                    "cat": "iteration",
-                    "args": {
-                        "frontier_size": event["frontier_size"],
-                        "edges_processed": event["edges_processed"],
-                        "activated": event["activated"],
-                        "io": event["io"],
-                    },
+                    "name": "process_name",
+                    "args": {"name": name},
                 }
             )
-            out.append(
-                {
-                    "ph": "C",
-                    "pid": _SIM_PID,
-                    "tid": 0,
-                    "ts": ts,
-                    "name": "frontier",
-                    "args": {"active": event["frontier_size"]},
-                }
-            )
-            io = event.get("io") or {}
-            out.append(
-                {
-                    "ph": "C",
-                    "pid": _SIM_PID,
-                    "tid": 0,
-                    "ts": ts,
-                    "name": "io_bytes",
-                    "args": {
-                        "seq_read": io.get("bytes_read_seq", 0),
-                        "ran_read": io.get("bytes_read_ran", 0),
-                        "written": io.get("bytes_written_seq", 0)
-                        + io.get("bytes_written_ran", 0),
-                    },
-                }
-            )
-        elif etype == "audit":
-            out.append(
-                {
-                    "ph": "i",
-                    "pid": _SIM_PID,
-                    "tid": 0,
-                    "ts": last_iter_ts,
-                    "s": "g",
-                    "name": f"decision iter {event['iteration']}: {event['chosen']}",
-                    "cat": "audit",
-                    "args": {
-                        "c_full": event["c_full"],
-                        "c_on_demand": event["c_on_demand"],
-                        "predicted_seconds": event["predicted_seconds"],
-                        "actual_sim_seconds": event["actual_sim_seconds"],
-                    },
-                }
-            )
-        # "metrics" and "run" carry aggregates with no timeline placement.
-
-    return {
-        "traceEvents": out,
-        "displayTimeUnit": "ms",
-        "otherData": meta,
-    }
-
-
-def _to_chrome_distributed(events: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Render a merged v2 trace: one process per worker, flow arrows."""
-    out: List[Dict[str, Any]] = []
-    meta: Dict[str, Any] = {}
-    named_pids: Dict[int, str] = {}
-    thread_ids: Dict[Any, int] = {}
+        return pid
 
     def pid_of(worker: Any) -> int:
-        pid = _SIM_PID if worker in (None, "coord", "all") else _WORKER_PID0 + int(worker)
-        if pid not in named_pids:
-            name = "coordinator (cluster time)" if pid == _SIM_PID else f"worker {worker}"
-            named_pids[pid] = name
-            out.append(_meta_event(pid, name))
-        return pid
+        if isinstance(worker, int):
+            return name_process(_WORKER_PID0 + worker, f"worker {worker}")
+        if worker is None:
+            return name_process(_SIM_PID, "sim")
+        return name_process(_SIM_PID, "coordinator (cluster time)")
 
     def tid_of(pid: int, thread: str) -> int:
         key = (pid, thread)
@@ -223,34 +84,123 @@ def _to_chrome_distributed(events: List[Dict[str, Any]]) -> Dict[str, Any]:
             )
         return thread_ids[key]
 
-    last_ts = 0.0
+    last_iter_ts = 0.0
     for event in events:
-        etype = event.get("type")
+        etype = event["type"]
         if etype == "meta":
             meta = {k: v for k, v in event.items() if k != "type"}
         elif etype == "span":
-            pid = pid_of(event.get("worker"))
-            args = dict(event.get("attrs") or {})
+            args = dict(event["attrs"])
             args["sim_disk"] = event["sim_disk"]
             args["sim_cpu"] = event["sim_cpu"]
+            common = {
+                "ph": "X",
+                "name": event["name"],
+                "cat": event["cat"],
+                "args": args,
+            }
+            worker = event.get("worker")
+            pid = pid_of(worker)
             out.append(
                 {
-                    "ph": "X",
+                    **common,
                     "pid": pid,
                     "tid": tid_of(pid, event["thread"]),
                     "ts": event["sim_start"] * _US,
                     "dur": event["sim_dur"] * _US,
-                    "name": event["name"],
-                    "cat": event["cat"],
-                    "args": args,
                 }
             )
-        elif etype == "send":
+            if worker is None:
+                wall = name_process(_WALL_PID, "wall")
+                out.append(
+                    {
+                        **common,
+                        "pid": wall,
+                        "tid": tid_of(wall, event["thread"]),
+                        "ts": event["wall_start"] * _US,
+                        "dur": event["wall_dur"] * _US,
+                    }
+                )
+        elif etype == "iteration":
+            pid = pid_of(event.get("worker"))
+            ts = last_iter_ts = event["sim_start"] * _US
+            io = event["io"]
+            out.append(
+                {
+                    "ph": "X",
+                    "pid": pid,
+                    "tid": 0,
+                    "ts": ts,
+                    "dur": event["sim_seconds"] * _US,
+                    "name": f"iter {event['iteration']} [{event['model']}]",
+                    "cat": "iteration",
+                    "args": {
+                        "frontier_size": event["frontier_size"],
+                        "edges_processed": event["edges_processed"],
+                        "activated": event["activated"],
+                        "io": io,
+                    },
+                }
+            )
+            out.append(
+                {
+                    "ph": "C",
+                    "pid": pid,
+                    "tid": 0,
+                    "ts": ts,
+                    "name": "frontier",
+                    "args": {"active": event["frontier_size"]},
+                }
+            )
+            out.append(
+                {
+                    "ph": "C",
+                    "pid": pid,
+                    "tid": 0,
+                    "ts": ts,
+                    "name": "io_bytes",
+                    "args": {
+                        "seq_read": io.get("bytes_read_seq", 0),
+                        "ran_read": io.get("bytes_read_ran", 0),
+                        "written": io.get("bytes_written_seq", 0)
+                        + io.get("bytes_written_ran", 0),
+                    },
+                }
+            )
+        elif etype == "audit":
+            out.append(
+                {
+                    "ph": "i",
+                    "pid": pid_of(None),
+                    "tid": 0,
+                    "ts": last_iter_ts,
+                    "s": "g",
+                    "name": f"decision iter {event['iteration']}: {event['chosen']}",
+                    "cat": "audit",
+                    "args": {
+                        "c_full": event["c_full"],
+                        "c_on_demand": event["c_on_demand"],
+                        "predicted_seconds": event["predicted_seconds"],
+                        "actual_sim_seconds": event["actual_sim_seconds"],
+                    },
+                }
+            )
+        elif etype == "recovery":
+            out.append(
+                {
+                    "ph": "i",
+                    "pid": pid_of(event["worker"]),
+                    "tid": 0,
+                    "ts": last_iter_ts,
+                    "s": "p",
+                    "name": f"{event['event']} w{event['worker']} s{event['superstep']}",
+                    "cat": "recovery",
+                    "args": dict(event["detail"]),
+                }
+            )
+        elif etype == "send" and "recv_sim_time" in event:
             # One flow arrow per delivered message: starts inside the
             # sender's broadcast span, ends at the receiver's absorb.
-            recv = event.get("recv_sim_time")
-            if recv is None:
-                continue
             flow_id = f"msg-w{event['worker']}-seq{event['seq']}-w{event['dst']}"
             name = f"msg s{event['superstep']} i{event['interval']}"
             src_pid = pid_of(event["worker"])
@@ -274,59 +224,14 @@ def _to_chrome_distributed(events: List[Dict[str, Any]]) -> Dict[str, Any]:
                     "id": flow_id,
                     "pid": dst_pid,
                     "tid": tid_of(dst_pid, "MainThread"),
-                    "ts": recv * _US,
+                    "ts": event["recv_sim_time"] * _US,
                     "name": name,
                     "cat": "message",
                 }
             )
-        elif etype == "iteration":
-            pid = pid_of(None)
-            ts = event["sim_start"] * _US
-            last_ts = ts
-            out.append(
-                {
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": tid_of(pid, "iterations"),
-                    "ts": ts,
-                    "dur": event["sim_seconds"] * _US,
-                    "name": f"iter {event['iteration']} [{event['model']}]",
-                    "cat": "iteration",
-                    "args": {
-                        "frontier_size": event["frontier_size"],
-                        "edges_processed": event["edges_processed"],
-                        "activated": event["activated"],
-                        "io": event["io"],
-                    },
-                }
-            )
-            out.append(
-                {
-                    "ph": "C",
-                    "pid": pid,
-                    "tid": 0,
-                    "ts": ts,
-                    "name": "frontier",
-                    "args": {"active": event["frontier_size"]},
-                }
-            )
-        elif etype == "recovery":
-            pid = pid_of(event["worker"]) if isinstance(event["worker"], int) else pid_of(None)
-            out.append(
-                {
-                    "ph": "i",
-                    "pid": pid,
-                    "tid": 0,
-                    "ts": last_ts,
-                    "s": "p",
-                    "name": f"{event['event']} w{event['worker']} s{event['superstep']}",
-                    "cat": "recovery",
-                    "args": dict(event.get("detail") or {}),
-                }
-            )
         # "barrier" windows are already covered by the merger's
-        # synthesized coordinator spans; "metrics"/"run" carry
-        # aggregates with no timeline placement.
+        # synthesized coordinator spans; "metrics", "run" and "priority"
+        # carry aggregates with no timeline placement.
 
     return {
         "traceEvents": out,

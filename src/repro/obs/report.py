@@ -10,7 +10,7 @@ gives the whole run's story.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, List
 
 from repro.obs.schema import validate_trace_file
 
@@ -48,14 +48,10 @@ def render_report(path: str) -> str:
             f"{'sim_s':>10} {'io_s':>10} {'net_s':>10} {'read_MB':>9}"
         )
         for it in iterations:
-            sim = it.get("sim") or {}
-            io = it.get("io") or {}
-            io_s = float(sim.get("io_read", 0.0)) + float(sim.get("io_write", 0.0))
-            net_s = float(sim.get("network", 0.0))
-            read_mb = (
-                float(io.get("bytes_read_seq", 0))
-                + float(io.get("bytes_read_ran", 0))
-            ) / 1e6
+            sim, io = it["sim"], it["io"]
+            io_s = sim.get("io_read", 0.0) + sim.get("io_write", 0.0)
+            net_s = sim.get("network", 0.0)
+            read_mb = (io.get("bytes_read_seq", 0) + io.get("bytes_read_ran", 0)) / 1e6
             lines.append(
                 f"{it['iteration']:>4} {it['model']:>8} {it['frontier_size']:>9} "
                 f"{it['edges_processed']:>10} {it['sim_seconds']:>10.4f} "
@@ -74,14 +70,14 @@ def render_report(path: str) -> str:
         prev_choice = None
         flips: List[int] = []
         for a in audits:
-            actual = a.get("actual_sim_seconds")
+            actual = a["actual_sim_seconds"]
             rel = a.get("rel_error")
             if actual is not None and a.get("abs_error") is not None:
-                abs_errors.append(float(a["abs_error"]))
+                abs_errors.append(a["abs_error"])
             if rel is not None:
-                rel_errors.append(float(rel))
+                rel_errors.append(rel)
             if prev_choice is not None and a["chosen"] != prev_choice:
-                flips.append(int(a["iteration"]))
+                flips.append(a["iteration"])
             prev_choice = a["chosen"]
             lines.append(
                 f"{a['iteration']:>4} {a['chosen']:>10} "
@@ -89,7 +85,7 @@ def render_report(path: str) -> str:
                 f"{_fmt(a['predicted_seconds'])} "
                 f"{_fmt(actual if actual is not None else '-')} "
                 f"{_fmt(rel if rel is not None else '-', 8)} "
-                f"{(a.get('actual_model') or '-'):>6}"
+                f"{(a['actual_model'] or '-'):>6}"
             )
         lines.append("")
         if rel_errors:
@@ -114,7 +110,7 @@ def render_report(path: str) -> str:
         lines.append("")
         lines.append(f"recovery events ({len(recoveries)}):")
         for r in recoveries:
-            detail = r.get("detail") or {}
+            detail = r["detail"]
             extras = "  ".join(f"{k}={detail[k]}" for k in sorted(detail))
             lines.append(
                 f"  s{r['superstep']:<3} w{r['worker']} {r['event']:<9} {extras}"
@@ -122,10 +118,10 @@ def render_report(path: str) -> str:
 
     if priorities:
         lines.append("")
-        sweeps = {int(p["sweep"]) for p in priorities}
-        selective = sum(int(p["selective_blocks"]) for p in priorities)
-        full = sum(int(p["full_blocks"]) for p in priorities)
-        activations = sum(int(p["new_activations"]) for p in priorities)
+        sweeps = {p["sweep"] for p in priorities}
+        selective = sum(p["selective_blocks"] for p in priorities)
+        full = sum(p["full_blocks"] for p in priorities)
+        activations = sum(p["new_activations"] for p in priorities)
         lines.append(
             f"priority scheduling: {len(priorities)} pops over "
             f"{len(sweeps)} sweeps, {activations} new activations, "
@@ -134,8 +130,8 @@ def render_report(path: str) -> str:
 
     if sends:
         lines.append("")
-        accepted = sum(1 for s in sends if s.get("status") == "accepted")
-        nbytes = sum(int(s["nbytes"]) for s in sends)
+        accepted = sum(1 for s in sends if s["status"] == "accepted")
+        nbytes = sum(s["nbytes"] for s in sends)
         lines.append(
             f"messages: {len(sends)} sends ({accepted} accepted, "
             f"{len(sends) - accepted} duplicate), {nbytes / 1e6:.2f} MB payload"
@@ -157,8 +153,8 @@ def render_report(path: str) -> str:
 
     if final_metrics:
         snap = final_metrics[-1]["metrics"]
-        counters = snap.get("counters") or {}
-        hists = snap.get("histograms") or {}
+        counters = snap["counters"]
+        hists = snap["histograms"]
         if counters:
             lines.append("")
             lines.append("counters:")

@@ -1,71 +1,21 @@
-"""Trace JSONL schema and validation.
+"""The ``graphsd-trace`` format: its one schema, writer and reader.
 
 A trace file is newline-delimited JSON. The first line is a ``meta``
-record naming the schema and version; every following line is one event
-whose ``type`` selects its required fields:
+record naming :data:`TRACE_SCHEMA` and :data:`TRACE_VERSION` (there is
+one version; a trace declaring any other fails validation); every
+following line is one event whose ``type`` selects its fields in
+:data:`_REQUIRED` (always present) and :data:`_OPTIONAL` (typed when
+present). ``span`` and ``iteration`` events may carry a ``worker`` tag
+naming their originating process (a worker id, ``"coord"`` or
+``"all"``); only a merged cluster trace (:mod:`repro.obs.distributed`)
+sets it, and the Perfetto export places events by it.
 
-``meta``
-    ``schema`` (= :data:`TRACE_SCHEMA`), ``version`` (= :data:`TRACE_VERSION`),
-    plus free-form run identity (engine, program, dataset, ...).
-``span``
-    Closed dual-timeline span: ``id``, ``parent`` (id or null),
-    ``thread``, ``name``, ``cat``, ``sim_start``/``sim_dur`` (simulated
-    seconds), ``sim_disk``/``sim_cpu`` (per-resource split),
-    ``wall_start``/``wall_dur`` (host seconds), ``attrs`` (object).
-``iteration``
-    Exact per-iteration record mirroring
-    :class:`~repro.core.result.IterationRecord`: ``iteration``,
-    ``model``, ``frontier_size``, ``edges_processed``, ``activated``,
-    ``cross_pushed``, ``sim_seconds``, ``sim`` (component map), ``io``
-    (IOStats field map), ``metrics`` (registry snapshot), ``sim_start``.
-``audit``
-    A closed scheduler decision (see
-    :class:`~repro.obs.audit.DecisionRecord.to_event`): predicted
-    ``c_full``/``c_on_demand``, ``chosen``, actual costs and errors.
-``metrics``
-    A registry snapshot outside iteration records (``scope`` +
-    ``metrics``).
-``run``
-    The closing summary with the run's exact totals: ``engine``,
-    ``iterations``, ``converged``, ``sim_seconds``, ``sim``, ``io``.
-    Cluster runs may attach the optional ``recovery`` counter map and
-    ``workers`` count.
-``recovery``
-    One cluster recovery-audit action: ``worker``, ``event`` (e.g.
-    ``"rollback"``, ``"replay"``, ``"degrade"``), ``superstep``,
-    ``detail`` (free-form object).
-``priority``
-    One asynchronous-mode priority-queue pop (see
-    :class:`~repro.obs.audit.PriorityDecision`): ``sweep``, ``rank``,
-    ``interval``, ``score``, ``candidates``, ``pending_vertices``,
-    ``new_activations``, ``selective_blocks``, ``full_blocks``.
-
-**Version 2 (distributed traces).** A merged cluster trace (built by
-:mod:`repro.obs.distributed`) declares ``version: 2`` in its meta line
-and may additionally contain:
-
-``barrier``
-    One coordinator barrier fold: ``superstep``, ``kind`` (``"init"``,
-    ``"superstep"``, or ``"degrade"``), ``sim_start`` (cluster time at
-    the barrier's opening edge), ``workers`` (per-worker map with the
-    exact ``delta``/``components``/``local_start`` published by
-    ``_fold_barrier``), ``sim_seconds``/``sim``/``overlap_saved`` (the
-    summed breakdown with the overlap fold applied).
-``send``
-    One message-passing causal edge keyed by ValueMessage identity:
-    ``worker`` (sender), ``dst``, ``seq``, ``superstep``, ``interval``,
-    ``nbytes``, ``sim_time`` (sender-local clock at send), ``status``
-    (``"accepted"``/``"duplicate"``). The merger may attach the optional
-    receiver-side ``recv_sim_time`` for Perfetto flow arrows.
-
-Version-2 ``span`` and ``iteration`` events may carry the optional
-``worker`` tag identifying their originating process. Version-1 traces
-stay exactly as strict as before: ``barrier``/``send`` events are
-rejected there.
-
-Validation here is structural (types and required keys), deliberately
+Validation is structural (types and required keys, down to the numbers
+inside the ``sim``/``io``/``workers``/metrics maps), deliberately
 dependency-free — no jsonschema package — and strict about unknown event
-types so schema drift fails loudly in CI's bench-smoke job.
+types so schema drift fails loudly. :func:`write_trace_file` is the one
+writer and :func:`validate_trace_file` the one reader every consumer
+(report, export, critical path, ``graphsd tune``) goes through.
 """
 
 from __future__ import annotations
@@ -75,18 +25,46 @@ from typing import Any, Dict, Iterable, List
 
 TRACE_SCHEMA = "graphsd-trace"
 TRACE_VERSION = 1
-#: Version declared by merged distributed traces (adds barrier/send
-#: events and per-event worker tags; see repro.obs.distributed).
-TRACE_VERSION_DISTRIBUTED = 2
 
+#: A field spec is a tuple of accepted Python types (``type(None)`` =
+#: nullable), an :class:`_Each`, or a ``{field: spec}`` dict — a nested
+#: object with those required fields.
 _NUMERIC = (int, float)
 
-#: type -> {field: expected python types}; ``None`` in a tuple = nullable.
-_REQUIRED: Dict[str, Dict[str, tuple]] = {
+
+class _Each:
+    """Field spec: a JSON object whose every value matches ``spec``."""
+
+    def __init__(self, spec: Any) -> None:
+        self.spec = spec
+
+
+_NUMBERS = _Each(_NUMERIC)
+
+#: A :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`.
+_SNAPSHOT = {
+    "counters": _NUMBERS,
+    "gauges": _NUMBERS,
+    "histograms": _Each(
+        {
+            "count": (int,),
+            "sum": _NUMERIC,
+            "min": _NUMERIC,
+            "max": _NUMERIC,
+            "buckets": _Each((int,)),
+        }
+    ),
+}
+
+#: type -> {field: spec} for the fields every event of that type carries.
+_REQUIRED: Dict[str, Dict[str, Any]] = {
+    # The header; free-form run identity (engine, program, ...) follows.
     "meta": {
         "schema": (str,),
         "version": (int,),
     },
+    # One closed phase on both timelines: simulated seconds (split into
+    # the DISK and CPU resources) and host seconds.
     "span": {
         "id": (int,),
         "parent": (int, type(None)),
@@ -101,6 +79,8 @@ _REQUIRED: Dict[str, Dict[str, tuple]] = {
         "wall_dur": _NUMERIC,
         "attrs": (dict,),
     },
+    # One IterationRecord, exactly: ``sim`` is its breakdown's component
+    # map, ``io`` its IOStats fields, ``metrics`` a registry snapshot.
     "iteration": {
         "iteration": (int,),
         "model": (str,),
@@ -110,10 +90,12 @@ _REQUIRED: Dict[str, Dict[str, tuple]] = {
         "cross_pushed": (int,),
         "sim_start": _NUMERIC,
         "sim_seconds": _NUMERIC,
-        "sim": (dict,),
-        "io": (dict,),
+        "sim": _NUMBERS,
+        "io": _NUMBERS,
         "metrics": (dict,),
     },
+    # One §4.1 scheduler decision (DecisionRecord.to_event): predicted
+    # costs and byte split, then — once closed — the actual ones.
     "audit": {
         "iteration": (int,),
         "chosen": (str,),
@@ -122,28 +104,35 @@ _REQUIRED: Dict[str, Dict[str, tuple]] = {
         "predicted_seconds": _NUMERIC,
         "active_vertices": (int,),
         "active_edges": (int,),
+        "s_seq_bytes": _NUMERIC,
+        "s_ran_bytes": _NUMERIC,
+        "index_bytes": _NUMERIC,
         "actual_sim_seconds": (int, float, type(None)),
         "actual_io_seconds": (int, float, type(None)),
         "actual_model": (str, type(None)),
     },
+    # The closing registry snapshot.
     "metrics": {
         "scope": (str,),
-        "metrics": (dict,),
+        "metrics": _SNAPSHOT,
     },
+    # The run's exact totals (RunResult.trace_summary).
     "run": {
         "engine": (str,),
         "iterations": (int,),
         "converged": (bool,),
         "sim_seconds": _NUMERIC,
-        "sim": (dict,),
-        "io": (dict,),
+        "sim": _NUMBERS,
+        "io": _NUMBERS,
     },
+    # One cluster recovery action (rollback, replay, degrade).
     "recovery": {
         "worker": (int, str),
         "event": (str,),
         "superstep": (int,),
         "detail": (dict,),
     },
+    # One asynchronous-mode priority pop (PriorityDecision.to_event).
     "priority": {
         "sweep": (int,),
         "rank": (int,),
@@ -155,19 +144,28 @@ _REQUIRED: Dict[str, Dict[str, tuple]] = {
         "selective_blocks": (int,),
         "full_blocks": (int,),
     },
-}
-
-#: Event types valid only in version-2 (distributed) traces.
-_V2_REQUIRED: Dict[str, Dict[str, tuple]] = {
+    # One coordinator barrier fold: cluster time at its opening edge,
+    # each worker's exact delta/components and local clock there, and
+    # the summed breakdown with the overlap fold applied.
     "barrier": {
         "superstep": (int,),
         "kind": (str,),
         "sim_start": _NUMERIC,
-        "workers": (dict,),
+        "workers": _Each(
+            {
+                "delta": _NUMERIC,
+                "saved": _NUMERIC,
+                "local_start": _NUMERIC,
+                "components": _NUMBERS,
+            }
+        ),
         "sim_seconds": _NUMERIC,
-        "sim": (dict,),
+        "sim": _NUMBERS,
         "overlap_saved": _NUMERIC,
     },
+    # One message edge keyed by ValueMessage identity (sender ``worker``,
+    # ``seq``, ``dst``), on the sender's clock; the merger adds the
+    # receiver's ``recv_sim_time``.
     "send": {
         "worker": (int,),
         "dst": (int,),
@@ -180,12 +178,20 @@ _V2_REQUIRED: Dict[str, Dict[str, tuple]] = {
     },
 }
 
-#: type -> {field: expected python types} for fields that MAY appear.
-#: Optional fields keep old traces valid (version 1 is unchanged) while
-#: still type-checking new producers — cluster runs attach ``recovery``
-#: counter maps and worker identity to existing event types.
-_OPTIONAL: Dict[str, Dict[str, tuple]] = {
+#: type -> {field: spec} for fields that MAY appear: typed wherever a
+#: consumer reads them, so a present field is never a surprise.
+_OPTIONAL: Dict[str, Dict[str, Any]] = {
+    "meta": {
+        "program": (str,),
+        "num_vertices": (int,),
+        "num_edges": (int,),
+    },
+    "audit": {
+        "abs_error": (int, float, type(None)),
+        "rel_error": (int, float, type(None)),
+    },
     "run": {
+        "overlap_saved": _NUMERIC,
         "recovery": (dict,),
         "workers": (int,),
         "sweeps": (int,),
@@ -211,6 +217,42 @@ def _fail(lineno: int, message: str) -> None:
     raise TraceSchemaError(f"trace line {lineno}: {message}")
 
 
+def _check_fields(
+    lineno: int,
+    owner: str,
+    path: str,
+    obj: Dict[str, Any],
+    required: Dict[str, Any],
+    optional: Dict[str, Any],
+) -> None:
+    """Check ``obj``'s fields; ``owner`` names it in a missing-field error."""
+    for key, spec in required.items():
+        if key not in obj:
+            _fail(lineno, f"{owner} missing field {key!r}")
+        _check(lineno, f"{path}.{key}", obj[key], spec)
+    for key, spec in optional.items():
+        if key in obj:
+            _check(lineno, f"{path}.{key}", obj[key], spec)
+
+
+def _check(lineno: int, path: str, value: Any, spec: Any) -> None:
+    """Fail unless ``value`` (found at ``path``) matches the field ``spec``."""
+    if isinstance(spec, _Each):
+        _check(lineno, path, value, (dict,))
+        for key, item in value.items():
+            _check(lineno, f"{path}[{key!r}]", item, spec.spec)
+    elif isinstance(spec, dict):
+        _check(lineno, path, value, (dict,))
+        _check_fields(lineno, path, path, value, spec, {})
+    # bool is an int subclass; reject it for numeric fields.
+    elif (isinstance(value, bool) and bool not in spec) or not isinstance(value, spec):
+        _fail(
+            lineno,
+            f"{path} has type {type(value).__name__}, "
+            f"expected one of {[t.__name__ for t in spec]}",
+        )
+
+
 def validate_trace_lines(lines: Iterable[str]) -> List[Dict[str, Any]]:
     """Parse and validate JSONL trace lines; return the event dicts.
 
@@ -219,7 +261,6 @@ def validate_trace_lines(lines: Iterable[str]) -> List[Dict[str, Any]]:
     with the expected schema name and version.
     """
     events: List[Dict[str, Any]] = []
-    version = TRACE_VERSION
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.strip()
         if not raw:
@@ -231,57 +272,24 @@ def validate_trace_lines(lines: Iterable[str]) -> List[Dict[str, Any]]:
         if not isinstance(event, dict):
             _fail(lineno, "event is not a JSON object")
         etype = event.get("type")
-        if not events:
-            if etype != "meta":
-                _fail(lineno, f"first event must be 'meta', got {etype!r}")
-            if isinstance(event.get("version"), int):
-                version = event["version"]
-        known = dict(_REQUIRED)
-        if version == TRACE_VERSION_DISTRIBUTED:
-            known.update(_V2_REQUIRED)
-        if not isinstance(etype, str) or etype not in known:
+        if not events and etype != "meta":
+            _fail(lineno, f"first event must be 'meta', got {etype!r}")
+        if not isinstance(etype, str) or etype not in _REQUIRED:
             _fail(lineno, f"unknown event type {etype!r}")
-        spec = known[etype]
-        for key, types in spec.items():
-            if key not in event:
-                _fail(lineno, f"{etype} event missing field {key!r}")
-            value = event[key]
-            # bool is an int subclass; reject it for numeric fields.
-            bad = (isinstance(value, bool) and bool not in types) or not isinstance(
-                value, types
-            )
-            if bad:
-                _fail(
-                    lineno,
-                    f"{etype}.{key} has type {type(value).__name__}, "
-                    f"expected one of {[t.__name__ for t in types]}",
-                )
-        for key, types in _OPTIONAL.get(etype, {}).items():
-            if key not in event:
-                continue
-            value = event[key]
-            bad = (isinstance(value, bool) and bool not in types) or not isinstance(
-                value, types
-            )
-            if bad:
-                _fail(
-                    lineno,
-                    f"{etype}.{key} has type {type(value).__name__}, "
-                    f"expected one of {[t.__name__ for t in types]}",
-                )
+        _check_fields(
+            lineno,
+            f"{etype} event",
+            etype,
+            event,
+            _REQUIRED[etype],
+            _OPTIONAL.get(etype, {}),
+        )
+        for key, want in (("schema", TRACE_SCHEMA), ("version", TRACE_VERSION)):
+            if not events and event[key] != want:
+                _fail(lineno, f"unexpected {key} {event[key]!r}, want {want!r}")
         events.append(event)
     if not events:
         raise TraceSchemaError("trace is empty")
-    meta = events[0]
-    if meta.get("schema") != TRACE_SCHEMA:
-        raise TraceSchemaError(
-            f"unexpected schema {meta.get('schema')!r}, want {TRACE_SCHEMA!r}"
-        )
-    if meta.get("version") not in (TRACE_VERSION, TRACE_VERSION_DISTRIBUTED):
-        raise TraceSchemaError(
-            f"unexpected version {meta.get('version')!r}, want "
-            f"{TRACE_VERSION} or {TRACE_VERSION_DISTRIBUTED}"
-        )
     return events
 
 
@@ -290,3 +298,24 @@ def validate_trace_file(path: str) -> List[Dict[str, Any]]:
     # charged-io-ok: host-side trace file, not simulated graph I/O
     with open(path, "r") as f:
         return validate_trace_lines(f)
+
+
+def _jsonable(value: Any) -> Any:
+    """JSON fallback for numpy scalars and other ``.item()`` carriers."""
+    item = getattr(value, "item", None)
+    if callable(item):
+        return item()
+    return str(value)
+
+
+def trace_line(event: Dict[str, Any]) -> str:
+    """One event as its JSONL line (without the newline)."""
+    return json.dumps(event, default=_jsonable)
+
+
+def write_trace_file(path: str, events: Iterable[Dict[str, Any]]) -> None:
+    """Write ``events`` (the ``meta`` line first) to ``path`` as JSONL."""
+    # charged-io-ok: host-side trace file, not simulated graph I/O
+    with open(path, "w") as f:
+        for event in events:
+            f.write(trace_line(event) + "\n")

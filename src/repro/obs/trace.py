@@ -27,23 +27,14 @@ with tracing on or off.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.audit import PriorityDecision, SchedulerAudit
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS, NullMetrics
-from repro.obs.schema import TRACE_SCHEMA, TRACE_VERSION
+from repro.obs.schema import TRACE_SCHEMA, TRACE_VERSION, trace_line, write_trace_file
 from repro.utils.timers import SimClock
-
-
-def _jsonable(value: Any) -> Any:
-    """JSON fallback for numpy scalars and other ``.item()`` carriers."""
-    item = getattr(value, "item", None)
-    if callable(item):
-        return item()
-    return str(value)
 
 
 class Span:
@@ -272,49 +263,35 @@ class Tracer:
 
     # -- structured events -------------------------------------------------
 
-    def iteration(self, payload: Dict[str, Any]) -> None:
-        """Emit one per-iteration record (exact breakdown/IO deltas)."""
-        event = {"type": "iteration", "wall": self.now_wall()}
+    def _event(self, etype: str, payload: Dict[str, Any], stamp: bool = True) -> None:
+        """Append one ``etype`` event carrying ``payload``, which holds
+        that type's fields in :mod:`repro.obs.schema`; ``stamp`` records
+        the wall time first."""
+        event: Dict[str, Any] = {"type": etype}
+        if stamp:
+            event["wall"] = self.now_wall()
         event.update(payload)
         self._append(event)
+
+    def iteration(self, payload: Dict[str, Any]) -> None:
+        """Emit one per-iteration record (exact breakdown/IO deltas)."""
+        self._event("iteration", payload)
 
     def run_summary(self, payload: Dict[str, Any]) -> None:
         """Emit the closing run record (exact run breakdown/IO totals)."""
-        event = {"type": "run", "wall": self.now_wall()}
-        event.update(payload)
-        self._append(event)
+        self._event("run", payload)
 
     def recovery(self, payload: Dict[str, Any]) -> None:
-        """Emit one cluster recovery-audit action (rollback/replay/degrade).
-
-        ``payload`` must carry the schema's required fields: ``worker``,
-        ``event``, ``superstep``, ``detail``.
-        """
-        event = {"type": "recovery", "wall": self.now_wall()}
-        event.update(payload)
-        self._append(event)
+        """Emit one cluster recovery-audit action (rollback/replay/degrade)."""
+        self._event("recovery", payload)
 
     def send(self, payload: Dict[str, Any]) -> None:
-        """Emit one message-passing causal edge (distributed traces).
-
-        ``payload`` must carry the v2 schema's required fields: ``worker``
-        (sender), ``dst``, ``seq``, ``superstep``, ``interval``,
-        ``nbytes``, ``sim_time``, ``status``.
-        """
-        event = {"type": "send"}
-        event.update(payload)
-        self._append(event)
+        """Emit one message-passing causal edge (cluster runs)."""
+        self._event("send", payload, stamp=False)
 
     def barrier(self, payload: Dict[str, Any]) -> None:
-        """Emit one coordinator barrier fold (distributed traces).
-
-        ``payload`` must carry the v2 schema's required fields:
-        ``superstep``, ``kind``, ``sim_start``, ``workers``,
-        ``sim_seconds``, ``sim``, ``overlap_saved``.
-        """
-        event = {"type": "barrier"}
-        event.update(payload)
-        self._append(event)
+        """Emit one coordinator barrier fold (cluster runs)."""
+        self._event("barrier", payload, stamp=False)
 
     def audit_open(self, iteration: int, estimate: Any) -> None:
         self.audit.open(iteration, estimate)
@@ -346,17 +323,19 @@ class Tracer:
         meta.update(self._meta)
         return meta
 
-    def lines(self) -> List[str]:
-        """The complete trace as JSONL lines (header first)."""
+    def _rows(self) -> List[Dict[str, Any]]:
+        """The complete trace as events: header first, final metrics last."""
         rows = [self.header()]
         rows.extend(self.events)
-        final = self.metrics.snapshot()
-        rows.append({"type": "metrics", "scope": "final", "metrics": final})
-        return [json.dumps(row, default=_jsonable) for row in rows]
+        rows.append(
+            {"type": "metrics", "scope": "final", "metrics": self.metrics.snapshot()}
+        )
+        return rows
+
+    def lines(self) -> List[str]:
+        """The complete trace as JSONL lines (header first)."""
+        return [trace_line(row) for row in self._rows()]
 
     def write(self, path: str) -> None:
         """Serialize the trace to ``path`` as JSONL."""
-        # charged-io-ok: host-side trace file, not simulated graph I/O
-        with open(path, "w") as f:
-            for line in self.lines():
-                f.write(line + "\n")
+        write_trace_file(path, self._rows())

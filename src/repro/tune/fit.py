@@ -1,6 +1,6 @@
 """Fit §4.1 cost-model constants from scheduler-decision audit logs.
 
-PR 5's tracer records, for every adaptive decision, the predicted cost
+The tracer records, for every adaptive decision, the predicted cost
 of both I/O models and the simulated cost the decided iteration actually
 charged (``type == "audit"`` events in the trace JSONL). This module
 closes the loop: it regresses predicted-vs-actual per model bucket and
@@ -36,10 +36,10 @@ an already-scaled run would regress the residual, not the model.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
+from repro.obs.schema import validate_trace_file
 from repro.tune.profile import Recommendation, TunedProfile
 
 
@@ -51,10 +51,8 @@ class AuditSample:
     num_vertices: int
     num_edges: int
     chosen: str
-    actual_model: str
     c_full: float
     c_on_demand: float
-    predicted_seconds: float
     actual_sim_seconds: float
     actual_io_seconds: float
     s_seq_bytes: float
@@ -96,66 +94,49 @@ class FitReport:
         return "\n".join(lines)
 
 
-def _required_float(event: Dict[str, Any], key: str) -> float:
-    value = event.get(key)
-    if value is None:
-        raise ValueError(f"audit event missing {key!r}")
-    return float(value)
-
-
 def load_audit_samples(path: str) -> Tuple[List[AuditSample], int, int]:
-    """Parse one trace JSONL file into closed audit samples.
+    """Read one trace file's closed audit samples.
 
-    Returns ``(samples, skipped_open, skipped_degraded)``. Raises
-    :class:`ValueError` on files that are not traces (no meta header).
+    Returns ``(samples, skipped_open, skipped_degraded)``. The file goes
+    through :func:`~repro.obs.schema.validate_trace_file`, so a file that
+    is not a valid trace raises :class:`~repro.obs.schema.TraceSchemaError`
+    (a :class:`ValueError`) naming the offending line.
     """
-    meta: Optional[Dict[str, Any]] = None
+    events = validate_trace_file(path)
+    meta = events[0]
     samples: List[AuditSample] = []
     skipped_open = 0
     skipped_degraded = 0
-    # charged-io-ok: host-side trace file, not simulated graph I/O
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            event = json.loads(line)
-            etype = event.get("type")
-            if etype == "meta":
-                meta = event
-                continue
-            if etype != "audit":
-                continue
-            if meta is None:
-                raise ValueError(f"{path}: audit event before trace meta header")
-            if event.get("actual_sim_seconds") is None:
-                skipped_open += 1
-                continue
-            chosen = str(event.get("chosen"))
-            actual_model = str(event.get("actual_model"))
-            if chosen == "on_demand" and actual_model != "sciu":
-                # A degraded round ran FCIU; its cost is not evidence
-                # about the on-demand prediction.
-                skipped_degraded += 1
-                continue
-            samples.append(
-                AuditSample(
-                    program=str(meta.get("program", "?")),
-                    num_vertices=int(meta.get("num_vertices", 0)),
-                    num_edges=int(meta.get("num_edges", 0)),
-                    chosen=chosen,
-                    actual_model=actual_model,
-                    c_full=_required_float(event, "c_full"),
-                    c_on_demand=_required_float(event, "c_on_demand"),
-                    predicted_seconds=_required_float(event, "predicted_seconds"),
-                    actual_sim_seconds=_required_float(event, "actual_sim_seconds"),
-                    actual_io_seconds=_required_float(event, "actual_io_seconds"),
-                    s_seq_bytes=_required_float(event, "s_seq_bytes"),
-                    s_ran_bytes=_required_float(event, "s_ran_bytes"),
-                )
+    for event in events:
+        if event["type"] != "audit":
+            continue
+        if event["actual_sim_seconds"] is None:
+            skipped_open += 1
+            continue
+        if event["actual_io_seconds"] is None or event["actual_model"] is None:
+            raise ValueError(
+                f"{path}: audit at iteration {event['iteration']} is closed "
+                "without its actual I/O seconds and model"
             )
-    if meta is None:
-        raise ValueError(f"{path}: not a trace file (no meta header line)")
+        if event["chosen"] == "on_demand" and event["actual_model"] != "sciu":
+            # A degraded round ran FCIU; its cost is not evidence
+            # about the on-demand prediction.
+            skipped_degraded += 1
+            continue
+        samples.append(
+            AuditSample(
+                program=meta.get("program", "?"),
+                num_vertices=meta.get("num_vertices", 0),
+                num_edges=meta.get("num_edges", 0),
+                chosen=event["chosen"],
+                c_full=float(event["c_full"]),
+                c_on_demand=float(event["c_on_demand"]),
+                actual_sim_seconds=float(event["actual_sim_seconds"]),
+                actual_io_seconds=float(event["actual_io_seconds"]),
+                s_seq_bytes=float(event["s_seq_bytes"]),
+                s_ran_bytes=float(event["s_ran_bytes"]),
+            )
+        )
     return samples, skipped_open, skipped_degraded
 
 
@@ -209,12 +190,7 @@ def fit_profile(paths: Iterable[str], machine: str = "default") -> FitReport:
     # Knob recommendations, one per distinct (program, |V|, |E|) workload,
     # in first-seen order (deterministic given the input file order).
     recs: List[Recommendation] = []
-    seen: List[Tuple[str, int, int]] = []
-    for s in samples:
-        key = (s.program, s.num_vertices, s.num_edges)
-        if key not in seen:
-            seen.append(key)
-    for key in seen:
+    for key in dict.fromkeys((s.program, s.num_vertices, s.num_edges) for s in samples):
         group = [s for s in samples if (s.program, s.num_vertices, s.num_edges) == key]
         od = [s for s in group if s.chosen == "on_demand"]
         if not od:

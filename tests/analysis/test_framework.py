@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import repro.core.fciu as fciu_module
 import repro.graph.grid as grid_module
 import repro.storage.blockfile as blockfile_module
+import repro.storage.prefetch as prefetch_module
 from repro.analysis import (
     check_text,
     collect_sources,
@@ -135,6 +137,52 @@ def test_real_grid_and_its_reader_are_clean():
     assert "os.preadv(" in reader  # the one data reader reads the file itself
     assert check_text(reader, "storage/blockfile.py") == []
     assert check_text(Path(grid_module.__file__).read_text(), "graph/grid.py") == []
+
+
+# -- GSD101/104/105 on real source -------------------------------------------
+
+
+#: One defect per rule, seeded into real source: (module, lint path, the
+#: real text, what replaces it, the text on the line the rule must flag).
+SEEDED = {
+    # A wall-clock import in the FCIU round.
+    "GSD101": (
+        fciu_module,
+        "core/fciu.py",
+        "from __future__ import annotations\n",
+        "from __future__ import annotations\nimport time\n",
+        "import time",
+    ),
+    # A block's offsets array built in numpy's default float64.
+    "GSD104": (
+        grid_module,
+        "graph/grid.py",
+        "np.zeros(hi - lo + 1, dtype=_narrowest_uint(self.count))",
+        "np.zeros(hi - lo + 1)",
+        "np.zeros(hi - lo + 1)",
+    ),
+    # The prefetch worker swallowing a load's failure instead of
+    # delivering it to the consumer.
+    "GSD105": (
+        prefetch_module,
+        "storage/prefetch.py",
+        "                except BaseException as exc:  # delivered, not swallowed\n"
+        '                    self._put(q, ("error", exc))\n',
+        "                except Exception:\n                    pass\n",
+        "except Exception:",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(SEEDED))
+def test_self_seeded_defect_in_real_source_fires_at_its_line(rule):
+    module, rel, real, seed, flagged = SEEDED[rule]
+    base = Path(module.__file__).read_text()
+    assert base.count(real) == 1
+    assert check_text(base, rel) == []
+    seeded = base.replace(real, seed)
+    line = seeded[: seeded.index(flagged)].count("\n") + 1
+    assert [(f.rule_id, f.line) for f in check_text(seeded, rel)] == [(rule, line)]
 
 
 # -- GSD104: explicit dtypes --------------------------------------------------

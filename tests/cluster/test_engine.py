@@ -174,7 +174,7 @@ def test_recovery_counters_surface_in_summary_and_dict(cluster):
 
 
 def test_trace_records_recovery_events(cluster, tmp_path):
-    from repro.obs import Tracer, validate_trace_file
+    from repro.obs import TRACE_VERSION, Tracer, validate_trace_file
 
     path = tmp_path / "cluster.trace.jsonl"
     plan = FaultPlan(crash_points={"w2:post-broadcast": 3})
@@ -182,7 +182,7 @@ def test_trace_records_recovery_events(cluster, tmp_path):
     assert np.array_equal(result.values, cluster.baseline().values)
     events = validate_trace_file(str(path))
     # A cluster --trace run writes the *merged* distributed trace.
-    assert events[0]["version"] == 2
+    assert events[0]["version"] == TRACE_VERSION
     assert events[0]["merged_workers"] == [0, 1, 2, 3]
     assert any(e["type"] == "barrier" for e in events)
     assert any(e["type"] == "send" for e in events)

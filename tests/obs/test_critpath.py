@@ -1,4 +1,4 @@
-"""Property tests for the critical-path algebra and the v2 schema.
+"""Property tests for the critical-path algebra and the barrier schema.
 
 Hypothesis drives synthetic barrier timelines built from *dyadic
 rationals* (multiples of 1/1024 — exactly representable in binary
@@ -13,8 +13,8 @@ hold, and the attribution laws become exact equalities:
 * a single-worker timeline is its own critical path (zero wait).
 
 The doctored cases prove the float-exact checks actually bite, and the
-schema tests pin version-2 round-trips (v1 must keep rejecting
-barrier/send events).
+schema test pins the round-trip of barrier timelines through the one
+trace schema.
 """
 
 import json
@@ -23,13 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import CriticalPathError, analyze_events
-from repro.obs.schema import (
-    TRACE_SCHEMA,
-    TRACE_VERSION,
-    TRACE_VERSION_DISTRIBUTED,
-    TraceSchemaError,
-    validate_trace_lines,
-)
+from repro.obs.schema import TRACE_SCHEMA, TRACE_VERSION, validate_trace_lines
 import pytest
 
 #: Dyadic rationals: k/1024 with k bounded — float-exact sums.
@@ -106,8 +100,8 @@ def _fold_barriers(per_barrier):
     return events, run
 
 
-def _meta(version=TRACE_VERSION_DISTRIBUTED):
-    return {"type": "meta", "schema": TRACE_SCHEMA, "version": version}
+def _meta():
+    return {"type": "meta", "schema": TRACE_SCHEMA, "version": TRACE_VERSION}
 
 
 #: A timeline: 1–6 barriers over the same 1–5 workers.
@@ -173,34 +167,9 @@ def test_empty_trace_has_no_critical_path():
 
 @settings(max_examples=25, deadline=None)
 @given(_TIMELINES)
-def test_v2_events_round_trip_through_the_validator(per_barrier):
+def test_barrier_events_round_trip_through_the_validator(per_barrier):
     barriers, run = _fold_barriers(per_barrier)
     events = [_meta(), *barriers, run]
     lines = [json.dumps(e) for e in events]
     assert validate_trace_lines(lines) == events
 
-
-def test_v1_traces_reject_distributed_events():
-    barriers, _ = _fold_barriers([{0: {"compute": 1.0}}])
-    lines = [json.dumps(_meta(version=TRACE_VERSION)), json.dumps(barriers[0])]
-    with pytest.raises(TraceSchemaError, match="unknown event type 'barrier'"):
-        validate_trace_lines(lines)
-    send = {
-        "type": "send",
-        "worker": 0,
-        "dst": 1,
-        "seq": 3,
-        "superstep": 1,
-        "interval": 0,
-        "nbytes": 128,
-        "sim_time": 0.5,
-        "status": "accepted",
-    }
-    with pytest.raises(TraceSchemaError, match="unknown event type 'send'"):
-        validate_trace_lines(
-            [json.dumps(_meta(version=TRACE_VERSION)), json.dumps(send)]
-        )
-    # The same events are valid under version 2.
-    assert (
-        len(validate_trace_lines([json.dumps(_meta()), json.dumps(send)])) == 2
-    )

@@ -2,19 +2,22 @@
 
 One traced 4-worker cluster run backs every test here; the assertions
 mirror the acceptance bar of the distributed-observability layer: the
-merged trace must be schema-v2 valid, causally ordered, attributable
+merged trace must be schema-valid, causally ordered, attributable
 per superstep to worker × resource with float-exact timeline algebra,
 renderable in Perfetto with per-worker tracks and flow arrows, and the
 act of tracing must not perturb the simulation by a single bit.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.algorithms import PageRank
 from repro.algorithms.base import GraphContext
+from repro.cli import main
 from repro.cluster import ClusterConfig, ClusterEngine
 from repro.graph.degree import out_degrees
 from repro.obs import (
@@ -30,7 +33,7 @@ from repro.obs.distributed import (
     TraceMergeError,
     merge_trace_events,
 )
-from repro.obs.schema import TRACE_VERSION_DISTRIBUTED
+from repro.obs.schema import TRACE_VERSION
 from tests.conftest import build_store, random_edgelist
 
 P = 4
@@ -70,9 +73,9 @@ def traced(tmp_path_factory):
     }
 
 
-def test_merged_trace_is_schema_v2(traced):
+def test_merged_trace_is_schema_valid(traced):
     meta = traced["events"][0]
-    assert meta["version"] == TRACE_VERSION_DISTRIBUTED
+    assert meta["version"] == TRACE_VERSION
     assert meta["merged_workers"] == list(range(N))
     assert meta["engine"] == "cluster"
 
@@ -223,3 +226,30 @@ def test_interconnect_metrics_reach_the_merged_trace(traced):
 def test_merge_without_barriers_is_an_error():
     with pytest.raises(TraceMergeError, match="no barrier events"):
         merge_trace_events([], {0: []}, {}, {})
+
+
+def _doctored(traced, tmp_path, etype):
+    """The merged trace with the first ``etype`` event's ``sim.io_write``
+    set to a string; returns the file and that event's line number."""
+    lines = Path(traced["path"]).read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if json.loads(line)["type"] == etype)
+    event = json.loads(lines[index])
+    event["sim"]["io_write"] = "x"
+    lines[index] = json.dumps(event)
+    path = tmp_path / f"bad-{etype}.trace.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path), index + 1
+
+
+def test_a_string_in_a_barrier_sim_map_names_its_line(traced, tmp_path, capsys):
+    path, lineno = _doctored(traced, tmp_path, "barrier")
+    assert main(["trace", "critical-path", path]) == 2
+    err = capsys.readouterr().err
+    assert f"trace line {lineno}: barrier.sim['io_write'] has type str" in err
+
+
+def test_a_string_in_an_iteration_sim_map_names_its_line(traced, tmp_path, capsys):
+    path, lineno = _doctored(traced, tmp_path, "iteration")
+    assert main(["trace", "report", path]) == 2
+    err = capsys.readouterr().err
+    assert f"trace line {lineno}: iteration.sim['io_write'] has type str" in err

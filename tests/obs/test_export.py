@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.obs import (
     TraceSchemaError,
     export_file,
@@ -115,6 +116,20 @@ def test_wrong_schema_name_is_rejected():
     lines[0] = json.dumps(meta)
     with pytest.raises(TraceSchemaError):
         validate_trace_lines(lines)
+
+
+@pytest.mark.parametrize("version", [0, 2])
+def test_any_other_version_is_rejected(tmp_path, capsys, version):
+    lines = _sample_lines()
+    meta = json.loads(lines[0])
+    meta["version"] = version
+    lines[0] = json.dumps(meta)
+    with pytest.raises(TraceSchemaError, match=f"line 1: unexpected version {version}"):
+        validate_trace_lines(lines)
+    src = tmp_path / "other.jsonl"
+    src.write_text("\n".join(lines) + "\n")
+    assert main(["trace", "report", str(src)]) == 2
+    assert f"unexpected version {version}" in capsys.readouterr().err
 
 
 def test_malformed_json_is_rejected():

@@ -99,18 +99,19 @@ def test_profile_rejects_nonpositive_scales():
 def test_non_trace_file_fails_readably(tmp_path):
     bad = tmp_path / "notatrace.jsonl"
     bad.write_text('{"type": "span", "name": "x"}\n')
-    with pytest.raises(ValueError, match="no meta header"):
+    with pytest.raises(ValueError, match="first event must be 'meta'"):
         load_audit_samples(str(bad))
 
 
 def test_audit_missing_field_fails_readably(tmp_path):
     bad = tmp_path / "broken.jsonl"
     bad.write_text(
-        '{"type": "meta", "program": "p", "num_vertices": 1, "num_edges": 1}\n'
-        '{"type": "audit", "chosen": "full", "actual_model": "full",'
+        '{"type": "meta", "schema": "graphsd-trace", "version": 1,'
+        ' "program": "p", "num_vertices": 1, "num_edges": 1}\n'
+        '{"type": "audit", "iteration": 0, "chosen": "full", "actual_model": "full",'
         ' "actual_sim_seconds": 1.0}\n'
     )
-    with pytest.raises(ValueError, match="audit event missing 'c_full'"):
+    with pytest.raises(ValueError, match="line 2: audit event missing field 'c_full'"):
         load_audit_samples(str(bad))
 
 
