@@ -17,8 +17,9 @@ they share:
   destination columns (one load thunk per column, applied at the end of
   the column); :meth:`EngineBase.consume_plan` streams an ordered plan
   of ``(load thunk, source gate)`` entries. Both sit on
-  :meth:`EngineBase.push_block`, the one place ``gather_block`` and
-  ``combine_block`` are paired;
+  :meth:`EngineBase.push_block` — with :meth:`EngineBase._flush`, which
+  pushes a batch of ungated blocks as one, the only places
+  ``gather_block`` and ``combine_block`` are paired;
 * the run loop skeleton and per-iteration metric capture.
 
 Subclasses implement :meth:`EngineBase._run_round`, which executes one
@@ -48,6 +49,7 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep layering acyclic
     from repro.core.checkpoint import CheckpointManager
 
 from repro.algorithms.base import (
+    Combine,
     GraphContext,
     State,
     VertexProgram,
@@ -253,6 +255,7 @@ class EngineBase:
         snapshot: State,
         block: EdgeBlock,
         gate_mask: Optional[np.ndarray] = None,
+        window: Optional[Tuple[int, int]] = None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Per-edge contributions of ``block`` computed from ``snapshot``.
 
@@ -265,11 +268,13 @@ class EngineBase:
 
         *Interval-local gather:* the program reads source interval
         ``block.i``'s window of ``snapshot`` through ids local to it, in
-        the stored unsigned dtype (no widened copy of ``src``).
+        the stored unsigned dtype (no widened copy of ``src``). A batch
+        of blocks (:meth:`push_blocks`) passes the ``[lo, hi)`` ``window``
+        its sources span instead.
         """
         if self.program.needs_weights:
             require(block.wgt is not None, f"{self.program.name} requires edge weights")
-        lo, hi = self.store.intervals.bounds(block.i)
+        lo, hi = window if window is not None else self.store.intervals.bounds(block.i)
         src = block.src - VERTEX_DTYPE.type(lo) if lo else block.src
         contrib = self.program.gather(snapshot, lo, hi, src, block.wgt)
         edge_mask: Optional[np.ndarray] = None
@@ -284,15 +289,16 @@ class EngineBase:
         block: EdgeBlock,
         contrib: np.ndarray,
         dense_add: Optional[bool] = None,
+        window: Optional[Tuple[int, int]] = None,
     ) -> None:
         """Reduce ``contrib`` into destination interval ``block.j``.
 
         ``acc`` is the global accumulator; only interval ``j``'s slice is
         read or written, through ids local to it (*interval-local
-        combine*). ``dense_add`` is
-        :func:`~repro.algorithms.base.scatter_combine`'s.
+        combine*); a batch passes the ``window`` its destinations span.
+        ``dense_add`` is :func:`~repro.algorithms.base.scatter_combine`'s.
         """
-        lo, hi = self.store.intervals.bounds(block.j)
+        lo, hi = window if window is not None else self.store.intervals.bounds(block.j)
         dst = block.dst - VERTEX_DTYPE.type(lo) if lo else block.dst
         scatter_combine(self.program.combine, acc[lo:hi], dst, contrib, dense_add)
 
@@ -354,7 +360,10 @@ class EngineBase:
         <repro.graph.grid.EdgeBlock.select>` cuts the active sources'
         edges out in block order — so the wall work is proportional to
         the edges that contribute, while the modeled COMPUTE charge stays
-        that of the whole loaded block. Two gates skip the cut, decided
+        that of the whole loaded block. A mask cuts a block without a
+        run-length header by one lookup per edge; ids cut through the
+        block's source offsets, which a retained block keeps for its next
+        cut. Two gates skip the cut, decided
         per push from the interval's active count: an all-active
         interval is ungated, and one above :data:`DENSE_GATE` gathers
         every edge and neutralizes the inactive ones (:meth:`gather_block`).
@@ -367,15 +376,16 @@ class EngineBase:
         dense_add = add_is_dense(block.count, acc.shape[0])
         if gate_mask is not None or active is not None:
             lo, hi = self.store.intervals.bounds(block.i)
+            gate: Optional[np.ndarray] = None
             if active is None and gate_mask is not None:
                 gate = gate_mask[lo:hi]
                 n_active = int(np.count_nonzero(gate))
                 if n_active == hi - lo:
-                    gate_mask = None
-                elif n_active <= DENSE_GATE * (hi - lo):
-                    active = np.flatnonzero(gate)
-            if active is not None:
-                block, gate_mask = block.select(active, lo, hi), None
+                    gate_mask = gate = None
+                elif n_active > DENSE_GATE * (hi - lo):
+                    gate = None  # gather every edge, neutralize the inactive
+            if active is not None or gate is not None:
+                block, gate_mask = block.select(active, lo, hi, gate), None
                 if block.count == 0:
                     return False
         contrib, edge_mask = self.gather_block(snapshot, block, gate_mask)
@@ -428,6 +438,65 @@ class EngineBase:
                 stream.close()
         return edges, blocks
 
+    def _push_or_defer(
+        self,
+        snapshot: State,
+        block: EdgeBlock,
+        acc: np.ndarray,
+        gate: Optional[np.ndarray],
+        batch: List[EdgeBlock],
+    ) -> None:
+        """:meth:`push_block` ``block`` through ``gate``, except that an
+        ungated block is only charged its COMPUTE and appended to
+        ``batch`` for a later :meth:`_flush` — unless it takes ADD's
+        dense path, which sums per destination before adding: a batch
+        adds edge by edge, in order, as ``np.add.at`` adds each sparse
+        block. Any other block flushes ``batch`` first, so edges still
+        reach ``acc`` in order."""
+        dense = self.program.combine is Combine.ADD and add_is_dense(block.count, acc.shape[0])
+        if gate is None and not dense:
+            self.clock.charge(COMPUTE, self.machine.edge_compute_time(block.count))
+            batch.append(block)
+            return
+        self._flush(snapshot, batch, acc)
+        self.push_block(snapshot, block, acc, gate)
+
+    def _flush(self, snapshot: State, batch: List[EdgeBlock], acc: np.ndarray) -> None:
+        """Gather and combine the charged ``batch`` as one block — its
+        blocks' edges concatenated in order, through the source and
+        destination windows their intervals span — and empty it."""
+        if not batch:
+            return
+        edges = self.store.intervals.boundaries
+        rows, cols = [b.i for b in batch], [b.j for b in batch]
+        source = (int(edges[min(rows)]), int(edges[max(rows) + 1]))
+        target = (int(edges[min(cols)]), int(edges[max(cols) + 1]))
+        block = batch[0]
+        if len(batch) > 1:
+            weights = [b.wgt for b in batch if b.wgt is not None]
+            block = EdgeBlock(
+                block.i,
+                block.j,
+                np.concatenate([b.src for b in batch]),
+                np.concatenate([b.dst for b in batch]),
+                np.concatenate(weights) if weights else None,
+            )
+        contrib, _ = self.gather_block(snapshot, block, window=source)
+        self.combine_block(acc, block, contrib, dense_add=False, window=target)
+        batch.clear()
+
+    def push_blocks(self, snapshot: State, blocks: Sequence[EdgeBlock], acc: np.ndarray) -> bool:
+        """:meth:`push_block` each of ``blocks``, ungated, in order — the
+        same COMPUTE charges and the same bits — with one gather and one
+        combine for all of them (split only around dense ADD blocks).
+        Returns whether any edge was combined."""
+        batch: List[EdgeBlock] = []
+        for block in blocks:
+            if block.count:
+                self._push_or_defer(snapshot, block, acc, None, batch)
+        self._flush(snapshot, batch, acc)
+        return any(block.count for block in blocks)
+
     def consume_plan(
         self,
         plan: Sequence[PlanEntry],
@@ -440,10 +509,13 @@ class EngineBase:
         single in-order worker as :meth:`sweep_columns`, so fault
         ordinals and the disk-op stream are the serial ones) inside
         :meth:`overlap_region`. Per entry: poll ``mid-scatter``, take the
-        block, :meth:`push_block` it through the entry's gate. Only a
-        cleanly consumed plan earns the pool's lane credit; a fault or
-        crash propagates with the raw serial charges. Returns the
-        non-empty blocks in plan order.
+        block, charge its COMPUTE. An ungated block's edges then wait, and
+        the plan's ungated edges are gathered and combined together, as
+        :meth:`push_blocks` does; a gated block is :meth:`push_block`-ed
+        through its gate in its place. Only a cleanly consumed plan
+        earns the pool's lane credit; a fault or crash propagates with
+        the raw serial charges. Returns the non-empty blocks in plan
+        order.
         """
         tasks = [task for task, _gate in plan]
         pool = GatherPool(
@@ -454,6 +526,7 @@ class EngineBase:
             tracer=self.tracer,
         )
         consumed: List[EdgeBlock] = []
+        batch: List[EdgeBlock] = []
         with self.overlap_region() as region:
             if region is not None and tasks:
                 tasks[0] = region.measure_fill(tasks[0])
@@ -463,10 +536,11 @@ class EngineBase:
                     self._crash_point("mid-scatter")
                     block = next(stream)
                     if block.count:
-                        self.push_block(snapshot, block, acc, gate)
+                        self._push_or_defer(snapshot, block, acc, gate, batch)
                         consumed.append(block)
             finally:
                 stream.close()
+            self._flush(snapshot, batch, acc)
             pool.finish(region)
         return consumed
 

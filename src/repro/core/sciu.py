@@ -15,7 +15,9 @@ One SCIU round is one BSP iteration:
    iteration **and** were re-activated by step 2 already have their
    edges in memory, so their next-iteration contributions are pushed
    immediately into the next accumulator and they are removed from
-   ``Out`` — their edges will not be re-read next iteration.
+   ``Out`` — their edges will not be re-read next iteration. Their
+   edges are found with one lookup over the round's retained edges and
+   pushed as one batch (:meth:`~repro.core.engine_base.EngineBase.push_blocks`).
 
 The push for iteration ``t+1`` reads the *post-apply* state (the
 vertex's latest value), exactly as the paper's ``CrossIterUpdate``;
@@ -43,7 +45,9 @@ by spreading the independent loads over K modeled lanes. The single
 in-order worker replays the serial disk-operation stream exactly, so
 injected faults fire identically and the existing GatherFault
 degradation path (retry budget exhausted → rolled back → full
-streaming) works unchanged.
+streaming) works unchanged. The simulated COMPUTE is charged block by
+block as each load is consumed; the wall work is one gather and one
+combine over the round's concatenated edges once the last load is in.
 """
 
 from __future__ import annotations
@@ -58,6 +62,28 @@ if TYPE_CHECKING:  # engine.py imports this module; import only for types
 from repro.graph.grid import EdgeBlock, SelectiveEntry
 from repro.storage.faults import FaultError, GatherFault
 from repro.utils.bitset import VertexSubset
+
+
+def _candidate_edges(blocks: List[EdgeBlock], candidates: np.ndarray) -> List[EdgeBlock]:
+    """Each of the non-empty ``blocks`` cut to its edges whose source is
+    a ``candidates`` vertex, with one lookup over all their edges; a
+    block that keeps none is left out."""
+    if not blocks:
+        return []
+    src = np.concatenate([block.src for block in blocks])
+    keep = candidates[src]
+    kept = np.add.reduceat(keep, np.cumsum([0] + [block.count for block in blocks[:-1]]))
+    positions = np.flatnonzero(keep)
+    src = src[positions]
+    dst = np.concatenate([block.dst for block in blocks])[positions]
+    weights = [block.wgt for block in blocks if block.wgt is not None]
+    wgt = np.concatenate(weights)[positions] if weights else None
+    cuts = np.cumsum(kept).tolist()
+    return [
+        EdgeBlock(block.i, block.j, src[a:b], dst[a:b], None if wgt is None else wgt[a:b])
+        for block, a, b in zip(blocks, [0] + cuts[:-1], cuts)
+        if b > a
+    ]
 
 
 def run_sciu_round(engine: "GraphSDEngine") -> VertexSubset:
@@ -124,22 +150,12 @@ def run_sciu_round(engine: "GraphSDEngine") -> VertexSubset:
             candidates &= engine.ctx.out_degrees > 0
         cross_pushed = int(np.count_nonzero(candidates))
         if cross_pushed:
-            acc_next = engine.acc_next
             with engine.tracer.span(
                 "sciu.cross_push", cat="phase", vertices=cross_pushed
             ):
-                for block in retained:
-                    keep = candidates[block.src]
-                    if not keep.any():
-                        continue
-                    sub = EdgeBlock(
-                        block.i,
-                        block.j,
-                        block.src[keep],
-                        block.dst[keep],
-                        None if block.wgt is None else block.wgt[keep],
-                    )
-                    engine.next_landed |= engine.push_block(engine.state, sub, acc_next)
+                engine.next_landed |= engine.push_blocks(
+                    engine.state, _candidate_edges(retained, candidates), engine.acc_next
+                )
             # Cross-pushed vertices leave Out: their edges need not be
             # loaded next iteration (Algorithm 2, line 17).
             activated_mask &= ~candidates

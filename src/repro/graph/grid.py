@@ -348,22 +348,35 @@ class EdgeBlock:
             self._offsets, self.runs = offsets, None
         return self._offsets
 
-    def select(self, active: np.ndarray, lo: int, hi: int) -> "EdgeBlock":
-        """The edges of the ``active`` sources, in block order.
+    def select(
+        self, active: Optional[np.ndarray], lo: int, hi: int, gate: Optional[np.ndarray] = None
+    ) -> "EdgeBlock":
+        """The edges of the active sources, in block order.
 
         ``active`` holds ascending ids local to source interval
-        ``[lo, hi)``. A source-sorted block is cut through
-        :meth:`source_offsets` in ``O(active sources + their edges)``; a
-        block of unknown order falls back to one mask lookup per edge.
+        ``[lo, hi)``; ``gate`` the same set as a mask over the interval,
+        for a caller that has one (either may be ``None``, not both). A
+        source-sorted block is cut through :meth:`source_offsets` in
+        ``O(active sources + their edges)`` when the offsets are cheap:
+        cached, or a running sum of the run-length header. A gated cut of
+        a block without either takes one mask lookup per edge instead —
+        deriving the offsets would count every edge's source, for offsets
+        used once — as does a block of unknown order. An id-list cut
+        derives the offsets and caches them for the next cut.
         """
-        if self.source_sorted:
+        cheap = self._offsets is not None or self.runs is not None
+        if self.source_sorted and (cheap or gate is None):
+            if active is None:
+                active = np.flatnonzero(gate)
             offsets = self.source_offsets(lo, hi)
             starts = offsets[active].astype(np.intp)
             positions = run_positions(starts, offsets[active + 1] - starts)
         else:
-            mask = np.zeros(hi - lo, dtype=bool)
-            mask[active] = True
-            positions = np.flatnonzero(mask[self.src - VERTEX_DTYPE.type(lo)])
+            if gate is None:
+                gate = np.zeros(hi - lo, dtype=bool)
+                gate[active] = True
+            src = self.src - VERTEX_DTYPE.type(lo) if lo else self.src
+            positions = np.flatnonzero(gate.take(src))
         wgt = None if self.wgt is None else self.wgt[positions]
         return EdgeBlock(self.i, self.j, self.src[positions], self.dst[positions], wgt)
 
@@ -452,12 +465,15 @@ class SelectiveLoad:
     plan thunk as it stands.
     """
 
-    __slots__ = ("store", "block", "index", "_negative", "_bounds", "_runs", "_totals")
+    __slots__ = (
+        "store", "block", "index", "_file_bytes", "_negative", "_bounds", "_runs", "_totals"
+    )
 
     def __init__(
         self,
         store: "GridStore",
         block: EdgeBlock,
+        file_bytes: Tuple[Optional[int], int],
         negative: bool,
         bounds: Tuple[int, int, int],
         runs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
@@ -468,6 +484,7 @@ class SelectiveLoad:
         #: ``(INDEX_* mode, ascending local ids)`` of the index read this
         #: entry charges first; ``None`` when the caller read the offsets.
         self.index: Optional[Tuple[int, np.ndarray]] = None
+        self._file_bytes = file_bytes  # of .idx and .edges, as the data pass measured them
         self._negative = negative
         self._bounds = bounds  # lowest start, smallest run, highest end
         self._runs = runs  # merged (starts, counts, sequential?); None: no edges
@@ -482,17 +499,39 @@ class SelectiveLoad:
     def charge(self) -> None:
         """The entry's accounting, in the order its single reads run it.
 
-        First the index read, then the edge read: the negative-count and
-        bounds checks, and — unless the entry has no edges — the fault
-        poll, CRC verification, page-cache filter and seq/ran charges.
-        Raises what those reads raise; every entry the data pass left
-        unread raises here.
+        First the index read by its mode — what
+        :meth:`~GridStore.read_index_entries` or
+        :meth:`~GridStore.read_index_span` over the ids' range would
+        charge — then the edge read: the negative-count and bounds
+        checks, and — unless the entry has no edges — the fault poll,
+        CRC verification, page-cache filter and seq/ran charges. Bounds
+        are checked against the file sizes the data pass measured, so
+        the accounting makes no ``stat``, and an index gather's runs are
+        built only for a file that charges each run. Raises what those
+        reads raise; every entry the data pass left unread raises here.
         """
-        store = self.store
+        store, block, idx = self.store, self.block, self.store._idx_file
+        idx_bytes, edge_bytes = self._file_bytes
         if self.index is not None:
-            store._charge_index(self.block.i, self.block.j, *self.index)
+            mode, local = self.index
+            first, last = int(local[0]), int(local[-1])
+            store._require_in_interval(block.i, first, last)
+            start, count = store._index_slice(block.i, block.j, first, last + 1)
+            if mode == INDEX_GATHER:
+                # One run per id: its (offset, next_offset) pair.
+                unit = int(store._idx_codes[block.i, block.j])
+                pair, n = 2 * unit, local.size
+                idx.check_runs(start, pair, start + (last - first) * unit + pair, idx_bytes)
+                totals = ((0, 0), (n * pair, n))
+                if idx.charges_each_run:
+                    starts = start + (local - first) * unit
+                    idx.charge_runs(starts, np.full(n, pair, dtype=np.int64), totals=totals)
+                else:
+                    idx.charge_totals(totals)
+            else:
+                idx.charge_slice(start, count, sequential=True, nbytes=idx_bytes)
         require(not self._negative, "corrupt index: negative edge counts")
-        store._edges_file.check_runs(*self._bounds)
+        store._edges_file.check_runs(*self._bounds, nbytes=edge_bytes)
         if self._runs is not None:
             store._edges_file.charge_runs(*self._runs, totals=self._totals)
 
@@ -979,13 +1018,6 @@ class GridStore:
         unit = int(self._idx_codes[i, j])
         return int(self._index_start[i, j]) + first * unit, (last - first + 1) * unit
 
-    def _index_runs(self, i: int, j: int, local_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """One ``(start byte, byte count)`` run per local id: its
-        ``(offset, next_offset)`` pair in block ``(i, j)``'s index."""
-        unit = int(self._idx_codes[i, j])
-        starts = int(self._index_start[i, j]) + local_ids * unit
-        return starts, np.full(local_ids.shape, 2 * unit, dtype=np.int64)
-
     def _widen_offsets(self, i: int, j: int, payload: np.ndarray) -> np.ndarray:
         """Offsets read from block ``(i, j)``'s index bytes as ``int64``."""
         stored = payload.view(_OFFSET_BY_ITEMSIZE[int(self._idx_codes[i, j])])
@@ -1032,23 +1064,12 @@ class GridStore:
         if local_ids.size == 0:
             return np.empty((0, 2), dtype=INDEX_DTYPE)
         self._require_in_interval(i, int(local_ids.min()), int(local_ids.max()))
-        payload = self._idx_file.read_gather(*self._index_runs(i, j, local_ids))
+        # One run per id: its (offset, next_offset) pair.
+        unit = int(self._idx_codes[i, j])
+        starts = int(self._index_start[i, j]) + local_ids * unit
+        pairs = np.full(local_ids.shape, 2 * unit, dtype=np.int64)
+        payload = self._idx_file.read_gather(starts, pairs)
         return self._widen_offsets(i, j, payload).reshape(-1, 2)
-
-    def _charge_index(self, i: int, j: int, mode: int, local_ids: np.ndarray) -> None:
-        """The accounting half of the index read ``mode`` makes for the
-        ascending, non-empty ``local_ids`` of block ``(i, j)``: what
-        :meth:`read_index_entries` or :meth:`read_index_span` over the
-        ids' range would charge."""
-        self._require_in_interval(i, int(local_ids[0]), int(local_ids[-1]))
-        if mode == INDEX_GATHER:
-            starts, counts = self._index_runs(i, j, local_ids)
-            pair, n = int(counts[0]), counts.size
-            self._idx_file.check_runs(int(starts[0]), pair, int(starts[-1]) + pair)
-            self._idx_file.charge_runs(starts, counts, totals=((0, 0), (n * pair, n)))
-            return
-        first, last = int(local_ids[0]), int(local_ids[-1]) + 1
-        self._idx_file.charge_slice(*self._index_slice(i, j, first, last), sequential=True)
 
     def read_selective(
         self,
@@ -1095,11 +1116,14 @@ class GridStore:
                 width = 0
             chunks[-1].append(e)
             width += len(entries[e][2])
+        # Measured once: every chunk reads inside, and every entry's
+        # accounting checks against, these sizes.
+        file_bytes = (self._idx_file.nbytes, self._edges_file.nbytes)
         placed: Dict[int, SelectiveLoad] = {}
         for chunk in chunks:
             rows = np.array(chunk, dtype=np.intp)
             loads = self._read_chunk(
-                [entries[e] for e in chunk], geom[rows], keys[rows], seq_threshold_bytes
+                [entries[e] for e in chunk], geom[rows], keys[rows], file_bytes, seq_threshold_bytes
             )
             placed.update(zip(chunk, loads))
         return [placed[e] for e in range(len(entries))]
@@ -1109,6 +1133,7 @@ class GridStore:
         chunk: Sequence[SelectiveEntry],
         geom: np.ndarray,
         keys: np.ndarray,
+        file_bytes: Tuple[int, int],
         seq_threshold_bytes: Optional[int],
     ) -> List["SelectiveLoad"]:
         """:meth:`read_selective` for one chunk of storage-ordered entries:
@@ -1123,7 +1148,7 @@ class GridStore:
         unit = geom["unit"][owner]
         pos = geom["index"][owner] + local * unit
         inside = (local >= 0) & (local < geom["size_i"][owner])
-        inside &= pos + 2 * unit <= self._idx_file.nbytes
+        inside &= pos + 2 * unit <= file_bytes[0]
         bounds = np.cumsum([0] + sizes)
         readable = np.logical_and.reduceat(inside, bounds[:-1])
         all_inside = bool(readable.all())
@@ -1142,7 +1167,8 @@ class GridStore:
             width = int(geom["unit"][g0])
             offsets[:, ids] = _read_le(index, pos[ids] + pair * width, _OFFSET_BY_ITEMSIZE[width])
         loads = self._select_edges(
-            blocks, groups, geom, bounds, owner, active, offsets, readable, seq_threshold_bytes
+            blocks, groups, geom, bounds, owner, active, offsets, readable, file_bytes,
+            seq_threshold_bytes,
         )
         for e, (load, entry) in enumerate(zip(loads, chunk)):
             load.index = (int(entry[3]), local[bounds[e] : bounds[e + 1]])
@@ -1158,6 +1184,7 @@ class GridStore:
         active: np.ndarray,
         offsets: np.ndarray,
         readable: np.ndarray,
+        file_bytes: Tuple[Optional[int], int],
         seq_threshold_bytes: Optional[int],
     ) -> List["SelectiveLoad"]:
         """The edge pass of :meth:`read_selective` and :meth:`load_active_edges`.
@@ -1170,42 +1197,55 @@ class GridStore:
         record width, and a compact group is decoded in its widths. An
         entry not ``readable`` (its offsets could not be read) or ruled
         out by the bounds gets an empty block; its accounting raises.
+        ``file_bytes`` are the sizes of ``.idx`` and ``.edges`` the
+        caller measured.
+
+        The negative-count and bounds checks see every ``(id, block)``
+        pair. Past them only the pairs with edges go on — merged into
+        runs, split sequential/random, read and gathered — since most
+        active ids have no edges in most blocks of their row.
         """
         firsts = bounds[:-1]
         rec = geom["rec"]
         per_vertex = offsets[1] - offsets[0]
         starts = geom["records"][owner] + offsets[0] * rec[owner]
-        counts = per_vertex * rec[owner]
-        ends = starts + counts
         negative = np.logical_or.reduceat(per_vertex < 0, firsts)
         min_start = np.minimum.reduceat(starts, firsts)
-        max_end = np.maximum.reduceat(ends, firsts)
+        max_end = np.maximum.reduceat(starts + per_vertex * rec[owner], firsts)
         itemsize = self._edges_file.dtype.itemsize
         valid = readable & ~negative & (min_start >= 0)
-        valid &= max_end <= self._edges_file.nbytes // itemsize
+        valid &= max_end <= file_bytes[1] // itemsize
 
-        # Adjacent extents of one entry merge into one run (one request).
-        m_starts, m_counts, group_ids = merge_runs(starts, counts, firsts)
-        entry_runs = np.append(group_ids[firsts], m_starts.size)
-        nonempty = m_counts > 0
-        seq = np.zeros(m_counts.size, dtype=bool)
-        if seq_threshold_bytes is not None:
-            seq = nonempty & (m_counts * itemsize >= int(seq_threshold_bytes))
-        firsts_run = entry_runs[:-1]
-        items = np.add.reduceat(m_counts, firsts_run)
-        seq_items = np.add.reduceat(m_counts * seq, firsts_run)
-        runs = np.add.reduceat(nonempty, firsts_run, dtype=np.int64)
-        seq_runs = np.add.reduceat(seq, firsts_run, dtype=np.int64)
-
-        # The data: one read of every vertex's extent, then one gather
-        # from it (compact: one per group, in the group's widths).
+        # The pairs with edges of the entries whose accounting passes;
+        # ``kept_bounds[e]`` is entry e's first among them.
         take = valid[owner] & (per_vertex > 0)
         taken = per_vertex[take]
-        data, data_at = self._edges_file.read_runs(starts[take], counts[take])
-        edge_bounds = [0, *np.cumsum(np.where(valid, items // rec, 0)).tolist()]
+        kept_owner = owner[take]
+        starts, counts = starts[take], taken * rec[kept_owner]
+        kept_bounds = np.searchsorted(kept_owner, np.arange(len(blocks) + 1, dtype=np.intp))
+        heads = kept_bounds[:-1][kept_bounds[:-1] < kept_bounds[1:]]
+
+        # Adjacent extents of one entry merge into one run (one request).
+        m_starts, m_counts, group_ids = merge_runs(starts, counts, heads)
+        entry_runs = np.append(group_ids, m_starts.size)[kept_bounds]
+        seq = np.zeros(m_counts.size, dtype=bool)
+        if seq_threshold_bytes is not None:
+            seq = m_counts * itemsize >= int(seq_threshold_bytes)
+
+        def per_entry(per_run: np.ndarray) -> List[int]:
+            """Sums of ``per_run`` over each entry's merged runs."""
+            return np.diff(np.concatenate(([0], np.cumsum(per_run)))[entry_runs]).tolist()
+
+        items, seq_items = per_entry(m_counts), per_entry(m_counts * seq)
+        runs, seq_runs = np.diff(entry_runs).tolist(), per_entry(seq)
+
+        # The data: one read of every kept extent, then one gather from
+        # it (compact: one per group, in the group's widths).
+        data, data_at = self._edges_file.read_runs(starts, counts)
+        edge_bounds = np.concatenate(([0], np.cumsum(taken)))[kept_bounds].tolist()
         if self.encoding in _COMPACT_ENCODINGS:
             # A vertex's k-th record is k records past where its extent landed.
-            at = run_positions(np.zeros_like(taken), taken) * rec[owner[take]].repeat(taken)
+            at = run_positions(np.zeros_like(taken), taken) * rec[kept_owner].repeat(taken)
             at += data_at.repeat(taken)
             dst = np.empty(at.size, dtype=VERTEX_DTYPE)
             wgt = np.empty(at.size, dtype=np.float32) if self.has_weights else None
@@ -1221,7 +1261,7 @@ class GridStore:
             src = active[take].astype(VERTEX_DTYPE).repeat(taken)
         else:
             # "clip" skips the bounds check: every position is valid.
-            records = data.take(run_positions(data_at, counts[take]), mode="clip")
+            records = data.take(run_positions(data_at, counts), mode="clip")
             src, dst = records["src"].copy(), records["dst"].copy()
             wgt = records["wgt"].copy() if self.has_weights else None
 
@@ -1229,8 +1269,7 @@ class GridStore:
         a = r0 = 0
         for block, b, r1, bad, lo, hi, n_items, n_seq_items, n_runs, n_seq_runs in zip(
             blocks, edge_bounds[1:], entry_runs[1:].tolist(), negative.tolist(),
-            min_start.tolist(), max_end.tolist(), items.tolist(), seq_items.tolist(),
-            runs.tolist(), seq_runs.tolist(),
+            min_start.tolist(), max_end.tolist(), items, seq_items, runs, seq_runs,
         ):
             block_i, block_j = divmod(block, self.P)
             edge_block = EdgeBlock(
@@ -1245,6 +1284,7 @@ class GridStore:
                 SelectiveLoad(
                     self,
                     edge_block,
+                    file_bytes,
                     negative=bad,
                     # An entry's merged runs are sums of its per-vertex
                     # extents, never negative once the count check passed.
@@ -1294,6 +1334,7 @@ class GridStore:
             active_global_ids,
             np.asarray(offsets_pairs, dtype=INDEX_DTYPE).T,
             np.ones(1, dtype=bool),
+            (None, self._edges_file.nbytes),
             seq_threshold_bytes,
         )
         return load()

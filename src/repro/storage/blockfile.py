@@ -303,7 +303,10 @@ class ArrayFile:
 
     @property
     def item_count(self) -> int:
-        nbytes = self.nbytes
+        return self._items(self.nbytes)
+
+    def _items(self, nbytes: int) -> int:
+        """Items in a file of ``nbytes`` bytes; a torn last item raises."""
         require(
             nbytes % self._itemsize == 0,
             f"{self.path} size {nbytes} is not a multiple of itemsize {self._itemsize}",
@@ -382,21 +385,31 @@ class ArrayFile:
             return np.empty(0, dtype=self.dtype)
         return self.read_runs(np.full(1, start_item, dtype=np.int64), count)[0]
 
-    def charge_slice(self, start_item: int, count: int, sequential: bool = True) -> bool:
+    def charge_slice(
+        self,
+        start_item: int,
+        count: int,
+        sequential: bool = True,
+        nbytes: Optional[int] = None,
+    ) -> bool:
         """The accounting half of :meth:`read_slice`.
 
         Bounds check, fault poll, CRC verification of the chunks the
         slice covers, then the (page-cache filtered) charge. Returns
         ``False`` for an empty slice, which is neither read nor charged.
+        The bounds are checked against ``nbytes``, the file size a
+        batched reader measured for its data pass, else against a fresh
+        ``stat``.
         """
         require(start_item >= 0 and count >= 0, "negative offset or count")
         if count == 0:
             return False
-        require(start_item + count <= self.item_count, "read_slice beyond end of file")
+        size = self._items(self.nbytes if nbytes is None else nbytes)
+        require(start_item + count <= size, "read_slice beyond end of file")
         self._maybe_fault(write=False)
-        offset, nbytes = start_item * self._itemsize, count * self._itemsize
-        self._verify_range(offset, nbytes)
-        self._charge_read(offset, nbytes, sequential)
+        offset, length = start_item * self._itemsize, count * self._itemsize
+        self._verify_range(offset, length)
+        self._charge_read(offset, length, sequential)
         return True
 
     def read_gather(
@@ -427,11 +440,29 @@ class ArrayFile:
         data, at = self.read_runs(starts, counts)
         return data[run_positions(at, counts)]
 
-    def check_runs(self, min_start: int, min_count: int, max_end: int) -> None:
+    def check_runs(
+        self, min_start: int, min_count: int, max_end: int, nbytes: Optional[int] = None
+    ) -> None:
         """The bounds check of :meth:`read_gather`, from the runs' lowest
-        start, smallest count and highest end."""
+        start, smallest count and highest end; against ``nbytes`` as
+        :meth:`charge_slice` checks against it."""
         require(min_count >= 0 and min_start >= 0, "negative start or count")
-        require(max_end <= self.item_count, "gather run beyond end of file")
+        size = self._items(self.nbytes if nbytes is None else nbytes)
+        require(max_end <= size, "gather run beyond end of file")
+
+    @property
+    def charges_each_run(self) -> bool:
+        """Whether :meth:`charge_runs` looks at each run — to verify the
+        CRC chunks it touches, or to filter it through the page cache.
+        For any other file :meth:`charge_totals` is the same charge."""
+        return self.cache is not None or self.checksums
+
+    def charge_totals(self, totals: Tuple[Tuple[int, int], Tuple[int, int]]) -> None:
+        """:meth:`charge_runs` of runs with these ``totals``, for a file
+        that does not :attr:`charges_each_run`: the caller need not
+        build the runs."""
+        self._maybe_fault(write=False)
+        self._charge_totals(totals)
 
     def charge_runs(
         self,
@@ -477,6 +508,9 @@ class ArrayFile:
                 (int(counts[seq].sum()) * self._itemsize, int(seq.sum())),
                 (int(counts[ran].sum()) * self._itemsize, int(ran.sum())),
             )
+        self._charge_totals(totals)
+
+    def _charge_totals(self, totals: Tuple[Tuple[int, int], Tuple[int, int]]) -> None:
         (seq_bytes, seq_requests), (ran_bytes, ran_requests) = totals
         if seq_bytes or seq_requests:
             self.disk.charge_read_sequential(seq_bytes, requests=seq_requests)
@@ -497,7 +531,10 @@ class ArrayFile:
         no runs. Returns the buffer and, per run, the buffer item its
         first item landed at. Runs must lie inside the file: the charged
         readers check them first, and a batched reader passes only the
-        runs of entries inside the size it measured, so it never raises.
+        runs of entries inside the size it measured. A read that ends
+        early is continued; one that reaches the end of the file first
+        (the file shrank under the reader) raises ``OSError`` naming the
+        file, so no byte of the buffer is returned unread.
         """
         starts = np.asarray(starts, dtype=np.int64)
         if starts.size == 0:
@@ -525,7 +562,15 @@ class ArrayFile:
             for offset, a, b in zip(
                 (lo * item).tolist(), (into * item).tolist(), ((into + size) * item).tolist()
             ):
-                os.preadv(fd, (view[a:b],), offset)
+                got = os.preadv(fd, (view[a:b],), offset)
+                while got < b - a:  # a partial read: go on from where it stopped
+                    more = os.preadv(fd, (view[a + got : b],), offset + got)
+                    if more == 0:
+                        raise OSError(
+                            f"short read from {self.path.name}: {got} of {b - a} bytes "
+                            f"at byte {offset} (the file ends inside the read)"
+                        )
+                    got += more
         finally:
             os.close(fd)
         return data, at

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 import repro
 from repro.algorithms import ConnectedComponents, PageRank, PageRankDelta, SSSP
-from repro.algorithms.base import SPARSE_ADD_RATIO, Combine, GraphContext
-from repro.core import AsyncGraphSDEngine, GraphSDEngine
+from repro.algorithms.base import SPARSE_ADD_RATIO, Combine, GraphContext, add_is_dense
+from repro.algorithms.ppr import PersonalizedPageRank
+from repro.core import AsyncGraphSDEngine, GraphSDConfig, GraphSDEngine
 from repro.core.engine_base import DENSE_GATE, EngineBase
 from repro.datasets.rmat import WEB, rmat_edges
 from repro.graph import EdgeList
@@ -100,6 +101,100 @@ def test_mid_scatter_crash_ordinals_are_pinned(tmp_path, case):
         except SimulatedCrash:
             site = (engine._iterations_done, store.device.disk.stats.bytes_read)
         assert site == expected, f"{case}: mid-scatter #{k}"
+
+
+# -- ADD goldens: SCIU's batched pushes keep every sum's order ----------------
+
+#: b4 (SCIU pinned) PageRank-delta and PPR runs, recorded at the commit
+#: before a round's selective edges were gathered and combined in one
+#: batch. ``io`` holds every non-zero ``IOStats`` field but the pipeline
+#: counters and the lane-dependent ``gather_queue_peak`` (``peak`` by
+#: lanes); ``sim`` is keyed ``(lanes, prefetch_depth)``.
+ADD_GOLDEN = {
+    "pagerank_delta": {
+        "values_sha256": "da3213a196b7e695f996f87647684b15d5a02468d1cde0c44e9c31c6e112554d",
+        "raw": {
+            "io": {"bytes_read_seq": 451072, "bytes_read_ran": 246904,
+                   "bytes_written_seq": 304128, "read_requests_seq": 147,
+                   "read_requests_ran": 1899, "write_requests_seq": 30,
+                   "gather_runs_issued": 2019,
+                   "gather_lane_busy_seconds": 0.020862401326497373},
+            "sim": {(1, 0): 0.0245831317692057, (1, 2): 0.0245831317692057,
+                    (4, 0): 0.009011410374348947, (4, 2): 0.010050451959635404},
+        },
+        "compact3": {
+            "io": {"bytes_read_seq": 266768, "bytes_read_ran": 30951,
+                   "bytes_written_seq": 242032, "read_requests_seq": 147,
+                   "read_requests_ran": 1899, "write_requests_seq": 30,
+                   "gather_runs_issued": 2019,
+                   "gather_lane_busy_seconds": 0.0027698230743408206},
+            "sim": {(1, 0): 0.006490553517049158, (1, 2): 0.006359989495646163,
+                    (4, 0): 0.004422558445638026, (4, 2): 0.004293991134033207},
+        },
+    },
+    "ppr": {
+        "values_sha256": "b2fe7d08a8f58e009a0b8e0dd6ec12df0a77405643a1484845830970f202b42d",
+        "raw": {
+            "io": {"bytes_read_seq": 751264, "bytes_read_ran": 257976,
+                   "bytes_written_seq": 368128, "read_requests_seq": 267,
+                   "read_requests_ran": 9390, "write_requests_seq": 38,
+                   "gather_runs_issued": 9622,
+                   "gather_lane_busy_seconds": 0.02324399312337233},
+            "sim": {(1, 0): 0.02790905090983066, (1, 2): 0.02790905090983066,
+                    (4, 0): 0.010691745408528623, (4, 2): 0.011862873413085916},
+        },
+        "compact3": {
+            "io": {"bytes_read_seq": 389816, "bytes_read_ran": 32503,
+                   "bytes_written_seq": 306032, "read_requests_seq": 267,
+                   "read_requests_ran": 9390, "write_requests_seq": 38,
+                   "gather_runs_issued": 9622,
+                   "gather_lane_busy_seconds": 0.003268582026163732},
+            "sim": {(1, 0): 0.007933639812622064, (1, 2): 0.007819934949137363,
+                    (4, 0): 0.005509164460652667, (4, 2): 0.00539877670796712},
+        },
+    },
+}
+_ADD_PROGRAMS = {
+    "pagerank_delta": lambda: PageRankDelta(tol=2e-2),
+    "ppr": lambda: PersonalizedPageRank([0, 7], tol=1e-5),
+}
+_ADD_PEAK = {1: 16, 4: 6}  # gather_queue_peak by lanes
+_UNPINNED = {"prefetch_issued", "prefetch_hits", "prefetch_wasted", "gather_queue_peak"}
+
+
+@pytest.mark.parametrize("encoding", ["raw", "compact3"])
+@pytest.mark.parametrize("algo", sorted(ADD_GOLDEN))
+def test_sciu_add_runs_match_the_golden_recorded_before_batching(
+    tmp_path, monkeypatch, algo, encoding
+):
+    """Selective entries on ADD's sparse path are gathered and combined
+    as one batch, flushed around every dense one: the per-destination
+    addition order, and with it every bit, is the one-push-per-entry
+    order, at any lane count and pipeline depth."""
+    n = 1000
+    retained = []
+    real_consume = EngineBase.consume_plan
+
+    def spy(self, plan, snapshot, acc):
+        blocks = real_consume(self, plan, snapshot, acc)
+        retained.extend(add_is_dense(block.count, n) for block in blocks)
+        return blocks
+
+    monkeypatch.setattr(EngineBase, "consume_plan", spy)
+    golden = ADD_GOLDEN[algo]
+    for (lanes, depth), sim in golden[encoding]["sim"].items():
+        edges = random_edgelist(np.random.default_rng(36), n, 6000, weighted=False)
+        store = build_store(edges, tmp_path / f"K{lanes}d{depth}", P=4, encoding=encoding)
+        config = GraphSDConfig.baseline_b4(gather_lanes=lanes, prefetch_depth=depth)
+        run = GraphSDEngine(store, config=config).run(_ADD_PROGRAMS[algo]())
+        assert run.values_sha256() == golden["values_sha256"]
+        assert run.sim_seconds == sim, (lanes, depth)
+        io = store.device.disk.stats.to_dict()
+        assert io["gather_queue_peak"] == _ADD_PEAK[lanes]
+        pinned = {k: v for k, v in io.items() if k not in _UNPINNED and v}
+        assert pinned == golden[encoding]["io"], (lanes, depth)
+    # Both kinds of selective entry occurred: dense ones split the batch.
+    assert sum(retained) > 0 and retained.count(False) > 0
 
 
 # -- the block step: select before gather, combine interval-locally ----------
@@ -273,6 +368,40 @@ def test_sparse_gated_push_gathers_only_the_active_edges(step_engine, monkeypatc
         active_edges = int(np.count_nonzero(gate[block.src]))
         assert 0 < active_edges < block.count
         assert seen.pop() == active_edges and not seen
+
+
+def test_gated_cuts_look_edges_up_and_id_cuts_reuse_offsets(step_engine, monkeypatch):
+    """The cut rule: a mask cut of a block without a run-length header
+    never derives source offsets (they would be used once); an id-list
+    cut derives them once and every later cut of the retained block
+    reuses them; a block with a header is cut through its offsets."""
+    engine, rng = step_engine, np.random.default_rng(12)
+    intervals = engine.store.intervals
+    program = engine.program = SSSP(source=0)
+    state = program.init_state(engine.ctx)
+    derived = []  # per source_offsets call: were the offsets cached?
+    real_offsets = EdgeBlock.source_offsets
+
+    def spy(self, lo, hi):
+        derived.append(self._offsets is not None)
+        return real_offsets(self, lo, hi)
+
+    monkeypatch.setattr(EdgeBlock, "source_offsets", spy)
+    lo, hi = intervals.bounds(1)
+    block = _random_block(rng, intervals, 1, 2, 300, source_sorted=True, weighted=True)
+    gate = _random_gate(rng, intervals, 1, "sparse")
+    acc = engine.fresh_accumulator()
+    engine.push_block(state, block, acc, gate)
+    assert derived == []
+    for _ in range(3):
+        engine.push_block(state, block, acc, active=np.flatnonzero(gate[lo:hi]))
+    assert derived == [False, True, True]
+    headed = dataclasses.replace(
+        block, runs=np.bincount(block.src - lo, minlength=hi - lo).astype(np.uint16)
+    )
+    derived.clear()
+    engine.push_block(state, headed, acc, gate)
+    assert derived == [False]
 
 
 def test_add_combine_never_allocates_more_than_the_interval(tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from repro.graph import GridStore, make_intervals
 from repro.graph.grid import INDEX_GATHER, INDEX_SPAN
 from repro.storage import Device, HDD_PROFILE, PageCache, SimulatedDisk
 from repro.storage.faults import ChecksumError
+from repro.utils.runs import merge_runs
 from tests.conftest import random_edgelist
 
 MODES = (INDEX_SPAN, INDEX_GATHER)
@@ -111,6 +112,73 @@ def test_batch_replays_the_single_reads_exactly(
         _same_block(load(), block)
         lo, hi = batch.intervals.bounds(i)
         _same_block(load.block, oracle.load_block(i, j).select(ids - lo, lo, hi))
+    assert batch.device.disk.stats.to_dict() == single.device.disk.stats.to_dict()
+    assert batch.device.disk.clock.snapshot().components == (
+        single.device.disk.clock.snapshot().components
+    )
+    if cache:
+        assert vars(batch.device.page_cache.stats) == vars(single.device.page_cache.stats)
+
+
+# -- empty extents: every pair is checked, only pairs with edges are read -----------
+
+
+def _empty_extent_entries(store):
+    """Per block with both kinds of source: the ids of up to five sources
+    without an edge in it; a run of consecutive ids from one source
+    with edges to the next, empty ones between (adjacent extents); and
+    every other source with edges, with one empty source among them
+    (extents that are not adjacent)."""
+    entries = []
+    for i in range(store.P):
+        lo, _ = store.intervals.bounds(i)
+        for j in range(store.P):
+            degree = np.diff(store.read_block_index(i, j))
+            empty, full = np.flatnonzero(degree == 0), np.flatnonzero(degree > 0)
+            if not (empty.size and full.size >= 2):
+                continue
+            entries.append((i, j, lo + empty[:5], INDEX_GATHER))
+            gaps = np.flatnonzero(np.diff(full) > 1)
+            if gaps.size:
+                a, b = full[gaps[0]], full[gaps[0] + 1]
+                entries.append((i, j, lo + np.arange(a, b + 1), INDEX_SPAN))
+            spaced = np.union1d(full[::2], empty[len(empty) // 2])
+            entries.append((i, j, lo + spaced, INDEX_GATHER))
+    return entries
+
+
+def _expected_runs(store, i, j, ids, threshold):
+    """The merged runs an entry charges: every id's extent merged with
+    its neighbours, empty ones included, then the empty runs dropped."""
+    offsets = store.read_block_index(i, j)
+    local = ids - store.intervals.bounds(i)[0]
+    geom = store._geometry[i * store.P + j]
+    starts = geom["records"] + offsets[local] * geom["rec"]
+    starts, counts, _ = merge_runs(starts, np.diff(offsets)[local] * geom["rec"])
+    starts, counts = starts[counts > 0], counts[counts > 0]
+    return starts, counts, counts * store._edges_file.dtype.itemsize >= threshold
+
+
+@pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
+@pytest.mark.parametrize("encoding", ["raw", "compact", "compact3"])
+def test_empty_extents_are_checked_but_never_read(tmp_path, encoding, cache):
+    # ~0.3 edges per (source, block): most extents are empty.
+    edges = random_edgelist(np.random.default_rng(11), 240, 300)
+    single, batch = _twin_stores(tmp_path, edges, 4, encoding, cache, checksums=True)
+    oracle = GridStore.open(Device(single.device.root, SimulatedDisk()), "g")
+    entries = _empty_extent_entries(oracle)
+    assert len(entries) > 8
+    want = [_single_read(single, *entry, 16) for entry in entries]
+    loads = batch.read_selective(entries, 16)
+    for load, block, (i, j, ids, _mode) in zip(loads, want, entries):
+        _same_block(load(), block)
+        starts, counts, seq = _expected_runs(oracle, i, j, ids, 16)
+        if load._runs is None:
+            assert counts.size == 0 and block.count == 0
+        else:
+            runs = [x.tolist() for x in load._runs]
+            assert runs == [starts.tolist(), counts.tolist(), seq.tolist()]
+    assert any(block.count == 0 for block in want)  # an entry of empty extents only
     assert batch.device.disk.stats.to_dict() == single.device.disk.stats.to_dict()
     assert batch.device.disk.clock.snapshot().components == (
         single.device.disk.clock.snapshot().components

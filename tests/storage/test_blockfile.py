@@ -351,3 +351,26 @@ def test_read_runs_joins_runs_less_than_a_page_apart(dev, dtype):
         assert len(reads) == extents
         assert data.nbytes == (2 if extents == 2 else 2 + gap) * item
         assert at.tolist() == ([0, 1] if extents == 2 else [0, 1 + gap])
+
+
+def test_a_read_past_the_end_of_the_file_raises_naming_it(dev):
+    """``read_runs`` is unchecked, but it never hands back bytes it did
+    not read: items 8 and 9 exist, 10 to 12 do not."""
+    f = dev.array_file("short.bin", np.int64)
+    f.write(np.arange(10, dtype=np.int64))
+    with pytest.raises(OSError, match=r"short read from short\.bin: 16 of 40 bytes at byte 64"):
+        f.read_runs(np.array([8]), 5)
+
+
+def test_a_partial_read_is_continued(dev, monkeypatch):
+    f = dev.array_file("p.bin", np.int64)
+    f.write(np.arange(10, dtype=np.int64))
+    real_preadv = os.preadv
+
+    def dribble(fd, buffers, offset):  # at most 3 bytes per call
+        (buffer,) = buffers
+        return real_preadv(fd, (buffer[:3],), offset)
+
+    monkeypatch.setattr(blockfile.os, "preadv", dribble)
+    data, at = f.read_runs(np.array([2, 7]), 3)  # one extent: items 2..9
+    assert data.tolist() == list(range(2, 10)) and at.tolist() == [0, 5]
