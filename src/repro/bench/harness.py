@@ -47,7 +47,6 @@ from repro.storage import (
     MachineProfile,
     SimulatedDisk,
 )
-from repro.tune.profile import TunedProfile
 from repro.utils.validation import require
 
 if TYPE_CHECKING:  # the cluster is imported lazily by run_cluster
@@ -102,17 +101,11 @@ def _graphsd_engine(
         ctx: GraphContext,
         prefetch_depth: int = 0,
         gather_lanes: int = 1,
-        tuned_profile: Optional["TunedProfile"] = None,
     ) -> EngineBase:
         from dataclasses import replace
 
         cfg = config if config is not None else GraphSDConfig()
-        cfg = replace(
-            cfg,
-            prefetch_depth=prefetch_depth,
-            gather_lanes=gather_lanes,
-            tuned_profile=tuned_profile,
-        )
+        cfg = replace(cfg, prefetch_depth=prefetch_depth, gather_lanes=gather_lanes)
         return engine_cls(store, machine, config=cfg, ctx=ctx, label=label)
 
     return make
@@ -125,13 +118,11 @@ def _simple_engine(cls):
         ctx: GraphContext,
         prefetch_depth: int = 0,
         gather_lanes: int = 1,
-        tuned_profile: Optional["TunedProfile"] = None,
     ) -> EngineBase:
         # Baseline engines model strictly serial systems; the pipeline
         # and gather knobs do not apply to them.
         require(prefetch_depth == 0, f"{cls.__name__} does not support --pipeline")
         require(gather_lanes == 1, f"{cls.__name__} does not support --gather-lanes")
-        require(tuned_profile is None, f"{cls.__name__} does not support --autotune")
         return cls(store, machine, ctx=ctx)
 
     return make
@@ -182,7 +173,6 @@ class Harness:
         P: int = 8,
         verify: bool = False,
         checksums: bool = False,
-        tuned_profile: Optional[TunedProfile] = None,
         encoding: str = ENCODING_RAW,
         trace_dir: Optional[str] = None,
     ) -> None:
@@ -199,9 +189,6 @@ class Harness:
         self.P = P
         self.verify = verify
         self.checksums = checksums
-        #: Fitted cost-model profile fed into graphsd's scheduler
-        #: (``graphsd tune`` output; see docs/TUNING.md).
-        self.tuned_profile = tuned_profile
         #: Sub-block encoding for the graphsd representation. Baseline
         #: representations (lumos, husgraph) always build raw grids —
         #: the compared systems do not have the compact layout.
@@ -306,7 +293,6 @@ class Harness:
             prep.context,
             prefetch_depth=prefetch_depth,
             gather_lanes=gather_lanes,
-            tuned_profile=self.tuned_profile,
         )
         if trace_path is None and self.trace_dir is not None:
             suffix = "-pipelined" if prefetch_depth > 0 else ""

@@ -27,9 +27,8 @@ Subcommands
     Run the project-invariant static checkers (see ``docs/ANALYSIS.md``).
     Exit 0 when clean, 1 on new findings, 2 on bad usage.
 ``tune``
-    Fit §4.1 cost-model scales and knob recommendations from the
-    scheduler-audit records of one or more structured traces, and write
-    the profile ``run --autotune PATH`` consumes (see ``docs/TUNING.md``).
+    Fit and print §4.1 cost-model scales from the scheduler-audit records
+    of one or more structured traces (see ``docs/TUNING.md``).
 """
 
 from __future__ import annotations
@@ -100,10 +99,8 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.tune import TunedProfile
-
     # Refusals come first: none of them needs the dataset.
-    if args.pipeline is not None and args.pipeline is not True and args.pipeline < 1:
+    if args.pipeline is not None and args.pipeline < 1:
         raise ValueError(
             f"--pipeline N takes a prefetch_depth N >= 1, got {args.pipeline} "
             "(omit the flag for a serial run)"
@@ -121,49 +118,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "--workers and --pipeline are mutually exclusive (cluster "
                 "workers overlap via sharding, not prefetch)"
             )
-        if args.gather_lanes not in (None, 1) or args.autotune is not None:
+        if args.gather_lanes != 1:
             raise ValueError(
-                "--gather-lanes/--autotune apply to single-process graphsd "
-                "runs, not --workers"
+                "--gather-lanes applies to single-process graphsd runs, not --workers"
             )
 
-    # Knob resolution: explicit value > --autotune recommendation > default.
-    # No --pipeline runs serial; a bare --pipeline leaves its depth open.
-    tuned: Optional[TunedProfile] = None
-    gather_lanes = args.gather_lanes
-    prefetch_depth = None if args.pipeline is True else args.pipeline or 0
-    if args.autotune:
-        tuned = TunedProfile.load(args.autotune)
-        edges = load_dataset(
-            args.dataset,
-            weighted=WORKLOADS[args.algorithm].weighted,
-            symmetrize=WORKLOADS[args.algorithm].symmetrize,
-        )
-        program_name = WORKLOADS[args.algorithm].make_program().name
-        rec = tuned.recommend(program_name, edges.num_vertices, edges.num_edges)
-        if rec is not None:
-            applied = []
-            if gather_lanes is None:
-                gather_lanes = rec.gather_lanes
-                applied.append(f"gather_lanes={gather_lanes}")
-            if prefetch_depth is None:
-                prefetch_depth = rec.prefetch_depth
-                applied.append(f"prefetch_depth={prefetch_depth}")
-            print(
-                f"autotune: {program_name} |V|={edges.num_vertices:,} "
-                f"|E|={edges.num_edges:,} -> {' '.join(applied) or 'explicit flags win'}",
-                file=sys.stderr,
-            )
-    if gather_lanes is None:
-        gather_lanes = 1
-    if prefetch_depth is None:
-        prefetch_depth = DEFAULT_PREFETCH_DEPTH
     harness = Harness(
         workspace=args.workspace,
         P=args.partitions,
         verify=args.verify,
         checksums=args.checksums,
-        tuned_profile=tuned,
         encoding=args.encoding,
     )
     trace_path = args.trace if isinstance(args.trace, str) else None
@@ -181,8 +145,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 args.system,
                 args.algorithm,
                 args.dataset,
-                prefetch_depth=prefetch_depth,
-                gather_lanes=gather_lanes,
+                prefetch_depth=args.pipeline or 0,
+                gather_lanes=args.gather_lanes,
                 trace_path=trace_path,
             )
     finally:
@@ -344,13 +308,9 @@ def _cmd_bench_write(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.tune import fit_profile
+    from repro.tune import fit_scales
 
-    report = fit_profile(args.traces, machine=args.machine)
-    print(report.render())
-    if args.out:
-        report.profile.save(args.out)
-        print(f"wrote {args.out}")
+    print(fit_scales(args.traces).render())
     return 0
 
 
@@ -441,32 +401,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--pipeline",
         nargs="?",
-        const=True,
+        const=DEFAULT_PREFETCH_DEPTH,
         type=int,
         default=None,
         metavar="N",
         help="overlap disk I/O with compute via the async prefetch pipeline, "
         "with at most N decoded blocks queued ahead of compute (bare: "
-        f"{DEFAULT_PREFETCH_DEPTH}, or the --autotune recommendation when one "
-        "matches; see docs/PERFORMANCE.md)",
+        f"{DEFAULT_PREFETCH_DEPTH}; see docs/PERFORMANCE.md)",
     )
     p.add_argument(
         "--gather-lanes",
         type=int,
-        default=None,
+        default=1,
         metavar="K",
         help="modeled concurrent disk lanes for SCIU's selective gathers "
         "(default 1 = serial; results stay bit-identical for any K, only "
         "modeled time changes; see docs/PERFORMANCE.md)",
-    )
-    p.add_argument(
-        "--autotune",
-        default=None,
-        metavar="PROFILE",
-        help="apply a fitted cost-model profile written by 'graphsd tune': "
-        "scales the scheduler's cost predictions and picks gather-lane/"
-        "prefetch-depth recommendations for matching workloads "
-        "(explicit flags win; see docs/TUNING.md)",
     )
     p.add_argument(
         "--encoding",
@@ -584,22 +534,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "tune",
-        help="fit cost-model scales + knob recommendations from trace "
-        "audit records (docs/TUNING.md)",
+        help="print the cost-model scales fitted to trace audit records "
+        "(docs/TUNING.md)",
     )
     p.add_argument(
-        "traces",
-        nargs="+",
-        help="JSONL trace files written by run/bench --trace (fit on "
-        "traces from *untuned* runs)",
-    )
-    p.add_argument(
-        "--machine",
-        default="default",
-        help="machine-profile label stored in the fitted profile",
-    )
-    p.add_argument(
-        "--out", default=None, metavar="PROFILE", help="write the profile JSON here"
+        "traces", nargs="+", help="JSONL trace files written by run/bench --trace"
     )
     p.set_defaults(func=_cmd_tune)
 

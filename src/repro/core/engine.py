@@ -47,7 +47,6 @@ from repro.core.sciu import run_sciu_round
 from repro.graph.grid import GridStore, SelectiveEntry, SelectiveLoad
 from repro.storage.faults import GatherFault
 from repro.storage.disk import MachineProfile, DEFAULT_MACHINE
-from repro.tune.profile import TunedProfile
 from repro.utils.bitset import VertexSubset
 from repro.utils.timers import SCHEDULING
 from repro.utils.validation import check_nonneg, require
@@ -86,10 +85,6 @@ class GraphSDConfig:
     #: credits the hidden DISK time — results stay bit-identical, only
     #: elapsed simulated time changes.
     gather_lanes: int = 1
-    #: Fitted cost-model constants + knob recommendations produced by
-    #: ``graphsd tune`` (see :mod:`repro.tune`). ``None`` leaves the
-    #: analytic §4.1 predictions untouched.
-    tuned_profile: Optional[TunedProfile] = None
 
     def __post_init__(self) -> None:
         if self.buffer_bytes is not None:
@@ -158,7 +153,6 @@ class GraphSDEngine(EngineBase):
             value_bytes_per_vertex=self.state_value_bytes,
             pipelined=self.prefetch_depth > 0,
             gather_lanes=self.config.gather_lanes,
-            tuned=self.config.tuned_profile,
         )
         capacity = self.config.buffer_bytes
         if capacity is None:

@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.graph.grid import INDEX_GATHER, INDEX_SPAN, GridStore
 from repro.storage.disk import MachineProfile
-from repro.tune.profile import TunedProfile
 from repro.utils.bitset import VertexSubset
 from repro.utils.validation import check_positive, require
 
@@ -118,7 +117,6 @@ class StateAwareScheduler:
         seq_run_threshold_bytes: int = DEFAULT_SEQ_RUN_THRESHOLD,
         pipelined: bool = False,
         gather_lanes: int = 1,
-        tuned: Optional[TunedProfile] = None,
     ) -> None:
         require(
             out_degrees.shape == (store.num_vertices,),
@@ -140,9 +138,6 @@ class StateAwareScheduler:
         #: parallelism. 1 reproduces the pre-pool arithmetic exactly.
         check_positive(gather_lanes, "gather_lanes")
         self.gather_lanes = int(gather_lanes)
-        #: Fitted cost-model scales from ``graphsd tune`` (None = raw
-        #: analytic predictions).
-        self.tuned = tuned
         self.evaluations = 0
         self.eval_seconds = 0.0  # modeled benefit-evaluation compute (Fig. 11)
         #: The last priced frontier and its index plan (:meth:`take_index_plan`).
@@ -326,12 +321,6 @@ class StateAwareScheduler:
         """
         c_full = self.full_cost()
         c_od, s_seq, s_ran, idx_bytes = self.on_demand_cost(frontier)
-        if self.tuned is not None:
-            # Fitted per-machine multipliers (graphsd tune). The neutral
-            # 1.0 scale is float-exact (x * 1.0 == x), so an empty fit
-            # cannot perturb decisions.
-            c_full *= self.tuned.full_cost_scale
-            c_od *= self.tuned.on_demand_cost_scale
         chosen = IOModel.ON_DEMAND if c_od <= c_full else IOModel.FULL
         self.evaluations += 1
         self.eval_seconds += self.machine.sched_eval_time(frontier.count + self.store.P)

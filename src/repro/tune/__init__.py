@@ -1,19 +1,15 @@
-"""Trace-driven auto-tuning: fit §4.1 cost constants, recommend knobs.
+"""Trace-driven cost-model fit: how well the §4.1 predictions match.
 
-See docs/TUNING.md for the end-to-end workflow: trace a run with
-``--trace``, fit with ``graphsd tune``, feed the profile back with
-``--autotune``.
+See docs/TUNING.md: trace a run with ``--trace``, then ``graphsd tune``
+prints the least-squares scales that map the scheduler's predicted
+``C_s`` / ``C_r`` onto the simulated cost each decision charged.
 """
 
-from repro.tune.fit import AuditSample, FitReport, fit_profile, load_audit_samples
-from repro.tune.profile import PROFILE_VERSION, Recommendation, TunedProfile
+from repro.tune.fit import AuditSample, FitReport, fit_scales, load_audit_samples
 
 __all__ = [
     "AuditSample",
     "FitReport",
-    "fit_profile",
+    "fit_scales",
     "load_audit_samples",
-    "PROFILE_VERSION",
-    "Recommendation",
-    "TunedProfile",
 ]

@@ -3,9 +3,9 @@
 The tracer records, for every adaptive decision, the predicted cost
 of both I/O models and the simulated cost the decided iteration actually
 charged (``type == "audit"`` events in the trace JSONL). This module
-closes the loop: it regresses predicted-vs-actual per model bucket and
-emits a :class:`~repro.tune.profile.TunedProfile` the engine can feed
-back into :meth:`~repro.core.scheduler.StateAwareScheduler.select`.
+regresses predicted-vs-actual per model bucket; ``graphsd tune`` prints
+the result. It is a report: nothing feeds the scales back into the
+scheduler.
 
 The fit is a deterministic least-squares-through-origin per bucket::
 
@@ -18,29 +18,14 @@ The fit is a deterministic least-squares-through-origin per bucket::
 * **on_demand**: decisions that chose on-demand *and actually ran SCIU*
   — fault-degraded rounds executed FCIU, so their actual cost says
   nothing about ``C_r`` and is excluded.
-
-Knob recommendations are simple share-based heuristics over the same
-records (documented in docs/TUNING.md):
-
-* ``gather_lanes`` from the random share of selective bytes,
-  ``ran_share = sum(s_ran) / sum(s_ran + s_seq)`` over on-demand
-  decisions — random-dominated gathers have the most independent
-  requests to overlap (>=0.75 -> 8, >=0.5 -> 4, >=0.25 -> 2, else 1);
-* ``prefetch_depth`` from the I/O share of simulated time,
-  ``io_share = sum(actual_io) / sum(actual_sim)`` — I/O-bound runs
-  benefit from lookahead (>=0.9 -> 4, >=0.5 -> 2, else 1).
-
-Fit traces with the *untuned* engine (no ``--autotune``): predictions in
-an already-scaled run would regress the residual, not the model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.obs.schema import validate_trace_file
-from repro.tune.profile import Recommendation, TunedProfile
 
 
 @dataclass(frozen=True)
@@ -61,37 +46,31 @@ class AuditSample:
 
 @dataclass
 class FitReport:
-    """Everything ``graphsd tune`` prints alongside the profile."""
+    """The fitted scales, their sample counts and the skipped audits."""
 
-    profile: TunedProfile
-    samples: List[AuditSample] = field(default_factory=list)
-    skipped_open: int = 0
-    skipped_degraded: int = 0
+    #: Multiplier mapping predicted ``C_s`` / ``C_r`` onto the simulated
+    #: cost charged; 1.0 when its bucket is underdetermined.
+    full_cost_scale: float
+    on_demand_cost_scale: float
+    samples_full: int
+    samples_on_demand: int
+    samples: List[AuditSample]
+    skipped_open: int
+    skipped_degraded: int
 
     def render(self) -> str:
-        p = self.profile
-        lines = [
-            f"tuned profile (machine={p.machine})",
-            f"  full_cost_scale       {p.full_cost_scale:.6f}  "
-            f"({p.samples_full} decisions)",
-            f"  on_demand_cost_scale  {p.on_demand_cost_scale:.6f}  "
-            f"({p.samples_on_demand} decisions)",
-            f"  audit records used    {len(self.samples)}"
-            f"  (open skipped: {self.skipped_open},"
-            f" fault-degraded skipped: {self.skipped_degraded})",
-        ]
-        if p.recommendations:
-            lines.append("  recommendations:")
-            for rec in p.recommendations:
-                lines.append(
-                    f"    {rec.program} |V|={rec.num_vertices} |E|={rec.num_edges}: "
-                    f"gather_lanes={rec.gather_lanes} "
-                    f"prefetch_depth={rec.prefetch_depth} "
-                    f"({rec.decisions} decisions)"
-                )
-        else:
-            lines.append("  recommendations: none (no on-demand decisions found)")
-        return "\n".join(lines)
+        return "\n".join(
+            [
+                "fitted cost-model scales",
+                f"  full_cost_scale       {self.full_cost_scale:.6f}  "
+                f"({self.samples_full} decisions)",
+                f"  on_demand_cost_scale  {self.on_demand_cost_scale:.6f}  "
+                f"({self.samples_on_demand} decisions)",
+                f"  audit records used    {len(self.samples)}"
+                f"  (open skipped: {self.skipped_open},"
+                f" fault-degraded skipped: {self.skipped_degraded})",
+            ]
+        )
 
 
 def load_audit_samples(path: str) -> Tuple[List[AuditSample], int, int]:
@@ -149,26 +128,8 @@ def _fit_scale(pairs: Sequence[Tuple[float, float]]) -> float:
     return num / den
 
 
-def _recommend_lanes(ran_share: float) -> int:
-    if ran_share >= 0.75:
-        return 8
-    if ran_share >= 0.5:
-        return 4
-    if ran_share >= 0.25:
-        return 2
-    return 1
-
-
-def _recommend_depth(io_share: float) -> int:
-    if io_share >= 0.9:
-        return 4
-    if io_share >= 0.5:
-        return 2
-    return 1
-
-
-def fit_profile(paths: Iterable[str], machine: str = "default") -> FitReport:
-    """Fit a :class:`TunedProfile` from one or more trace JSONL files."""
+def fit_scales(paths: Iterable[str]) -> FitReport:
+    """Fit both cost-model scales from one or more trace JSONL files."""
     samples: List[AuditSample] = []
     skipped_open = 0
     skipped_degraded = 0
@@ -187,41 +148,11 @@ def fit_profile(paths: Iterable[str], machine: str = "default") -> FitReport:
         if s.chosen == "on_demand"
     ]
 
-    # Knob recommendations, one per distinct (program, |V|, |E|) workload,
-    # in first-seen order (deterministic given the input file order).
-    recs: List[Recommendation] = []
-    for key in dict.fromkeys((s.program, s.num_vertices, s.num_edges) for s in samples):
-        group = [s for s in samples if (s.program, s.num_vertices, s.num_edges) == key]
-        od = [s for s in group if s.chosen == "on_demand"]
-        if not od:
-            continue
-        sel_bytes = sum(s.s_ran_bytes + s.s_seq_bytes for s in od)
-        ran_share = sum(s.s_ran_bytes for s in od) / sel_bytes if sel_bytes else 0.0
-        sim_total = sum(s.actual_sim_seconds for s in group)
-        io_share = (
-            sum(s.actual_io_seconds for s in group) / sim_total if sim_total else 0.0
-        )
-        recs.append(
-            Recommendation(
-                program=key[0],
-                num_vertices=key[1],
-                num_edges=key[2],
-                gather_lanes=_recommend_lanes(ran_share),
-                prefetch_depth=_recommend_depth(io_share),
-                decisions=len(group),
-            )
-        )
-
-    profile = TunedProfile(
-        machine=machine,
+    return FitReport(
         full_cost_scale=_fit_scale(full_pairs),
         on_demand_cost_scale=_fit_scale(od_pairs),
         samples_full=len(full_pairs),
         samples_on_demand=len(od_pairs),
-        recommendations=tuple(recs),
-    )
-    return FitReport(
-        profile=profile,
         samples=samples,
         skipped_open=skipped_open,
         skipped_degraded=skipped_degraded,

@@ -5,11 +5,12 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from repro.algorithms import SSSP
+from repro.algorithms import SSSP, SSWP
 from repro.baselines import BSPReference
+from repro.core import AsyncGraphSDEngine, GraphSDEngine
 from repro.datasets import chain, grid_2d
 from repro.graph.edgelist import EdgeList
-from tests.conftest import random_edgelist
+from tests.conftest import build_store, random_edgelist
 
 
 def scipy_distances(el: EdgeList, source: int) -> np.ndarray:
@@ -63,6 +64,24 @@ def test_negative_weights_rejected():
     )
     with pytest.raises(ValueError, match="non-negative"):
         BSPReference(el).run(SSSP(source=0))
+
+
+@pytest.mark.parametrize(
+    "engine_cls", [GraphSDEngine, AsyncGraphSDEngine], ids=["graphsd", "graphsd-async"]
+)
+@pytest.mark.parametrize("negative", [(0, 1), (150, 151)], ids=["first-block", "later-block"])
+@pytest.mark.parametrize("program", [SSSP, SSWP], ids=["sssp", "sswp"])
+def test_negative_weight_in_any_block_rejected(program, negative, engine_cls, tmp_path):
+    """A star from 0 plus 150 -> 151: the one negative weight sits either
+    in the first gathered batch (0 -> 1) or in a later one (150 -> 151,
+    reached only after 0 -> 150 relaxed)."""
+    pairs = [(0, v) for v in range(1, 200)] + [(150, 151)]
+    weights = np.ones(len(pairs), dtype=np.float32)
+    weights[pairs.index(negative)] = -5.0
+    el = EdgeList.from_pairs(pairs, num_vertices=200).with_weights(weights)
+    engine = engine_cls(build_store(el, tmp_path))
+    with pytest.raises(ValueError, match="non-negative"):
+        engine.run(program(source=0))
 
 
 def test_requires_weights():

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import DEFAULT_PREFETCH_DEPTH
 from repro.obs import peak_rss_bytes
 
 
@@ -141,8 +142,9 @@ def test_run_pipeline_flags(capsys):
 
 
 def test_bare_pipeline_flag_runs_pipelined(capsys):
-    rc = main(["run", "--dataset", "twitter2010", "--algorithm", "pr",
-               "--pipeline", "--stats", "json"])
+    argv = ["run", "--dataset", "twitter2010", "--algorithm", "pr", "--pipeline"]
+    assert build_parser().parse_args(argv).pipeline == DEFAULT_PREFETCH_DEPTH
+    rc = main(argv + ["--stats", "json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["breakdown"]["overlap_saved"] > 0
@@ -281,6 +283,12 @@ def test_workers_require_the_graphsd_system(capsys):
     )
     assert rc == 2
     assert "--workers requires --system graphsd" in capsys.readouterr().err
+
+
+def test_workers_refuse_gather_lanes(capsys):
+    argv = ["run", "--dataset", "twitter2010", "--algorithm", "pr", "--workers", "2"]
+    assert main(argv + ["--gather-lanes", "4"]) == 2
+    assert "--gather-lanes applies to single-process" in capsys.readouterr().err
 
 
 def test_workers_and_pipeline_are_mutually_exclusive(capsys):
