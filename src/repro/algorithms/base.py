@@ -23,6 +23,9 @@ We therefore factor programs into three vectorized pieces:
     folds an interval's accumulated contributions into the live state
     and reports which vertices changed enough to join the next frontier;
     ``acc`` holds the combine identity wherever no contribution landed.
+    ``apply_at(state, lo, hi, acc, ids)`` is the same fold where only
+    ``ids`` can move: a MIN relaxation (:class:`MinRelaxation`) touches
+    just those, any other program applies the whole window.
 
 Monotone ``MIN`` programs (CC, SSSP, BFS) and delta-accumulating ``ADD``
 programs (PR-Delta) are safe under cross-iteration re-ordering: extra or
@@ -223,6 +226,20 @@ class VertexProgram:
         """
         raise NotImplementedError
 
+    def apply_at(
+        self, state: State, lo: int, hi: int, acc: np.ndarray, ids: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`apply` where only ``ids`` can move: ``acc`` differs, off
+        the distinct ascending local ``ids``, from the identity at most by
+        entries an earlier apply of the interval already folded in.
+        Returns the activation mask over ``ids``.
+
+        This default applies the whole window. A program whose apply
+        leaves such entries' vertices as they are touches only ``ids``
+        (:class:`MinRelaxation`).
+        """
+        return self.apply(state, lo, hi, acc)[ids]
+
     # -- derived helpers -----------------------------------------------
 
     def state_value_bytes(self, state: State) -> int:
@@ -243,3 +260,35 @@ class VertexProgram:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<VertexProgram {self.name}>"
+
+
+def min_relax(value: np.ndarray, acc: np.ndarray, ids: Optional[np.ndarray] = None) -> np.ndarray:
+    """``value = min(value, acc)`` in place, over one interval's window
+    or only at its distinct local ``ids``; returns the activation mask
+    (``new < old``) over what it relaxed. Where ``acc`` holds ``inf``, or
+    a value already folded in, the minimum leaves the old bits, so both
+    forms leave the same state."""
+    if ids is None:
+        new = np.minimum(value, acc)
+        activated = new < value
+        value[:] = new
+        return activated
+    current = value[ids]
+    new = np.minimum(current, acc[ids])
+    value[ids] = new
+    return new < current
+
+
+class MinRelaxation(VertexProgram):
+    """A program whose apply is :func:`min_relax` of ``state["value"]``
+    (SSSP, SSWP, BFS, CC): it can apply at just the ids a push reached."""
+
+    combine = Combine.MIN
+
+    def apply(self, state: State, lo: int, hi: int, acc: np.ndarray) -> np.ndarray:
+        return min_relax(state["value"][lo:hi], acc)
+
+    def apply_at(
+        self, state: State, lo: int, hi: int, acc: np.ndarray, ids: np.ndarray
+    ) -> np.ndarray:
+        return min_relax(state["value"][lo:hi], acc, ids)

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import Combine, GraphContext, State, VertexProgram
+from repro.algorithms.base import GraphContext, MinRelaxation, State
 from repro.utils.bitset import VertexSubset
 from repro.utils.validation import require
 
 
-class BFS(VertexProgram):
+class BFS(MinRelaxation):
     name = "bfs"
-    combine = Combine.MIN
     needs_weights = False
     all_active = False
     monotonic = True  # MIN relaxation: unique bitwise fixpoint under any order
@@ -39,13 +38,6 @@ class BFS(VertexProgram):
 
     def gather(self, state: State, lo, hi, src, weights) -> np.ndarray:
         return state["value"][lo:hi].take(src) + 1.0
-
-    def apply(self, state, lo, hi, acc) -> np.ndarray:
-        current = state["value"][lo:hi]
-        new = np.minimum(current, acc)
-        activated = new < current
-        state["value"][lo:hi] = new
-        return activated
 
     def levels(self, state: State) -> np.ndarray:
         """Hop distances; unreachable vertices are ``-1``."""

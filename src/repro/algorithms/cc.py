@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import Combine, GraphContext, State, VertexProgram
+from repro.algorithms.base import GraphContext, MinRelaxation, State
 from repro.utils.bitset import VertexSubset
 
 
-class ConnectedComponents(VertexProgram):
+class ConnectedComponents(MinRelaxation):
     name = "cc"
-    combine = Combine.MIN
     needs_weights = False
     all_active = False
     monotonic = True  # MIN relaxation: unique bitwise fixpoint under any order
@@ -35,13 +34,6 @@ class ConnectedComponents(VertexProgram):
 
     def gather(self, state: State, lo, hi, src, weights) -> np.ndarray:
         return state["value"][lo:hi].take(src)
-
-    def apply(self, state, lo, hi, acc) -> np.ndarray:
-        current = state["value"][lo:hi]
-        new = np.minimum(current, acc)
-        activated = new < current
-        state["value"][lo:hi] = new
-        return activated
 
     def labels(self, state: State) -> np.ndarray:
         """Integer component labels."""

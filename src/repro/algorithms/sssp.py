@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import Combine, GraphContext, State, VertexProgram
+from repro.algorithms.base import GraphContext, MinRelaxation, State
 from repro.utils.bitset import VertexSubset
 from repro.utils.validation import require
 
 
-class SSSP(VertexProgram):
+class SSSP(MinRelaxation):
     name = "sssp"
-    combine = Combine.MIN
     needs_weights = True
     all_active = False
     monotonic = True  # MIN relaxation: unique bitwise fixpoint under any order
@@ -49,9 +48,3 @@ class SSSP(VertexProgram):
             require(float(weights.min()) >= 0.0, "SSSP requires non-negative edge weights")
         return state["value"][lo:hi].take(src) + weights
 
-    def apply(self, state, lo, hi, acc) -> np.ndarray:
-        current = state["value"][lo:hi]
-        new = np.minimum(current, acc)
-        activated = new < current
-        state["value"][lo:hi] = new
-        return activated

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import Combine, GraphContext, State, VertexProgram
+from repro.algorithms.base import GraphContext, MinRelaxation, State
 from repro.utils.bitset import VertexSubset
 from repro.utils.validation import require
 
 
-class SSWP(VertexProgram):
+class SSWP(MinRelaxation):
     name = "sswp"
-    combine = Combine.MIN
     needs_weights = True
     all_active = False
     monotonic = True  # MIN relaxation: unique bitwise fixpoint under any order
@@ -48,13 +47,6 @@ class SSWP(VertexProgram):
         if weights.size:
             require(float(weights.min()) >= 0.0, "SSWP requires non-negative edge weights")
         return np.maximum(state["value"][lo:hi].take(src), -weights.astype(np.float64))
-
-    def apply(self, state, lo, hi, acc) -> np.ndarray:
-        current = state["value"][lo:hi]
-        new = np.minimum(current, acc)
-        activated = new < current
-        state["value"][lo:hi] = new
-        return activated
 
     def widths(self, state: State) -> np.ndarray:
         """Positive widths; the source reports ``inf``, unreached 0."""

@@ -21,8 +21,9 @@ exploits this with a priority-driven sweep schedule:
   (unbounded-hop propagation), while BSP advances one hop per iteration.
 * After applying interval ``j``, a pop **chases the diagonal**: sources
   activated inside ``j`` that feed ``j``'s own diagonal sub-block are
-  re-gathered and re-applied immediately, until the interval reaches a
-  local fixed point. Power-law graphs concentrate relaxation chains
+  re-gathered and re-applied immediately — each round only at the
+  destinations its edges reached — until the interval reaches a local
+  fixed point. Power-law graphs concentrate relaxation chains
   around their hub interval, so without the chase those chains would
   cost one sweep per hop — exactly the BSP behavior async exists to
   beat.
@@ -95,7 +96,7 @@ from repro.core.result import RunResult
 from repro.graph.grid import INDEX_GATHER, EdgeBlock, SelectiveEntry
 from repro.obs.audit import PriorityDecision
 from repro.storage.faults import FaultError
-from repro.utils.bitset import VertexSubset
+from repro.utils.bitset import VertexSubset, distinct_sorted
 from repro.utils.timers import SCHEDULING
 
 
@@ -114,9 +115,9 @@ class AsyncGraphSDEngine(GraphSDEngine):
         #: "mean residual" factor of the priority score); 1.0 for the
         #: initial frontier.
         self._residual: Optional[np.ndarray] = None
-        #: Static mask: ``_col_sources[j, v]`` iff vertex ``v``'s source
-        #: interval has at least one sub-block of edges into column ``j``.
-        self._col_sources: Optional[np.ndarray] = None
+        #: ``_feeds[i, j]`` iff sub-block ``(i, j)`` holds edges: source
+        #: interval ``i`` feeds destination column ``j``.
+        self._feeds: Optional[np.ndarray] = None
         self._out_positive: Optional[np.ndarray] = None
         #: Every priority pop of the run, in pop order (also mirrored to
         #: the tracer as ``priority`` events when tracing is enabled).
@@ -134,26 +135,30 @@ class AsyncGraphSDEngine(GraphSDEngine):
         super()._setup_run()
         self.priority_decisions = []
         self._sweeps_done = 0
-        store = self.store
         n = self.ctx.num_vertices
-        P = store.P
-        col_sources = np.zeros((P, n), dtype=bool)
-        for j in range(P):
-            for i in range(P):
-                if store.block_edge_count(i, j):
-                    lo, hi = store.intervals.bounds(i)
-                    col_sources[j, lo:hi] = True
-        self._col_sources = col_sources
+        self._feeds = self.store.block_counts > 0
         self._out_positive = self.ctx.require_out_degrees() > 0
         if self.program.combine is Combine.MIN:
             useful = self.frontier.mask & self._out_positive
-            self._pending = col_sources & useful[None, :]
+            self._pending = np.array(
+                [self._column_sources(j, useful) for j in range(self.store.P)]
+            )
             residual = np.zeros(n, dtype=np.float64)
             residual[self.frontier.mask] = 1.0
             self._residual = residual
         else:
             self._pending = None
             self._residual = None
+
+    def _column_sources(self, j: int, mask: np.ndarray) -> np.ndarray:
+        """``mask`` restricted to the source intervals that feed column ``j``."""
+        assert self._feeds is not None  # built in _setup_run
+        out = np.zeros_like(mask)
+        intervals = self.store.intervals
+        for i in np.flatnonzero(self._feeds[:, j]).tolist():
+            lo, hi = intervals.bounds(i)
+            out[lo:hi] = mask[lo:hi]
+        return out
 
     def _has_pending_work(self) -> bool:
         if self._pending is not None and bool(self._pending.any()):
@@ -203,12 +208,10 @@ class AsyncGraphSDEngine(GraphSDEngine):
         return frontier
 
     def _emit_add_ranking(self, sweep_no: int) -> None:
-        col_sources = self._col_sources
-        assert col_sources is not None  # built in _setup_run
         delta = self.state.get("delta")
         ranked: List[Tuple[float, int, int]] = []
         for j in range(self.store.P):
-            pend = self.frontier.mask & col_sources[j]
+            pend = self._column_sources(j, self.frontier.mask)
             count = int(np.count_nonzero(pend))
             if count == 0:
                 continue
@@ -285,48 +288,51 @@ class AsyncGraphSDEngine(GraphSDEngine):
     def _apply_measured(
         self,
         j: int,
-        lo: int,
-        hi: int,
         acc: np.ndarray,
-        value: np.ndarray,
-        scratch: np.ndarray,
-    ) -> Tuple[np.ndarray, int]:
-        """Apply interval ``j`` and refresh the activated residuals.
+        scratch: Optional[np.ndarray],
+        ids: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Apply interval ``j`` and refresh the activated vertices'
+        residuals: the interval form through ``scratch``, the reusable
+        full-length activation buffer, or the form at ``ids`` alone
+        (see :meth:`apply_interval`).
 
-        Returns ``(activated-slice-copy, activation count)``; ``scratch``
-        is the reusable full-length activation buffer.
+        Returns the activated ids, ascending and local to the interval.
         """
         residual = self._residual
         assert residual is not None  # allocated in _setup_run (MIN path)
-        old = value[lo:hi].copy()
-        n_act = self.apply_interval(j, acc, scratch)
-        act = scratch[lo:hi].copy()
-        if n_act:
-            improvement = old[act] - value[lo:hi][act]
-            residual[lo:hi][act] = np.where(
-                np.isfinite(improvement), improvement, 1.0
-            )
-        return act, n_act
+        lo, hi = self.store.intervals.bounds(j)
+        value = self.program.result(self.state)[lo:hi]
+        if ids is None:
+            assert scratch is not None  # the interval form writes it
+            old = value.copy()
+            self.apply_interval(j, acc, scratch)
+            act = np.flatnonzero(scratch[lo:hi])
+            before = old[act]
+        else:
+            old = value[ids]
+            moved = self.apply_interval(j, acc, None, ids=ids)
+            act, before = ids[moved], old[moved]
+        if act.size:
+            improvement = before - value[act]
+            residual[lo + act] = np.where(np.isfinite(improvement), improvement, 1.0)
+        return act
 
     def _chase_diagonal(
         self,
         j: int,
-        lo: int,
-        hi: int,
         acc: np.ndarray,
-        value: np.ndarray,
         act: np.ndarray,
-        scratch: np.ndarray,
         diagonal: Optional[EdgeBlock],
     ) -> Tuple[np.ndarray, int, int]:
         """Drain interval ``j``'s internal chains through its diagonal.
 
-        Sources just activated inside ``j`` that feed the diagonal
-        sub-block ``(j, j)`` are re-gathered from the live state and
-        re-applied until the interval reaches a local fixed point.
-        Power-law graphs concentrate relaxation chains around the hub
-        interval; without the chase each in-interval hop would cost a
-        whole sweep.
+        Sources just activated inside ``j`` (``act``: ascending local
+        ids) that feed the diagonal sub-block ``(j, j)`` are re-gathered
+        from the live state and re-applied until the interval reaches a
+        local fixed point. Power-law graphs concentrate relaxation chains
+        around the hub interval; without the chase each in-interval hop
+        would cost a whole sweep.
 
         The pop holds the diagonal in memory while chasing: if the pop
         already full-loaded ``(j, j)`` it is passed in as ``diagonal``,
@@ -335,23 +341,30 @@ class AsyncGraphSDEngine(GraphSDEngine):
         streamed load that is then retained, so every later round is
         pure in-memory compute proportional to the chase set (its edges
         are cut out of the cached block by source offsets).
-        Returns ``(activated-union, edges, blocks)``.
+
+        A round costs its chase set: the chase set, the activations and
+        their union are sorted local-id arrays, and a round applies only
+        at the destinations its push reached — everywhere else ``acc``
+        holds what an earlier apply of the pop already folded in.
+        Returns ``(activated union, edges, blocks)``.
         """
-        union = act.copy()
         edges = 0
         blocks = 0
         store = self.store
         if store.block_edge_count(j, j) == 0:
-            return union, edges, blocks
-        assert self._col_sources is not None and self._out_positive is not None
-        feeds_self = self._col_sources[j, lo:hi] & self._out_positive[lo:hi]
-        chase = act & feeds_self
-        while chase.any():
-            local = np.flatnonzero(chase)
+            return act, edges, blocks
+        assert self._out_positive is not None  # built in _setup_run
+        lo, hi = store.intervals.bounds(j)
+        # Block (j, j) holds edges, so every source of j with out-edges
+        # may feed it (the pending masks' test, one interval coarse).
+        feeds_self = self._out_positive[lo:hi]
+        found = [act]
+        chase = act[feeds_self[act]]
+        while chase.size:
             blocks += 1
             block: Optional[EdgeBlock] = None
             if diagonal is None:
-                ids = local + lo
+                ids = chase + lo
                 try:
                     if self._full_load_is_cheaper(j, j, ids):
                         diagonal = store.load_block(j, j)
@@ -369,17 +382,17 @@ class AsyncGraphSDEngine(GraphSDEngine):
             if block is None:
                 assert diagonal is not None  # handed in by the pop or loaded above
                 block = diagonal  # retained in memory: re-gathers cost no disk
-                active = local  # cut the chase set's edges out of it
+                active = chase  # cut the chase set's edges out of it
             if block.count == 0:
                 break
-            self.push_block(self.state, block, acc, active=active)
+            reached = self.push_reached(self.state, block, acc, active)
             edges += block.count
-            act, n_act = self._apply_measured(j, lo, hi, acc, value, scratch)
-            if not n_act:
+            act = self._apply_measured(j, acc, None, ids=reached)
+            if not act.size:
                 break
-            union |= act
-            chase = act & feeds_self
-        return union, edges, blocks
+            found.append(act)
+            chase = act[feeds_self[act]]
+        return distinct_sorted(np.concatenate(found), hi - lo), edges, blocks
 
     def _run_sweep(self) -> VertexSubset:
         """One sweep: pop pending intervals hottest-first, apply live."""
@@ -388,8 +401,9 @@ class AsyncGraphSDEngine(GraphSDEngine):
         P = store.P
         pending = self._pending
         residual = self._residual
+        feeds, out_positive = self._feeds, self._out_positive
         assert pending is not None and residual is not None  # MIN path only
-        value = self.program.result(self.state)
+        assert feeds is not None and out_positive is not None
         sweep_no = (self._sweeps_done or 0) + 1
 
         token = self.begin_iteration()
@@ -463,26 +477,27 @@ class AsyncGraphSDEngine(GraphSDEngine):
                     )
                     edges_processed += sum(block.count for block in consumed)
                     blocks_processed += len(plan)
-                    act, n_act = self._apply_measured(j, lo, hi, acc, value, scratch)
-                    if n_act:
+                    act = self._apply_measured(j, acc, scratch)
+                    if act.size:
                         act, chase_edges, chase_blocks = self._chase_diagonal(
-                            j, lo, hi, acc, value, act, scratch,
-                            diagonal,
+                            j, acc, act, diagonal
                         )
                         edges_processed += chase_edges
                         blocks_processed += chase_blocks
-                        n_act = int(np.count_nonzero(act))
+                n_act = int(act.size)
 
                 if n_act:
-                    activated_sweep[lo:hi] |= act
+                    act = act + lo
+                    activated_sweep[act] = True
                     # Propagate live: every destination column fed by a
                     # newly activated source becomes (or stays) pending.
                     # Columns already popped this sweep pick the update
                     # up next sweep; the chase already drained this pop's
                     # own diagonal, so row j stays clear.
-                    push = act & self._out_positive[lo:hi]
-                    pending[:, lo:hi] |= self._col_sources[:, lo:hi] & push[None, :]
-                    pending[j, lo:hi] = False
+                    push = act[out_positive[act]]
+                    for c in np.flatnonzero(feeds[j]).tolist():
+                        if c != j:
+                            pending[c, push] = True
 
                 decision = PriorityDecision(
                     sweep=sweep_no,

@@ -17,9 +17,10 @@ they share:
   destination columns (one load thunk per column, applied at the end of
   the column); :meth:`EngineBase.consume_plan` streams an ordered plan
   of ``(load thunk, source gate)`` entries. Both sit on
-  :meth:`EngineBase.push_block` — with :meth:`EngineBase._flush`, which
-  pushes a batch of ungated blocks as one, the only places
-  ``gather_block`` and ``combine_block`` are paired;
+  :meth:`EngineBase.push_block` (:meth:`EngineBase.push_reached` is the
+  same step returning the destinations reached) — with
+  :meth:`EngineBase._flush`, which pushes a batch of ungated blocks as
+  one, the only places ``gather_block`` and ``combine_block`` are paired;
 * the run loop skeleton and per-iteration metric capture.
 
 Subclasses implement :meth:`EngineBase._run_round`, which executes one
@@ -41,6 +42,8 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
+    overload,
 )
 
 import numpy as np
@@ -65,7 +68,7 @@ from repro.storage.disk import MachineProfile, DEFAULT_MACHINE
 from repro.storage.gatherpool import GatherPool
 from repro.storage.iostats import IOStats
 from repro.storage.prefetch import BlockPrefetcher
-from repro.utils.bitset import VertexSubset
+from repro.utils.bitset import VertexSubset, distinct_sorted
 from repro.utils.heap import retain_freed_heap
 from repro.utils.timers import COMPUTE, OverlapRegion, TimeBreakdown, WallTimer
 from repro.utils.validation import require
@@ -302,14 +305,41 @@ class EngineBase:
         dst = block.dst - VERTEX_DTYPE.type(lo) if lo else block.dst
         scatter_combine(self.program.combine, acc[lo:hi], dst, contrib, dense_add)
 
-    def apply_interval(self, interval: int, acc: np.ndarray, activated_mask: np.ndarray) -> int:
+    @overload
+    def apply_interval(self, interval: int, acc: np.ndarray, activated_mask: np.ndarray) -> int: ...
+
+    @overload
+    def apply_interval(
+        self, interval: int, acc: np.ndarray, activated_mask: None, ids: np.ndarray
+    ) -> np.ndarray: ...
+
+    def apply_interval(
+        self,
+        interval: int,
+        acc: np.ndarray,
+        activated_mask: Optional[np.ndarray],
+        ids: Optional[np.ndarray] = None,
+    ) -> Union[int, np.ndarray]:
         """Apply one interval's accumulated contributions to the state.
 
         ``acc`` is the global accumulator; ``activated_mask`` is the
         global activation mask updated in place. Returns the number of
         vertices activated in this interval.
+
+        At ``ids`` — distinct ascending ids local to the interval, off
+        which ``acc`` holds nothing the state has not already folded in,
+        such as the destinations :meth:`push_reached` returns — only those
+        vertices are applied (:meth:`~repro.algorithms.base.VertexProgram.apply_at`):
+        ``activated_mask`` is not written, and the activation mask over
+        ``ids`` comes back. Either form charges the interval's vertex
+        COMPUTE.
         """
         lo, hi = self.store.intervals.bounds(interval)
+        if ids is not None:
+            moved = self.program.apply_at(self.state, lo, hi, acc[lo:hi], ids)
+            self.clock.charge(COMPUTE, self.machine.vertex_compute_time(hi - lo))
+            return moved
+        assert activated_mask is not None  # the interval form writes it
         activated = self.program.apply(self.state, lo, hi, acc[lo:hi])
         self.clock.charge(COMPUTE, self.machine.vertex_compute_time(hi - lo))
         activated_mask[lo:hi] = activated
@@ -371,6 +401,33 @@ class EngineBase:
         non-neutralized edge was combined: wherever none landed, ``acc``
         still holds the combine identity.
         """
+        return self._push(snapshot, block, acc, gate_mask, active)[0]
+
+    def push_reached(
+        self,
+        snapshot: State,
+        block: EdgeBlock,
+        acc: np.ndarray,
+        active: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """:meth:`push_block` the edges of the ``active`` sources (every
+        edge when ``None``); returns the destinations they reached, as
+        distinct ascending ids local to interval ``block.j`` — where
+        :meth:`apply_interval` may apply at ids alone."""
+        pushed = self._push(snapshot, block, acc, None, active)[1]
+        lo, hi = self.store.intervals.bounds(block.j)
+        return distinct_sorted(pushed.dst - VERTEX_DTYPE.type(lo) if lo else pushed.dst, hi - lo)
+
+    def _push(
+        self,
+        snapshot: State,
+        block: EdgeBlock,
+        acc: np.ndarray,
+        gate_mask: Optional[np.ndarray],
+        active: Optional[np.ndarray],
+    ) -> Tuple[bool, EdgeBlock]:
+        """:meth:`push_block`; also returns the block of edges gathered
+        (the cut, or the whole block)."""
         self.clock.charge(COMPUTE, self.machine.edge_compute_time(block.count))
         # Keyed on the loaded block so gating never regroups ADD's sums.
         dense_add = add_is_dense(block.count, acc.shape[0])
@@ -387,10 +444,10 @@ class EngineBase:
             if active is not None or gate is not None:
                 block, gate_mask = block.select(active, lo, hi, gate), None
                 if block.count == 0:
-                    return False
+                    return False, block
         contrib, edge_mask = self.gather_block(snapshot, block, gate_mask)
         self.combine_block(acc, block, contrib, dense_add)
-        return bool(block.count) and (edge_mask is None or bool(edge_mask.any()))
+        return bool(block.count) and (edge_mask is None or bool(edge_mask.any())), block
 
     def sweep_columns(
         self,

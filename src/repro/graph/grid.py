@@ -101,6 +101,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import floordiv
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -166,13 +168,17 @@ SelectiveEntry = Tuple[int, int, np.ndarray, int]
 #: offset in the index file and the bytes per offset; its first edge
 #: record in the edges file
 #: (compact: behind the run-length header) and the file items per record;
-#: the byte width of a compact record's local destination.
+#: the byte width of a compact record's local destination; the key
+#: :meth:`GridStore.read_selective` sorts its entries into storage order by.
 _GEOMETRY_DTYPE = np.dtype(
     [
         (name, np.int64)
-        for name in ("lo_i", "lo_j", "size_i", "index", "unit", "records", "rec", "width")
+        for name in ("lo_i", "lo_j", "size_i", "index", "unit", "records", "rec", "width", "order")
     ]
 )
+
+#: Where an index pair's two offsets start, in offset widths past the pair.
+_PAIR = np.arange(2, dtype=np.int64)[:, None]
 
 
 class GridFormatError(ValueError):
@@ -630,6 +636,9 @@ class GridStore:
             geometry["records"] = (self._block_byte_start + header) // item
             geometry["rec"] = self._rec_bytes // item
             geometry["width"] = self._dst_codes
+            # Storage order: by column, then offset and record widths (<= 8).
+            columns = np.arange(P, dtype=np.int64)[None, :]
+            geometry["order"] = (columns * 16 + self._idx_codes) * 16 + self._dst_codes
             self._geometry = geometry.ravel()
 
         self._edges_file = device.array_file(f"{prefix}.edges", file_dtype)
@@ -1105,12 +1114,10 @@ class GridStore:
         self._require_indexed()
         if not entries:
             return []
-        geom = self._geometry[[entry[0] * self.P + entry[1] for entry in entries]]
-        columns = np.fromiter((entry[1] for entry in entries), np.int64, len(entries))
-        keys = (columns * 16 + geom["unit"]) * 16 + geom["width"]  # both widths are <= 8
+        blocks = [entry[0] * self.P + entry[1] for entry in entries]
         chunks: List[List[int]] = [[]]
         width = 0
-        for e in np.argsort(keys, kind="stable").tolist():
+        for e in np.argsort(self._geometry["order"][blocks], kind="stable").tolist():
             if chunks[-1] and width + len(entries[e][2]) > self._chunk_ids:
                 chunks.append([])
                 width = 0
@@ -1121,9 +1128,11 @@ class GridStore:
         file_bytes = (self._idx_file.nbytes, self._edges_file.nbytes)
         placed: Dict[int, SelectiveLoad] = {}
         for chunk in chunks:
-            rows = np.array(chunk, dtype=np.intp)
             loads = self._read_chunk(
-                [entries[e] for e in chunk], geom[rows], keys[rows], file_bytes, seq_threshold_bytes
+                [entries[e] for e in chunk],
+                self._geometry[[blocks[e] for e in chunk]],
+                file_bytes,
+                seq_threshold_bytes,
             )
             placed.update(zip(chunk, loads))
         return [placed[e] for e in range(len(entries))]
@@ -1132,14 +1141,15 @@ class GridStore:
         self,
         chunk: Sequence[SelectiveEntry],
         geom: np.ndarray,
-        keys: np.ndarray,
         file_bytes: Tuple[int, int],
         seq_threshold_bytes: Optional[int],
     ) -> List["SelectiveLoad"]:
         """:meth:`read_selective` for one chunk of storage-ordered entries:
-        the index pass, then the edge pass. Entries with equal ``keys``
-        (one column, one offset width, one record width) form a group."""
-        groups = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(chunk)]
+        the index pass, then the edge pass. Entries of one storage
+        ``order`` (one column, one offset width, one record width) form a
+        group."""
+        order = geom["order"]
+        groups = [0, *((order[1:] != order[:-1]).nonzero()[0] + 1).tolist(), len(chunk)]
         blocks = [entry[0] * self.P + entry[1] for entry in chunk]
         sizes = [len(entry[2]) for entry in chunk]
         owner = np.repeat(np.arange(len(chunk), dtype=np.intp), sizes)
@@ -1149,11 +1159,10 @@ class GridStore:
         pos = geom["index"][owner] + local * unit
         inside = (local >= 0) & (local < geom["size_i"][owner])
         inside &= pos + 2 * unit <= file_bytes[0]
-        bounds = np.cumsum([0] + sizes)
+        bounds = np.fromiter(accumulate(sizes, initial=0), np.intp, len(sizes) + 1)
         readable = np.logical_and.reduceat(inside, bounds[:-1])
         all_inside = bool(readable.all())
         offsets = np.zeros((2, owner.size), dtype=INDEX_DTYPE)
-        pair = np.arange(2, dtype=np.int64)[:, None]
         # One read of every pair inside the index; ``pos`` becomes each
         # pair's byte in it.
         read: Union[slice, np.ndarray] = slice(None) if all_inside else inside
@@ -1165,7 +1174,7 @@ class GridStore:
                 slice(a, b) if all_inside else a + np.flatnonzero(inside[a:b])
             )
             width = int(geom["unit"][g0])
-            offsets[:, ids] = _read_le(index, pos[ids] + pair * width, _OFFSET_BY_ITEMSIZE[width])
+            offsets[:, ids] = _read_le(index, pos[ids] + _PAIR * width, _OFFSET_BY_ITEMSIZE[width])
         loads = self._select_edges(
             blocks, groups, geom, bounds, owner, active, offsets, readable, file_bytes,
             seq_threshold_bytes,
@@ -1227,22 +1236,25 @@ class GridStore:
 
         # Adjacent extents of one entry merge into one run (one request).
         m_starts, m_counts, group_ids = merge_runs(starts, counts, heads)
-        entry_runs = np.append(group_ids, m_starts.size)[kept_bounds]
+        entry_runs = np.concatenate((group_ids, [m_starts.size]))[kept_bounds]
         seq = np.zeros(m_counts.size, dtype=bool)
         if seq_threshold_bytes is not None:
             seq = m_counts * itemsize >= int(seq_threshold_bytes)
-
-        def per_entry(per_run: np.ndarray) -> List[int]:
-            """Sums of ``per_run`` over each entry's merged runs."""
-            return np.diff(np.concatenate(([0], np.cumsum(per_run)))[entry_runs]).tolist()
-
-        items, seq_items = per_entry(m_counts), per_entry(m_counts * seq)
-        runs, seq_runs = np.diff(entry_runs).tolist(), per_entry(seq)
+        # Per entry, summed over its merged runs: items, sequential items
+        # and sequential runs (running sums read at the entries' bounds).
+        sums = np.zeros((3, m_counts.size + 1), dtype=np.int64)
+        sums[0, 1:] = m_counts
+        sums[1, 1:] = m_counts * seq
+        sums[2, 1:] = seq
+        sums = sums.cumsum(axis=1, out=sums)[:, entry_runs]
+        items, seq_items, seq_runs = (sums[:, 1:] - sums[:, :-1]).tolist()
+        runs = (entry_runs[1:] - entry_runs[:-1]).tolist()
 
         # The data: one read of every kept extent, then one gather from
         # it (compact: one per group, in the group's widths).
         data, data_at = self._edges_file.read_runs(starts, counts)
-        edge_bounds = np.concatenate(([0], np.cumsum(taken)))[kept_bounds].tolist()
+        # An entry's edges: its items over its record's items.
+        edge_bounds = list(accumulate(map(floordiv, items, rec.tolist()), initial=0))
         if self.encoding in _COMPACT_ENCODINGS:
             # A vertex's k-th record is k records past where its extent landed.
             at = run_positions(np.zeros_like(taken), taken) * rec[kept_owner].repeat(taken)

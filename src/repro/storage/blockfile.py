@@ -537,31 +537,42 @@ class ArrayFile:
         file, so no byte of the buffer is returned unread.
         """
         starts = np.asarray(starts, dtype=np.int64)
-        if starts.size == 0:
+        n = starts.size
+        if n == 0:
             return np.empty(0, dtype=self.dtype), np.empty(0, dtype=np.int64)
         ends = starts + counts
         order = None
-        if (starts[1:] < starts[:-1]).any():
+        if n > 1 and (starts[1:] < starts[:-1]).any():
             order = starts.argsort(kind="stable")
             starts, ends = starts[order], ends[order]
         # A run lying a page or more past the furthest end of the runs
-        # before it starts a new extent.
+        # before it starts a new extent; an extent ends at the furthest
+        # end of its runs.
         reach = np.maximum.accumulate(ends)
-        cut = np.flatnonzero(starts[1:] - reach[:-1] >= -(-READ_JOIN_BYTES // self._itemsize))
-        first, last = np.append(0, cut + 1), np.append(cut, starts.size - 1)
+        opens = np.empty(n, dtype=bool)
+        opens[0] = True
+        np.greater_equal(
+            starts[1:] - reach[:-1], -(-READ_JOIN_BYTES // self._itemsize), out=opens[1:]
+        )
+        first = opens.nonzero()[0]
         lo = starts[first]
-        size = reach[last] - lo
-        into = size.cumsum() - size
-        at = starts + (into - lo).repeat(last - first + 1)
+        size = np.maximum.reduceat(reach, first)
+        size -= lo
+        into = size.cumsum()
+        into -= size
+        past = np.empty_like(first)  # each extent's first run past its last
+        past[:-1] = first[1:]
+        past[-1] = n
+        at = starts + (into - lo).repeat(past - first)
         if order is not None:
             at[order] = at.copy()
-        data = np.empty(int(size.sum()), dtype=self.dtype)
-        view, item = memoryview(data.view(np.uint8)), self._itemsize
+        item = self._itemsize
+        data = np.empty(int(into[-1] + size[-1]), dtype=self.dtype)
+        view = memoryview(data.view(np.uint8))
         fd = os.open(self.path, os.O_RDONLY)
         try:
-            for offset, a, b in zip(
-                (lo * item).tolist(), (into * item).tolist(), ((into + size) * item).tolist()
-            ):
+            for start, first_item, items in zip(lo.tolist(), into.tolist(), size.tolist()):
+                offset, a, b = start * item, first_item * item, (first_item + items) * item
                 got = os.preadv(fd, (view[a:b],), offset)
                 while got < b - a:  # a partial read: go on from where it stopped
                     more = os.preadv(fd, (view[a + got : b],), offset + got)

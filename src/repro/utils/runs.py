@@ -41,8 +41,9 @@ def merge_runs(
     breaks[1:] = starts[1:] != starts[:-1] + counts[:-1]
     if firsts is not None:
         breaks[firsts] = True
-    group_ids = np.cumsum(breaks) - 1
-    heads = np.flatnonzero(breaks)
+    group_ids = breaks.cumsum()
+    group_ids -= 1
+    heads = breaks.nonzero()[0]
     return starts[heads], np.add.reduceat(counts, heads), group_ids
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.utils.validation import check_nonneg
 
@@ -239,11 +239,17 @@ class SimClock:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._components: Dict[str, float] = {}  # guarded-by: _lock
+        #: Per resource, its components' names in sorted order: the
+        #: summation order of :meth:`resource_elapsed`. Emptied when a
+        #: new component name appears.
+        self._resource_names: Dict[str, Tuple[str, ...]] = {}  # guarded-by: _lock
         self._overlap_saved = 0.0  # guarded-by: _lock
         self._region: Optional[OverlapRegion] = None  # guarded-by: _lock
         self._window: Optional[TimeBreakdown] = None  # guarded-by: _lock
 
     def _add(self, component: str, seconds: float) -> None:  # lock-held: _lock
+        if component not in self._components:
+            self._resource_names = {}
         self._components[component] = self._components.get(component, 0.0) + seconds
         if self._window is not None:
             window = self._window.components
@@ -280,15 +286,20 @@ class SimClock:
             return self._components.get(component, 0.0)
 
     def resource_elapsed(self, resource: str) -> float:
-        """Charged seconds on one timeline (:data:`DISK` or :data:`CPU`)."""
+        """Charged seconds on one timeline (:data:`DISK` or :data:`CPU`),
+        summed in component-name order."""
         with self._lock:
-            return float(
-                sum(
-                    self._components[component]
-                    for component in sorted(self._components)
-                    if RESOURCE_OF.get(component, CPU) == resource
-                )
-            )
+            names = self._resource_names.get(resource)
+            if names is None:
+                found: List[str] = []
+                for component in sorted(self._components):
+                    if RESOURCE_OF.get(component, CPU) == resource:
+                        found.append(component)
+                names = self._resource_names[resource] = tuple(found)
+            total = 0.0
+            for component in names:
+                total += self._components[component]
+            return total
 
     @property
     def overlap_saved(self) -> float:
@@ -376,6 +387,7 @@ class SimClock:
     def reset(self) -> None:
         with self._lock:
             self._components.clear()
+            self._resource_names = {}
             self._overlap_saved = 0.0
 
     def merge(self, other: "SimClock") -> None:

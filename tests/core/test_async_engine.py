@@ -10,8 +10,10 @@ exactly. See :mod:`repro.core.async_engine`.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.algorithms import make_program
+from repro.algorithms import VertexProgram, make_program
 from repro.core import (
     AsyncGraphSDEngine,
     GraphSDConfig,
@@ -23,6 +25,7 @@ from repro.obs import validate_trace_lines
 from repro.obs.trace import Tracer
 from repro.storage import FaultInjector, FaultPlan, FaultSpec
 from repro.storage.blockfile import MAX_IO_RETRIES
+from repro.utils.bitset import distinct_sorted
 from tests.conftest import build_store, random_edgelist
 
 MIN_ALGOS = ("sssp", "sswp", "bfs", "cc")
@@ -190,3 +193,79 @@ def test_run_summary_reports_sweeps(tmp_path, rng):
     )
     assert f"({run.sweeps} sweeps)" in run.summary()
     assert run.to_dict()["sweeps"] == run.sweeps
+
+
+# -- the chase's relax at ids ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def relax_engine(tmp_path_factory):
+    """An async engine over a small store with uneven intervals: its
+    ``_apply_measured`` is driven directly, with a hand-made state."""
+    rng = np.random.default_rng(3)
+    edges = random_edgelist(rng, 60, 400, weighted=True)
+    store = build_store(edges, tmp_path_factory.mktemp("relax"), P=4, name="relax")
+    return AsyncGraphSDEngine(store)
+
+
+_EDGY = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+    st.floats(allow_nan=False, width=64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_min_relax_at_ids_equals_the_interval_apply(relax_engine, data):
+    """A chase round applies at the destinations its push reached; the
+    interval form applies everywhere. Off those ids the accumulator holds
+    the identity or what an earlier apply folded in, so both leave the
+    same state, activations and residuals, bit for bit, and the same
+    charge."""
+    engine = relax_engine
+    store = engine.store
+    algo = data.draw(st.sampled_from(MIN_ALGOS))
+    j = data.draw(st.integers(0, store.P - 1))
+    lo, hi = store.intervals.bounds(j)
+    n = hi - lo
+    window = st.lists(_EDGY, min_size=n, max_size=n)
+    base = np.array(data.draw(window))
+    earlier = np.array(data.draw(st.lists(st.one_of(st.just(np.inf), _EDGY), min_size=n, max_size=n)))
+    # Destinations of this round's edges, repeats included, and their
+    # contributions (combined by MIN, as the push combines them).
+    reached = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=np.uint32)
+    contrib = np.array(data.draw(st.lists(_EDGY, min_size=reached.size, max_size=reached.size)))
+
+    value = np.full(store.num_vertices, 7.0)
+    value[lo:hi] = np.minimum(base, earlier)  # the earlier apply folded ``earlier`` in
+    acc = np.full(store.num_vertices, np.inf)
+    acc[lo:hi] = earlier
+    np.minimum.at(acc[lo:hi], reached, contrib)
+    residual = np.array(data.draw(st.lists(_EDGY, min_size=store.num_vertices,
+                                           max_size=store.num_vertices)))
+
+    program = make_program(algo)
+    # The same program applying its whole window for apply_at: the
+    # default every program without a relax at ids inherits.
+    window_only = type("WindowOnly", (type(program),), {"apply_at": VertexProgram.apply_at})
+    ids = distinct_sorted(reached, n)
+    outcomes = []
+    for form, at in ((program, None), (program, ids), (window_only(), ids)):
+        engine.program = form
+        engine.state = {"value": value.copy()}
+        engine._residual = residual.copy()
+        scratch = np.zeros(store.num_vertices, dtype=bool)
+        charged = []
+        engine.clock.charge = lambda *charge: charged.append(charge)
+        try:
+            act = engine._apply_measured(j, acc, scratch if at is None else None, ids=at)
+        finally:
+            del engine.clock.charge
+        outcomes.append((engine.state["value"].view(np.uint64), np.asarray(act, dtype=np.int64),
+                         engine._residual.view(np.uint64), charged))
+    (value0, act0, residual0, charged0), *at_ids = outcomes
+    for value1, act1, residual1, charged1 in at_ids:
+        assert np.array_equal(value1, value0)
+        assert np.array_equal(act1, act0)
+        assert np.array_equal(residual1, residual0)
+        assert charged1 == charged0

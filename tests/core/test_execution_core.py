@@ -513,3 +513,52 @@ def test_async_run_matches_the_golden_recorded_before_selection(tmp_path, algo):
     decisions = [dataclasses.astuple(d) for d in engine.priority_decisions]
     assert decisions == golden["priority_decisions"]
     assert dict(run.breakdown.components) == golden["breakdown"]
+
+
+def test_chase_rounds_apply_only_where_their_push_landed(tmp_path, monkeypatch):
+    """No diagonal-chase round applies a whole interval: each applies at
+    the destinations of the edges it pushed, and at no other vertex."""
+    edges = _tendril_graph(symmetrize=False)
+    engine = AsyncGraphSDEngine(build_store(edges, tmp_path, P=4, name="spy"))
+    events = []
+    chasing = []
+
+    def chase(self, *args, **kwargs):
+        chasing.append(True)
+        try:
+            return real_chase(self, *args, **kwargs)
+        finally:
+            chasing.pop()
+
+    def combine(self, acc, block, contrib, dense_add=None, window=None):
+        if chasing:
+            lo = self.store.intervals.bounds(block.j)[0]
+            events.append(("push", block.dst.astype(np.int64) - lo))
+        return real_combine(self, acc, block, contrib, dense_add, window)
+
+    def apply(self, interval, acc, activated_mask, ids=None):
+        if chasing:
+            events.append(("apply", ids))
+        return real_apply(self, interval, acc, activated_mask, ids)
+
+    real_chase = AsyncGraphSDEngine._chase_diagonal
+    real_combine = EngineBase.combine_block
+    real_apply = EngineBase.apply_interval
+    monkeypatch.setattr(AsyncGraphSDEngine, "_chase_diagonal", chase)
+    monkeypatch.setattr(EngineBase, "combine_block", combine)
+    monkeypatch.setattr(EngineBase, "apply_interval", apply)
+    run = engine.run(SSSP(source=0))
+    assert run.values_sha256() == ASYNC_GOLDEN["sssp"]["values_sha256"]
+
+    rounds = 0
+    pushed = np.zeros(0, dtype=np.int64)
+    for kind, ids in events:
+        if kind == "push":
+            pushed = np.concatenate([pushed, ids])
+            continue
+        assert ids is not None, "a chase round applied its whole interval"
+        assert np.array_equal(ids, np.unique(ids))
+        assert np.isin(ids, pushed).all()
+        rounds += 1
+        pushed = np.zeros(0, dtype=np.int64)
+    assert rounds > 10  # the tendrils make the chase run

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.bitset import VertexSubset
+from repro.utils.bitset import VertexSubset, distinct_sorted
 
 N = 64
 
@@ -150,3 +150,20 @@ def test_interval_count_matches_filter(a, lo, hi):
         lo, hi = hi, lo
     s = VertexSubset.from_indices(N, sorted(a))
     assert s.interval_count(lo, hi) == len([v for v in a if lo <= v < hi])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bound=st.integers(1, 300),
+    data=st.data(),
+    dtype=st.sampled_from([np.uint32, np.int64]),
+)
+def test_distinct_sorted_matches_unique_by_sort_or_by_mask(bound, data, dtype):
+    """Few ids are sorted, many are flagged in a mask: either way the
+    result is ``np.unique``'s, in the ids' dtype."""
+    ids = np.array(
+        data.draw(st.lists(st.integers(0, bound - 1), max_size=2 * bound)), dtype=dtype
+    )
+    got = distinct_sorted(ids, bound)
+    assert got.dtype == ids.dtype
+    assert np.array_equal(got, np.unique(ids))
