@@ -2,7 +2,7 @@
 
 The engine's correctness rests on invariants no general-purpose linter
 knows about: every byte charged to the :class:`~repro.utils.timers.SimClock`,
-no wall-clock or ad-hoc randomness on simulated paths, shared prefetcher
+no wall-clock or ad-hoc randomness on simulated paths, lock-declared
 state only under its lock, explicit dtypes on hot paths, and no
 swallowed failures. This package is a small AST-checker framework plus
 one checker per invariant; see ``docs/ANALYSIS.md`` for the rule

@@ -8,8 +8,8 @@ iteration orders in Python are *not* stable across runs:
 * **set iteration** is hash-ordered — for str keys it varies with
   ``PYTHONHASHSEED``;
 * **dict iteration on shared attributes** follows insertion order, and
-  insertion order on cross-thread state (a prefetch worker and a
-  consumer both inserting keys) is a race. Local dicts are exempt:
+  insertion order on cross-thread state (two threads both inserting
+  keys) is a race. Local dicts are exempt:
   built and consumed in one frame, their insertion order is as
   deterministic as the code that filled them.
 

@@ -25,7 +25,7 @@ class Finding:
 
     rule_id: str
     severity: str
-    path: str  # package-relative posix path, e.g. "storage/prefetch.py"
+    path: str  # package-relative posix path, e.g. "utils/timers.py"
     line: int  # 1-based
     col: int  # 0-based, matching ast's col_offset
     message: str

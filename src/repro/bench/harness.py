@@ -99,13 +99,13 @@ def _graphsd_engine(
         store: GridStore,
         machine: MachineProfile,
         ctx: GraphContext,
-        prefetch_depth: int = 0,
+        pipelined: bool = False,
         gather_lanes: int = 1,
     ) -> EngineBase:
         from dataclasses import replace
 
         cfg = config if config is not None else GraphSDConfig()
-        cfg = replace(cfg, prefetch_depth=prefetch_depth, gather_lanes=gather_lanes)
+        cfg = replace(cfg, pipelined=pipelined, gather_lanes=gather_lanes)
         return engine_cls(store, machine, config=cfg, ctx=ctx, label=label)
 
     return make
@@ -116,12 +116,12 @@ def _simple_engine(cls):
         store: GridStore,
         machine: MachineProfile,
         ctx: GraphContext,
-        prefetch_depth: int = 0,
+        pipelined: bool = False,
         gather_lanes: int = 1,
     ) -> EngineBase:
         # Baseline engines model strictly serial systems; the pipeline
         # and gather knobs do not apply to them.
-        require(prefetch_depth == 0, f"{cls.__name__} does not support --pipeline")
+        require(not pipelined, f"{cls.__name__} does not support --pipeline")
         require(gather_lanes == 1, f"{cls.__name__} does not support --gather-lanes")
         return cls(store, machine, ctx=ctx)
 
@@ -254,7 +254,7 @@ class Harness:
         workload_key: str,
         dataset: str,
         use_cache: bool = True,
-        prefetch_depth: int = 0,
+        pipelined: bool = False,
         gather_lanes: int = 1,
         trace_path: Optional[str] = None,
     ) -> RunResult:
@@ -265,10 +265,10 @@ class Harness:
         (Table 4 / Fig. 5 / Fig. 6 / Fig. 7 all reuse the same runs, as
         the paper's evaluation does) pay for each cell once.
 
-        ``prefetch_depth`` 0 runs serial and N >= 1 pipelined with N
-        loads of lookahead. Cells with different ``prefetch_depth``/
-        ``gather_lanes`` settings are cached separately (they produce
-        identical values but different modeled times/counters).
+        ``pipelined`` charges I/O as overlapping compute. Cells with
+        different ``pipelined``/``gather_lanes`` settings are cached
+        separately (they produce identical values but different modeled
+        times/counters).
         ``graphsd-async`` is the asynchronous priority-driven engine
         (monotonic programs only; see :mod:`repro.core.async_engine`).
 
@@ -280,7 +280,7 @@ class Harness:
         cache hit.
         """
         workload = WORKLOADS[workload_key]
-        key = (system, workload_key, dataset, int(prefetch_depth), int(gather_lanes))
+        key = (system, workload_key, dataset, bool(pipelined), int(gather_lanes))
         if use_cache and key in self._run_cache:
             return self._run_cache[key]
         spec = SYSTEMS[system]
@@ -291,11 +291,11 @@ class Harness:
             store,
             self.machine,
             prep.context,
-            prefetch_depth=prefetch_depth,
+            pipelined=pipelined,
             gather_lanes=gather_lanes,
         )
         if trace_path is None and self.trace_dir is not None:
-            suffix = "-pipelined" if prefetch_depth > 0 else ""
+            suffix = "-pipelined" if pipelined else ""
             name = f"{system}-{workload_key}-{dataset}{suffix}.trace.jsonl"
             self.trace_dir.mkdir(parents=True, exist_ok=True)
             trace_path = str(self.trace_dir / name)

@@ -5,10 +5,10 @@ write`` regenerates the committed ``BENCH_*.json`` from it and
 ``graphsd bench check [--smoke]`` re-runs its gated cells against the
 record. What each record claims:
 
-* **BENCH_2** — serial vs. pipelined (async sub-block prefetch). The
-  pipeline's single in-order worker reproduces the serial disk stream,
-  so both modes agree bit-for-bit on results, traffic and per-component
-  time; only the total differs (overlap hides ``min(io, compute)``).
+* **BENCH_2** — serial vs. pipelined (overlapped I/O and compute). Both
+  modes run the same disk stream, so they agree bit-for-bit on results,
+  traffic and per-component time; only the total differs (overlap hides
+  ``min(io, compute)``).
 * **BENCH_3** — raw vs. compact sub-block encoding across the adaptive
   scheduler and the FCIU-/SCIU-pinned ablations, serial and pipelined:
   bit-identical values everywhere, identical model schedules for the
@@ -46,10 +46,9 @@ from repro.bench.runner import (
     Subset,
     build_record,
 )
-from repro.core import DEFAULT_PREFETCH_DEPTH, RunResult
+from repro.core import RunResult
 from repro.core.convergence import fixed_point_diff
 from repro.storage import FaultPlan, FaultSpec
-from repro.storage.iostats import WALL_CLOCK_DEPENDENT_FIELDS
 
 DATASET = "twitter2010"
 HDD = "default (HDD profile)"
@@ -78,7 +77,7 @@ def _overlap_run(b: Bench, c: Levels) -> RunResult:
     with Harness(P=b.P) as harness:
         return harness.run(
             "graphsd", c["algo"], b.dataset,
-            prefetch_depth=int(b.header["prefetch_depth"]) if c["mode"] == "pipelined" else 0,
+            pipelined=c["mode"] == "pipelined",
             trace_path=b.trace_path(c),
         )
 
@@ -93,9 +92,6 @@ def _overlap_side(r: Row) -> Dict[str, Any]:
         "wall_seconds": run.wall_seconds,
         "io_traffic_bytes": run.io_traffic,
         "iterations": run.iterations,
-        "prefetch_issued": run.prefetch_issued,
-        "prefetch_hits": run.prefetch_hits,
-        "prefetch_wasted": run.prefetch_wasted,
         "buffer_hit_bytes": run.buffer_hit_bytes,
     }
 
@@ -136,10 +132,10 @@ def _overlap_gates(record: Mapping[str, Any]) -> List[str]:
 BENCH_2 = RunTable(
     "BENCH_2",
     header={
-        "description": "serial vs. pipelined (async sub-block prefetch) execution",
+        "description": "serial vs. pipelined (overlapped I/O and compute) execution",
         "dataset": DATASET,
         "partitions": 8,
-        "prefetch_depth": 2,
+        "pipelined": True,
         "machine": HDD,
     },
     sections=[
@@ -192,7 +188,7 @@ def _overlap_note(algo: str, e: Mapping[str, Any]) -> str:
 
 def overlap_report(harness: Harness, subset: Optional[Subset] = None) -> ExperimentReport:
     """BENCH_2's table rendered as the ``bench --experiment overlap`` figure,
-    at the harness's partition count and the default prefetch depth."""
+    at the harness's partition count."""
     (section,) = BENCH_2.sections
     # The report alone also records which part of a non-identical pair
     # differs; the BENCH_2 record keeps its own fields.
@@ -202,11 +198,11 @@ def overlap_report(harness: Harness, subset: Optional[Subset] = None) -> Experim
         table,
         subset,
         trace_dir=str(harness.trace_dir) if harness.trace_dir else None,
-        header={"partitions": harness.P, "prefetch_depth": DEFAULT_PREFETCH_DEPTH},
+        header={"partitions": harness.P},
     )
     report = ExperimentReport(
         "overlap",
-        f"I/O-compute overlap on {DATASET} (prefetch depth {DEFAULT_PREFETCH_DEPTH})",
+        f"I/O-compute overlap on {DATASET}",
         ["algorithm", "serial (s)", "pipelined (s)", "saved (s)", "sim speedup", "wall speedup"],
     )
     speedups = {}
@@ -321,7 +317,7 @@ BENCH_3 = RunTable(
             },
             measure=lambda b, c: b.harness(c["encoding"]).run(
                 c["system"], c["algo"], b.dataset,
-                prefetch_depth=DEFAULT_PREFETCH_DEPTH if c["pipeline"] else 0,
+                pipelined=bool(c["pipeline"]),
                 trace_path=b.trace_path(c),
             ),
             baseline=lambda c: {**c, "encoding": "raw"},
@@ -528,7 +524,7 @@ def _lane_diff(base: RunResult, run: RunResult) -> List[str]:
         diffs.append("model_history")
     io_a, io_b = base.io.to_dict(), run.io.to_dict()
     for name in io_a:
-        if name in WALL_CLOCK_DEPENDENT_FIELDS or name in GATHER_SCHEDULE_FIELDS:
+        if name in GATHER_SCHEDULE_FIELDS:
             continue
         if io_a[name] != io_b[name]:
             diffs.append(f"io.{name}: {io_a[name]} != {io_b[name]}")
@@ -658,12 +654,12 @@ ASYNC_MIN: Sequence[str] = ("sssp", "cc", "sswp", "bfs")
 #: scheduler's cost model, so their reference is a synchronous run under
 #: the *same* I/O configuration; MIN references are the default sync run.
 ASYNC_ADD: Sequence[str] = ("pr-d",)
-#: (prefetch_depth, gather_lanes) composition grid every workload runs under.
+#: (pipelined, gather_lanes) composition grid every workload runs under.
 ASYNC_CONFIGS: Dict[str, tuple] = {
-    "serial-K1": (0, 1),
-    "pipelined-K1": (DEFAULT_PREFETCH_DEPTH, 1),
-    "serial-K4": (0, 4),
-    "pipelined-K4": (DEFAULT_PREFETCH_DEPTH, 4),
+    "serial-K1": (False, 1),
+    "pipelined-K1": (True, 1),
+    "serial-K4": (False, 4),
+    "pipelined-K4": (True, 4),
 }
 #: Required work reduction (sweeps or sub-block gathers) ...
 REDUCTION_GATE = 1.2
@@ -672,11 +668,11 @@ MIN_ALGOS_REQUIRED = 3
 
 
 def _schedule_run(b: Bench, c: Levels) -> RunResult:
-    depth, lanes = ASYNC_CONFIGS[c["config"]]
+    pipelined, lanes = ASYNC_CONFIGS[c["config"]]
     system = "graphsd-async" if c["schedule"] == "async" else "graphsd"
     return b.harness().run(
         system, c["algo"], b.dataset,
-        prefetch_depth=depth, gather_lanes=lanes, trace_path=b.trace_path(c),
+        pipelined=pipelined, gather_lanes=lanes, trace_path=b.trace_path(c),
     )
 
 

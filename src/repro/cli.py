@@ -54,7 +54,6 @@ from repro.bench import (
 )
 from repro.bench.reporting import ExperimentReport, format_table
 from repro.cluster import INTERCONNECT_PROFILES
-from repro.core import DEFAULT_PREFETCH_DEPTH
 from repro.core.convergence import require_async_capable
 from repro.datasets import list_datasets, load_dataset, table3_rows
 from repro.graph import preprocess_graphsd, preprocess_husgraph, preprocess_lumos
@@ -100,11 +99,6 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     # Refusals come first: none of them needs the dataset.
-    if args.pipeline is not None and args.pipeline < 1:
-        raise ValueError(
-            f"--pipeline N takes a prefetch_depth N >= 1, got {args.pipeline} "
-            "(omit the flag for a serial run)"
-        )
     if args.system == "graphsd-async":
         require_async_capable(WORKLOADS[args.algorithm].make_program())
     if args.workers is not None:
@@ -113,10 +107,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "--workers requires --system graphsd (the cluster shards the "
                 "graphsd grid representation)"
             )
-        if args.pipeline is not None:
+        if args.pipeline:
             raise ValueError(
                 "--workers and --pipeline are mutually exclusive (cluster "
-                "workers overlap via sharding, not prefetch)"
+                "workers overlap via sharding, not pipelining)"
             )
         if args.gather_lanes != 1:
             raise ValueError(
@@ -145,7 +139,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 args.system,
                 args.algorithm,
                 args.dataset,
-                prefetch_depth=args.pipeline or 0,
+                pipelined=args.pipeline,
                 gather_lanes=args.gather_lanes,
                 trace_path=trace_path,
             )
@@ -400,14 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--pipeline",
-        nargs="?",
-        const=DEFAULT_PREFETCH_DEPTH,
-        type=int,
-        default=None,
-        metavar="N",
-        help="overlap disk I/O with compute via the async prefetch pipeline, "
-        "with at most N decoded blocks queued ahead of compute (bare: "
-        f"{DEFAULT_PREFETCH_DEPTH}; see docs/PERFORMANCE.md)",
+        action="store_true",
+        help="charge disk I/O as overlapping compute (max(io, compute) + "
+        "fill per scatter; results stay bit-identical, only modeled time "
+        "changes; see docs/PERFORMANCE.md)",
     )
     p.add_argument(
         "--gather-lanes",

@@ -172,8 +172,8 @@ class Inbox:
 
     Delivery and reads are lock-guarded: the simulated coordinator is
     single-threaded today, but the inbox is the cluster's shared queue
-    and keeps the same lock discipline as the prefetch pipeline's shared
-    structures (checked by ``graphsd lint`` GSD103).
+    and keeps the same lock discipline as the simulated clock's shared
+    state (checked by ``graphsd lint`` GSD103).
     """
 
     def __init__(self) -> None:

@@ -22,7 +22,6 @@ from repro.core.convergence import (
 )
 from repro.core.engine import (
     DEFAULT_BUFFER_FRACTION,
-    DEFAULT_PREFETCH_DEPTH,
     GraphSDConfig,
     GraphSDEngine,
 )
@@ -38,7 +37,6 @@ from repro.core.scheduler import (
 __all__ = [
     "SubBlockBuffer",
     "DEFAULT_BUFFER_FRACTION",
-    "DEFAULT_PREFETCH_DEPTH",
     "GraphSDConfig",
     "GraphSDEngine",
     "AsyncGraphSDEngine",

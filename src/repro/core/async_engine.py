@@ -70,7 +70,7 @@ modeled disk costs. A pop's loads are one plan of ``(thunk, gate)``
 entries consumed by
 :meth:`~repro.core.engine_base.EngineBase.consume_plan` — the same
 consumer as an SCIU scatter, its selective gathers read by the same
-batched pass — so pipelined prefetch and K-lane gather credits compose
+batched pass — so pipelined overlap and K-lane gather credits compose
 with the priority order unchanged.
 
 Faults: transient I/O faults are absorbed by the storage retry layer as

@@ -51,12 +51,6 @@ from repro.utils.bitset import VertexSubset
 from repro.utils.timers import SCHEDULING
 from repro.utils.validation import check_nonneg, require
 
-#: Lookahead a pipelined run uses when no depth is given (completed
-#: block loads allowed to wait undelivered). One or two columns of
-#: lookahead is enough to keep the disk busy; deeper queues only add
-#: memory pressure.
-DEFAULT_PREFETCH_DEPTH = 2
-
 #: The paper limits the memory budget to 5 % of the graph data (§5.1);
 #: the sub-block buffer gets that share by default.
 DEFAULT_BUFFER_FRACTION = 0.05
@@ -71,13 +65,12 @@ class GraphSDConfig:
     #: Sub-block buffer capacity; ``None`` sizes it at
     #: ``DEFAULT_BUFFER_FRACTION`` of the graph, 0 disables buffering.
     buffer_bytes: Optional[int] = None
-    #: Lookahead of the prefetch pipeline. 0 (default) is serial
-    #: execution; N >= 1 overlaps I/O and compute: block loads run on a
-    #: background prefetch thread with at most N completed loads queued
-    #: ahead, and scatter stretches are charged ``max(io, compute) +
-    #: fill`` on the dual-timeline clock. Results are bit-identical to
-    #: serial execution; only elapsed time changes.
-    prefetch_depth: int = 0
+    #: Overlap I/O and compute on the dual-timeline clock: scatter
+    #: stretches are charged ``max(io, compute) + fill`` instead of
+    #: ``io + compute``. False (default) is serial. The same operations
+    #: run in the same order either way, so results and every counter
+    #: are bit-identical; only elapsed simulated time changes.
+    pipelined: bool = False
     #: Modeled disk lanes for SCIU's selective gathers (see
     #: :mod:`repro.storage.gatherpool`). 1 (default) is the serial
     #: gather, bit-identical to the pre-pool engine; K>1 spreads the
@@ -89,7 +82,6 @@ class GraphSDConfig:
     def __post_init__(self) -> None:
         if self.buffer_bytes is not None:
             check_nonneg(self.buffer_bytes, "buffer_bytes")
-        check_nonneg(self.prefetch_depth, "prefetch_depth")
         require(self.gather_lanes >= 1, "gather_lanes must be >= 1")
 
     # Named ablations from §5.4 ------------------------------------------
@@ -151,7 +143,7 @@ class GraphSDEngine(EngineBase):
             self.ctx.require_out_degrees(),
             self.machine,
             value_bytes_per_vertex=self.state_value_bytes,
-            pipelined=self.prefetch_depth > 0,
+            pipelined=self.pipelined,
             gather_lanes=self.config.gather_lanes,
         )
         capacity = self.config.buffer_bytes
@@ -169,11 +161,11 @@ class GraphSDEngine(EngineBase):
     def buffer_enabled(self) -> bool:
         return self.buffer is not None and self.buffer.capacity_bytes > 0
 
-    # -- prefetch pipeline ---------------------------------------------------
+    # -- I/O configuration ---------------------------------------------------
 
     @property
-    def prefetch_depth(self) -> int:
-        return self.config.prefetch_depth
+    def pipelined(self) -> bool:
+        return self.config.pipelined
 
     @property
     def gather_lanes(self) -> int:

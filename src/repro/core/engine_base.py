@@ -65,9 +65,8 @@ from repro.graph.grid import BlockHandle, EdgeBlock, GridStore
 from repro.graph.vertexdata import VertexArrayStore
 from repro.obs import NULL_TRACER, TracerLike
 from repro.storage.disk import MachineProfile, DEFAULT_MACHINE
-from repro.storage.gatherpool import GatherPool
+from repro.storage.gatherpool import GatherPool, run_load
 from repro.storage.iostats import IOStats
-from repro.storage.prefetch import BlockPrefetcher
 from repro.utils.bitset import VertexSubset, distinct_sorted
 from repro.utils.heap import retain_freed_heap
 from repro.utils.timers import COMPUTE, OverlapRegion, TimeBreakdown, WallTimer
@@ -352,23 +351,20 @@ class EngineBase:
     # -- the execution core: one block step, two consumers -------------------
 
     @property
-    def prefetch_depth(self) -> int:
-        """Lookahead of this engine's block plans; 0 runs every load
-        thunk inline at its consumption point (serial execution)."""
-        return 0
+    def pipelined(self) -> bool:
+        """Whether block plans are charged as overlapped I/O and compute
+        (:meth:`overlap_region`); either way each load thunk runs
+        inline where its result is used."""
+        return False
 
     @property
     def gather_lanes(self) -> int:
         """Modeled disk lanes for :meth:`consume_plan`'s loads."""
         return 1
 
-    def make_prefetcher(self) -> BlockPrefetcher:
-        """A prefetcher for one column plan (see :meth:`prefetch_depth`)."""
-        return BlockPrefetcher(self.prefetch_depth, stats=self.disk.stats, tracer=self.tracer)
-
     def overlap_region(self) -> "ContextManager[Optional[OverlapRegion]]":
         """A clock overlap region when pipelining, else a null context."""
-        if self.prefetch_depth:
+        if self.pipelined:
             return self.clock.overlap_region()
         return nullcontext(None)
 
@@ -462,37 +458,33 @@ class EngineBase:
         """Consume destination ``columns`` in order; apply each at its end.
 
         ``load(j)`` reads every block of column ``j``, as encoded
-        :class:`~repro.graph.grid.BlockHandle` objects; one such thunk per
-        column runs through a :class:`BlockPrefetcher` (inline when
-        serial) inside :meth:`overlap_region`, so a pipelined worker
-        queues encoded columns. Per block: poll the ``mid-scatter``
-        crash point, decode, then :meth:`push_block` from ``snapshot``
-        through ``gate_mask`` — one decoded block at a time.
+        :class:`~repro.graph.grid.BlockHandle` objects; each column's
+        thunk runs inline (:func:`~repro.storage.gatherpool.run_load`)
+        inside :meth:`overlap_region`, the first one measured as the
+        pipeline fill. Per block: poll the ``mid-scatter`` crash point,
+        decode, then :meth:`push_block` from ``snapshot`` through
+        ``gate_mask`` — one decoded block at a time.
         ``after_column(j, handles)`` runs after interval ``j``'s apply.
         Returns ``(edges, blocks)`` consumed.
         """
-        tasks: List[ColumnTask] = [partial(load, j) for j in columns]
         edges = blocks = 0
         with self.overlap_region() as region:
-            if region is not None and tasks:
-                tasks[0] = region.measure_fill(tasks[0])
-            stream = self.make_prefetcher().run(tasks)
-            try:
-                for j in columns:
-                    column = next(stream)
-                    for handle in column:
-                        self._crash_point("mid-scatter")
-                        self.push_block(snapshot, handle.decode(), acc, gate_mask)
-                        edges += handle.count
-                    blocks += len(column)
-                    self.apply_interval(j, acc, activated_mask)
-                    if after_column is not None:
-                        after_column(j, column)
-                    # The handles view the column's payload: release it
-                    # before the next column loads.
-                    column = handle = None
-            finally:
-                stream.close()
+            for index, j in enumerate(columns):
+                task: ColumnTask = partial(load, j)
+                if region is not None and index == 0:
+                    task = region.measure_fill(task)
+                column = run_load(self.tracer, index, task)
+                for handle in column:
+                    self._crash_point("mid-scatter")
+                    self.push_block(snapshot, handle.decode(), acc, gate_mask)
+                    edges += handle.count
+                blocks += len(column)
+                self.apply_interval(j, acc, activated_mask)
+                if after_column is not None:
+                    after_column(j, column)
+                # The handles view the column's payload: release it
+                # before the next column loads.
+                column = handle = None
         return edges, blocks
 
     def _push_or_defer(
@@ -562,11 +554,10 @@ class EngineBase:
     ) -> List[EdgeBlock]:
         """Consume an ordered plan of gated block loads; no apply.
 
-        The thunks stream through a K-lane :class:`GatherPool` (same
-        single in-order worker as :meth:`sweep_columns`, so fault
-        ordinals and the disk-op stream are the serial ones) inside
-        :meth:`overlap_region`. Per entry: poll ``mid-scatter``, take the
-        block, charge its COMPUTE. An ungated block's edges then wait, and
+        Each thunk runs inline through a K-lane :class:`GatherPool`,
+        which accounts its modeled lane, inside :meth:`overlap_region`.
+        Per entry: poll ``mid-scatter``, load the block, charge its
+        COMPUTE. An ungated block's edges then wait, and
         the plan's ungated edges are gathered and combined together, as
         :meth:`push_blocks` does; a gated block is :meth:`push_block`-ed
         through its gate in its place. Only a cleanly consumed plan
@@ -574,29 +565,20 @@ class EngineBase:
         the raw serial charges. Returns the non-empty blocks in plan
         order.
         """
-        tasks = [task for task, _gate in plan]
         pool = GatherPool(
-            self.gather_lanes,
-            self.prefetch_depth,
-            clock=self.clock,
-            stats=self.disk.stats,
-            tracer=self.tracer,
+            self.gather_lanes, clock=self.clock, stats=self.disk.stats, tracer=self.tracer
         )
         consumed: List[EdgeBlock] = []
         batch: List[EdgeBlock] = []
         with self.overlap_region() as region:
-            if region is not None and tasks:
-                tasks[0] = region.measure_fill(tasks[0])
-            stream = pool.run(tasks)
-            try:
-                for _task, gate in plan:
-                    self._crash_point("mid-scatter")
-                    block = next(stream)
-                    if block.count:
-                        self._push_or_defer(snapshot, block, acc, gate, batch)
-                        consumed.append(block)
-            finally:
-                stream.close()
+            for index, (task, gate) in enumerate(plan):
+                self._crash_point("mid-scatter")
+                if region is not None and index == 0:
+                    task = region.measure_fill(task)
+                block = pool.load(index, task)
+                if block.count:
+                    self._push_or_defer(snapshot, block, acc, gate, batch)
+                    consumed.append(block)
             self._flush(snapshot, batch, acc)
             pool.finish(region)
         return consumed

@@ -28,10 +28,10 @@ plain full-I/O iteration.
 Plan-then-consume execution
 ---------------------------
 Both phases run as a *column plan* (one load thunk per destination
-column) through a :class:`~repro.storage.prefetch.BlockPrefetcher`: with
-pipelining enabled, column ``j+1`` loads on a background thread while
-column ``j`` gathers and applies, inside a clock
-:class:`~repro.utils.timers.OverlapRegion`. Phase 2 is exactly
+column, run inline where the column is used). With pipelining enabled
+the plan runs inside a clock :class:`~repro.utils.timers.OverlapRegion`,
+which charges column ``j+1``'s load as overlapping column ``j``'s
+gathers and applies. Phase 2 is exactly
 :meth:`~repro.core.engine_base.EngineBase.sweep_columns`. Phase 1 keeps
 its own column loop — cross pushes read the state its own applies are
 writing, the diagonal is held across the apply, and the buffer is
@@ -44,22 +44,16 @@ A column arrives encoded — one :class:`~repro.graph.grid.BlockHandle`
 per block, from disk or from the buffer — and the consumer decodes each
 block just before its push. Buffer priorities are counted from the
 handles, so beyond the column's payload only the block being pushed and
-the held diagonal are ever decoded. Two invariants keep pipelined
-execution bit-identical to serial:
-
-* the single worker executes columns strictly in sweep order, so the
-  disk-operation stream (charges, page-cache state, injected faults) is
-  exactly the serial one;
-* buffer admissions for column ``j`` are hoisted to the start of its
-  consume step (they depend only on residency and priorities fixed
-  before the column's gathers), and the worker's residency check for
-  column ``j+1`` waits on a gate set right after those admissions — the
-  buffer evolves exactly as in serial execution.
+the held diagonal are ever decoded. Pipelined and serial rounds run
+the same operations in the same order, so they are bit-identical. For
+the buffer that order is: load column ``j`` (its residency check sees
+every earlier column's admissions and re-ranking), admit its secondary
+blocks before any of its pushes, apply, then re-rank by interval
+``j``'s activations.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import partial
 from typing import TYPE_CHECKING, Dict, List
 
@@ -70,6 +64,7 @@ if TYPE_CHECKING:  # engine.py imports this module; import only for types
 
 from repro.core.engine_base import ColumnTask
 from repro.graph.grid import BlockHandle
+from repro.storage.gatherpool import run_load
 from repro.utils.bitset import VertexSubset
 from repro.utils.timers import COMPUTE
 
@@ -154,82 +149,67 @@ def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
     activated_mask = np.zeros(n, dtype=bool)
     edges1 = 0
     blocks1 = 0
-    prefetcher = engine.make_prefetcher()
     admit = engine.buffer_enabled
     priority_mask = frontier.mask if gate is not None else np.ones(n, dtype=bool)
-    gates = [threading.Event() for _ in range(P)]
 
-    def gated_load(j: int) -> List[BlockHandle]:
-        # The residency check for column j must see column j-1's
-        # admissions, exactly as a serial sweep would.
-        if admit and j > 0:
-            prefetcher.wait_gate(gates[j - 1])
-        return _load_column_buffered(engine, j, 0)
-
-    tasks: List[ColumnTask] = [partial(gated_load, j) for j in range(P)]
     phase1_span = engine.tracer.span(
         "fciu.phase1", cat="phase", cross=do_cross, columns=P
     )
     with phase1_span, engine.overlap_region() as region:
-        if region is not None:
-            tasks[0] = region.measure_fill(tasks[0])
-        stream = prefetcher.run(tasks)
-        try:
-            for j in range(P):
-                column = next(stream)
-                if admit:
-                    # Admissions first: residency and priorities at this
-                    # point are exactly what a serial sweep would see
-                    # (nothing between column start and each put touches
-                    # the buffer), and opening the gate here lets the
-                    # worker check column j+1's residency safely.
-                    _admit_column(engine, j, column, priority_mask)
-                    gates[j].set()
+        for j in range(P):
+            task: ColumnTask = partial(_load_column_buffered, engine, j, 0)
+            if region is not None and j == 0:
+                task = region.measure_fill(task)
+            column = run_load(engine.tracer, j, task)
+            if admit:
+                # Admissions first: residency and priorities at this
+                # point are exactly what the load of column j saw
+                # (nothing between column start and each put touches
+                # the buffer).
+                _admit_column(engine, j, column, priority_mask)
 
-                diag_block = None
-                for handle in column:
-                    engine._crash_point("mid-scatter")
-                    # Decoded once: pushed, cross-pushed, then dropped.
-                    block = handle.decode()
-                    engine.push_block(prev, block, acc, gate)
-                    edges1 += block.count
-                    if do_cross and block.i < j:
-                        # Sources in interval i are final for iteration t:
-                        # push their t+1 contributions now (Algorithm 3,
-                        # lines 7-11).
-                        engine.next_landed |= engine.push_block(
-                            engine.state, block, acc_next, activated_mask
-                        )
-                    if block.i == j:
-                        diag_block = block  # held in memory (Algorithm 3, line 13)
-                    del block
-                blocks1 += len(column)
-
-                engine.apply_interval(j, acc, activated_mask)
-
-                if do_cross and diag_block is not None and diag_block.count:
-                    # Interval j just finished updating; its diagonal block
-                    # can now cross-push (Algorithm 3, lines 13-16).
+            diag_block = None
+            for handle in column:
+                engine._crash_point("mid-scatter")
+                # Decoded once: pushed, cross-pushed, then dropped.
+                block = handle.decode()
+                engine.push_block(prev, block, acc, gate)
+                edges1 += block.count
+                if do_cross and block.i < j:
+                    # Sources in interval i are final for iteration t:
+                    # push their t+1 contributions now (Algorithm 3,
+                    # lines 7-11).
                     engine.next_landed |= engine.push_block(
-                        engine.state, diag_block, acc_next, activated_mask
+                        engine.state, block, acc_next, activated_mask
                     )
-                # The handles (and a raw diagonal) view the column's
-                # payload: release it before the next column loads.
-                column = handle = diag_block = None
+                if block.i == j:
+                    diag_block = block  # held in memory (Algorithm 3, line 13)
+                del block
+            blocks1 += len(column)
 
-                if admit:
-                    # Interval j's activations are now known; re-rank the
-                    # cached secondary blocks whose sources live in interval
-                    # j (§4.3: "the priority ... automatically updated after
-                    # the processing of this secondary sub-block").
-                    for jj in range(j):
-                        resident = engine.buffer.peek((j, jj))
-                        if resident is not None:
-                            engine.buffer.update_priority(
-                                (j, jj), _count_active_edges(engine, resident, activated_mask)
-                            )
-        finally:
-            stream.close()
+            engine.apply_interval(j, acc, activated_mask)
+
+            if do_cross and diag_block is not None and diag_block.count:
+                # Interval j just finished updating; its diagonal block
+                # can now cross-push (Algorithm 3, lines 13-16).
+                engine.next_landed |= engine.push_block(
+                    engine.state, diag_block, acc_next, activated_mask
+                )
+            # The handles (and a raw diagonal) view the column's
+            # payload: release it before the next column loads.
+            column = handle = diag_block = None
+
+            if admit:
+                # Interval j's activations are now known; re-rank the
+                # cached secondary blocks whose sources live in interval
+                # j (§4.3: "the priority ... automatically updated after
+                # the processing of this secondary sub-block").
+                for jj in range(j):
+                    resident = engine.buffer.peek((j, jj))
+                    if resident is not None:
+                        engine.buffer.update_priority(
+                            (j, jj), _count_active_edges(engine, resident, activated_mask)
+                        )
 
     engine._store_state()
     activated1 = int(np.count_nonzero(activated_mask))
@@ -261,8 +241,6 @@ def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
     gate2 = None if program.all_active else activated_mask
     acc2, _ = engine.take_carried_accumulator()
     new_activated = np.zeros(n, dtype=bool)
-    # No gating: phase 2 never mutates the buffer, so lookahead residency
-    # checks are race-free.
     with engine.tracer.span("fciu.phase2", cat="phase", columns=P):
         edges2, blocks2 = engine.sweep_columns(
             range(P),

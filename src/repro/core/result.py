@@ -14,7 +14,7 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from repro.storage.iostats import IOStats, WALL_CLOCK_DEPENDENT_FIELDS
+from repro.storage.iostats import IOStats
 from repro.utils.timers import TimeBreakdown
 
 
@@ -123,24 +123,12 @@ class RunResult:
         """Total bytes moved (the Fig. 7 metric)."""
         return self.io.total_traffic
 
-    # -- prefetch-pipeline observability (mirrors the fault counters) -----
+    # -- pipeline and buffer observability --------------------------------
 
     @property
     def overlap_saved_seconds(self) -> float:
         """Simulated time hidden by I/O–compute overlap (0 when serial)."""
         return self.breakdown.overlap_saved
-
-    @property
-    def prefetch_issued(self) -> int:
-        return self.io.prefetch_issued
-
-    @property
-    def prefetch_hits(self) -> int:
-        return self.io.prefetch_hits
-
-    @property
-    def prefetch_wasted(self) -> int:
-        return self.io.prefetch_wasted
 
     @property
     def buffer_hit_bytes(self) -> int:
@@ -180,11 +168,6 @@ class RunResult:
             if self.overlap_saved_seconds > 0
             else ""
         )
-        prefetch = (
-            f"prefetch {self.prefetch_hits}/{self.prefetch_issued} hits, "
-            if self.prefetch_issued > 0
-            else ""
-        )
         gather = (
             f"gather {self.gather_runs_issued} runs "
             f"(peak lane queue {self.gather_queue_peak}), "
@@ -217,7 +200,7 @@ class RunResult:
         return (
             f"{self.engine}/{self.program}: {self.iterations} iters{sweeps}, "
             f"sim {self.sim_seconds:.3f}s (io {self.io_seconds:.3f}s, "
-            f"compute {self.compute_seconds:.3f}s), {overlap}{prefetch}{gather}"
+            f"compute {self.compute_seconds:.3f}s), {overlap}{gather}"
             f"traffic {self.io_traffic / (1 << 20):.1f} MiB, "
             f"{'converged' if self.converged else 'iteration cap reached'}"
             f"{faults}{recovery}"
@@ -285,8 +268,7 @@ def equivalence_diff(a: RunResult, b: RunResult) -> List[str]:
     Used to assert that observability (tracing) and pipelining change
     nothing observable: values must be bit-identical, iteration structure
     and simulated time must match exactly, and every ``IOStats`` counter
-    must agree except the documented wall-clock-dependent ones
-    (:data:`~repro.storage.iostats.WALL_CLOCK_DEPENDENT_FIELDS`).
+    must agree.
     Returns human-readable difference descriptions; empty == equivalent.
     """
     diffs: List[str] = []
@@ -299,8 +281,6 @@ def equivalence_diff(a: RunResult, b: RunResult) -> List[str]:
         diffs.append(f"breakdown: {a.breakdown!r} != {b.breakdown!r}")
     io_a, io_b = a.io.to_dict(), b.io.to_dict()
     for name in io_a:
-        if name in WALL_CLOCK_DEPENDENT_FIELDS:
-            continue
         if io_a[name] != io_b[name]:
             diffs.append(f"io.{name}: {io_a[name]} != {io_b[name]}")
     if len(a.per_iteration) != len(b.per_iteration):
@@ -310,12 +290,9 @@ def equivalence_diff(a: RunResult, b: RunResult) -> List[str]:
     else:
         for ra, rb in zip(a.per_iteration, b.per_iteration):
             da, db = ra.to_dict(), rb.to_dict()
-            # metrics snapshots exist only on the traced side, and the
-            # io map carries the wall-clock-dependent counters.
+            # metrics snapshots exist only on the traced side.
             for d in (da, db):
                 d.pop("metrics")
-                for name in WALL_CLOCK_DEPENDENT_FIELDS:
-                    d["io"].pop(name, None)
             if da != db:
                 diffs.append(f"iteration {ra.iteration} records differ")
     return diffs

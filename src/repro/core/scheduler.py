@@ -128,8 +128,8 @@ class StateAwareScheduler:
         self.machine = machine
         self.value_bytes = int(value_bytes_per_vertex)
         self.seq_run_threshold_bytes = int(seq_run_threshold_bytes)
-        #: Predict *overlapped* cost (the engine runs its prefetch
-        #: pipeline): a round's scatter stretch costs
+        #: Predict *overlapped* cost (the engine runs pipelined): a
+        #: round's scatter stretch costs
         #: ``max(io, compute) + fill`` instead of ``io + compute``,
         #: matching the dual-timeline clock's charging exactly.
         self.pipelined = bool(pipelined)

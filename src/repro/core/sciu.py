@@ -27,27 +27,26 @@ apply, the state trajectory stays per-iteration identical to strict BSP
 
 Plan-then-consume execution
 ---------------------------
-The scatter phase first builds a *block plan* on the consuming thread:
+The scatter phase first builds a *block plan*:
 every ``(i, j)`` pair with active sources becomes one entry of a single
 batched read (:meth:`~repro.core.engine.GraphSDEngine.read_selective`),
 which reads all their index entries and edges in one data pass and hands
 back one ungated plan thunk per block that charges that block's index
 read and selective edge read.
-:meth:`~repro.core.engine_base.EngineBase.consume_plan` then streams the
-thunks through a :class:`~repro.storage.gatherpool.GatherPool` (which
-delegates execution to a single in-order
-:class:`~repro.storage.prefetch.BlockPrefetcher` worker) inside a clock
+:meth:`~repro.core.engine_base.EngineBase.consume_plan` then runs the
+thunks in plan order through a
+:class:`~repro.storage.gatherpool.GatherPool` inside a clock
 :class:`~repro.utils.timers.OverlapRegion` — with pipelining enabled,
-block ``k+1``'s index reads and gather-loads overlap with block ``k``'s
-gather/combine compute on the simulated clock, and with
-``gather_lanes > 1`` the pool additionally credits the DISK time hidden
-by spreading the independent loads over K modeled lanes. The single
-in-order worker replays the serial disk-operation stream exactly, so
-injected faults fire identically and the existing GatherFault
-degradation path (retry budget exhausted → rolled back → full
-streaming) works unchanged. The simulated COMPUTE is charged block by
-block as each load is consumed; the wall work is one gather and one
-combine over the round's concatenated edges once the last load is in.
+block ``k+1``'s index reads and gather-loads are charged as overlapping
+block ``k``'s gather/combine compute, and with ``gather_lanes > 1`` the
+pool additionally credits the DISK time hidden by spreading the
+independent loads over K modeled lanes. Either way the disk-operation
+stream is the serial one, so injected faults fire identically and the
+GatherFault degradation path (retry budget exhausted → rolled back →
+full streaming) is the same in every mode. The simulated COMPUTE is
+charged block by block as each load is consumed; the wall work is one
+gather and one combine over the round's concatenated edges once the
+last load is in.
 """
 
 from __future__ import annotations

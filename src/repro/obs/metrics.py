@@ -7,9 +7,8 @@ occupancy), never from the wall clock. The one host measurement is the
 ``process.peak_rss_bytes`` gauge (:func:`peak_rss_bytes`), which traced
 engines set at the end of every iteration so the resident-memory
 high-water mark is visible per iteration; like the trace's wall times it
-varies run to run. The thread-safety matters: the prefetch pipeline's
-background worker charges disk reads (and therefore observes read-size
-histograms) concurrently with the consuming engine thread.
+varies run to run. The one lock keeps a registry safe to share across
+threads.
 
 Histograms use sparse base-2 exponential buckets: an observation ``v``
 lands in the bucket whose upper bound is the smallest power of two

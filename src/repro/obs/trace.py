@@ -1,8 +1,8 @@
 """Dual-timeline span tracer.
 
 A :class:`Tracer` records the nested phases of an engine run — the run
-itself, per-iteration scatter/gather/apply, sub-block loads, prefetch
-worker activity, checkpoint writes — as :class:`Span`s carrying *both*
+itself, per-iteration scatter/gather/apply, sub-block and column loads,
+checkpoint writes — as :class:`Span`s carrying *both*
 timelines side by side:
 
 * **simulated seconds** from the engine's deterministic
@@ -12,11 +12,12 @@ timelines side by side:
   project allowed to read the wall clock outside annotated sites — rule
   GSD101 exempts ``repro.obs``).
 
-Spans nest per thread (the prefetch worker's spans form their own root
-chain, labelled with the thread name) and are appended to an in-memory
-event list when they close; :meth:`Tracer.write` serializes the whole
-trace as JSONL (schema in :mod:`repro.obs.schema`), which ``graphsd
-trace export`` converts to Chrome/Perfetto ``trace_event`` JSON.
+Spans nest per thread (a span opened on another thread forms its own
+root chain, labelled with the thread name) and are appended to an
+in-memory event list when they close; :meth:`Tracer.write` serializes
+the whole trace as JSONL (schema in :mod:`repro.obs.schema`), which
+``graphsd trace export`` converts to Chrome/Perfetto ``trace_event``
+JSON.
 
 The disabled path is the shared :data:`NULL_TRACER`: every method is a
 no-op, :meth:`NullTracer.span` hands back one reusable null context

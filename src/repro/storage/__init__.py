@@ -38,7 +38,6 @@ from repro.storage.faults import (
 from repro.storage.gatherpool import GatherPool
 from repro.storage.iostats import IOStats
 from repro.storage.pagecache import PageCache, PageCacheStats
-from repro.storage.prefetch import BlockPrefetcher
 from repro.storage.blockfile import ArrayFile, Device
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "GatherPool",
     "IOStats",
     "PageCache",
-    "BlockPrefetcher",
     "PageCacheStats",
     "ArrayFile",
     "Device",

@@ -8,22 +8,21 @@ the plan's load thunks are spread over ``lanes`` concurrent disk lanes
 and the simulated time hidden by lane concurrency is credited back to
 the dual-timeline clock.
 
-Execution itself stays **serial and in plan order** — the pool delegates
-to a single-worker :class:`~repro.storage.prefetch.BlockPrefetcher`, so
-the disk-operation stream (charges, page-cache state, injected faults,
+Execution itself stays **serial and in plan order** — each thunk runs
+inline where the consumer takes its result (:func:`run_load`), so the
+disk-operation stream (charges, page-cache state, injected faults,
 :class:`~repro.storage.faults.SimulatedCrash` delivery) is exactly the
 serial stream and every existing fault/crash test stays bit-identical.
 Only *accounting* is parallel:
 
-* each thunk is instrumented at the worker so its own DISK charge and
-  read-request count travel with the result (valid for the same reason
-  :meth:`~repro.utils.timers.OverlapRegion.measure_fill` is: the single
-  in-order worker is the only thread charging DISK during a scatter);
+* each thunk's own DISK charge and read-request count are measured
+  around it (valid for the same reason
+  :meth:`~repro.utils.timers.OverlapRegion.measure_fill` is: nothing
+  else charges DISK while the thunk runs);
 * at each **consumption point** the task is assigned to the currently
   least-busy lane (greedy argmin, ties to the lowest index) and the
-  lane/queue counters are bumped. Consumption-point accounting makes the
-  counters a pure function of the consumed plan prefix — deterministic
-  even when speculative lookahead is abandoned by a crash;
+  lane/queue counters are bumped, so the counters are a pure function
+  of the consumed plan prefix;
 * :meth:`finish` computes the round's lane saving
   ``sum(lane_busy) - max(lane_busy)`` and credits it to the open
   :class:`~repro.utils.timers.OverlapRegion` (pipelined runs) or
@@ -36,21 +35,10 @@ Only *accounting* is parallel:
 from __future__ import annotations
 
 import threading
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Generator,
-    Generic,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import TYPE_CHECKING, Callable, List, Optional, TypeVar
 
 from repro.obs.trace import NULL_TRACER
 from repro.storage.iostats import IOStats
-from repro.storage.prefetch import BlockPrefetcher
 from repro.utils.timers import DISK, OverlapRegion, SimClock
 from repro.utils.validation import check_positive
 
@@ -60,47 +48,31 @@ if TYPE_CHECKING:
 _T = TypeVar("_T")
 
 
-class _Instrumented(Generic[_T]):
-    """Wrap one load thunk so its I/O footprint travels with its result."""
+def run_load(tracer: "TracerLike", index: int, task: Callable[[], _T]) -> _T:
+    """Run entry ``index`` of a block plan: its load thunk, inline, as a
+    ``prefetch.load`` span counted in the ``prefetch.loads`` metric.
 
-    __slots__ = ("_task", "_clock", "_stats")
-
-    def __init__(
-        self, task: Callable[[], _T], clock: SimClock, stats: Optional[IOStats]
-    ) -> None:
-        self._task = task
-        self._clock = clock
-        self._stats = stats
-
-    def _read_requests(self) -> int:
-        stats = self._stats
-        if stats is None:
-            return 0
-        return stats.read_requests_seq + stats.read_requests_ran
-
-    def __call__(self) -> "Tuple[_T, float, int]":
-        disk0 = self._clock.resource_elapsed(DISK)
-        reqs0 = self._read_requests()
-        result = self._task()
-        disk1 = self._clock.resource_elapsed(DISK)
-        reqs1 = self._read_requests()
-        return (result, disk1 - disk0, reqs1 - reqs0)
+    Every plan consumer calls this where it uses the thunk's result, so
+    pipelined and serial runs issue the same disk operations in the
+    same order; pipelining only changes how the clock sums them.
+    """
+    with tracer.span("prefetch.load", cat="prefetch", index=index):
+        result = task()
+    tracer.metrics.inc("prefetch.loads")
+    return result
 
 
 class GatherPool:
     """Run a round's gather thunks with K-lane modeled disk concurrency.
 
-    ``lanes`` is the modeled concurrency (K >= 1); ``depth`` is the
-    lookahead of the underlying prefetcher (0 = inline/serial execution,
-    as in :meth:`~repro.core.engine_base.EngineBase.make_prefetcher`).
-    ``stats`` receives the ``gather_*`` observability counters — pass
-    the simulated disk's :class:`IOStats` so they surface in results.
+    ``lanes`` is the modeled concurrency (K >= 1). ``stats`` receives
+    the ``gather_*`` observability counters — pass the simulated disk's
+    :class:`IOStats` so they surface in results.
     """
 
     def __init__(
         self,
         lanes: int,
-        depth: int,
         clock: SimClock,
         stats: Optional[IOStats] = None,
         tracer: "Optional[TracerLike]" = None,
@@ -109,12 +81,10 @@ class GatherPool:
         self.lanes = int(lanes)
         self.clock = clock
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._prefetcher = BlockPrefetcher(depth, stats=stats, tracer=self.tracer)
         self._lock = threading.Lock()
-        # The stats object is shared with the prefetcher (which guards its
-        # own bumps); the gather_* fields are written only at consumption
-        # points on the consuming thread, under _lock for the read-modify-
-        # write against concurrent snapshot readers.
+        # The gather_* fields are written only at consumption points,
+        # under _lock for the read-modify-write against concurrent
+        # snapshot readers.
         self._stats = stats
         self._lane_busy: List[float] = [0.0] * self.lanes  # guarded-by: _lock
         self._lane_depth: List[int] = [0] * self.lanes  # guarded-by: _lock
@@ -143,33 +113,26 @@ class GatherPool:
 
     # -- execution ----------------------------------------------------------
 
-    def run(self, tasks: Sequence[Callable[[], _T]]) -> "Generator[_T, None, None]":
-        """Yield each task's result in plan order, accounting lanes.
+    def load(self, index: int, task: Callable[[], _T]) -> _T:
+        """Run plan entry ``index``'s load thunk (:func:`run_load`) and
+        assign its DISK time and read requests to a lane."""
+        disk0 = self.clock.resource_elapsed(DISK)
+        reqs0 = self._read_requests()
+        result = run_load(self.tracer, index, task)
+        disk_seconds = self.clock.resource_elapsed(DISK) - disk0
+        runs = self._read_requests() - reqs0
+        lane = self._account(disk_seconds, runs)
+        with self.tracer.span(
+            "gather.run", cat="gather", lane=lane, runs=runs, disk_seconds=disk_seconds
+        ):
+            pass
+        return result
 
-        The returned generator owns the inner prefetcher's worker:
-        closing or abandoning it cancels and joins exactly like
-        :meth:`BlockPrefetcher.run`.
-        """
-        wrapped = [_Instrumented(task, self.clock, self._stats) for task in tasks]
-        stream = self._prefetcher.run(wrapped)
-
-        def consume() -> "Generator[_T, None, None]":
-            try:
-                for result, disk_seconds, runs in stream:
-                    lane = self._account(disk_seconds, runs)
-                    with self.tracer.span(
-                        "gather.run",
-                        cat="gather",
-                        lane=lane,
-                        runs=runs,
-                        disk_seconds=disk_seconds,
-                    ):
-                        pass
-                    yield result
-            finally:
-                stream.close()
-
-        return consume()
+    def _read_requests(self) -> int:
+        stats = self._stats
+        if stats is None:
+            return 0
+        return stats.read_requests_seq + stats.read_requests_ran
 
     # -- round close --------------------------------------------------------
 

@@ -8,12 +8,7 @@ class, plus request counts and buffer-cache hit accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Tuple
-
-#: Counters whose value depends on real thread timing rather than the
-#: simulated execution. Equivalence comparisons (traced vs untraced,
-#: pipelined vs serial) must ignore exactly these fields.
-WALL_CLOCK_DEPENDENT_FIELDS: Tuple[str, ...] = ("prefetch_hits",)
+from typing import Dict
 
 
 @dataclass
@@ -43,15 +38,8 @@ class IOStats:
     read_retries: int = 0
     write_retries: int = 0
     faults_injected: int = 0
-    # Prefetch-pipeline observability (see repro.storage.prefetch):
-    # thunks completed by the background worker, results already decoded
-    # when the consumer asked (wall-clock dependent — the only
-    # nondeterministic counter here), lookahead work cancelled before
-    # delivery, and bytes the block plan served from the §4.3 sub-block
-    # buffer instead of disk.
-    prefetch_issued: int = 0
-    prefetch_hits: int = 0
-    prefetch_wasted: int = 0
+    # Bytes the block plan served from the §4.3 sub-block buffer
+    # instead of disk.
     buffer_hit_bytes: int = 0
     # Selective-gather pool observability (see repro.storage.gatherpool):
     # merged runs routed through the lane model, cumulative modeled busy

@@ -17,7 +17,7 @@ Every component label maps to one of two *resources* — :data:`DISK`
 (``io_read``/``io_write``) or :data:`CPU` (everything else). In the
 default serial mode the clock simply sums all charges, exactly as
 before. Inside an :class:`OverlapRegion` (opened by an engine running
-its prefetch pipeline) the two resources are modeled as running
+pipelined) the two resources are modeled as running
 concurrently: the region's contribution to total elapsed time is::
 
     min(disk + cpu,  max(disk, cpu) + fill)
@@ -27,8 +27,8 @@ wait for before the first block is available). The difference between
 the serial sum and the overlapped elapsed time accumulates in
 ``overlap_saved`` — per-component charges are *never* rescaled, so
 breakdowns remain exact and ``total == sum(components) - overlap_saved``
-always holds. Charging is thread-safe: the prefetch worker charges DISK
-while the consuming engine thread charges CPU.
+always holds. The overlap is a charging rule only: the engine issues
+the same operations in the same order either way.
 
 A *measurement window* (:meth:`SimClock.open_window`) sums every later
 charge onto a given base as well, so differences of its readings carry
@@ -83,10 +83,10 @@ class TimeBreakdown:
     components: Dict[str, float] = field(default_factory=dict)
     overlap_saved: float = 0.0
 
-    # Sums run in sorted-key order throughout: component dicts are
-    # filled concurrently (prefetch worker vs. consumer), so insertion
-    # order — and with it an unordered float sum — can differ between
-    # otherwise identical runs by a last-ulp rounding difference.
+    # Sums run in sorted-key order throughout, never in insertion
+    # order: a component's first charge can come at a different point
+    # in otherwise identical runs, and an unordered float sum would
+    # then differ by a last-ulp rounding difference.
 
     @property
     def total(self) -> float:
@@ -149,7 +149,7 @@ class OverlapRegion:
     ``(disk + cpu) - min(disk + cpu, max(disk, cpu) + fill)`` — is
     folded into the clock. ``fill`` is reported by the engine via
     :meth:`add_fill` (typically through :meth:`measure_fill` wrapping the
-    first prefetch task), and is clamped so a region can never appear
+    plan's first load thunk), and is clamped so a region can never appear
     slower than serial execution.
     """
 
@@ -187,11 +187,10 @@ class OverlapRegion:
         self.disk_credit += seconds
 
     def measure_fill(self, task: Callable[[], _T]) -> Callable[[], _T]:
-        """Wrap a prefetch task so its DISK charge is recorded as fill.
+        """Wrap a load thunk so its DISK charge is recorded as fill.
 
-        Valid because all in-region DISK charges come from the single
-        prefetch worker executing tasks in order: the DISK-timeline delta
-        around the task is exactly the task's own disk time.
+        Valid because nothing else charges DISK while the thunk runs:
+        the DISK-timeline delta around it is exactly its own disk time.
         """
 
         def wrapped() -> _T:
@@ -232,8 +231,7 @@ class SimClock:
     Components are free-form string labels; the canonical ones are
     ``io_read``, ``io_write``, ``compute``, ``scheduling`` and
     ``preprocess``. Charging a negative duration is an error. Charging
-    is thread-safe (the prefetch pipeline charges disk time from a
-    background worker).
+    and reading are serialized by one lock.
     """
 
     def __init__(self) -> None:
@@ -274,9 +272,8 @@ class SimClock:
         The no-argument total nets out any overlap savings; individual
         components always report their full charged time.
         """
-        # Sorted-key sums: _components' insertion order is a race between
-        # the prefetch worker (DISK charges) and the consumer (CPU), so
-        # an unordered float sum can drift by an ulp across runs.
+        # Sorted-key sums, as in TimeBreakdown: insertion order would
+        # let an unordered float sum drift by an ulp across runs.
         with self._lock:
             if component is None:
                 return (
@@ -324,7 +321,7 @@ class SimClock:
 
         One consistent read for the tracer: sampling total and the two
         resource timelines in separate lock acquisitions could tear
-        against a concurrent prefetch-worker charge.
+        against a charge made in between.
         """
         with self._lock:
             disk = 0.0

@@ -14,7 +14,6 @@ import pytest
 import repro.core.fciu as fciu_module
 import repro.graph.grid as grid_module
 import repro.storage.blockfile as blockfile_module
-import repro.storage.prefetch as prefetch_module
 from repro.analysis import (
     check_text,
     collect_sources,
@@ -161,13 +160,15 @@ SEEDED = {
         "np.zeros(hi - lo + 1)",
         "np.zeros(hi - lo + 1)",
     ),
-    # The prefetch worker swallowing a load's failure instead of
-    # delivering it to the consumer.
+    # An unreadable checksum sidecar swallowed instead of raised as a
+    # ChecksumError.
     "GSD105": (
-        prefetch_module,
-        "storage/prefetch.py",
-        "                except BaseException as exc:  # delivered, not swallowed\n"
-        '                    self._put(q, ("error", exc))\n',
+        blockfile_module,
+        "storage/blockfile.py",
+        "                except (ValueError, OSError) as exc:\n"
+        "                    raise ChecksumError(\n"
+        '                        f"unreadable checksum sidecar for {self.path.name}: {exc}"\n'
+        "                    ) from exc\n",
         "                except Exception:\n                    pass\n",
         "except Exception:",
     ),

@@ -2,15 +2,15 @@
 
 Covers the fixture-level semantics (lock sets, closures, ``__init__``
 exemption) and the mandated self-test: the real
-``storage/prefetch.py``/``utils/timers.py`` are clean, and seeding one
-de-guarded access into a copy of the prefetcher source is reported at
+``utils/timers.py``/``storage/gatherpool.py`` are clean, and seeding one
+de-guarded access into a copy of the ``SimClock`` source is reported at
 exactly that line.
 """
 
 import textwrap
 from pathlib import Path
 
-import repro.storage.prefetch as prefetch_mod
+import repro.storage.gatherpool as gatherpool_mod
 import repro.utils.timers as timers_mod
 from repro.analysis import check_text
 from repro.analysis.checkers.locks import LockDisciplineChecker
@@ -137,23 +137,27 @@ def _source_of(module):
     return Path(module.__file__).read_text()
 
 
-def test_real_prefetcher_and_simclock_are_clean():
-    assert check(_source_of(prefetch_mod), "storage/prefetch.py") == []
+def test_real_simclock_and_gatherpool_are_clean():
     assert check(_source_of(timers_mod), "utils/timers.py") == []
+    assert check(_source_of(gatherpool_mod), "storage/gatherpool.py") == []
 
 
-def test_seeded_deguard_in_prefetcher_is_caught_at_its_line():
+def test_seeded_deguard_in_simclock_is_caught_at_its_line():
     """De-guard one access in a copy of the real source; the checker
     must report exactly that line and nothing else."""
-    base = _source_of(prefetch_mod).rstrip("\n") + "\n"
-    seeded = base + (
+    base = _source_of(timers_mod)
+    anchor = "\n\n\nclass WallTimer"
+    assert base.count(anchor) == 1
+    head, tail = base.split(anchor)  # head ends with SimClock's last line
+    seeded = head + (
+        "\n"
         "\n"
         "    def _leak(self):\n"
-        "        return self.stats.prefetch_hits\n"
-    )
-    leak_line = base.count("\n") + 3  # blank line, def line, then the access
-    found = check(seeded, "storage/prefetch.py")
+        "        return self._overlap_saved"
+    ) + anchor + tail
+    leak_line = head.count("\n") + 4  # last line, blank line, def line, then the access
+    found = check(seeded, "utils/timers.py")
     assert [f.rule_id for f in found] == ["GSD103"]
     assert found[0].line == leak_line
-    assert "self.stats" in found[0].message
-    assert "_stats_lock" in found[0].message
+    assert "self._overlap_saved" in found[0].message
+    assert "_lock" in found[0].message

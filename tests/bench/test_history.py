@@ -26,7 +26,6 @@ from repro.bench.runner import (
 )
 from repro.bench.tables import BENCH_2, TABLES
 from repro.cli import main
-from repro.storage.iostats import WALL_CLOCK_DEPENDENT_FIELDS
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -185,7 +184,7 @@ def _deterministic(node):
     return {
         k: _deterministic(v)
         for k, v in node.items()
-        if not k.startswith("wall_") and k not in WALL_CLOCK_DEPENDENT_FIELDS
+        if not k.startswith("wall_")
     }
 
 

@@ -48,9 +48,6 @@ def test_bench_record_schema_and_invariants():
             "overlap_saved_seconds",
             "wall_seconds",
             "io_traffic_bytes",
-            "prefetch_issued",
-            "prefetch_hits",
-            "prefetch_wasted",
             "buffer_hit_bytes",
         ):
             assert key in entry[side], key
@@ -101,8 +98,5 @@ def test_pipelined_is_not_slower_than_serial_on_compact3():
     """
     with Harness(P=8, encoding="compact3") as harness:
         serial = harness.run("graphsd", "cc", "twitter2010")
-        piped = harness.run(
-            "graphsd", "cc", "twitter2010",
-            prefetch_depth=int(BENCH_2.header["prefetch_depth"]),
-        )
+        piped = harness.run("graphsd", "cc", "twitter2010", pipelined=True)
     assert piped.sim_seconds <= serial.sim_seconds

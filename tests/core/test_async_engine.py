@@ -81,7 +81,7 @@ def test_add_combine_keeps_the_classic_schedule_bit_exact(tmp_path, rng):
 
 def test_priority_order_composes_with_pipeline_and_lanes(tmp_path, rng):
     """±pipeline x K∈{1,4} all reach the identical MIN fixed point with
-    the identical sweep schedule — lanes and prefetch change modeled
+    the identical sweep schedule — lanes and pipelining change modeled
     time only."""
     edges = _edges_for("sssp", rng)
     sync = GraphSDEngine(build_store(edges, tmp_path, name="cfg-sync")).run(
@@ -92,7 +92,7 @@ def test_priority_order_composes_with_pipeline_and_lanes(tmp_path, rng):
     for pipeline in (False, True):
         for lanes in (1, 4):
             store = build_store(edges, tmp_path, name=f"cfg-{pipeline}-{lanes}")
-            cfg = GraphSDConfig(gather_lanes=lanes, prefetch_depth=2 if pipeline else 0)
+            cfg = GraphSDConfig(gather_lanes=lanes, pipelined=pipeline)
             run = AsyncGraphSDEngine(store, config=cfg).run(make_program("sssp"))
             assert_fixed_point_equivalent(run, sync)
             sweeps.add(run.sweeps)

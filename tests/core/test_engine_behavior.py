@@ -174,7 +174,7 @@ def test_engine_reusable_for_multiple_runs(edges, tmp_path):
     "make_program, config",
     [
         (lambda: SSSP(source=0), None),  # SCIU rounds
-        (lambda: PageRank(iterations=5), GraphSDConfig(prefetch_depth=2)),  # FCIU, overlap
+        (lambda: PageRank(iterations=5), GraphSDConfig(pipelined=True)),  # FCIU, overlap
     ],
     ids=["sssp", "pagerank-pipelined"],
 )

@@ -107,9 +107,9 @@ def test_mid_scatter_crash_ordinals_are_pinned(tmp_path, case):
 
 #: b4 (SCIU pinned) PageRank-delta and PPR runs, recorded at the commit
 #: before a round's selective edges were gathered and combined in one
-#: batch. ``io`` holds every non-zero ``IOStats`` field but the pipeline
-#: counters and the lane-dependent ``gather_queue_peak`` (``peak`` by
-#: lanes); ``sim`` is keyed ``(lanes, prefetch_depth)``.
+#: batch. ``io`` holds every non-zero ``IOStats`` field but the
+#: lane-dependent ``gather_queue_peak`` (``peak`` by lanes); ``sim`` is
+#: keyed ``(lanes, pipelined)``.
 ADD_GOLDEN = {
     "pagerank_delta": {
         "values_sha256": "da3213a196b7e695f996f87647684b15d5a02468d1cde0c44e9c31c6e112554d",
@@ -119,8 +119,8 @@ ADD_GOLDEN = {
                    "read_requests_ran": 1899, "write_requests_seq": 30,
                    "gather_runs_issued": 2019,
                    "gather_lane_busy_seconds": 0.020862401326497373},
-            "sim": {(1, 0): 0.0245831317692057, (1, 2): 0.0245831317692057,
-                    (4, 0): 0.009011410374348947, (4, 2): 0.010050451959635404},
+            "sim": {(1, False): 0.0245831317692057, (1, True): 0.0245831317692057,
+                    (4, False): 0.009011410374348947, (4, True): 0.010050451959635404},
         },
         "compact3": {
             "io": {"bytes_read_seq": 266768, "bytes_read_ran": 30951,
@@ -128,8 +128,8 @@ ADD_GOLDEN = {
                    "read_requests_ran": 1899, "write_requests_seq": 30,
                    "gather_runs_issued": 2019,
                    "gather_lane_busy_seconds": 0.0027698230743408206},
-            "sim": {(1, 0): 0.006490553517049158, (1, 2): 0.006359989495646163,
-                    (4, 0): 0.004422558445638026, (4, 2): 0.004293991134033207},
+            "sim": {(1, False): 0.006490553517049158, (1, True): 0.006359989495646163,
+                    (4, False): 0.004422558445638026, (4, True): 0.004293991134033207},
         },
     },
     "ppr": {
@@ -140,8 +140,8 @@ ADD_GOLDEN = {
                    "read_requests_ran": 9390, "write_requests_seq": 38,
                    "gather_runs_issued": 9622,
                    "gather_lane_busy_seconds": 0.02324399312337233},
-            "sim": {(1, 0): 0.02790905090983066, (1, 2): 0.02790905090983066,
-                    (4, 0): 0.010691745408528623, (4, 2): 0.011862873413085916},
+            "sim": {(1, False): 0.02790905090983066, (1, True): 0.02790905090983066,
+                    (4, False): 0.010691745408528623, (4, True): 0.011862873413085916},
         },
         "compact3": {
             "io": {"bytes_read_seq": 389816, "bytes_read_ran": 32503,
@@ -149,8 +149,8 @@ ADD_GOLDEN = {
                    "read_requests_ran": 9390, "write_requests_seq": 38,
                    "gather_runs_issued": 9622,
                    "gather_lane_busy_seconds": 0.003268582026163732},
-            "sim": {(1, 0): 0.007933639812622064, (1, 2): 0.007819934949137363,
-                    (4, 0): 0.005509164460652667, (4, 2): 0.00539877670796712},
+            "sim": {(1, False): 0.007933639812622064, (1, True): 0.007819934949137363,
+                    (4, False): 0.005509164460652667, (4, True): 0.00539877670796712},
         },
     },
 }
@@ -159,7 +159,7 @@ _ADD_PROGRAMS = {
     "ppr": lambda: PersonalizedPageRank([0, 7], tol=1e-5),
 }
 _ADD_PEAK = {1: 16, 4: 6}  # gather_queue_peak by lanes
-_UNPINNED = {"prefetch_issued", "prefetch_hits", "prefetch_wasted", "gather_queue_peak"}
+_UNPINNED = {"gather_queue_peak"}
 
 
 @pytest.mark.parametrize("encoding", ["raw", "compact3"])
@@ -170,7 +170,7 @@ def test_sciu_add_runs_match_the_golden_recorded_before_batching(
     """Selective entries on ADD's sparse path are gathered and combined
     as one batch, flushed around every dense one: the per-destination
     addition order, and with it every bit, is the one-push-per-entry
-    order, at any lane count and pipeline depth."""
+    order, at any lane count, serial or pipelined."""
     n = 1000
     retained = []
     real_consume = EngineBase.consume_plan
@@ -182,17 +182,17 @@ def test_sciu_add_runs_match_the_golden_recorded_before_batching(
 
     monkeypatch.setattr(EngineBase, "consume_plan", spy)
     golden = ADD_GOLDEN[algo]
-    for (lanes, depth), sim in golden[encoding]["sim"].items():
+    for (lanes, pipelined), sim in golden[encoding]["sim"].items():
         edges = random_edgelist(np.random.default_rng(36), n, 6000, weighted=False)
-        store = build_store(edges, tmp_path / f"K{lanes}d{depth}", P=4, encoding=encoding)
-        config = GraphSDConfig.baseline_b4(gather_lanes=lanes, prefetch_depth=depth)
+        store = build_store(edges, tmp_path / f"K{lanes}p{pipelined:d}", P=4, encoding=encoding)
+        config = GraphSDConfig.baseline_b4(gather_lanes=lanes, pipelined=pipelined)
         run = GraphSDEngine(store, config=config).run(_ADD_PROGRAMS[algo]())
         assert run.values_sha256() == golden["values_sha256"]
-        assert run.sim_seconds == sim, (lanes, depth)
+        assert run.sim_seconds == sim, (lanes, pipelined)
         io = store.device.disk.stats.to_dict()
         assert io["gather_queue_peak"] == _ADD_PEAK[lanes]
         pinned = {k: v for k, v in io.items() if k not in _UNPINNED and v}
-        assert pinned == golden[encoding]["io"], (lanes, depth)
+        assert pinned == golden[encoding]["io"], (lanes, pipelined)
     # Both kinds of selective entry occurred: dense ones split the batch.
     assert sum(retained) > 0 and retained.count(False) > 0
 

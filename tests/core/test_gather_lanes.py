@@ -25,7 +25,6 @@ from repro.storage.blockfile import MAX_IO_RETRIES
 from repro.storage.faults import FaultInjector, FaultPlan, FaultSpec, SimulatedCrash
 from tests.conftest import build_store, random_edgelist
 from tests.core.test_engine_equivalence import PROGRAMS
-from tests.core.test_pipeline_equivalence import PIPELINE_ONLY_COUNTERS
 
 #: The model-pinned configurations: no adaptive decisions, so the lane
 #: count must be invisible to everything but modeled time.
@@ -40,13 +39,11 @@ LANE_SCHEDULE_COUNTERS = {"gather_queue_peak"}
 
 
 def _run(seed, make_program, tmp_path, make_config, name, lanes,
-         pipeline=False, depth=2, fault_plan=None,
+         pipeline=False, fault_plan=None,
          num_vertices=250, num_edges=1800, P=4):
     rng = np.random.default_rng(seed)
     edges = random_edgelist(rng, num_vertices, num_edges)
-    config = replace(
-        make_config(), gather_lanes=lanes, prefetch_depth=depth if pipeline else 0
-    )
+    config = replace(make_config(), gather_lanes=lanes, pipelined=pipeline)
     # Same store name in per-lane directories: on-disk file names (which
     # fault messages embed) must match between lane counts.
     store = build_store(edges, tmp_path / f"K{lanes}", P=P, name=name)
@@ -72,7 +69,7 @@ def assert_lane_invariant(base, laned):
     assert b_result.fault_events == k_result.fault_events
 
     for f in fields(b_stats):
-        if f.name in PIPELINE_ONLY_COUNTERS | LANE_SCHEDULE_COUNTERS:
+        if f.name in LANE_SCHEDULE_COUNTERS:
             continue
         assert getattr(b_stats, f.name) == getattr(k_stats, f.name), f.name
 

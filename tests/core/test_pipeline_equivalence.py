@@ -1,23 +1,23 @@
 """The overlap layer's contract: pipelined == serial, bit for bit.
 
-The prefetch pipeline's single in-order worker reproduces the serial
-disk-operation stream exactly, so enabling ``--pipeline`` may change
-*when* work happens but never *what* happens: final values and state,
-iteration/model/frontier traces, every byte counter, and every
-per-component simulated time must match the serial run bit-for-bit.
-The only permitted differences are the net total (overlap hides time)
-and the prefetch observability counters themselves.
+A pipelined run issues the serial disk-operation stream — every load
+thunk runs inline where its result is used — and only charges it as
+overlapping compute, so enabling ``--pipeline`` never changes *what*
+happens: final values and state, iteration/model/frontier traces, every
+``IOStats`` counter, and every per-component simulated time must match
+the serial run bit-for-bit. The only permitted difference is the net
+total (overlap hides time).
 """
 
 import threading
 import traceback
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from repro.algorithms import PageRank, SSSP
-from repro.core import DEFAULT_PREFETCH_DEPTH, GraphSDConfig, GraphSDEngine
+from repro.algorithms import SSSP, PageRank
+from repro.core import AsyncGraphSDEngine, GraphSDConfig, GraphSDEngine
 from repro.storage.blockfile import MAX_IO_RETRIES
 from repro.storage.faults import FaultInjector, FaultPlan, FaultSpec, SimulatedCrash
 from tests.conftest import build_store, random_edgelist
@@ -29,17 +29,14 @@ CONFIGS = {
     "on-demand": GraphSDConfig.baseline_b4,  # SCIU path pinned
 }
 
-#: Wall-clock dependent / pipeline-only counters excluded from equality.
-PIPELINE_ONLY_COUNTERS = {"prefetch_issued", "prefetch_hits", "prefetch_wasted"}
 
-
-def _run_pair(rng_seed, make_program, tmp_path, make_config, name, depth=2,
+def _run_pair(rng_seed, make_program, tmp_path, make_config, name,
               fault_plan=None, num_vertices=250, num_edges=1800, P=4):
     rng = np.random.default_rng(rng_seed)
     edges = random_edgelist(rng, num_vertices, num_edges)
     out = {}
     for mode, pipeline in (("serial", False), ("pipelined", True)):
-        config = replace(make_config(), prefetch_depth=depth if pipeline else 0)
+        config = replace(make_config(), pipelined=pipeline)
         # Same store name in per-mode directories: on-disk file names
         # (which fault messages embed) must match between modes.
         store = build_store(edges, tmp_path / mode, P=P, name=name)
@@ -48,6 +45,12 @@ def _run_pair(rng_seed, make_program, tmp_path, make_config, name, depth=2,
             store.device.disk.injector = FaultInjector(fault_plan)
         out[mode] = (engine.run(make_program()), store.device.disk.stats)
     return out["serial"], out["pipelined"]
+
+
+def assert_same_io(s_stats, p_stats):
+    """Every IOStats counter, field for field."""
+    for f in fields(s_stats):
+        assert getattr(s_stats, f.name) == getattr(p_stats, f.name), f.name
 
 
 def assert_bit_identical(serial, pipelined):
@@ -65,13 +68,7 @@ def assert_bit_identical(serial, pipelined):
     assert s_result.frontier_history == p_result.frontier_history
     assert s_result.fault_events == p_result.fault_events
 
-    # Byte/request counters (prefetch counters are pipeline-only).
-    from dataclasses import fields
-
-    for f in fields(s_stats):
-        if f.name in PIPELINE_ONLY_COUNTERS:
-            continue
-        assert getattr(s_stats, f.name) == getattr(p_stats, f.name), f.name
+    assert_same_io(s_stats, p_stats)
 
     # Per-component simulated time, bit for bit; totals may only shrink.
     assert s_result.breakdown.components == p_result.breakdown.components
@@ -94,14 +91,6 @@ def test_pipelined_run_is_bit_identical(tmp_path, program, config_name):
     assert_bit_identical(serial, pipelined)
 
 
-@pytest.mark.parametrize("depth", [1, 4])
-def test_equivalence_holds_at_any_depth(tmp_path, depth):
-    serial, pipelined = _run_pair(
-        7, lambda: SSSP(source=0), tmp_path, GraphSDConfig, f"d{depth}", depth=depth
-    )
-    assert_bit_identical(serial, pipelined)
-
-
 def test_pipelined_pagerank_is_strictly_faster_on_hdd(tmp_path):
     """The acceptance workload: I/O-bound PR must actually save time."""
     serial, pipelined = _run_pair(
@@ -112,7 +101,6 @@ def test_pipelined_pagerank_is_strictly_faster_on_hdd(tmp_path):
     (s_result, _), (p_result, _) = serial, pipelined
     assert p_result.sim_seconds < s_result.sim_seconds
     assert p_result.overlap_saved_seconds > 0
-    assert p_result.prefetch_issued > 0
 
 
 def test_transient_faults_fire_identically_under_pipeline(tmp_path):
@@ -157,7 +145,7 @@ def test_injected_crash_fires_at_same_point_under_pipeline(tmp_path):
         store = build_store(edges, tmp_path, P=4, name=f"crash-{mode}")
         engine = GraphSDEngine(
             store,
-            config=GraphSDConfig(prefetch_depth=DEFAULT_PREFETCH_DEPTH if pipeline else 0),
+            config=GraphSDConfig(pipelined=pipeline),
         )
         store.device.disk.injector = FaultInjector(
             FaultPlan(crash_points={"mid-scatter": 5})
@@ -165,22 +153,16 @@ def test_injected_crash_fires_at_same_point_under_pipeline(tmp_path):
         with pytest.raises(SimulatedCrash):
             engine.run(SSSP(source=0))
         stats[mode] = store.device.disk.stats
-    s, p = stats["serial"], stats["pipelined"]
-    # The crash point is polled on the consuming thread in plan order;
-    # consumed work up to the crash is identical. The pipelined worker
-    # may have *read* ahead of the crash (speculative lookahead), never
-    # behind it.
-    assert p.bytes_read_seq + p.bytes_read_ran >= s.bytes_read_seq + s.bytes_read_ran
-    assert s.bytes_written_seq == p.bytes_written_seq
+    # Nothing reads ahead of the consumer: the crash leaves exactly the
+    # serial run's I/O behind it.
+    assert_same_io(stats["serial"], stats["pipelined"])
 
 
-P_LEAK = 8  # columns enough that a depth-2 worker is still parked at the crash
+P_LEAK = 8  # columns of the grid the crash tests stream over
 
 #: Stream site (the function holding the stream) -> (config, program,
-#: mid-scatter poll that crashes). consume_plan polls before its first
-#: pull starts the worker, so every site crashes at its second poll;
-#: FCIU phase 1 polls once per block of the P x P grid, then phase 2
-#: sweeps columns.
+#: mid-scatter poll that crashes). FCIU phase 1 polls once per block of
+#: the P x P grid, then phase 2 sweeps columns.
 STREAM_SITES = {
     "run_fciu_round": (GraphSDConfig.baseline_b3, PageRank, 2),
     "sweep_columns": (GraphSDConfig.baseline_b3, PageRank, P_LEAK * P_LEAK + 2),
@@ -188,27 +170,43 @@ STREAM_SITES = {
 }
 
 
-def _prefetch_threads():
-    return {t for t in threading.enumerate() if t.name == "graphsd-prefetch" and t.is_alive()}
-
-
 @pytest.mark.parametrize("site", sorted(STREAM_SITES))
 def test_no_prefetch_worker_outlives_a_crash(tmp_path, site):
-    """A crash mid-stream must close the stream on the way out: while
-    the SimulatedCrash traceback (and with it the crashed frame's
-    locals) is still held, no prefetch worker may be left running."""
+    """A pipelined K = 4 crash mid-stream propagates straight out of the
+    plan consumer that polled it, and leaves no thread behind."""
     make_config, make_program, crash_at = STREAM_SITES[site]
     rng = np.random.default_rng(5)
     store = build_store(random_edgelist(rng, 400, 5000), tmp_path, P=P_LEAK, name=site)
-    engine = GraphSDEngine(
-        store, config=replace(make_config(), prefetch_depth=DEFAULT_PREFETCH_DEPTH)
-    )
+    config = replace(make_config(), pipelined=True, gather_lanes=4)
+    engine = GraphSDEngine(store, config=config)
     store.device.disk.injector = FaultInjector(
         FaultPlan(crash_points={"mid-scatter": crash_at})
     )
-    before = _prefetch_threads()
+    before = threading.active_count()
     with pytest.raises(SimulatedCrash) as crash:
         engine.run(make_program())
     frames = [frame.name for frame in traceback.extract_tb(crash.tb)]
     assert frames[-3:] == [site, "_crash_point", "crash_point"]
-    assert _prefetch_threads() - before == set()
+    assert threading.active_count() == before
+
+
+#: Pipelined K = 4 runs through every plan consumer: FCIU's phase 1 and
+#: its phase-2 ``sweep_columns`` (b3), SCIU's ``consume_plan`` (b4) and
+#: the async engine's pops.
+NO_THREAD_RUNS = (
+    (GraphSDEngine, GraphSDConfig.baseline_b3, PageRank),
+    (GraphSDEngine, GraphSDConfig.baseline_b4, lambda: SSSP(source=0)),
+    (AsyncGraphSDEngine, GraphSDConfig, lambda: SSSP(source=0)),
+)
+
+
+def test_pipelined_runs_start_no_thread(tmp_path):
+    """Pipelining is a clock mode: a finished run leaves no thread behind."""
+    rng = np.random.default_rng(5)
+    edges = random_edgelist(rng, 400, 5000)
+    before = threading.active_count()
+    for k, (engine_cls, make_config, make_program) in enumerate(NO_THREAD_RUNS):
+        store = build_store(edges, tmp_path / str(k), P=P_LEAK, name=f"t{k}")
+        config = replace(make_config(), pipelined=True, gather_lanes=4)
+        engine_cls(store, config=config).run(make_program())
+    assert threading.active_count() == before

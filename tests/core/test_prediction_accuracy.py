@@ -10,7 +10,7 @@ prediction/actual agreement band.
 import pytest
 
 from repro.algorithms import ConnectedComponents, SSSP
-from repro.core import DEFAULT_PREFETCH_DEPTH, GraphSDConfig, GraphSDEngine, IOModel
+from repro.core import GraphSDConfig, GraphSDEngine, IOModel
 from tests.conftest import build_store, random_edgelist
 
 
@@ -122,7 +122,7 @@ def test_full_model_prediction_matches_charged_time_both_modes(
             enable_cross_iteration=False,
             buffer_bytes=0,
             force_model=IOModel.FULL,
-            prefetch_depth=DEFAULT_PREFETCH_DEPTH if pipeline else 0,
+            pipelined=pipeline,
         ),
     )
     result = engine.run(PageRank(iterations=4))
@@ -147,7 +147,7 @@ def test_on_demand_prediction_tracks_charged_time_both_modes(
     )
     engine = GraphSDEngine(
         store,
-        config=GraphSDConfig(prefetch_depth=DEFAULT_PREFETCH_DEPTH if pipeline else 0),
+        config=GraphSDConfig(pipelined=pipeline),
     )
     result = engine.run(SSSP(source=0))
     records = result.per_iteration

@@ -74,12 +74,10 @@ def make_result_with(**field_overrides):
     return r
 
 
-def test_summary_mentions_prefetch_when_pipelined():
+def test_summary_mentions_overlap_when_pipelined():
     r = make_result()
-    r.io.prefetch_issued = 8
-    r.io.prefetch_hits = 5
-    s = r.summary()
-    assert "prefetch 5/8 hits" in s
+    r.breakdown.overlap_saved = 0.25
+    assert "overlap saved 0.250s" in r.summary()
 
 
 def test_summary_mentions_absorbed_faults():
@@ -90,6 +88,7 @@ def test_summary_mentions_absorbed_faults():
 def test_summary_quiet_without_prefetch_or_faults():
     s = make_result().summary()
     assert "prefetch" not in s
+    assert "overlap" not in s
     assert "fault" not in s
 
 
@@ -135,7 +134,6 @@ def test_equivalence_diff_ignores_wall_clock_counters():
 
     a = make_result()
     b = make_result()
-    b.io.prefetch_hits = 7  # documented wall-clock-dependent counter
     b.wall_seconds = 99.0
     assert equivalence_diff(a, b) == []
 

@@ -8,10 +8,12 @@ charges — from the block's own plan thunk. These goldens were recorded
 at 45d4279, where every thunk still did its own index read and
 ``read_gather``; the batch may only change wall time, so every exact
 figure of every run below must still be the recorded one:
-``IOStats`` (minus the wall-clock-dependent ``prefetch_hits``), the
-simulated components, the values hash and the fault events — under
-transient faults that are absorbed or exhaust their retries, bit rot
-behind CRC sidecars, and a simulated page cache.
+every ``IOStats`` counter, the simulated components, the values hash
+and the fault events — under transient faults that are absorbed or
+exhaust their retries, bit rot behind CRC sidecars, and a simulated
+page cache. The digests were re-derived once when ``IOStats`` lost its
+three prefetch counters: each is the digest of the same document,
+recorded at 45d4279 and matched there, with those fields dropped.
 """
 
 import hashlib
@@ -29,7 +31,6 @@ from repro.graph import EdgeList, GridStore, make_intervals
 from repro.storage import Device, HDD_PROFILE, PageCache, SimulatedDisk
 from repro.storage.blockfile import MAX_IO_RETRIES
 from repro.storage.faults import ChecksumError, FaultInjector, FaultPlan, FaultSpec
-from repro.storage.iostats import WALL_CLOCK_DEPENDENT_FIELDS
 
 PREFIX = "g"
 SYSTEMS = {
@@ -71,19 +72,14 @@ def _store(tmp_path, encoding: str, weighted: bool, scale: int = 9, **device_kw)
 
 
 def _engine(system: str, store: GridStore, lanes: int = 1, pipeline: bool = False):
-    config = replace(
-        SYSTEMS[system](), gather_lanes=lanes, prefetch_depth=2 if pipeline else 0
-    )
+    config = replace(SYSTEMS[system](), gather_lanes=lanes, pipelined=pipeline)
     cls = AsyncGraphSDEngine if system == "async" else GraphSDEngine
     return cls(store, config=config)
 
 
 def _exact(result) -> dict:
-    io = result.io.to_dict()
-    for name in WALL_CLOCK_DEPENDENT_FIELDS:
-        io.pop(name)
     return {
-        "io": io,
+        "io": result.io.to_dict(),
         "sim": dict(result.breakdown.components),
         "values_sha256": result.values_sha256(),
         "fault_events": list(result.fault_events),
@@ -123,94 +119,94 @@ def run_grid_case(tmp_path, system, encoding, algo, lanes, pipeline) -> dict:
 
 #: ``_grid_key(...) -> _digest(_exact(run))``, recorded at 45d4279.
 GRID_GOLDEN = {
-    "async/compact3/cc/K1/pipelined": "97e6723dd8f9d093",
-    "async/compact3/cc/K1/serial": "5029f065ce569d72",
-    "async/compact3/cc/K4/pipelined": "d4868d933503e640",
-    "async/compact3/cc/K4/serial": "4c7e35029b24b7e5",
-    "async/compact3/sssp/K1/pipelined": "09d9635df9d29694",
-    "async/compact3/sssp/K1/serial": "834d5300f15473bc",
-    "async/compact3/sssp/K4/pipelined": "10a27ca4bd1901e2",
-    "async/compact3/sssp/K4/serial": "c896949513c444bd",
-    "async/raw/cc/K1/pipelined": "d5c4c8e9740ff0e0",
-    "async/raw/cc/K1/serial": "509186e771dacda3",
-    "async/raw/cc/K4/pipelined": "1d126152c7ba267b",
-    "async/raw/cc/K4/serial": "90e7962afc7c054d",
-    "async/raw/sssp/K1/pipelined": "8aafa68328c5c0e6",
-    "async/raw/sssp/K1/serial": "d57519cc919e5c11",
-    "async/raw/sssp/K4/pipelined": "3b243fdfe21ffbd2",
-    "async/raw/sssp/K4/serial": "8fad05cdef721ab5",
-    "graphsd-b4/compact/cc/K1/pipelined": "c7aa07a8040d2baf",
-    "graphsd-b4/compact/cc/K1/serial": "97fc98ec82b1c6bb",
-    "graphsd-b4/compact/cc/K4/pipelined": "10d9f9d0c3c0e57a",
-    "graphsd-b4/compact/cc/K4/serial": "20c8b99e965c8cad",
-    "graphsd-b4/compact/pr-d/K1/pipelined": "1fd07618102a2451",
-    "graphsd-b4/compact/pr-d/K1/serial": "63e646d152b672f8",
-    "graphsd-b4/compact/pr-d/K4/pipelined": "6cbb2a1d33933d6f",
-    "graphsd-b4/compact/pr-d/K4/serial": "1a2fbaba6dca3bc0",
-    "graphsd-b4/compact/sssp/K1/pipelined": "742129479eb2c9a7",
-    "graphsd-b4/compact/sssp/K1/serial": "bf12f0a43fdaa695",
-    "graphsd-b4/compact/sssp/K4/pipelined": "8eece2ec17d0f5dc",
-    "graphsd-b4/compact/sssp/K4/serial": "403e24217ad66206",
-    "graphsd-b4/compact3/cc/K1/pipelined": "a18240ed5ebf1940",
-    "graphsd-b4/compact3/cc/K1/serial": "b33f3bceca52ec37",
-    "graphsd-b4/compact3/cc/K4/pipelined": "e5ef4d16fd3c41df",
-    "graphsd-b4/compact3/cc/K4/serial": "00357458ba015e11",
-    "graphsd-b4/compact3/pr-d/K1/pipelined": "e6bb973c64e7f879",
-    "graphsd-b4/compact3/pr-d/K1/serial": "5a7d7c1ffbaf200b",
-    "graphsd-b4/compact3/pr-d/K4/pipelined": "2727a15e1a5892b0",
-    "graphsd-b4/compact3/pr-d/K4/serial": "cc30361ba15b4f33",
-    "graphsd-b4/compact3/sssp/K1/pipelined": "b804261b1be519e4",
-    "graphsd-b4/compact3/sssp/K1/serial": "8b413584dfe63b3b",
-    "graphsd-b4/compact3/sssp/K4/pipelined": "b36e5627e954549f",
-    "graphsd-b4/compact3/sssp/K4/serial": "8bc34517e1189159",
-    "graphsd-b4/raw/cc/K1/pipelined": "26fe0a996fd33a08",
-    "graphsd-b4/raw/cc/K1/serial": "0bebda612767121b",
-    "graphsd-b4/raw/cc/K4/pipelined": "a67dccfcee487a57",
-    "graphsd-b4/raw/cc/K4/serial": "8eeb74a4d7870449",
-    "graphsd-b4/raw/pr-d/K1/pipelined": "36ae5cde2002c0ff",
-    "graphsd-b4/raw/pr-d/K1/serial": "29575d6cf347ba72",
-    "graphsd-b4/raw/pr-d/K4/pipelined": "fb24671d5042eb18",
-    "graphsd-b4/raw/pr-d/K4/serial": "e994b9fdaa9c1ea5",
-    "graphsd-b4/raw/sssp/K1/pipelined": "1851ce2f81a4d04a",
-    "graphsd-b4/raw/sssp/K1/serial": "c46cd2478546f04e",
-    "graphsd-b4/raw/sssp/K4/pipelined": "36368f68f636da3a",
-    "graphsd-b4/raw/sssp/K4/serial": "476fbc6cd031f342",
-    "graphsd/compact/cc/K1/pipelined": "4bcd9f06eaf510f5",
-    "graphsd/compact/cc/K1/serial": "c1da47e7bfcde03e",
-    "graphsd/compact/cc/K4/pipelined": "3f0abfc1f8b239d3",
-    "graphsd/compact/cc/K4/serial": "7b24da0c1647986d",
-    "graphsd/compact/pr-d/K1/pipelined": "7cb571aae1dc3b72",
-    "graphsd/compact/pr-d/K1/serial": "77997c97b5308e71",
-    "graphsd/compact/pr-d/K4/pipelined": "87fdcf97c015e49a",
-    "graphsd/compact/pr-d/K4/serial": "cf8f6d56fef847da",
-    "graphsd/compact/sssp/K1/pipelined": "6ab9ee0ea759b752",
-    "graphsd/compact/sssp/K1/serial": "a58e124fcbc984f9",
-    "graphsd/compact/sssp/K4/pipelined": "193d22a8b18ed0dc",
-    "graphsd/compact/sssp/K4/serial": "355635ac588325e6",
-    "graphsd/compact3/cc/K1/pipelined": "90773401e5bb7f84",
-    "graphsd/compact3/cc/K1/serial": "fb196a849a3f38cb",
-    "graphsd/compact3/cc/K4/pipelined": "0b85b24e020ed48a",
-    "graphsd/compact3/cc/K4/serial": "b3f6a6b3493a9c7d",
-    "graphsd/compact3/pr-d/K1/pipelined": "e6599b1b8b27fbc9",
-    "graphsd/compact3/pr-d/K1/serial": "c07a1b965ff7089e",
-    "graphsd/compact3/pr-d/K4/pipelined": "81a892b140d31f9c",
-    "graphsd/compact3/pr-d/K4/serial": "4fe6511499b6d7a6",
-    "graphsd/compact3/sssp/K1/pipelined": "632042203e16f5a6",
-    "graphsd/compact3/sssp/K1/serial": "68f9cf5617a924cb",
-    "graphsd/compact3/sssp/K4/pipelined": "35423c60afe4f4e5",
-    "graphsd/compact3/sssp/K4/serial": "ec7e28cdea5dd554",
-    "graphsd/raw/cc/K1/pipelined": "5880aa31299cd03d",
-    "graphsd/raw/cc/K1/serial": "c0a3c5755429ab38",
-    "graphsd/raw/cc/K4/pipelined": "18eda854c961d072",
-    "graphsd/raw/cc/K4/serial": "9ac56646abde8a3d",
-    "graphsd/raw/pr-d/K1/pipelined": "6529ec08217d40c4",
-    "graphsd/raw/pr-d/K1/serial": "b0025cdb6ef596d9",
-    "graphsd/raw/pr-d/K4/pipelined": "5e4479068011e7c9",
-    "graphsd/raw/pr-d/K4/serial": "2348005b273c15f5",
-    "graphsd/raw/sssp/K1/pipelined": "543e4a2d1c491467",
-    "graphsd/raw/sssp/K1/serial": "d50e31f5825fd010",
-    "graphsd/raw/sssp/K4/pipelined": "235d02bd7f7df992",
-    "graphsd/raw/sssp/K4/serial": "867b322bc5864891",
+    "async/compact3/cc/K1/pipelined": "d0c64cad98a9a2ce",
+    "async/compact3/cc/K1/serial": "d0c64cad98a9a2ce",
+    "async/compact3/cc/K4/pipelined": "f05e026487013dcd",
+    "async/compact3/cc/K4/serial": "f05e026487013dcd",
+    "async/compact3/sssp/K1/pipelined": "34775ca5dbcb125e",
+    "async/compact3/sssp/K1/serial": "34775ca5dbcb125e",
+    "async/compact3/sssp/K4/pipelined": "d29c728c936cde12",
+    "async/compact3/sssp/K4/serial": "d29c728c936cde12",
+    "async/raw/cc/K1/pipelined": "a0f3852985ad2131",
+    "async/raw/cc/K1/serial": "a0f3852985ad2131",
+    "async/raw/cc/K4/pipelined": "c10218a066a1b682",
+    "async/raw/cc/K4/serial": "c10218a066a1b682",
+    "async/raw/sssp/K1/pipelined": "716f86d9575397af",
+    "async/raw/sssp/K1/serial": "716f86d9575397af",
+    "async/raw/sssp/K4/pipelined": "89c2cf936a474a92",
+    "async/raw/sssp/K4/serial": "89c2cf936a474a92",
+    "graphsd-b4/compact/cc/K1/pipelined": "7e0d8a4738b7d36e",
+    "graphsd-b4/compact/cc/K1/serial": "7e0d8a4738b7d36e",
+    "graphsd-b4/compact/cc/K4/pipelined": "0fd0cbaee7e42813",
+    "graphsd-b4/compact/cc/K4/serial": "0fd0cbaee7e42813",
+    "graphsd-b4/compact/pr-d/K1/pipelined": "900ad603115c7393",
+    "graphsd-b4/compact/pr-d/K1/serial": "900ad603115c7393",
+    "graphsd-b4/compact/pr-d/K4/pipelined": "f60ee31487d9f9a1",
+    "graphsd-b4/compact/pr-d/K4/serial": "f60ee31487d9f9a1",
+    "graphsd-b4/compact/sssp/K1/pipelined": "2afa4d03d1ca74be",
+    "graphsd-b4/compact/sssp/K1/serial": "2afa4d03d1ca74be",
+    "graphsd-b4/compact/sssp/K4/pipelined": "a99d2006ed81a1cb",
+    "graphsd-b4/compact/sssp/K4/serial": "a99d2006ed81a1cb",
+    "graphsd-b4/compact3/cc/K1/pipelined": "dde8d0849d8c902f",
+    "graphsd-b4/compact3/cc/K1/serial": "dde8d0849d8c902f",
+    "graphsd-b4/compact3/cc/K4/pipelined": "3f0d57599ed4bd15",
+    "graphsd-b4/compact3/cc/K4/serial": "3f0d57599ed4bd15",
+    "graphsd-b4/compact3/pr-d/K1/pipelined": "da9a4f4acd9a365a",
+    "graphsd-b4/compact3/pr-d/K1/serial": "da9a4f4acd9a365a",
+    "graphsd-b4/compact3/pr-d/K4/pipelined": "fd795ef9f5294567",
+    "graphsd-b4/compact3/pr-d/K4/serial": "fd795ef9f5294567",
+    "graphsd-b4/compact3/sssp/K1/pipelined": "8ab78aabf0fe44c3",
+    "graphsd-b4/compact3/sssp/K1/serial": "8ab78aabf0fe44c3",
+    "graphsd-b4/compact3/sssp/K4/pipelined": "d3761838359402c0",
+    "graphsd-b4/compact3/sssp/K4/serial": "d3761838359402c0",
+    "graphsd-b4/raw/cc/K1/pipelined": "68fd2add8548ecf3",
+    "graphsd-b4/raw/cc/K1/serial": "68fd2add8548ecf3",
+    "graphsd-b4/raw/cc/K4/pipelined": "3576c422a081f731",
+    "graphsd-b4/raw/cc/K4/serial": "3576c422a081f731",
+    "graphsd-b4/raw/pr-d/K1/pipelined": "daf726b016f108a3",
+    "graphsd-b4/raw/pr-d/K1/serial": "daf726b016f108a3",
+    "graphsd-b4/raw/pr-d/K4/pipelined": "12369d3ace5866e8",
+    "graphsd-b4/raw/pr-d/K4/serial": "12369d3ace5866e8",
+    "graphsd-b4/raw/sssp/K1/pipelined": "1af6ee81311d271a",
+    "graphsd-b4/raw/sssp/K1/serial": "1af6ee81311d271a",
+    "graphsd-b4/raw/sssp/K4/pipelined": "5746749c7bd38ed7",
+    "graphsd-b4/raw/sssp/K4/serial": "5746749c7bd38ed7",
+    "graphsd/compact/cc/K1/pipelined": "114bb17b33310286",
+    "graphsd/compact/cc/K1/serial": "114bb17b33310286",
+    "graphsd/compact/cc/K4/pipelined": "424a4da2b0b3be21",
+    "graphsd/compact/cc/K4/serial": "424a4da2b0b3be21",
+    "graphsd/compact/pr-d/K1/pipelined": "2ac298873e0b9e5e",
+    "graphsd/compact/pr-d/K1/serial": "2ac298873e0b9e5e",
+    "graphsd/compact/pr-d/K4/pipelined": "f23d31c3f0c70cd1",
+    "graphsd/compact/pr-d/K4/serial": "f23d31c3f0c70cd1",
+    "graphsd/compact/sssp/K1/pipelined": "7707347e61c123a8",
+    "graphsd/compact/sssp/K1/serial": "7707347e61c123a8",
+    "graphsd/compact/sssp/K4/pipelined": "b6d685906f19a4c4",
+    "graphsd/compact/sssp/K4/serial": "b6d685906f19a4c4",
+    "graphsd/compact3/cc/K1/pipelined": "efcbdcb6e7840e4d",
+    "graphsd/compact3/cc/K1/serial": "efcbdcb6e7840e4d",
+    "graphsd/compact3/cc/K4/pipelined": "8b3cb7d0cb988052",
+    "graphsd/compact3/cc/K4/serial": "8b3cb7d0cb988052",
+    "graphsd/compact3/pr-d/K1/pipelined": "e47c907deca028d0",
+    "graphsd/compact3/pr-d/K1/serial": "e47c907deca028d0",
+    "graphsd/compact3/pr-d/K4/pipelined": "51f31d48acca6464",
+    "graphsd/compact3/pr-d/K4/serial": "51f31d48acca6464",
+    "graphsd/compact3/sssp/K1/pipelined": "a802210d0eceb0f2",
+    "graphsd/compact3/sssp/K1/serial": "e86ac450c993d564",
+    "graphsd/compact3/sssp/K4/pipelined": "b9fabdba1d063a28",
+    "graphsd/compact3/sssp/K4/serial": "b9fabdba1d063a28",
+    "graphsd/raw/cc/K1/pipelined": "fba6a3a1e7521506",
+    "graphsd/raw/cc/K1/serial": "fba6a3a1e7521506",
+    "graphsd/raw/cc/K4/pipelined": "18aa5b95401ef1ab",
+    "graphsd/raw/cc/K4/serial": "18aa5b95401ef1ab",
+    "graphsd/raw/pr-d/K1/pipelined": "d307b72b41982250",
+    "graphsd/raw/pr-d/K1/serial": "d307b72b41982250",
+    "graphsd/raw/pr-d/K4/pipelined": "cc9bbc356ba49f23",
+    "graphsd/raw/pr-d/K4/serial": "cc9bbc356ba49f23",
+    "graphsd/raw/sssp/K1/pipelined": "2ffad5d9596b296e",
+    "graphsd/raw/sssp/K1/serial": "2ffad5d9596b296e",
+    "graphsd/raw/sssp/K4/pipelined": "0f071f6dee12152f",
+    "graphsd/raw/sssp/K4/serial": "0f071f6dee12152f",
 }
 
 
@@ -276,17 +272,17 @@ def run_fault_case(tmp_path, system, encoding, pattern, at_op, count) -> dict:
 
 #: ``name -> (digest, read retries, degraded)``, recorded at 45d4279.
 FAULT_GOLDEN = {
-    "async-compact3-edges-exhausted": ("1e35c558fd12ab98", 4, True),
-    "async-compact3-idx-absorbed": ("855b8d42075a7992", 2, False),
-    "async-raw-idx-exhausted": ("c1ade482c754a1c9", 4, True),
-    "b4-compact3-edges-absorbed": ("db7448c457b81935", 3, False),
-    "b4-compact3-idx-exhausted": ("e2aa24ff82063cbc", 4, True),
-    "b4-raw-edges-absorbed": ("e8ba1107962bd91e", 2, False),
-    "b4-raw-edges-exhausted": ("21c5b25f0132b988", 4, True),
-    "b4-raw-idx-absorbed": ("cf5cca7d9b77dc8b", 1, False),
-    "b4-raw-idx-absorbed-late": ("e2535c265805c25e", 4, False),
-    "b4-raw-idx-exhausted": ("07d3f6beb03f5c3b", 4, True),
-    "graphsd-compact-edges-exhausted": ("424b33da3f561f8c", 4, True),
+    "async-compact3-edges-exhausted": ("410159e516f80bbf", 4, True),
+    "async-compact3-idx-absorbed": ("9a1adbacbbf83a90", 2, False),
+    "async-raw-idx-exhausted": ("4a376f7a4c477069", 4, True),
+    "b4-compact3-edges-absorbed": ("6a52fad3f1f0662f", 3, False),
+    "b4-compact3-idx-exhausted": ("040b14550d4ce540", 4, True),
+    "b4-raw-edges-absorbed": ("0214a1f70693b581", 2, False),
+    "b4-raw-edges-exhausted": ("3d99aaa0344d1a0b", 4, True),
+    "b4-raw-idx-absorbed": ("3c7b5bdfa21326d1", 1, False),
+    "b4-raw-idx-absorbed-late": ("a079510405f5312c", 4, False),
+    "b4-raw-idx-exhausted": ("fca56195fcd6c78c", 4, True),
+    "graphsd-compact-edges-exhausted": ("9a7ac0366fa8a6b6", 4, True),
 }
 
 
@@ -361,12 +357,12 @@ def run_page_cache_case(tmp_path, system, encoding) -> dict:
 
 #: ``"system/encoding" -> digest``, recorded at 45d4279.
 PAGE_CACHE_GOLDEN = {
-    "async/compact3": "10d5ee185c508a16",
-    "async/raw": "af9b4abadb5ab965",
-    "graphsd-b4/compact3": "f9b08fd53e0c0bc9",
-    "graphsd-b4/raw": "8dd71387a5dd7dde",
-    "graphsd/compact3": "2d2beb4e923cd764",
-    "graphsd/raw": "a7b2455e3c418a6c",
+    "async/compact3": "6ac9ea26cb5ee8d3",
+    "async/raw": "8f14bdf53a5f297d",
+    "graphsd-b4/compact3": "079d8906174cccbd",
+    "graphsd-b4/raw": "a9f3b9a1f927c935",
+    "graphsd/compact3": "ad8447f5ba401cff",
+    "graphsd/raw": "b07c24f97774e5ab",
 }
 
 

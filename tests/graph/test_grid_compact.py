@@ -308,10 +308,7 @@ def test_engine_results_identical_across_encodings(
                 name=f"{name}-{encoding}-{pipeline}-{config_name}",
                 encoding=encoding,
             )
-            cfg = replace(
-                make_config(),
-                prefetch_depth=2 if pipeline else 0,
-            )
+            cfg = replace(make_config(), pipelined=pipeline)
             results[encoding] = GraphSDEngine(store, config=cfg).run(algo)
         raw, comp = results["raw"], results["compact"]
         assert np.array_equal(raw.values, comp.values, equal_nan=True)

@@ -1,7 +1,7 @@
 """GatherPool unit + property tests: serial execution, lane accounting.
 
 The pool's contract (docs/PERFORMANCE.md): tasks execute serially in
-plan order through the inner prefetcher; lanes exist only in the
+plan order, inline where the consumer loads them; lanes exist only in the
 accounting, where a greedy argmin assigns each consumed task to the
 least-busy lane; ``finish`` credits ``sum(busy) − max(busy)`` exactly
 once, to the region when one is open and to the clock otherwise.
@@ -27,22 +27,22 @@ def _charging_task(clock: SimClock, stats: IOStats, seconds: float, value: int):
     return task
 
 
-def _run_pool(lanes, durations, depth=0):
+def _run_pool(lanes, durations):
     """Run one task per duration through a fresh pool; return the pool."""
     clock = SimClock()
     stats = IOStats()
-    pool = GatherPool(lanes, depth, clock=clock, stats=stats)
+    pool = GatherPool(lanes, clock=clock, stats=stats)
     tasks = [
         _charging_task(clock, stats, d, k) for k, d in enumerate(durations)
     ]
-    results = list(pool.run(tasks))
+    results = [pool.load(k, task) for k, task in enumerate(tasks)]
     assert results == list(range(len(durations)))  # plan order preserved
     return pool, clock, stats
 
 
 def test_lanes_must_be_positive():
     with pytest.raises(ValueError):
-        GatherPool(0, 0, clock=SimClock())
+        GatherPool(0, clock=SimClock())
 
 
 def test_single_lane_saves_nothing():
@@ -71,11 +71,10 @@ def test_finish_credits_clock_outside_region():
 def test_finish_credits_open_region():
     clock = SimClock()
     stats = IOStats()
-    pool = GatherPool(2, 0, clock=clock, stats=stats)
+    pool = GatherPool(2, clock=clock, stats=stats)
     with clock.overlap_region() as region:
-        for _r in pool.run([_charging_task(clock, stats, 1.0, 0),
-                            _charging_task(clock, stats, 1.0, 1)]):
-            pass
+        for k in range(2):
+            pool.load(k, _charging_task(clock, stats, 1.0, k))
         assert pool.finish(region) == 1.0
         assert region.disk_credit == 1.0
 
@@ -90,15 +89,16 @@ def test_finish_twice_raises():
 def test_errors_deliver_at_consumption_point():
     clock = SimClock()
     stats = IOStats()
-    pool = GatherPool(2, 0, clock=clock, stats=stats)
+    pool = GatherPool(2, clock=clock, stats=stats)
 
     def boom():
         raise OSError("lane fault")
 
-    stream = pool.run([_charging_task(clock, stats, 1.0, 0), boom])
-    assert next(stream) == 0
+    assert pool.load(0, _charging_task(clock, stats, 1.0, 0)) == 0
     with pytest.raises(OSError, match="lane fault"):
-        next(stream)
+        pool.load(1, boom)
+    # The failed load is not accounted to any lane.
+    assert stats.gather_runs_issued == 1
 
 
 def test_unfinished_pool_credits_nothing():

@@ -12,7 +12,7 @@ from dataclasses import fields
 
 from hypothesis import given, strategies as st
 
-from repro.storage.iostats import IOStats, WALL_CLOCK_DEPENDENT_FIELDS
+from repro.storage.iostats import IOStats
 
 _FIELD_NAMES = [f.name for f in fields(IOStats)]
 
@@ -74,12 +74,6 @@ def test_to_dict_covers_every_field_once(a: IOStats) -> None:
 def test_reset_zeroes_every_field(a: IOStats) -> None:
     a.reset()
     assert _as_dict(a) == _as_dict(IOStats())
-
-
-def test_wall_clock_fields_exist() -> None:
-    """The equivalence exclusion list must name real fields."""
-    for name in WALL_CLOCK_DEPENDENT_FIELDS:
-        assert name in _FIELD_NAMES
 
 
 @given(a=stats, b=stats)

@@ -1,76 +1,27 @@
-"""BlockPrefetcher: ordering, bounds, error delivery, no deadlocks."""
+"""Plan loads: each thunk runs inline, traced as one ``prefetch.load``.
 
-import threading
-import time
+Every block-plan consumer (``sweep_columns``, FCIU phase 1 and
+``consume_plan``) runs a load thunk through
+:func:`~repro.storage.gatherpool.run_load` at the point where it uses
+the result, so an error surfaces exactly there and no later load runs.
+"""
 
+import numpy as np
 import pytest
 
-from repro.storage.iostats import IOStats
-from repro.storage.prefetch import BlockPrefetcher
+from repro.core import GraphSDConfig, GraphSDEngine
+from repro.obs import Tracer
+from repro.storage.gatherpool import run_load
+from repro.utils.timers import SimClock
+from tests.conftest import build_store, random_edgelist
 
 
-def _tasks(results):
-    return [lambda r=r: r for r in results]
-
-
-def test_depth_zero_runs_inline_on_consumer_thread():
-    seen = []
-    main = threading.get_ident()
-
-    def task():
-        seen.append(threading.get_ident())
-        return "x"
-
-    out = list(BlockPrefetcher(depth=0).run([task, task]))
-    assert out == ["x", "x"]
-    assert seen == [main, main]
-
-
-@pytest.mark.parametrize("depth", [1, 2, 5])
-def test_threaded_delivery_preserves_plan_order(depth):
-    results = list(range(20))
-    out = list(BlockPrefetcher(depth=depth).run(_tasks(results)))
-    assert out == results
-
-
-def test_worker_runs_off_the_consumer_thread():
-    main = threading.get_ident()
-    seen = []
-
-    def task():
-        seen.append(threading.get_ident())
-
-    list(BlockPrefetcher(depth=1).run([task]))
-    assert seen and seen[0] != main
-
-
-def test_lookahead_is_bounded_by_depth():
-    """At most depth results may be completed but unconsumed."""
-    started = []
-
-    def make(i):
-        def task():
-            started.append(i)
-            return i
-
-        return task
-
-    prefetcher = BlockPrefetcher(depth=2)
-    stream = prefetcher.run([make(i) for i in range(10)])
-    try:
-        assert next(stream) == 0
-        # Worker may complete the consumed one + depth queued + one in
-        # flight; it must not run arbitrarily far ahead.
-        deadline = time.time() + 1.0
-        while len(started) < 4 and time.time() < deadline:
-            time.sleep(0.005)
-        time.sleep(0.05)
-        assert len(started) <= 5
-    finally:
-        stream.close()
+def _loads(tracer):
+    return [e for e in tracer.events if e["type"] == "span" and e["name"] == "prefetch.load"]
 
 
 def test_error_raised_at_consumption_point_in_order():
+    tracer = Tracer(SimClock())
     calls = []
 
     def good():
@@ -84,12 +35,16 @@ def test_error_raised_at_consumption_point_in_order():
     def never():
         calls.append("never")  # pragma: no cover
 
-    stream = BlockPrefetcher(depth=2).run([good, bad, never])
-    assert next(stream) == 1
+    results = []
     with pytest.raises(OSError, match="disk died"):
-        next(stream)
-    # The worker stops at the first error: no reads past a failed op.
+        for index, task in enumerate([good, bad, never]):
+            results.append(run_load(tracer, index, task))
+    # No read past a failed op; both loads that ran closed their spans,
+    # and only the one that returned is counted.
+    assert results == [1]
     assert calls == ["good", "bad"]
+    assert [e["attrs"]["index"] for e in _loads(tracer)] == [0, 1]
+    assert tracer.metrics.snapshot()["counters"]["prefetch.loads"] == 1
 
 
 def test_base_exception_is_delivered_not_swallowed():
@@ -99,59 +54,21 @@ def test_base_exception_is_delivered_not_swallowed():
     def task():
         raise Crash()
 
+    tracer = Tracer(SimClock())
     with pytest.raises(Crash):
-        list(BlockPrefetcher(depth=1).run([task]))
+        run_load(tracer, 0, task)
+    assert len(_loads(tracer)) == 1
 
 
-def test_early_close_joins_worker_and_counts_wasted():
-    stats = IOStats()
-    prefetcher = BlockPrefetcher(depth=3, stats=stats)
-    stream = prefetcher.run(_tasks(list(range(10))))
-    assert next(stream) == 0
-    # Give the worker time to fill its lookahead queue.
-    deadline = time.time() + 1.0
-    while stats.prefetch_issued < 4 and time.time() < deadline:
-        time.sleep(0.005)
-    stream.close()
-    assert prefetcher.cancelled.is_set()
-    assert threading.active_count() >= 1  # no crash; worker joined in close
-    # Everything issued but never delivered was speculative lookahead.
-    assert stats.prefetch_wasted == stats.prefetch_issued - 1
-    assert stats.prefetch_hits + stats.prefetch_wasted <= stats.prefetch_issued
-
-
-def test_hits_counted_when_result_was_ready():
-    stats = IOStats()
-    prefetcher = BlockPrefetcher(depth=2, stats=stats)
-    stream = prefetcher.run(_tasks([1, 2, 3]))
-    # Let the worker finish everything before we consume.
-    deadline = time.time() + 1.0
-    while stats.prefetch_issued < 3 and time.time() < deadline:
-        time.sleep(0.005)
-    assert list(stream) == [1, 2, 3]
-    assert stats.prefetch_issued == 3
-    assert stats.prefetch_hits >= 2  # queue (depth 2) was full and ready
-
-
-def test_gated_task_aborts_on_cancellation_instead_of_deadlocking():
-    gate = threading.Event()  # never set
-    prefetcher = BlockPrefetcher(depth=1)
-
-    def gated():
-        prefetcher.wait_gate(gate)
-        return "unreachable"
-
-    stream = prefetcher.run([lambda: "first", gated])
-    assert next(stream) == "first"
-    stream.close()  # must cancel the blocked worker and join promptly
-    assert prefetcher.cancelled.is_set()
-
-
-def test_empty_plan():
-    assert list(BlockPrefetcher(depth=0).run([])) == []
-    assert list(BlockPrefetcher(depth=2).run([])) == []
-
-
-def test_negative_depth_rejected():
-    with pytest.raises(ValueError):
-        BlockPrefetcher(depth=-1)
+def test_empty_plan(tmp_path):
+    """A pipelined engine consuming an empty plan loads nothing and
+    charges nothing."""
+    store = build_store(random_edgelist(np.random.default_rng(0), 50, 200), tmp_path)
+    engine = GraphSDEngine(store, config=GraphSDConfig(pipelined=True))
+    tracer = Tracer()
+    engine.attach_tracer(tracer)
+    acc = np.zeros(store.num_vertices)
+    before = engine.clock.elapsed()
+    assert engine.consume_plan([], {}, acc) == []
+    assert engine.clock.elapsed() == before
+    assert _loads(tracer) == []

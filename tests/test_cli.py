@@ -6,7 +6,6 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core import DEFAULT_PREFETCH_DEPTH
 from repro.obs import peak_rss_bytes
 
 
@@ -130,7 +129,7 @@ def test_preprocess_with_checksums_writes_sidecars(tmp_path):
 
 def test_run_pipeline_flags(capsys):
     argv = ["run", "--dataset", "twitter2010", "--algorithm", "pr",
-            "--pipeline", "3", "--verify"]
+            "--pipeline", "--verify"]
     rc = main(argv)
     assert rc == 0
     out = capsys.readouterr().out
@@ -138,17 +137,19 @@ def test_run_pipeline_flags(capsys):
     assert main(argv + ["--stats", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["breakdown"]["overlap_saved"] > 0
-    assert payload["io"]["prefetch_issued"] > 0
+    # --pipeline is a plain flag: a value is a usage error.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--dataset", "twitter2010", "--algorithm", "pr", "--pipeline", "3"])
+    assert exit_info.value.code == 2
 
 
 def test_bare_pipeline_flag_runs_pipelined(capsys):
     argv = ["run", "--dataset", "twitter2010", "--algorithm", "pr", "--pipeline"]
-    assert build_parser().parse_args(argv).pipeline == DEFAULT_PREFETCH_DEPTH
+    assert build_parser().parse_args(argv).pipeline is True
     rc = main(argv + ["--stats", "json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["breakdown"]["overlap_saved"] > 0
-    assert payload["io"]["prefetch_issued"] > 0
 
 
 def test_no_pipeline_flag_is_serial(capsys):
@@ -160,38 +161,12 @@ def test_no_pipeline_flag_is_serial(capsys):
 
 
 def test_pipeline_with_zero_depth_exits_readably(capsys):
-    rc = main(
-        [
-            "run",
-            "--dataset",
-            "twitter2010",
-            "--algorithm",
-            "bfs",
-            "--pipeline",
-            "0",
-        ]
-    )
-    assert rc == 2
+    """--pipeline takes no depth: a value after it is a usage error."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--dataset", "twitter2010", "--algorithm", "bfs", "--pipeline", "0"])
+    assert exit_info.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "prefetch_depth" in err
-
-
-def test_negative_prefetch_depth_is_a_config_error(capsys):
-    rc = main(
-        [
-            "run",
-            "--dataset",
-            "twitter2010",
-            "--algorithm",
-            "bfs",
-            "--pipeline",
-            "-1",
-        ]
-    )
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert "unrecognized arguments: 0" in err
     assert "Traceback" not in err
 
 
