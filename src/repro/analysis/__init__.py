@@ -2,15 +2,14 @@
 
 The engine's correctness rests on invariants no general-purpose linter
 knows about: every byte charged to the :class:`~repro.utils.timers.SimClock`,
-no wall-clock or ad-hoc randomness on simulated paths, lock-declared
-state only under its lock, explicit dtypes on hot paths, and no
-swallowed failures. This package is a small AST-checker framework plus
+no wall-clock or ad-hoc randomness on simulated paths, no concurrency
+module imported anywhere (the package starts no thread), explicit
+dtypes on hot paths, and no swallowed failures. This package is a small AST-checker framework plus
 one checker per invariant; see ``docs/ANALYSIS.md`` for the rule
 catalogue and annotation grammar.
 
-Every rule reads one file's AST and nothing else: the lock rule checks
-a class against its own declarations, the iteration-order rule types
-names from the function and classes of the same file. Properties that
+Every rule reads one file's AST and nothing else: the iteration-order
+rule types names from the function and classes of the same file. Properties that
 span files (every byte charged, streams closed on a crash, spans
 recorded) are enforced by tests, listed in ``docs/ANALYSIS.md``.
 """

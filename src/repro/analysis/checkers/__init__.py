@@ -9,13 +9,11 @@ from repro.analysis.checkers.charged_io import ChargedIOChecker
 from repro.analysis.checkers.determinism import SimDeterminismChecker
 from repro.analysis.checkers.dtypes import DtypeSafetyChecker
 from repro.analysis.checkers.exceptions import ExceptionHygieneChecker
-from repro.analysis.checkers.locks import LockDisciplineChecker
 from repro.analysis.checkers.order import IterationOrderChecker
 
 ALL_CHECKERS: List[Type[Checker]] = [
     SimDeterminismChecker,
     ChargedIOChecker,
-    LockDisciplineChecker,
     DtypeSafetyChecker,
     ExceptionHygieneChecker,
     IterationOrderChecker,
@@ -27,6 +25,5 @@ __all__ = [
     "DtypeSafetyChecker",
     "ExceptionHygieneChecker",
     "IterationOrderChecker",
-    "LockDisciplineChecker",
     "SimDeterminismChecker",
 ]

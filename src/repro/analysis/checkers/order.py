@@ -8,10 +8,11 @@ iteration orders in Python are *not* stable across runs:
 * **set iteration** is hash-ordered — for str keys it varies with
   ``PYTHONHASHSEED``;
 * **dict iteration on shared attributes** follows insertion order, and
-  insertion order on cross-thread state (two threads both inserting
-  keys) is a race. Local dicts are exempt:
-  built and consumed in one frame, their insertion order is as
-  deterministic as the code that filled them.
+  the insertion order of a long-lived attribute is the history of every
+  path that filled it: serial and pipelined runs, or a cluster worker
+  and a single node, can insert the same keys in different orders.
+  Local dicts are exempt: built and consumed in one frame, their
+  insertion order is as deterministic as the code that filled them.
 
 The rule fires when a *suspect iterable* feeds an *order-sensitive
 consumer* inside the sim-deterministic directories. It reads one file:
@@ -38,7 +39,7 @@ order and is not flagged).
 
 Discharges — wrapping the iterable in ``sorted(...)``, or
 ``# order-ok: <reason>`` on the loop line when the order is provably
-deterministic (e.g. single-threaded insertion) and must be preserved
+deterministic (e.g. one fixed insertion path) and must be preserved
 for bit-compatibility with recorded baselines.
 """
 
@@ -300,10 +301,11 @@ def _functions(tree: ast.Module) -> Iterator[Tuple[FunctionNode, Optional[str]]]
 
 class IterationOrderChecker(Checker):
     rule_id = "GSD108"
-    title = "hash/race-ordered iteration must not feed accumulation or I/O"
+    title = "hash- or insertion-ordered iteration must not feed accumulation or I/O"
     suppress_marker = "order-ok"
-    # Unlike GSD101, ``utils`` is in scope: SimClock's accounting dicts
-    # live there and are exactly the shared state this rule protects.
+    # Unlike GSD101's wall-clock half, ``utils`` is in scope: SimClock's
+    # accounting dicts live there and are exactly the shared state this
+    # rule protects.
     scope_dirs = (
         "core", "graph", "storage", "algorithms", "obs", "cluster", "tune", "utils",
     )
@@ -361,7 +363,7 @@ class IterationOrderChecker(Checker):
         source = (
             "set iteration is hash-ordered (varies with PYTHONHASHSEED)"
             if kind == SET_KIND
-            else "shared dict attribute: insertion order can race across threads"
+            else "shared dict attribute: insertion order follows every path that filled it"
         )
         return (
             f"{source} and {consequence}; iterate sorted(...) or annotate "

@@ -4,21 +4,11 @@ Annotation grammar (one annotation per line, trailing comment)::
 
     # <marker>: <reason>
 
-Two families exist:
-
-* **Escape hatches** (``sim-ok``, ``charged-io-ok``, ``dtype-ok``,
-  ``exception-ok``, ``unguarded-ok``, ``order-ok``):
-  suppress one rule's finding on the annotated line, or — for statements
-  whose comment would not fit — on the line immediately below the
-  annotation. The reason is mandatory; an empty reason is itself
-  reported (rule ``GSD100``).
-* **Declarations** (``guarded-by``, ``lock-held``): not suppressions.
-  ``guarded-by`` declares that the field assigned on this line may only
-  be accessed while holding the named lock attribute (see the
-  lock-discipline checker). ``lock-held`` sits on a ``def`` line and
-  declares the method's calling convention: callers must already hold
-  ``self.<lock>`` — the lock checker seeds the method's lock set from
-  it and checks every call to it in the class like a guarded access.
+Every marker is an escape hatch (``sim-ok``, ``charged-io-ok``,
+``dtype-ok``, ``exception-ok``, ``order-ok``): it suppresses one rule's
+finding on the annotated line, or — for statements whose comment would
+not fit — on the line immediately below the annotation. The reason is
+mandatory; an empty reason is itself reported (rule ``GSD100``).
 """
 
 from __future__ import annotations
@@ -36,14 +26,10 @@ ESCAPE_MARKERS = (
     "charged-io-ok",
     "dtype-ok",
     "exception-ok",
-    "unguarded-ok",
     "order-ok",
 )
-DECLARATION_MARKERS = ("guarded-by", "lock-held")
 
-_MARKER_RE = re.compile(
-    r"#\s*(" + "|".join(ESCAPE_MARKERS + DECLARATION_MARKERS) + r")\s*:\s*(.*)$"
-)
+_MARKER_RE = re.compile(r"#\s*(" + "|".join(ESCAPE_MARKERS) + r")\s*:\s*(.*)$")
 
 #: Rule id for malformed annotations (reason missing).
 RULE_BAD_ANNOTATION = "GSD100"
@@ -90,10 +76,6 @@ class SourceFile:
         """
         table = self.markers.get(marker, {})
         return line in table or (line - 1) in table
-
-    def declarations(self, marker: str) -> Dict[int, str]:
-        """All ``marker`` declarations as ``{line: value}``."""
-        return dict(self.markers.get(marker, {}))
 
     # -- helpers for checkers ----------------------------------------------
 

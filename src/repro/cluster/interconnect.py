@@ -29,7 +29,6 @@ budget covers.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -99,8 +98,7 @@ class Interconnect:
     """Delivers :class:`ValueMessage` s between workers.
 
     One instance serves the whole cluster; its counters feed
-    ``RunResult.recovery``. Counter state is lock-guarded (GSD103):
-    senders on a future threaded coordinator would share this object.
+    ``RunResult.recovery``.
     """
 
     def __init__(
@@ -112,8 +110,7 @@ class Interconnect:
         self.profile = profile
         self.injector = injector
         self._rng = make_rng(seed)
-        self._lock = threading.Lock()
-        self._counters: Dict[str, float] = {  # guarded-by: _lock
+        self._counters: Dict[str, float] = {
             "messages_sent": 0,
             "bytes_sent": 0,
             "net_retries": 0,
@@ -131,13 +128,11 @@ class Interconnect:
     # -- counters ---------------------------------------------------------
 
     def _bump(self, key: str, amount: float = 1) -> None:
-        with self._lock:
-            self._counters[key] += amount
+        self._counters[key] += amount
 
     def counters(self) -> Dict[str, float]:
         """A copy of the cumulative fault/traffic counters."""
-        with self._lock:
-            out = dict(self._counters)
+        out = dict(self._counters)
         out["net_backoff_seconds"] = float(out["net_backoff_seconds"])
         return out
 

@@ -29,7 +29,6 @@ above must be replayed by the peers' retained outbound logs.
 
 from __future__ import annotations
 
-import threading
 import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List
@@ -168,52 +167,40 @@ class ValueMessage:
 
 
 class Inbox:
-    """Per-worker receive buffer with seq-keyed, idempotent delivery.
-
-    Delivery and reads are lock-guarded: the simulated coordinator is
-    single-threaded today, but the inbox is the cluster's shared queue
-    and keeps the same lock discipline as the simulated clock's shared
-    state (checked by ``graphsd lint`` GSD103).
-    """
+    """Per-worker receive buffer with seq-keyed, idempotent delivery."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._messages: Dict[int, ValueMessage] = {}  # guarded-by: _lock
-        self._watermarks: Dict[int, int] = {}  # guarded-by: _lock
+        self._messages: Dict[int, ValueMessage] = {}
+        self._watermarks: Dict[int, int] = {}
 
     def deliver(self, msg: ValueMessage) -> str:
         """Accept, deduplicate, or reject one incoming message."""
         if not msg.verify():
             return CORRUPT
-        with self._lock:
-            if msg.seq in self._messages:
-                return DUPLICATE
-            self._messages[msg.seq] = msg
-            if msg.seq > self._watermarks.get(msg.sender, -1):
-                self._watermarks[msg.sender] = msg.seq
-            return ACCEPTED
+        if msg.seq in self._messages:
+            return DUPLICATE
+        self._messages[msg.seq] = msg
+        if msg.seq > self._watermarks.get(msg.sender, -1):
+            self._watermarks[msg.sender] = msg.seq
+        return ACCEPTED
 
     def messages_for(self, superstep: int) -> List[ValueMessage]:
         """Delivered messages of one superstep, interval-ascending."""
-        with self._lock:
-            msgs = [m for m in self._messages.values() if m.superstep == superstep]
+        msgs = [m for m in self._messages.values() if m.superstep == superstep]
         return sorted(msgs, key=lambda m: m.interval)
 
     def watermark(self, sender: int) -> int:
         """Highest seq delivered from ``sender`` (-1 if none)."""
-        with self._lock:
-            return self._watermarks.get(sender, -1)
+        return self._watermarks.get(sender, -1)
 
     def drop_through(self, superstep: int) -> None:
         """Discard retained messages of supersteps ``<= superstep``."""
-        with self._lock:
-            self._messages = {
-                seq: m for seq, m in self._messages.items() if m.superstep > superstep
-            }
+        self._messages = {
+            seq: m for seq, m in self._messages.items() if m.superstep > superstep
+        }
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._messages)
+        return len(self._messages)
 
 
 def apply_messages(

@@ -1,14 +1,13 @@
 """Metrics registry: counters, gauges, and power-of-two histograms.
 
-The registry is deliberately tiny — three instrument kinds, one lock —
+The registry is deliberately tiny — three instrument kinds —
 because its values must stay *deterministic*: every number recorded here
 derives from simulated state (byte counts, frontier sizes, buffer
 occupancy), never from the wall clock. The one host measurement is the
 ``process.peak_rss_bytes`` gauge (:func:`peak_rss_bytes`), which traced
 engines set at the end of every iteration so the resident-memory
 high-water mark is visible per iteration; like the trace's wall times it
-varies run to run. The one lock keeps a registry safe to share across
-threads.
+varies run to run.
 
 Histograms use sparse base-2 exponential buckets: an observation ``v``
 lands in the bucket whose upper bound is the smallest power of two
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from typing import Dict, Optional, Union
 
 try:
@@ -88,42 +86,37 @@ def _bucket_sort(key: str) -> float:
 
 
 class MetricsRegistry:
-    """Named counters, gauges and histograms behind one lock."""
+    """Named counters, gauges and histograms."""
 
     enabled = True
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: Dict[str, float] = {}  # guarded-by: _lock
-        self._gauges: Dict[str, float] = {}  # guarded-by: _lock
-        self._hists: Dict[str, Histogram] = {}  # guarded-by: _lock
+        self._counters: Dict[str, float] = {}
+        self._gauges: Dict[str, float] = {}
+        self._hists: Dict[str, Histogram] = {}
 
     def inc(self, name: str, by: Number = 1) -> None:
         """Add ``by`` to the counter ``name`` (created at 0)."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + by
+        self._counters[name] = self._counters.get(name, 0) + by
 
     def set_gauge(self, name: str, value: Number) -> None:
         """Set the gauge ``name`` to its latest value."""
-        with self._lock:
-            self._gauges[name] = float(value)
+        self._gauges[name] = float(value)
 
     def observe(self, name: str, value: Number) -> None:
         """Record one observation into the histogram ``name``."""
-        with self._lock:
-            hist = self._hists.get(name)
-            if hist is None:
-                hist = self._hists[name] = Histogram()
-            hist.observe(value)
+        hist = self._hists.get(name)
+        if hist is None:
+            hist = self._hists[name] = Histogram()
+        hist.observe(value)
 
     def snapshot(self) -> Dict[str, object]:
         """Cumulative state of every instrument (JSON-serializable)."""
-        with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "histograms": {k: h.to_dict() for k, h in self._hists.items()},
-            }
+        return {
+            "counters": dict(self._counters),
+            "gauges": dict(self._gauges),
+            "histograms": {k: h.to_dict() for k, h in self._hists.items()},
+        }
 
     def iteration_snapshot(self) -> Dict[str, object]:
         """:meth:`snapshot` for an iteration record: the process's

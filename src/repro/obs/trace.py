@@ -12,8 +12,8 @@ timelines side by side:
   project allowed to read the wall clock outside annotated sites — rule
   GSD101 exempts ``repro.obs``).
 
-Spans nest per thread (a span opened on another thread forms its own
-root chain, labelled with the thread name) and are appended to an
+Spans nest on one stack (the package starts no thread, so every span
+carries the thread name ``MainThread``) and are appended to an
 in-memory event list when they close; :meth:`Tracer.write` serializes
 the whole trace as JSONL (schema in :mod:`repro.obs.schema`), which
 ``graphsd trace export`` converts to Chrome/Perfetto ``trace_event``
@@ -21,14 +21,13 @@ JSON.
 
 The disabled path is the shared :data:`NULL_TRACER`: every method is a
 no-op, :meth:`NullTracer.span` hands back one reusable null context
-manager, and no clock, lock, or allocation is touched — engines keep
+manager, and no clock or allocation is touched — engines keep
 bit-identical results and identical :class:`~repro.storage.iostats.IOStats`
 with tracing on or off.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -42,7 +41,7 @@ class Span:
     """One traced stretch of execution; use as a context manager."""
 
     __slots__ = (
-        "tracer", "name", "cat", "attrs", "span_id", "parent_id", "thread",
+        "tracer", "name", "cat", "attrs", "span_id", "parent_id",
         "wall_start", "sim_start", "sim_disk_start", "sim_cpu_start",
         "_sim_override",
     )
@@ -60,7 +59,6 @@ class Span:
         self.attrs = attrs
         self.span_id = -1
         self.parent_id: Optional[int] = None
-        self.thread = ""
         self.wall_start = 0.0
         self.sim_start = 0.0
         self.sim_disk_start = 0.0
@@ -177,10 +175,10 @@ class Tracer:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._clock = clock
-        self._lock = threading.Lock()
-        self._events: List[Dict[str, Any]] = []  # guarded-by: _lock
-        self._next_id = 0  # guarded-by: _lock
-        self._stacks = threading.local()
+        self._events: List[Dict[str, Any]] = []
+        self._next_id = 0
+        #: Ids of the open spans, innermost last.
+        self._stack: List[int] = []
         self._wall0 = time.perf_counter()
         self._meta: Dict[str, Any] = {}
         # Per-worker tracers in a cluster share the coordinator's
@@ -210,22 +208,14 @@ class Tracer:
             return (0.0, 0.0, 0.0)
         return self._clock.resource_snapshot()
 
-    def _stack(self) -> List[int]:
-        stack = getattr(self._stacks, "stack", None)
-        if stack is None:
-            stack = self._stacks.stack = []
-        return stack
-
     def span(self, name: str, cat: str = "phase", **attrs: Any) -> Span:
         return Span(self, name, cat, attrs)
 
     def _open_span(self, span: Span) -> None:
-        stack = self._stack()
+        stack = self._stack
         span.parent_id = stack[-1] if stack else None
-        span.thread = threading.current_thread().name
-        with self._lock:
-            span.span_id = self._next_id
-            self._next_id += 1
+        span.span_id = self._next_id
+        self._next_id += 1
         stack.append(span.span_id)
         total, disk, cpu = self._sim_now()
         span.sim_start = total
@@ -236,14 +226,14 @@ class Tracer:
     def _close_span(self, span: Span) -> None:
         wall_end = self.now_wall()
         total, disk, cpu = self._sim_now()
-        stack = self._stack()
+        stack = self._stack
         if stack and stack[-1] == span.span_id:
             stack.pop()
         event: Dict[str, Any] = {
             "type": "span",
             "id": span.span_id,
             "parent": span.parent_id,
-            "thread": span.thread,
+            "thread": "MainThread",
             "name": span.name,
             "cat": span.cat,
             "sim_start": span.sim_start,
@@ -259,8 +249,7 @@ class Tracer:
         self._append(event)
 
     def _append(self, event: Dict[str, Any]) -> None:
-        with self._lock:
-            self._events.append(event)
+        self._events.append(event)
 
     # -- structured events -------------------------------------------------
 
@@ -312,8 +301,7 @@ class Tracer:
     @property
     def events(self) -> List[Dict[str, Any]]:
         """A copy of the recorded events (meta line excluded)."""
-        with self._lock:
-            return list(self._events)
+        return list(self._events)
 
     def header(self) -> Dict[str, Any]:
         meta: Dict[str, Any] = {

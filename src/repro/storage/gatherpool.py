@@ -34,7 +34,6 @@ Only *accounting* is parallel:
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Callable, List, Optional, TypeVar
 
 from repro.obs.trace import NULL_TRACER
@@ -81,32 +80,28 @@ class GatherPool:
         self.lanes = int(lanes)
         self.clock = clock
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._lock = threading.Lock()
-        # The gather_* fields are written only at consumption points,
-        # under _lock for the read-modify-write against concurrent
-        # snapshot readers.
+        # The gather_* fields are written only at consumption points.
         self._stats = stats
-        self._lane_busy: List[float] = [0.0] * self.lanes  # guarded-by: _lock
-        self._lane_depth: List[int] = [0] * self.lanes  # guarded-by: _lock
+        self._lane_busy: List[float] = [0.0] * self.lanes
+        self._lane_depth: List[int] = [0] * self.lanes
         self._finished = False
 
     # -- consumption-point accounting ---------------------------------------
 
     def _account(self, disk_seconds: float, runs: int) -> int:
         """Assign one consumed task to the least-busy lane; bump counters."""
-        with self._lock:
-            lane = 0
-            for k in range(1, self.lanes):
-                if self._lane_busy[k] < self._lane_busy[lane]:
-                    lane = k
-            self._lane_busy[lane] += disk_seconds
-            self._lane_depth[lane] += 1
-            depth = self._lane_depth[lane]
-            if self._stats is not None:
-                self._stats.gather_runs_issued += runs
-                self._stats.gather_lane_busy_seconds += disk_seconds
-                if depth > self._stats.gather_queue_peak:
-                    self._stats.gather_queue_peak = depth
+        lane = 0
+        for k in range(1, self.lanes):
+            if self._lane_busy[k] < self._lane_busy[lane]:
+                lane = k
+        self._lane_busy[lane] += disk_seconds
+        self._lane_depth[lane] += 1
+        depth = self._lane_depth[lane]
+        if self._stats is not None:
+            self._stats.gather_runs_issued += runs
+            self._stats.gather_lane_busy_seconds += disk_seconds
+            if depth > self._stats.gather_queue_peak:
+                self._stats.gather_queue_peak = depth
         self.tracer.metrics.inc("gather.runs", runs)
         self.tracer.metrics.observe("gather.queue_depth", depth)
         return lane
@@ -139,16 +134,14 @@ class GatherPool:
     @property
     def lane_busy_seconds(self) -> "List[float]":
         """Per-lane modeled busy time accumulated so far (a copy)."""
-        with self._lock:
-            return list(self._lane_busy)
+        return list(self._lane_busy)
 
     @property
     def saved_seconds(self) -> float:
         """DISK time hidden by lane concurrency: ``sum(busy) - max(busy)``."""
-        with self._lock:
-            if self.lanes <= 1:
-                return 0.0
-            return sum(self._lane_busy) - max(self._lane_busy)
+        if self.lanes <= 1:
+            return 0.0
+        return sum(self._lane_busy) - max(self._lane_busy)
 
     def finish(self, region: Optional[OverlapRegion] = None) -> float:
         """Credit the round's lane saving to the clock; returns the saving.
@@ -160,10 +153,9 @@ class GatherPool:
         counting: ``serial_seconds`` stays raw); without one it is folded
         straight into the clock's ``overlap_saved``.
         """
-        with self._lock:
-            if self._finished:
-                raise RuntimeError("GatherPool.finish() called twice")
-            self._finished = True
+        if self._finished:
+            raise RuntimeError("GatherPool.finish() called twice")
+        self._finished = True
         saved = self.saved_seconds
         if saved > 0.0:
             if region is not None:

@@ -37,7 +37,6 @@ the base's rounding, not that of whatever the clock summed before.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
@@ -161,7 +160,7 @@ class OverlapRegion:
         self.disk_credit = 0.0
         self._closed = False
 
-    # Called by SimClock.charge, under the clock lock.
+    # Called by SimClock.charge.
     def _absorb(self, component: str, seconds: float) -> None:
         if RESOURCE_OF.get(component, CPU) == DISK:
             self.disk_seconds += seconds
@@ -230,22 +229,20 @@ class SimClock:
 
     Components are free-form string labels; the canonical ones are
     ``io_read``, ``io_write``, ``compute``, ``scheduling`` and
-    ``preprocess``. Charging a negative duration is an error. Charging
-    and reading are serialized by one lock.
+    ``preprocess``. Charging a negative duration is an error.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._components: Dict[str, float] = {}  # guarded-by: _lock
+        self._components: Dict[str, float] = {}
         #: Per resource, its components' names in sorted order: the
         #: summation order of :meth:`resource_elapsed`. Emptied when a
         #: new component name appears.
-        self._resource_names: Dict[str, Tuple[str, ...]] = {}  # guarded-by: _lock
-        self._overlap_saved = 0.0  # guarded-by: _lock
-        self._region: Optional[OverlapRegion] = None  # guarded-by: _lock
-        self._window: Optional[TimeBreakdown] = None  # guarded-by: _lock
+        self._resource_names: Dict[str, Tuple[str, ...]] = {}
+        self._overlap_saved = 0.0
+        self._region: Optional[OverlapRegion] = None
+        self._window: Optional[TimeBreakdown] = None
 
-    def _add(self, component: str, seconds: float) -> None:  # lock-held: _lock
+    def _add(self, component: str, seconds: float) -> None:
         if component not in self._components:
             self._resource_names = {}
         self._components[component] = self._components.get(component, 0.0) + seconds
@@ -253,7 +250,7 @@ class SimClock:
             window = self._window.components
             window[component] = window.get(component, 0.0) + seconds
 
-    def _add_saving(self, seconds: float) -> None:  # lock-held: _lock
+    def _add_saving(self, seconds: float) -> None:
         self._overlap_saved += seconds
         if self._window is not None:
             self._window.overlap_saved += seconds
@@ -261,10 +258,9 @@ class SimClock:
     def charge(self, component: str, seconds: float) -> None:
         """Add ``seconds`` of simulated time to ``component``."""
         check_nonneg(seconds, "seconds")
-        with self._lock:
-            self._add(component, seconds)
-            if self._region is not None:
-                self._region._absorb(component, seconds)
+        self._add(component, seconds)
+        if self._region is not None:
+            self._region._absorb(component, seconds)
 
     def elapsed(self, component: Optional[str] = None) -> float:
         """Total simulated seconds, or the seconds of one ``component``.
@@ -274,35 +270,32 @@ class SimClock:
         """
         # Sorted-key sums, as in TimeBreakdown: insertion order would
         # let an unordered float sum drift by an ulp across runs.
-        with self._lock:
-            if component is None:
-                return (
-                    float(sum(self._components[k] for k in sorted(self._components)))
-                    - self._overlap_saved
-                )
-            return self._components.get(component, 0.0)
+        if component is None:
+            return (
+                float(sum(self._components[k] for k in sorted(self._components)))
+                - self._overlap_saved
+            )
+        return self._components.get(component, 0.0)
 
     def resource_elapsed(self, resource: str) -> float:
         """Charged seconds on one timeline (:data:`DISK` or :data:`CPU`),
         summed in component-name order."""
-        with self._lock:
-            names = self._resource_names.get(resource)
-            if names is None:
-                found: List[str] = []
-                for component in sorted(self._components):
-                    if RESOURCE_OF.get(component, CPU) == resource:
-                        found.append(component)
-                names = self._resource_names[resource] = tuple(found)
-            total = 0.0
-            for component in names:
-                total += self._components[component]
-            return total
+        names = self._resource_names.get(resource)
+        if names is None:
+            found: List[str] = []
+            for component in sorted(self._components):
+                if RESOURCE_OF.get(component, CPU) == resource:
+                    found.append(component)
+            names = self._resource_names[resource] = tuple(found)
+        total = 0.0
+        for component in names:
+            total += self._components[component]
+        return total
 
     @property
     def overlap_saved(self) -> float:
         """Cumulative simulated time hidden by I/O–compute overlap."""
-        with self._lock:
-            return self._overlap_saved
+        return self._overlap_saved
 
     def add_overlap_saving(self, seconds: float) -> None:
         """Fold an externally computed overlap saving into the clock.
@@ -313,26 +306,20 @@ class SimClock:
         ``total == serial_total - overlap_saved`` exact.
         """
         check_nonneg(seconds, "seconds")
-        with self._lock:
-            self._add_saving(seconds)
+        self._add_saving(seconds)
 
     def resource_snapshot(self) -> "Tuple[float, float, float]":
-        """``(total, disk, cpu)`` simulated seconds under one lock hold.
-
-        One consistent read for the tracer: sampling total and the two
-        resource timelines in separate lock acquisitions could tear
-        against a charge made in between.
-        """
-        with self._lock:
-            disk = 0.0
-            cpu = 0.0
-            for component in sorted(self._components):
-                seconds = self._components[component]
-                if RESOURCE_OF.get(component, CPU) == DISK:
-                    disk += seconds
-                else:
-                    cpu += seconds
-            return (disk + cpu - self._overlap_saved, disk, cpu)
+        """``(total, disk, cpu)`` simulated seconds in one pass over the
+        components: the tracer's per-span sample."""
+        disk = 0.0
+        cpu = 0.0
+        for component in sorted(self._components):
+            seconds = self._components[component]
+            if RESOURCE_OF.get(component, CPU) == DISK:
+                disk += seconds
+            else:
+                cpu += seconds
+        return (disk + cpu - self._overlap_saved, disk, cpu)
 
     # -- overlap regions ---------------------------------------------------
 
@@ -341,61 +328,52 @@ class SimClock:
         return OverlapRegion(self)
 
     def _open_region(self, region: OverlapRegion) -> None:
-        with self._lock:
-            if self._region is not None:
-                raise RuntimeError("overlap regions do not nest")
-            self._region = region
+        if self._region is not None:
+            raise RuntimeError("overlap regions do not nest")
+        self._region = region
 
     def _close_region(self, region: OverlapRegion) -> None:
-        with self._lock:
-            if self._region is not region:
-                raise RuntimeError("closing an overlap region that is not open")
-            region._closed = True
-            self._region = None
-            self._add_saving(region.saved_seconds)
+        if self._region is not region:
+            raise RuntimeError("closing an overlap region that is not open")
+        region._closed = True
+        self._region = None
+        self._add_saving(region.saved_seconds)
 
     # -- snapshots / algebra ----------------------------------------------
 
     def snapshot(self) -> TimeBreakdown:
         """A copy of the current per-component times."""
-        with self._lock:
-            return TimeBreakdown(dict(self._components), overlap_saved=self._overlap_saved)
+        return TimeBreakdown(dict(self._components), overlap_saved=self._overlap_saved)
 
     def open_window(self, base: TimeBreakdown) -> None:
         """Start the measurement window: running sums from ``base`` that
         every later charge and overlap saving also adds to. One window
         at a time; opening one ends the last."""
-        with self._lock:
-            self._window = TimeBreakdown(dict(base.components), base.overlap_saved)
+        self._window = TimeBreakdown(dict(base.components), base.overlap_saved)
 
     def read_window(self) -> TimeBreakdown:
         """A copy of the open window's running sums."""
-        with self._lock:
-            assert self._window is not None, "no measurement window is open"
-            return TimeBreakdown(dict(self._window.components), self._window.overlap_saved)
+        if self._window is None:
+            raise RuntimeError("no measurement window is open")
+        return TimeBreakdown(dict(self._window.components), self._window.overlap_saved)
 
     def close_window(self) -> TimeBreakdown:
         """End the measurement window; returns its final sums."""
-        with self._lock:
-            window, self._window = self._window, None
-        assert window is not None, "no measurement window is open"
+        window, self._window = self._window, None
+        if window is None:
+            raise RuntimeError("no measurement window is open")
         return window
 
     def reset(self) -> None:
-        with self._lock:
-            self._components.clear()
-            self._resource_names = {}
-            self._overlap_saved = 0.0
+        self._components.clear()
+        self._resource_names = {}
+        self._overlap_saved = 0.0
 
     def merge(self, other: "SimClock") -> None:
         """Fold another clock's charges into this one."""
-        with other._lock:
-            other_components = dict(other._components)
-            other_saved = other._overlap_saved
-        with self._lock:
-            for component, seconds in other_components.items():
-                self._add(component, seconds)
-            self._add_saving(other_saved)
+        for component, seconds in other._components.items():
+            self._add(component, seconds)
+        self._add_saving(other._overlap_saved)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock({self.snapshot()!r})"

@@ -14,6 +14,7 @@ import pytest
 import repro.core.fciu as fciu_module
 import repro.graph.grid as grid_module
 import repro.storage.blockfile as blockfile_module
+import repro.utils.timers as timers_module
 from repro.analysis import (
     check_text,
     collect_sources,
@@ -75,6 +76,68 @@ def test_determinism_obs_may_read_wall_clock_but_not_randomness():
     assert rules(check_text(rand, "obs/trace.py", [SimDeterminismChecker])) == ["GSD101"]
     npr = "import numpy as np\nrng = np.random.default_rng()\n"
     assert rules(check_text(npr, "obs/metrics.py", [SimDeterminismChecker])) == ["GSD101"]
+
+
+#: The concurrency modules GSD101 bans in every file of the package.
+CONCURRENCY_MODULES = (
+    "threading",
+    "_thread",
+    "queue",
+    "concurrent.futures",
+    "multiprocessing",
+    "asyncio",
+)
+#: Each import form, with ``{m}`` the module.
+IMPORT_FORMS = {
+    "import": "import {m}",
+    "import-sub": "import {m}.sub",
+    "from": "from {m} import name",
+    "from-sub": "from {m}.sub import name",
+}
+
+
+@pytest.mark.parametrize("form", sorted(IMPORT_FORMS))
+@pytest.mark.parametrize("module", CONCURRENCY_MODULES)
+def test_determinism_bans_every_concurrency_import_form(module, form):
+    src = "x = 1\n" + IMPORT_FORMS[form].format(m=module) + "\n"
+    found = check_text(src, "core/engine.py", [SimDeterminismChecker])
+    assert [(f.rule_id, f.line) for f in found] == [("GSD101", 2)]
+    assert "single-threaded" in found[0].message
+
+
+@pytest.mark.parametrize(
+    "rel", ["utils/timers.py", "bench/harness.py", "obs/trace.py", "cli.py"]
+)
+def test_determinism_concurrency_ban_is_package_wide(rel):
+    """The ban reaches the directories the wall-clock half leaves out."""
+    found = check_text("import threading\n", rel, [SimDeterminismChecker])
+    assert rules(found) == ["GSD101"]
+
+
+def test_determinism_utils_may_still_read_wall_clock():
+    src = "import time\nfrom datetime import datetime\nimport random\n"
+    assert check_text(src, "utils/timers.py", [SimDeterminismChecker]) == []
+
+
+def test_determinism_package_and_relative_imports_are_not_concurrency():
+    src = textwrap.dedent(
+        """
+        import repro.cluster.messages
+        from repro.cluster.messages import Inbox
+        from . import queue
+        from .queue import Queue
+        from ..threading import local
+        from .time import now
+        """
+    )
+    assert check_text(src, "core/engine.py", [SimDeterminismChecker]) == []
+
+
+def test_determinism_sim_ok_suppresses_a_concurrency_import():
+    same_line = "import threading  # sim-ok: a fixture, never imported\n"
+    above = "# sim-ok: a fixture, never imported\nfrom queue import Queue\n"
+    for src in (same_line, above):
+        assert check_text(src, "utils/timers.py", [SimDeterminismChecker]) == []
 
 
 # -- GSD102: charged I/O ------------------------------------------------------
@@ -141,8 +204,10 @@ def test_real_grid_and_its_reader_are_clean():
 # -- GSD101/104/105 on real source -------------------------------------------
 
 
-#: One defect per rule, seeded into real source: (module, lint path, the
+#: One defect per case, seeded into real source: (module, lint path, the
 #: real text, what replaces it, the text on the line the rule must flag).
+#: A case is keyed by the rule it trips, plus ``/<what>`` for a second
+#: case of the same rule.
 SEEDED = {
     # A wall-clock import in the FCIU round.
     "GSD101": (
@@ -151,6 +216,15 @@ SEEDED = {
         "from __future__ import annotations\n",
         "from __future__ import annotations\nimport time\n",
         "import time",
+    ),
+    # A thread import in the simulated clock: utils/ lies outside the
+    # wall-clock half's directories, not outside the concurrency ban.
+    "GSD101/threading": (
+        timers_module,
+        "utils/timers.py",
+        "from __future__ import annotations\n",
+        "from __future__ import annotations\nimport threading\n",
+        "import threading",
     ),
     # A block's offsets array built in numpy's default float64.
     "GSD104": (
@@ -175,9 +249,10 @@ SEEDED = {
 }
 
 
-@pytest.mark.parametrize("rule", sorted(SEEDED))
-def test_self_seeded_defect_in_real_source_fires_at_its_line(rule):
-    module, rel, real, seed, flagged = SEEDED[rule]
+@pytest.mark.parametrize("case", sorted(SEEDED))
+def test_self_seeded_defect_in_real_source_fires_at_its_line(case):
+    module, rel, real, seed, flagged = SEEDED[case]
+    rule = case.split("/", 1)[0]
     base = Path(module.__file__).read_text()
     assert base.count(real) == 1
     assert check_text(base, rel) == []

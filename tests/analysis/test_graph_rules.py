@@ -1,9 +1,8 @@
-"""GSD108 (iteration order) and GSD103's checks of ``lock-held`` helpers.
+"""GSD108: iteration-order determinism.
 
-Fixtures drive :func:`check_text` with explicit checker lists so each
-rule is tested in isolation; expected lines are located by searching
-the fixture text (``line_of``) so edits don't silently shift the
-assertions. The self-tests at the bottom seed a defect into the *real*
+Fixtures drive :func:`check_text` with the GSD108 checker alone;
+expected lines are located by searching the fixture text (``line_of``)
+so edits don't silently shift the assertions. The self-tests at the bottom seed a defect into the *real*
 ``repro.utils.timers`` source and pin the exact finding — proof the
 rules hold on production code, not just toy fixtures.
 """
@@ -15,7 +14,7 @@ import pytest
 
 import repro.utils.timers as timers_module
 from repro.analysis import check_text
-from repro.analysis.checkers import IterationOrderChecker, LockDisciplineChecker
+from repro.analysis.checkers import IterationOrderChecker
 
 
 def line_of(src, needle, occurrence=1):
@@ -29,101 +28,11 @@ def line_of(src, needle, occurrence=1):
     raise AssertionError(f"{needle!r} not in fixture")
 
 
-def findings_for(src, checker, rel="utils/thing.py"):
-    return check_text(src, rel, [checker])
-
-
-# -- GSD103: lock-held helpers (the tests keep the id they were written under)
-
-GSD107_FIXTURE = """
-import threading
-
-class Box:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._data = {}  # guarded-by: _lock
-
-    # lock-held: _lock
-    def _mutate(self):
-        self._data["k"] = 1
-
-    def bad(self):
-        self._mutate()
-
-    def good(self):
-        with self._lock:
-            self._mutate()
-
-    # lock-held: _lock
-    def _also_held(self):
-        self._mutate()
-"""
-
-
-def test_gsd107_unlocked_call_flagged_locked_and_propagated_pass():
-    src = textwrap.dedent(GSD107_FIXTURE)
-    findings = findings_for(src, LockDisciplineChecker)
-    assert [f.rule_id for f in findings] == ["GSD103"]
-    # Only the call inside bad() fires: good() holds the lock lexically,
-    # _also_held() inherits the context from its own declaration.
-    bad_call = line_of(src, "self._mutate()", occurrence=1)
-    assert findings[0].line == bad_call
-    assert "lock-held: _lock" in findings[0].message
-
-
-def test_gsd107_value_reference_is_an_escape():
-    src = textwrap.dedent(
-        """
-        import threading
-
-        class Box:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self._data = {}  # guarded-by: _lock
-
-            # lock-held: _lock
-            def _mutate(self):
-                self._data["k"] = 1
-
-            def spawn(self):
-                return threading.Thread(target=self._mutate)
-        """
-    )
-    findings = findings_for(src, LockDisciplineChecker)
-    assert [f.rule_id for f in findings] == ["GSD103"]
-    assert findings[0].line == line_of(src, "target=self._mutate")
-    assert "referenced as a value" in findings[0].message
-
-
-def test_gsd107_double_acquire_of_nonreentrant_lock():
-    src = textwrap.dedent(
-        """
-        import threading
-
-        class Box:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-            def inner(self):
-                with self._lock:
-                    pass
-
-            def outer(self):
-                with self._lock:
-                    self.inner()
-        """
-    )
-    findings = findings_for(src, LockDisciplineChecker)
-    assert [f.rule_id for f in findings] == ["GSD103"]
-    assert findings[0].line == line_of(src, "self.inner()")
-    assert "self-deadlock" in findings[0].message
-
-
-# -- GSD108: iteration-order determinism --------------------------------------
+# -- fixtures -----------------------------------------------------------------
 
 
 def order_findings(src, rel="utils/box.py"):
-    return findings_for(src, IterationOrderChecker, rel)
+    return check_text(src, rel, [IterationOrderChecker])
 
 
 def test_gsd108_set_iteration_into_float_accumulation():
@@ -225,31 +134,6 @@ def test_gsd108_reaching_defs_clear_rebound_name():
 
 def _timers_source():
     return Path(timers_module.__file__).read_text()
-
-
-def test_self_gsd107_seeded_unlocked_helper_call_in_real_timers():
-    base = _timers_source()
-    seeded = base + textwrap.dedent(
-        """
-
-        class _SeededBox:
-            def __init__(self):
-                self._guard = threading.Lock()
-                self._cells = {}  # guarded-by: _guard
-
-            # lock-held: _guard
-            def _poke(self):
-                self._cells["x"] = 1
-
-            def entry(self):
-                self._poke()
-        """
-    )
-    # The de-guarded call sits 13 lines below the end of the base file.
-    poke_line = base.count("\n") + 13
-    findings = check_text(seeded, "utils/timers.py")
-    assert [(f.rule_id, f.line) for f in findings] == [("GSD103", poke_line)]
-    assert "lock-held: _guard" in findings[0].message
 
 
 #: The sorted() wraps over a component dict in the real timers source,

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import SSSP, PageRank
+from repro.cluster import ClusterConfig, ClusterEngine
 from repro.core import AsyncGraphSDEngine, GraphSDConfig, GraphSDEngine
 from repro.storage.blockfile import MAX_IO_RETRIES
 from repro.storage.faults import FaultInjector, FaultPlan, FaultSpec, SimulatedCrash
@@ -190,23 +191,57 @@ def test_no_prefetch_worker_outlives_a_crash(tmp_path, site):
     assert threading.active_count() == before
 
 
-#: Pipelined K = 4 runs through every plan consumer: FCIU's phase 1 and
-#: its phase-2 ``sweep_columns`` (b3), SCIU's ``consume_plan`` (b4) and
-#: the async engine's pops.
-NO_THREAD_RUNS = (
-    (GraphSDEngine, GraphSDConfig.baseline_b3, PageRank),
-    (GraphSDEngine, GraphSDConfig.baseline_b4, lambda: SSSP(source=0)),
-    (AsyncGraphSDEngine, GraphSDConfig, lambda: SSSP(source=0)),
-)
+def _engine_run(engine_cls, make_config, make_program, **settings):
+    def run(store, workspace):
+        config = replace(make_config(), **settings)
+        engine_cls(store, config=config).run(make_program())
+
+    return run
 
 
-def test_pipelined_runs_start_no_thread(tmp_path):
-    """Pipelining is a clock mode: a finished run leaves no thread behind."""
+def _cluster4_run(store, workspace):
+    config = ClusterConfig(workers=4)
+    ClusterEngine(store.device.root, store.prefix, workspace, config).run(SSSP(source=0))
+
+
+def _bsp_runs(**settings):
+    """FCIU's phase 1 and its phase-2 ``sweep_columns`` (b3) and SCIU's
+    ``consume_plan`` (b4) under ``settings``."""
+    return [
+        _engine_run(GraphSDEngine, GraphSDConfig.baseline_b3, PageRank, **settings),
+        _engine_run(
+            GraphSDEngine, GraphSDConfig.baseline_b4, lambda: SSSP(source=0), **settings
+        ),
+    ]
+
+
+def _async_run(**settings):
+    return _engine_run(
+        AsyncGraphSDEngine, GraphSDConfig, lambda: SSSP(source=0), **settings
+    )
+
+
+#: Per engine shape, its runs: every plan consumer serial, pipelined and
+#: over K = 4 lanes, the async engine's pops, and a 4-worker cluster's
+#: ``Inbox``/``Interconnect`` traffic.
+NO_THREAD_RUNS = {
+    "bsp-serial": _bsp_runs(),
+    "pipelined": _bsp_runs(pipelined=True, gather_lanes=4)
+    + [_async_run(pipelined=True, gather_lanes=4)],
+    "bsp-lanes4": _bsp_runs(gather_lanes=4),
+    "async": [_async_run()],
+    "cluster4": [_cluster4_run],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NO_THREAD_RUNS))
+def test_pipelined_runs_start_no_thread(tmp_path, shape):
+    """Pipelining is a clock mode and the cluster is simulated: a
+    finished run of any engine shape leaves no thread behind."""
     rng = np.random.default_rng(5)
     edges = random_edgelist(rng, 400, 5000)
     before = threading.active_count()
-    for k, (engine_cls, make_config, make_program) in enumerate(NO_THREAD_RUNS):
+    for k, run in enumerate(NO_THREAD_RUNS[shape]):
         store = build_store(edges, tmp_path / str(k), P=P_LEAK, name=f"t{k}")
-        config = replace(make_config(), pipelined=True, gather_lanes=4)
-        engine_cls(store, config=config).run(make_program())
+        run(store, tmp_path / f"ws{k}")
     assert threading.active_count() == before

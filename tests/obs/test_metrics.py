@@ -1,7 +1,5 @@
 """Metrics registry: counters, gauges, power-of-two histograms."""
 
-import threading
-
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.obs.metrics import Histogram
 
@@ -60,21 +58,3 @@ def test_null_metrics_is_inert_and_shaped():
         "histograms": {},
     }
     assert NULL_METRICS.enabled is False
-
-
-def test_registry_is_thread_safe():
-    m = MetricsRegistry()
-
-    def work():
-        for _ in range(1000):
-            m.inc("n")
-            m.observe("h", 8)
-
-    threads = [threading.Thread(target=work) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    snap = m.snapshot()
-    assert snap["counters"]["n"] == 4000
-    assert snap["histograms"]["h"]["count"] == 4000

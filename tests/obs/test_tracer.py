@@ -1,7 +1,6 @@
 """Span tracer unit behaviour: nesting, dual timelines, JSONL output."""
 
 import json
-import threading
 
 from repro.obs import NULL_TRACER, Tracer, validate_trace_lines
 from repro.utils.timers import COMPUTE, IO_READ, SimClock
@@ -33,27 +32,6 @@ def test_spans_nest_by_parent_id():
     assert by_name["inner"]["parent"] == outer.span_id
     assert by_name["outer"]["parent"] is None
     assert inner.span_id != outer.span_id
-
-
-def test_sibling_threads_root_their_own_chains():
-    tracer = Tracer(SimClock())
-    done = threading.Event()
-
-    def worker():
-        with tracer.span("worker-span"):
-            pass
-        done.set()
-
-    with tracer.span("main-span"):
-        t = threading.Thread(target=worker, name="bg")
-        t.start()
-        t.join()
-    assert done.is_set()
-    by_name = {e["name"]: e for e in _spans(tracer)}
-    # The worker's span must NOT be parented under the main thread's
-    # open span: stacks are per-thread.
-    assert by_name["worker-span"]["parent"] is None
-    assert by_name["worker-span"]["thread"] == "bg"
 
 
 def test_override_sim_pins_published_deltas():

@@ -433,9 +433,9 @@ def test_lint_rules_prints_catalogue(capsys):
     rc = main(["lint", "--rules"])
     assert rc == 0
     out = capsys.readouterr().out
-    for rule in ("GSD100", "GSD101", "GSD103", "GSD105", "GSD108"):
+    for rule in ("GSD100", "GSD101", "GSD105", "GSD108"):
         assert rule in out
-    for retired in ("GSD106", "GSD107", "GSD109"):
+    for retired in ("GSD103", "GSD106", "GSD107", "GSD109"):
         assert retired not in out
 
 
@@ -449,7 +449,7 @@ def test_lint_sarif_format(tmp_path, capsys):
     (run,) = log["runs"]
     assert run["tool"]["driver"]["name"] == "graphsd"
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {"GSD101", "GSD102", "GSD103", "GSD104", "GSD105", "GSD108"} == rule_ids
+    assert {"GSD101", "GSD102", "GSD104", "GSD105", "GSD108"} == rule_ids
     (result,) = run["results"]
     assert result["ruleId"] == "GSD105"
     assert result["baselineState"] == "new"
